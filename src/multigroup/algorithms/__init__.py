@@ -1,4 +1,4 @@
-from .decoupled import PartitionPredictor, RoutingError, decoupled
+from .decoupled import PartitionPredictor, decoupled
 from .group_tree import (
     AuditVerdict,
     GroupTreePredictor,
@@ -8,6 +8,7 @@ from .group_tree import (
     monotonicity_audit,
 )
 from .prepend import DecisionList, DecisionListEntry, PrependCapExceeded, prepend, termination_scan
+from .routing import RoutingError
 
 __all__ = [
     "AuditVerdict",

@@ -13,10 +13,7 @@ import numpy as np
 from ..data import Dataset
 from ..groups import GroupTree, membership_vector, validate_hierarchical
 from ..learners import LearnerSpec, PredictorCache
-
-
-class RoutingError(ValueError):
-    """An example matched no leaf and the fallback is 'error'."""
+from .routing import route
 
 
 class PartitionPredictor:
@@ -26,36 +23,14 @@ class PartitionPredictor:
         self.fallback = fallback  # predictor or None (meaning: raise on uncovered rows)
         self.learner_spec = learner_spec
 
-    def _compose(self, ds: Dataset, values_for) -> np.ndarray:
-        out = np.empty(ds.n, dtype=np.float64)
-        covered = np.zeros(ds.n, dtype=bool)
-        cache: dict[int, np.ndarray] = {}
-
-        def values(pred):
-            key = id(pred)
-            if key not in cache:
-                cache[key] = values_for(pred)
-            return cache[key]
-
-        for leaf in self.leaves:
-            mask = membership_vector(leaf, ds)
-            if mask.any():
-                out[mask] = values(self.per_leaf[leaf.id])[mask]
-                covered |= mask
-        if not covered.all():
-            uncovered = np.flatnonzero(~covered)
-            if self.fallback is None:
-                i = int(uncovered[0])
-                attrs = {a: ds.value(a, i) for a in ds.schema.group_attributes}
-                raise RoutingError(f"example outside every leaf: {attrs}")
-            out[uncovered] = values(self.fallback)[uncovered]
-        return out
+    def _rules(self):
+        return [(leaf, self.per_leaf[leaf.id]) for leaf in self.leaves]
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.scores(ds))
+        return route(ds, self._rules(), self.fallback, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.predict(ds).astype(np.float64)).astype(np.int64)
+        return route(ds, self._rules(), self.fallback, "predict")
 
 
 def decoupled(

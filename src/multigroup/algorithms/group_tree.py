@@ -18,6 +18,7 @@ from ..data import Dataset
 from ..groups import GroupTree, validate_hierarchical
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
+from .routing import route
 
 
 @dataclass(frozen=True)
@@ -83,26 +84,15 @@ class GroupTreePredictor:
                 out[g.id] = out[self.tree.parent(g.id).id]
         return out
 
-    def _compose(self, ds: Dataset, values_for) -> np.ndarray:
-        assign = self.tree.route(ds)
-        by_predictor: dict[int, np.ndarray] = {}
-        out = np.empty(ds.n, dtype=np.float64)
-        for i, g in enumerate(self.tree.nodes):
-            rows = assign == i
-            if not rows.any():
-                continue
-            pred = self.working[g.id]
-            key = id(pred)
-            if key not in by_predictor:
-                by_predictor[key] = values_for(pred)
-            out[rows] = by_predictor[key][rows]
-        return out
+    def _rules(self):
+        # deepest first, so the first containing node is the deepest one
+        return [(g, self.working[g.id]) for g in reversed(self.tree.nodes)]
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.scores(ds))
+        return route(ds, self._rules(), None, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.predict(ds).astype(np.float64)).astype(np.int64)
+        return route(ds, self._rules(), None, "predict")
 
 
 def mgl_tree(

@@ -19,6 +19,7 @@ from ..data import Dataset
 from ..groups import Group, GroupTree, membership_vector
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
+from .routing import route
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,14 @@ class DecisionList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _compose(self, ds: Dataset, values_for) -> np.ndarray:
-        out = values_for(self.default).astype(np.float64).copy()
-        # applying entries back-to-front makes the front entry win
-        for entry in reversed(self.entries):
-            mask = membership_vector(entry.group, ds)
-            if mask.any():
-                out[mask] = values_for(entry.predictor)[mask]
-        return out
+    def _rules(self):
+        return [(e.group, e.predictor) for e in self.entries]
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.scores(ds))
+        return route(ds, self._rules(), self.default, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return self._compose(ds, lambda p: p.predict(ds).astype(np.float64)).astype(np.int64)
+        return route(ds, self._rules(), self.default, "predict")
 
 
 class PrependCapExceeded(RuntimeError):
@@ -70,6 +65,44 @@ def _normalize_groups(groups) -> list[Group]:
     if isinstance(groups, GroupTree):
         return list(groups.nodes)
     return list(groups)
+
+
+class _CandidatePool:
+    """Observed groups, the candidate fits, and each candidate's risk per group.
+
+    Candidates are the global fit followed by the observed non-root groups'
+    restricted fits in id order; none of their risks changes across rounds.
+    """
+
+    def __init__(self, train: Dataset, group_list, spec: LearnerSpec, eps: EpsilonSpec,
+                 loss: Loss, cache: PredictorCache):
+        masks = [membership_vector(g, train) for g in group_list]
+        observed = [(g, m) for g, m in zip(group_list, masks) if m.any()]
+        self.groups = [g for g, _ in observed]
+        self.masks = [m for _, m in observed]
+        self.counts = [int(m.sum()) for m in self.masks]
+        self.margins = np.array([epsilon(eps, n_g) for n_g in self.counts])
+        self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
+        for g in sorted(self.groups, key=lambda g: g.id):
+            if not g.is_root:
+                self.candidates.append((g.id, cache.group_erm(spec, g)))
+        self.losses = [loss.per_example(p, train) for _, p in self.candidates]
+        self.risks = np.array(
+            [[losses[mask].sum() / n_g for losses in self.losses]
+             for mask, n_g in zip(self.masks, self.counts)],
+        ).reshape(len(self.groups), len(self.candidates))
+
+    def scan(self, row_loss: np.ndarray):
+        """Violation value list_risk - cand_risk - margin of every (group,
+        candidate) pair under the per-row losses ``row_loss``, plus the
+        (group, candidate) index of the first maximum, or None if no group
+        is observed."""
+        list_risk = np.array([row_loss[mask].sum() / n_g
+                              for mask, n_g in zip(self.masks, self.counts)])
+        values = list_risk[:, None] - self.risks - self.margins[:, None]
+        if not values.size:
+            return values, None
+        return values, np.unravel_index(int(np.argmax(values)), values.shape)
 
 
 def prepend(
@@ -97,50 +130,25 @@ def prepend(
     if cache is None:
         cache = PredictorCache(train)
 
-    masks = {g.id: membership_vector(g, train) for g in group_list}
-    observed = [g for g in group_list if masks[g.id].any()]
-    counts = {g.id: int(masks[g.id].sum()) for g in observed}
-    margins = {g.id: epsilon(eps, counts[g.id]) for g in observed}
-
-    default = cache.erm(spec)
-    candidates: list[tuple[str, object]] = [("ALL", default)]
-    for g in sorted(observed, key=lambda g: g.id):
-        if not g.is_root:
-            candidates.append((g.id, cache.group_erm(spec, g)))
-
-    # candidate risks never change across rounds; precompute them
-    cand_losses = [loss.per_example(p, train) for _, p in candidates]
-    cand_risk = np.empty((len(observed), len(candidates)))
-    for gi, g in enumerate(observed):
-        mask = masks[g.id]
-        for ci in range(len(candidates)):
-            cand_risk[gi, ci] = cand_losses[ci][mask].sum() / counts[g.id]
-
+    pool = _CandidatePool(train, group_list, spec, eps, loss, cache)
     entries: list[DecisionListEntry] = []
-    current = DecisionList(entries, default, spec, eps, loss)
-    row_loss = loss.per_example(default, train).copy()
+    current = DecisionList(entries, pool.candidates[0][1], spec, eps, loss)
+    row_loss = pool.losses[0].copy()
 
     for _ in range(cap):
-        best = None  # (value, group index, candidate index)
-        for gi, g in enumerate(observed):
-            list_risk = row_loss[masks[g.id]].sum() / counts[g.id]
-            for ci in range(len(candidates)):
-                value = list_risk - cand_risk[gi, ci] - margins[g.id]
-                if best is None or value > best[0]:
-                    best = (value, gi, ci)
-        if best is None or best[0] < 0:
+        values, best = pool.scan(row_loss)
+        if best is None or values[best] < 0:
             return current
-        _, gi, ci = best
-        g = observed[gi]
-        source_id, predictor = candidates[ci]
-        entries.insert(0, DecisionListEntry(g, predictor, source_id))
-        row_loss[masks[g.id]] = cand_losses[ci][masks[g.id]]
+        gi, ci = best
+        source_id, predictor = pool.candidates[ci]
+        entries.insert(0, DecisionListEntry(pool.groups[gi], predictor, source_id))
+        mask = pool.masks[gi]
+        row_loss[mask] = pool.losses[ci][mask]
 
     # cap reached; check whether a violation is still outstanding
-    for gi, g in enumerate(observed):
-        list_risk = row_loss[masks[g.id]].sum() / counts[g.id]
-        if any(list_risk - cand_risk[gi, ci] - margins[g.id] >= 0 for ci in range(len(candidates))):
-            raise PrependCapExceeded(cap, current)
+    values, best = pool.scan(row_loss)
+    if best is not None and values[best] >= 0:
+        raise PrependCapExceeded(cap, current)
     return current
 
 
@@ -160,23 +168,8 @@ def termination_scan(
     eps = dlist.eps_spec.with_context(group_count=len(group_list), n_total=train.n)
     if cache is None:
         cache = PredictorCache(train)
-    loss = dlist.loss
-    row_loss = loss.per_example(dlist, train)
-
-    violations = []
-    observed = [(g, membership_vector(g, train)) for g in group_list]
-    observed = [(g, m) for g, m in observed if m.any()]
-    candidates: list[tuple[str, object]] = [("ALL", cache.erm(dlist.learner_spec))]
-    for g, _ in sorted(observed, key=lambda gm: gm[0].id):
-        if not g.is_root:
-            candidates.append((g.id, cache.group_erm(dlist.learner_spec, g)))
-    for g, mask in observed:
-        n_g = int(mask.sum())
-        list_risk = row_loss[mask].sum() / n_g
-        margin = epsilon(eps, n_g)
-        for source_id, candidate in candidates:
-            cand = loss.per_example(candidate, train)[mask].sum() / n_g
-            value = list_risk - cand - margin
-            if value >= 0:
-                violations.append((g.id, source_id, float(value)))
-    return violations
+    row_loss = dlist.loss.per_example(dlist, train)
+    pool = _CandidatePool(train, group_list, dlist.learner_spec, eps, dlist.loss, cache)
+    values, _ = pool.scan(row_loss)
+    return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
+            for gi, ci in zip(*np.nonzero(values >= 0))]

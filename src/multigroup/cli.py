@@ -13,48 +13,25 @@ import json
 import os
 import sys
 
-
-from .algorithms import (
-    PrependCapExceeded,
-    decoupled,
-    excess_risk_report,
-    mgl_tree,
-    monotonicity_audit,
-    prepend,
-    termination_scan,
-)
-from .config import ConfigError, RunConfig, load_run_config
+from .algorithms import excess_risk_report, mgl_tree, monotonicity_audit, termination_scan
+from .config import ConfigError, load_run_config
 from .data import DataError, SchemaError, load_csv, make_synthetic, schema_to_json, \
     synthetic_spec_from_json, write_csv
 from .evaluation import run_experiment
-from .groups import build_hierarchy, hierarchy_from_json, validate_hierarchical
-from .learners import EmptyGroupError, FeatureEncoder, PredictorCache
-from .modelio import (
-    dataset_fingerprint,
-    rebuild_decision_list,
-    rebuild_tree_predictor,
-    save_list_model,
-    save_partition_model,
-    save_plain_model,
-    save_tree_model,
-)
+from .groups import hierarchy_from_json, validate_hierarchical
+from .learners import FeatureEncoder, PredictorCache
+from .methods import METHODS, MethodError, group_risks, method_failure
+from .modelio import dataset_fingerprint, rebuild_decision_list, rebuild_tree_predictor
 from .risk import loss_from_name
-
-
-def _build_tree(cfg: RunConfig, schema):
-    if cfg.hierarchy_nodes is not None:
-        return hierarchy_from_json({"nodes": cfg.hierarchy_nodes}, schema)
-    return build_hierarchy(schema, cfg.attribute_order)
 
 
 def cmd_validate_hierarchy(args) -> int:
     try:
         cfg = load_run_config(args.config, args.set)
         ds = None
-        if cfg.dataset:
-            ds = load_csv(cfg.dataset, cfg.schema)
-        schema = ds.schema if ds is not None else cfg.schema
-        tree = _build_tree(cfg, schema)
+        if cfg.dataset_path:
+            ds = load_csv(cfg.dataset_path, cfg.schema)
+        tree = cfg.hierarchy(ds.schema if ds is not None else cfg.schema)
     except (ConfigError, SchemaError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -78,12 +55,12 @@ def _print_train_table(tree, risks_by_method, counts):
 def cmd_train(args) -> int:
     try:
         cfg = load_run_config(args.config, args.set)
-        if not cfg.dataset:
+        if not cfg.dataset_path:
             raise ConfigError("train needs a dataset path in the config")
         out_dir = args.out or cfg.output_dir
         if not out_dir:
             raise ConfigError("train needs an output directory (--out or output_dir)")
-        train = load_csv(cfg.dataset, cfg.schema)
+        train = load_csv(cfg.dataset_path, cfg.schema)
     except (ConfigError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,7 +70,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     try:
-        tree = _build_tree(cfg, train.schema)
+        tree = cfg.hierarchy(train.schema)
         loss = loss_from_name(cfg.loss)
         encoder = FeatureEncoder(train.schema, cfg.include_group_attributes)
         cache = PredictorCache(train, encoder)
@@ -103,56 +80,18 @@ def cmd_train(args) -> int:
         for ls in cfg.learners:
             label = ls.label()
             risks_by_method = {}
-
-            def group_risks(predictor):
-                losses = loss.per_example(predictor, train)
-                return {
-                    g.id: float(losses[masks[i]].mean()) if counts[g.id] else None
-                    for i, g in enumerate(tree.nodes)
-                }
-
-            for method in cfg.methods:
-                if method == "erm":
-                    predictor = cache.erm(ls)
-                    save_plain_model(os.path.join(out_dir, f"erm.{label}.model.json"),
-                                     predictor, train, ls, cfg.include_group_attributes)
-                    risks_by_method["erm"] = group_risks(predictor)
-                elif method == "mgl_tree":
-                    predictor = mgl_tree(train, tree, ls, cfg.epsilon, loss, cache=cache)
-                    save_tree_model(os.path.join(out_dir, f"mgl_tree.{label}.model.json"),
-                                    predictor, train, cfg.include_group_attributes)
-                    trace_path = os.path.join(out_dir, f"mgl_tree.{label}.trace.jsonl")
-                    with open(trace_path, "w", encoding="utf-8") as fh:
-                        for step in predictor.trace:
-                            fh.write(json.dumps(step.to_json(), sort_keys=True) + "\n")
-                    risks_by_method["mgl_tree"] = group_risks(predictor)
-                elif method == "prepend":
-                    dlist = prepend(train, tree, ls, cfg.epsilon, loss,
-                                    cap=cfg.prepend_cap, cache=cache)
-                    save_list_model(os.path.join(out_dir, f"prepend.{label}.model.json"),
-                                    dlist, train, cfg.include_group_attributes, tree=tree)
-                    risks_by_method["prepend"] = group_risks(dlist)
-                elif method == "decoupled":
-                    predictor = decoupled(train, tree, ls, cache=cache)
-                    save_partition_model(
-                        os.path.join(out_dir, f"decoupled.{label}.model.json"),
-                        predictor, train, cfg.include_group_attributes)
-                    risks_by_method["decoupled"] = group_risks(predictor)
-                elif method == "group_erm":
-                    per_group = {}
-                    for i, g in enumerate(tree.nodes):
-                        if counts[g.id]:
-                            predictor = cache.group_erm(ls, g)
-                            losses = loss.per_example(predictor, train)
-                            per_group[g.id] = float(losses[masks[i]].mean())
-                    risks_by_method["group_erm"] = per_group
+            for name in cfg.methods:
+                method = METHODS[name]
+                with method_failure(name, label):
+                    fitted = method.fit(train, tree, ls, cfg, cache)
+                    if method.save is not None:
+                        path = os.path.join(out_dir, f"{name}.{label}.model.json")
+                        method.save(path, fitted, train, tree, ls, cfg)
+                    risks_by_method[name] = group_risks(fitted, train, tree, masks, loss)
 
             print(f"== learner {label}: per-group training risk ({cfg.loss})")
             _print_train_table(tree, risks_by_method, counts)
-    except PrependCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EmptyGroupError, DataError, ValueError) as exc:
+    except (MethodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -161,7 +100,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     try:
         cfg = load_run_config(args.config, args.set)
-        if not cfg.dataset:
+        if not cfg.dataset_path:
             raise ConfigError("evaluate needs a dataset path in the config")
         out_dir = args.out or cfg.output_dir
         if not out_dir:
@@ -170,11 +109,8 @@ def cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(cfg.experiment(), jobs=args.jobs)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, SchemaError, EmptyGroupError, PrependCapExceeded, ValueError) as exc:
+        report = run_experiment(cfg, jobs=args.jobs)
+    except (FileNotFoundError, MethodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

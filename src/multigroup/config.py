@@ -1,4 +1,9 @@
-"""Run-config files: one JSON document that pins a whole reproducible run."""
+"""Run configuration: one frozen ExperimentConfig pins a whole reproducible run.
+
+It is built either directly in code or from a JSON run-config file with
+optional ``--set dotted.key=value`` overrides; both paths share one
+validation, and every config error is a ConfigError.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,10 @@ import json
 from dataclasses import dataclass
 
 from .bounds import EpsilonSpec
-from .data import AttributeSchema, schema_from_json
-from .evaluation import METHODS, ExperimentConfig
+from .data import schema_from_json
+from .groups import GroupTree, build_hierarchy, hierarchy_from_json
 from .learners import LearnerSpec
+from .methods import METHODS
 from .risk import loss_from_name
 
 
@@ -24,41 +30,59 @@ _TOP_KEYS = {
 _SPLIT_KEYS = {"test_fraction", "seed", "trials"}
 
 
-@dataclass
-class RunConfig:
-    schema: AttributeSchema
+@dataclass(frozen=True)
+class ExperimentConfig:
+    schema: object
     attribute_order: tuple[str, ...]
-    hierarchy_nodes: list | None
     learners: tuple[LearnerSpec, ...]
     epsilon: EpsilonSpec
-    loss: str
-    test_fraction: float
-    seed: int
-    trials: int
-    methods: tuple[str, ...]
-    include_group_attributes: bool
-    prepend_cap: int | None
-    dataset: str | None
-    output_dir: str | None
+    loss: str = "zero_one"
+    trials: int = 10
+    test_fraction: float = 0.2
+    seed: int = 0
+    methods: tuple[str, ...] = tuple(METHODS)
+    include_group_attributes: bool = True
+    prepend_cap: int | None = None
+    dataset_path: str | None = None
+    hierarchy_nodes: tuple | None = None  # explicit conjunct lists; overrides attribute_order
+    output_dir: str | None = None
 
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            schema=self.schema,
-            attribute_order=self.attribute_order,
-            learners=self.learners,
-            epsilon=self.epsilon,
-            loss=self.loss,
-            trials=self.trials,
-            test_fraction=self.test_fraction,
-            seed=self.seed,
-            methods=self.methods,
-            include_group_attributes=self.include_group_attributes,
-            prepend_cap=self.prepend_cap,
-            dataset_path=self.dataset,
-            hierarchy_nodes=tuple(
-                tuple(tuple(c) for c in conj) for conj in self.hierarchy_nodes
-            ) if self.hierarchy_nodes is not None else None,
-        )
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        unknown = set(self.methods) - set(METHODS)
+        if unknown:
+            raise ConfigError(f"unknown methods: {sorted(unknown)}")
+        try:
+            loss_from_name(self.loss)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        cap = self.prepend_cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ConfigError(f"prepend_cap must be null or an integer >= 1, got {cap!r}")
+
+    def hierarchy(self, schema) -> GroupTree:
+        if self.hierarchy_nodes is not None:
+            return hierarchy_from_json({"nodes": self.hierarchy_nodes}, schema)
+        return build_hierarchy(schema, self.attribute_order)
+
+    def echo(self) -> dict:
+        return {
+            "attribute_order": list(self.attribute_order),
+            "learners": [ls.to_json() for ls in self.learners],
+            "epsilon": self.epsilon.to_json(),
+            "loss": self.loss,
+            "trials": self.trials,
+            "test_fraction": self.test_fraction,
+            "seed": self.seed,
+            "methods": list(self.methods),
+            "include_group_attributes": self.include_group_attributes,
+            "prepend_cap": self.prepend_cap,
+            "dataset_path": self.dataset_path,
+            "hierarchy_nodes": [list(map(list, c)) for c in self.hierarchy_nodes]
+            if self.hierarchy_nodes is not None else None,
+            "prepend_candidates": "group_restricted_fits_plus_global",
+        }
 
 
 def _parse_override_value(raw: str):
@@ -84,7 +108,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-def parse_run_config(doc: dict) -> RunConfig:
+def parse_run_config(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -93,55 +117,40 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError(f"config missing required key {required!r}")
     if "attribute_order" not in doc and "hierarchy_nodes" not in doc:
         raise ConfigError("config needs attribute_order or hierarchy_nodes")
-
-    try:
-        schema = schema_from_json(doc["schema"])
-        learners = tuple(LearnerSpec.from_json(entry) for entry in doc["learners"])
-        eps = EpsilonSpec.from_json(doc["epsilon"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if not learners:
-        raise ConfigError("config needs at least one learner")
-
     split_doc = doc.get("split", {})
     unknown = set(split_doc) - _SPLIT_KEYS
     if unknown:
         raise ConfigError(f"unknown split keys: {sorted(unknown)}")
 
-    loss = doc.get("loss", "zero_one")
+    nodes = doc.get("hierarchy_nodes")
     try:
-        loss_from_name(loss)
-    except ValueError as exc:
+        learners = tuple(LearnerSpec.from_json(entry) for entry in doc["learners"])
+        if not learners:
+            raise ConfigError("config needs at least one learner")
+        return ExperimentConfig(
+            schema=schema_from_json(doc["schema"]),
+            attribute_order=tuple(doc.get("attribute_order", ())),
+            learners=learners,
+            epsilon=EpsilonSpec.from_json(doc["epsilon"]),
+            loss=doc.get("loss", "zero_one"),
+            trials=int(split_doc.get("trials", 10)),
+            test_fraction=float(split_doc.get("test_fraction", 0.2)),
+            seed=int(split_doc.get("seed", 0)),
+            methods=tuple(doc.get("methods", METHODS)),
+            include_group_attributes=bool(doc.get("include_group_attributes", True)),
+            prepend_cap=doc.get("prepend_cap"),
+            dataset_path=doc.get("dataset"),
+            hierarchy_nodes=None if nodes is None
+            else tuple(tuple(tuple(c) for c in conj) for conj in nodes),
+            output_dir=doc.get("output_dir"),
+        )
+    except ConfigError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    methods = tuple(doc.get("methods", list(METHODS)))
-    bad = set(methods) - set(METHODS)
-    if bad:
-        raise ConfigError(f"unknown methods: {sorted(bad)}")
 
-    trials = int(split_doc.get("trials", 10))
-    if trials < 1:
-        raise ConfigError("split.trials must be >= 1")
-
-    return RunConfig(
-        schema=schema,
-        attribute_order=tuple(doc.get("attribute_order", ())),
-        hierarchy_nodes=doc.get("hierarchy_nodes"),
-        learners=learners,
-        epsilon=eps,
-        loss=loss,
-        test_fraction=float(split_doc.get("test_fraction", 0.2)),
-        seed=int(split_doc.get("seed", 0)),
-        trials=trials,
-        methods=methods,
-        include_group_attributes=bool(doc.get("include_group_attributes", True)),
-        prepend_cap=doc.get("prepend_cap"),
-        dataset=doc.get("dataset"),
-        output_dir=doc.get("output_dir"),
-    )
-
-
-def load_run_config(path, overrides: list[str] | None = None) -> RunConfig:
+def load_run_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -16,57 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import decoupled, excess_risk_report, mgl_tree, prepend
-from .bounds import EpsilonSpec
+from .config import ExperimentConfig
 from .data import Dataset, SplitSpec, load_csv, split
-from .groups import GroupTree, build_hierarchy, hierarchy_from_json
-from .learners import FeatureEncoder, LearnerSpec, PredictorCache
-from .risk import loss_from_name
-
-METHODS = ("erm", "group_erm", "prepend", "mgl_tree", "decoupled")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    schema: object
-    attribute_order: tuple[str, ...]
-    learners: tuple[LearnerSpec, ...]
-    epsilon: EpsilonSpec
-    loss: str = "zero_one"
-    trials: int = 10
-    test_fraction: float = 0.2
-    seed: int = 0
-    methods: tuple[str, ...] = METHODS
-    include_group_attributes: bool = True
-    prepend_cap: int | None = None
-    dataset_path: str | None = None
-    hierarchy_nodes: tuple | None = None  # explicit conjunct lists; overrides attribute_order
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
-        loss_from_name(self.loss)  # validate early
-
-    def echo(self) -> dict:
-        return {
-            "attribute_order": list(self.attribute_order),
-            "learners": [ls.to_json() for ls in self.learners],
-            "epsilon": self.epsilon.to_json(),
-            "loss": self.loss,
-            "trials": self.trials,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "include_group_attributes": self.include_group_attributes,
-            "prepend_cap": self.prepend_cap,
-            "dataset_path": self.dataset_path,
-            "hierarchy_nodes": [list(map(list, c)) for c in self.hierarchy_nodes]
-            if self.hierarchy_nodes is not None else None,
-            "prepend_candidates": "group_restricted_fits_plus_global",
-        }
+from .groups import GroupTree
+from .learners import FeatureEncoder, PredictorCache
+from .methods import METHODS, group_risks, method_failure
+from .risk import ZERO_ONE
 
 
 def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: int):
@@ -74,62 +29,20 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
     train, test = split(ds, SplitSpec(cfg.test_fraction, cfg.seed, trial))
     encoder = FeatureEncoder(ds.schema, cfg.include_group_attributes)
     cache = PredictorCache(train, encoder)
-    train_loss = loss_from_name(cfg.loss)
-
     test_masks = tree.masks(test)
-    train_masks = tree.masks(train)
     n_test = {g.id: int(test_masks[i].sum()) for i, g in enumerate(tree.nodes)}
 
     errors: dict[tuple[str, str], dict[str, float | None]] = {}
     summaries: dict[tuple[str, str], dict] = {}
-
-    def per_group(predictor) -> dict[str, float | None]:
-        losses = (predictor.predict(test) != test.labels()).astype(np.float64)
-        out = {}
-        for i, g in enumerate(tree.nodes):
-            mask = test_masks[i]
-            out[g.id] = float(losses[mask].mean()) if mask.any() else None
-        return out
-
     for ls in cfg.learners:
         label = ls.label()
-        for method in cfg.methods:
-            try:
-                if method == "erm":
-                    errors[(method, label)] = per_group(cache.erm(ls))
-                elif method == "decoupled":
-                    errors[(method, label)] = per_group(decoupled(train, tree, ls, cache=cache))
-                elif method == "mgl_tree":
-                    predictor = mgl_tree(train, tree, ls, cfg.epsilon, train_loss, cache=cache)
-                    errors[(method, label)] = per_group(predictor)
-                    decisions = [t.decision for t in predictor.trace]
-                    _, violations = excess_risk_report(predictor, train, cache=cache)
-                    summaries[(method, label)] = {
-                        "updated": decisions.count("updated"),
-                        "inherited": decisions.count("inherited"),
-                        "empty": decisions.count("inherited_empty"),
-                        "train_margin_violations": len(violations),
-                    }
-                elif method == "prepend":
-                    dlist = prepend(train, tree, ls, cfg.epsilon, train_loss,
-                                    cap=cfg.prepend_cap, cache=cache)
-                    errors[(method, label)] = per_group(dlist)
-                    summaries[(method, label)] = {"list_length": len(dlist)}
-                elif method == "group_erm":
-                    out: dict[str, float | None] = {}
-                    for i, g in enumerate(tree.nodes):
-                        if n_test[g.id] == 0 or not train_masks[i].any():
-                            out[g.id] = None
-                            continue
-                        predictor = cache.group_erm(ls, g)
-                        rows = np.flatnonzero(test_masks[i])
-                        sub = test.take(rows)
-                        out[g.id] = float((predictor.predict(sub) != sub.labels()).mean())
-                    errors[(method, label)] = out
-            except Exception as exc:
-                raise RuntimeError(
-                    f"method {method!r} (learner {label}) failed in trial {trial}: {exc}"
-                ) from exc
+        for name in cfg.methods:
+            method = METHODS[name]
+            with method_failure(name, label, trial):
+                fitted = method.fit(train, tree, ls, cfg, cache)
+                errors[(name, label)] = group_risks(fitted, test, tree, test_masks, ZERO_ONE)
+                if method.summary is not None:
+                    summaries[(name, label)] = method.summary(fitted, train, cache)
     return trial, n_test, errors, summaries
 
 
@@ -258,10 +171,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         if cfg.dataset_path is None:
             raise ValueError("config has no dataset path and no dataset was supplied")
         dataset = load_csv(cfg.dataset_path, cfg.schema)
-    if cfg.hierarchy_nodes is not None:
-        tree = hierarchy_from_json({"nodes": cfg.hierarchy_nodes}, dataset.schema)
-    else:
-        tree = build_hierarchy(dataset.schema, cfg.attribute_order)
+    tree = cfg.hierarchy(dataset.schema)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -7,6 +7,8 @@ import pytest
 from multigroup.algorithms import (
     DecisionList,
     DecisionListEntry,
+    GroupTreePredictor,
+    PartitionPredictor,
     PrependCapExceeded,
     RoutingError,
     decoupled,
@@ -16,9 +18,15 @@ from multigroup.algorithms import (
     prepend,
     termination_scan,
 )
-from multigroup.bounds import EpsilonSpec
+from multigroup.bounds import EpsilonSpec, epsilon as eps_value
 from multigroup.data import make_synthetic
-from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vector
+from multigroup.groups import (
+    Group,
+    GroupTree,
+    build_hierarchy,
+    deepest_containing,
+    membership_vector,
+)
 from multigroup.learners import LearnerSpec, PredictorCache, erm
 from multigroup.risk import ZERO_ONE, group_risk
 
@@ -201,33 +209,114 @@ def test_prepend_termination_scan_random_fixtures():
         assert termination_scan(dlist, ds, tree, cache=cache) == []
 
 
-def test_decision_list_scan_semantics_brute_force():
+def _routed_fixture(kind, ds, rng):
+    """A routed predictor over random per-row stubs, plus its per-row oracle:
+    row -> the stub that should answer it, or None for a RoutingError."""
+    def stub():
+        return FixedPredictor(rng.integers(0, 2, size=ds.n))
+
+    default = stub()
+    if kind == "decision_list":
+        groups = [
+            Group.from_conjuncts([("a1", "q")]),
+            Group.from_conjuncts([("a2", "u"), ("a1", "p")]),
+            Group.from_conjuncts([("a3", "t")]),
+        ]
+        entries = [DecisionListEntry(g, stub(), g.id) for g in groups]
+        dlist = DecisionList(entries, default, CONSTANT, const_eps(0.0), ZERO_ONE)
+
+        def oracle(row):
+            return next((e.predictor for e in entries if e.group.contains_row(row)), default)
+        return dlist, oracle
+    tree = build_hierarchy(ds.schema, ["a1", "a2", "a3"])
+    if kind == "group_tree":
+        # pruned so that some rows stop at depth 1 and some at depth 2
+        tree = GroupTree([g for g in tree.nodes if not g.id.startswith("a1=q&a2=v")
+                          and g.id != "a1=p&a2=u&a3=s"])
+        working = {g.id: stub() for g in tree.nodes}
+        decision = {g.id: "root" if g.is_root else "updated" for g in tree.nodes}
+        predictor = GroupTreePredictor(tree, working, decision, [], CONSTANT,
+                                       const_eps(0.0), ZERO_ONE)
+        return predictor, lambda row: working[deepest_containing(tree, row).id]
+    leaves = [leaf for leaf in tree.leaves() if leaf.id != "a1=p&a2=u&a3=t"]
+    per_leaf = {leaf.id: stub() for leaf in leaves}
+    fallback = default if kind == "partition" else None
+    predictor = PartitionPredictor(leaves, per_leaf, fallback, CONSTANT)
+
+    def oracle(row):
+        return next((per_leaf[leaf.id] for leaf in leaves if leaf.contains_row(row)), fallback)
+    return predictor, oracle
+
+
+@pytest.mark.parametrize(
+    "kind", ["decision_list", "group_tree", "partition", "partition_no_fallback"])
+def test_decision_list_scan_semantics_brute_force(kind):
     rng = np.random.default_rng(14)
     spec = inverted_leaf_spec(n_per_leaf=125, noise=0.3)
     ds = make_synthetic(spec, seed=2)
     assert ds.n == 1000
-    groups = [
-        Group.from_conjuncts([("a1", "q")]),
-        Group.from_conjuncts([("a2", "u"), ("a1", "p")]),
-        Group.from_conjuncts([("a3", "t")]),
-    ]
-    entries = [
-        DecisionListEntry(g, FixedPredictor(rng.integers(0, 2, size=ds.n)), g.id)
-        for g in groups
-    ]
-    default = FixedPredictor(rng.integers(0, 2, size=ds.n))
-    dlist = DecisionList(entries, default, CONSTANT, const_eps(0.0), ZERO_ONE)
-    got = dlist.predict(ds)
-    for i in range(ds.n):
-        row = ds.row(i)
-        expected = None
-        for e in entries:
-            if e.group.contains_row(row):
-                expected = e.predictor.predict(ds)[i]
+    predictor, oracle = _routed_fixture(kind, ds, rng)
+    expected = [oracle(ds.row(i)) for i in range(ds.n)]
+    if any(p is None for p in expected):
+        with pytest.raises(RoutingError, match="a1"):
+            predictor.predict(ds)
+        return
+    got = predictor.predict(ds)
+    for i, p in enumerate(expected):
+        assert got[i] == p.predict(ds)[i]
+
+
+def loop_scan(row_loss, train, groups, candidates, eps):
+    """Reference: every (observed group, candidate) violation value, one pair
+    at a time in group-then-candidate order; candidates carry their losses."""
+    out = []
+    for g in groups:
+        mask = membership_vector(g, train)
+        n_g = int(mask.sum())
+        if n_g == 0:
+            continue
+        list_risk = row_loss[mask].sum() / n_g
+        margin = eps_value(eps, n_g)
+        for source_id, losses in candidates:
+            out.append((g, source_id, losses, list_risk - losses[mask].sum() / n_g - margin))
+    return out
+
+
+def test_prepend_scan_matches_loop_reference():
+    rng = np.random.default_rng(12)
+    for scale in (0.0, 0.5, 3.0):
+        spec = random_hierarchical_spec(rng)
+        ds = make_synthetic(spec, seed=int(rng.integers(1 << 30)))
+        tree = build_hierarchy(ds.schema, list(spec.attributes))
+        cache = PredictorCache(ds)
+        eps = EpsilonSpec("scaled", scale=scale)
+        ctx = eps.with_context(group_count=len(tree), n_total=ds.n)
+        observed = sorted((g for g in tree.nodes if not g.is_root
+                           and membership_vector(g, ds).any()), key=lambda g: g.id)
+        fits = [("ALL", cache.erm(CONSTANT))] + \
+            [(g.id, cache.group_erm(CONSTANT, g)) for g in observed]
+        candidates = [(source, ZERO_ONE.per_example(fit, ds)) for source, fit in fits]
+        cap = 2 * len(tree)
+        row_loss = candidates[0][1].copy()
+        expected = []
+        for _ in range(cap):
+            best = None
+            for pair in loop_scan(row_loss, ds, tree.nodes, candidates, ctx):
+                if best is None or pair[3] > best[3]:  # the first maximum wins ties
+                    best = pair
+            if best[3] < 0:
                 break
-        if expected is None:
-            expected = default.predict(ds)[i]
-        assert got[i] == expected
+            expected.insert(0, (best[0].id, best[1]))
+            mask = membership_vector(best[0], ds)
+            row_loss[mask] = best[2][mask]
+        try:
+            dlist = prepend(ds, tree, CONSTANT, eps, ZERO_ONE, cap=cap, cache=cache)
+        except PrependCapExceeded as exc:
+            dlist = exc.partial
+        assert [(e.group.id, e.source_id) for e in dlist.entries] == expected
+        outstanding = [(g.id, source, float(value)) for g, source, _, value in loop_scan(
+            ZERO_ONE.per_example(dlist, ds), ds, tree.nodes, candidates, ctx) if value >= 0]
+        assert termination_scan(dlist, ds, tree, cache=cache) == outstanding
 
 
 def test_prepend_determinism():

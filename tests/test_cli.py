@@ -1,9 +1,15 @@
 import json
+import pathlib
+import shutil
+
+import pytest
 
 from multigroup.cli import main
 from multigroup.data import make_synthetic, schema_to_json, write_csv
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_fixture(tmp_path, spec=None, seed=7):
@@ -57,12 +63,19 @@ def test_validate_hierarchy_malformed_json(tmp_path):
     assert main(["validate-hierarchy", "--config", str(bad)]) == 2
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("extra", [
+    {"surprise": True}, {"prepend_cap": 0}, {"prepend_cap": "abc"}, {"prepend_cap": True},
+    {"prepend_cap": 1.5},
+], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float"])
+def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
-    doc["surprise"] = True
+    doc.update(extra)
     cfg = write_config(tmp_path, doc)
     assert main(["validate-hierarchy", "--config", str(cfg)]) == 2
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", str(cfg), "--out", out]) == 2
+    assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
 
 
 def test_synth_emits_loadable_csv(tmp_path):
@@ -260,3 +273,44 @@ def test_shipped_fixtures_quickstart(tmp_path):
                  "--out", str(tmp_path / "report"), *overrides]) == 0
     assert main(["audit", "--model", str(tmp_path / "models" / "mgl_tree.constant.model.json"),
                  "--data", str(data)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate", "--jobs", "1"], ["evaluate", "--jobs", "2"],
+], ids=["train", "evaluate_jobs1", "evaluate_jobs2"])
+def test_failed_method_exits_one_with_its_name(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--spec", str(ROOT / "fixtures" / "synth.json"),
+                 "--seed", "7", "--out", str(data)]) == 0
+    # a zero margin never lets prepend terminate, so cap=1 is always exceeded
+    overrides = ["--set", f"dataset={data}", "--set", "split.trials=2", "--set", "prepend_cap=1",
+                 "--set", 'learners=[{"kind": "constant"}]',
+                 "--set", 'epsilon={"kind": "constant", "value": 0.0}']
+    capsys.readouterr()
+    assert main([command[0], "--config", str(ROOT / "fixtures" / "run.json"),
+                 "--out", str(tmp_path / "out"), *command[1:], *overrides]) == 1
+    where = "" if command[0] == "train" else " in trial 0"
+    assert capsys.readouterr().err == (
+        f"error: method 'prepend' (learner constant) failed{where}: "
+        "prepend did not terminate within cap=1\n")
+
+
+def test_readme_commands_regenerate_demo(tmp_path, monkeypatch):
+    """demo/ is the golden output of the README commands (report.json echoes
+    the relative dataset path, so they run from a copy of the repo root)."""
+    shutil.copytree(ROOT / "fixtures", tmp_path / "fixtures")
+    (tmp_path / "demo").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--spec", "fixtures/synth.json", "--seed", "7",
+                 "--out", "demo/data.csv"]) == 0
+    assert main(["train", "--config", "fixtures/run.json", "--out", "demo/models"]) == 0
+    assert main(["evaluate", "--config", "fixtures/run.json", "--out", "demo/report",
+                 "--jobs", "1"]) == 0
+
+    def files(top):
+        return sorted(str(p.relative_to(top)) for p in top.rglob("*") if p.is_file())
+
+    golden = ROOT / "demo"
+    assert files(tmp_path / "demo") == files(golden)
+    for name in files(golden):
+        assert (tmp_path / "demo" / name).read_bytes() == (golden / name).read_bytes(), name
