@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..groups import GroupTree, membership_vector, validate_hierarchical
+from ..groups import GroupTree, validate_hierarchical
 from ..learners import LearnerSpec, PredictorCache
 from .routing import route
 
@@ -54,9 +54,10 @@ def decoupled(
     if cache is None:
         cache = PredictorCache(train)
     root_pred = cache.erm(spec)
+    rows = tree.rows(train)
     per_leaf = {}
     for leaf in leaves:
-        if membership_vector(leaf, train).any():
+        if len(rows[tree.index(leaf.id)]):
             per_leaf[leaf.id] = cache.group_erm(spec, leaf)
         else:
             per_leaf[leaf.id] = root_pred

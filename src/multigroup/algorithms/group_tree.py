@@ -9,6 +9,7 @@ deepest containing node and applies that node's working predictor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,17 @@ from ..groups import GroupTree, validate_hierarchical
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
 from .routing import route
+
+
+def _strict_json(x: float | None):
+    """JSON has no infinities: write them as the strings "inf" and "-inf"."""
+    return ("inf" if x > 0 else "-inf") if x is not None and math.isinf(x) else x
+
+
+def _from_json(x):
+    """Inverse of _strict_json; older files hold the Infinity literal, which
+    json.load already reads as a float."""
+    return float(x) if x in ("inf", "-inf") else x
 
 
 @dataclass(frozen=True)
@@ -39,8 +51,8 @@ class TraceStep:
             "n_g": self.n_g,
             "parent_risk": self.parent_risk,
             "candidate_risk": self.candidate_risk,
-            "epsilon": self.epsilon,
-            "err": self.err,
+            "epsilon": _strict_json(self.epsilon),
+            "err": _strict_json(self.err),
             "decision": self.decision,
         }
 
@@ -51,8 +63,8 @@ class TraceStep:
             n_g=doc["n_g"],
             parent_risk=doc["parent_risk"],
             candidate_risk=doc["candidate_risk"],
-            epsilon=doc["epsilon"] if doc["epsilon"] is not None else float("inf"),
-            err=doc["err"],
+            epsilon=_from_json(doc["epsilon"]) if doc["epsilon"] is not None else math.inf,
+            err=_from_json(doc["err"]),
             decision=doc["decision"],
         )
 
@@ -118,7 +130,7 @@ def mgl_tree(
     if cache is None:
         cache = PredictorCache(train)
 
-    masks = tree.masks(train)
+    rows = tree.rows(train)
     loss_vectors: dict[int, np.ndarray] = {}
 
     def losses_of(pred) -> np.ndarray:
@@ -137,16 +149,16 @@ def mgl_tree(
             continue
         parent = tree.parent(g.id)
         parent_pred = working[parent.id]
-        mask = masks[i]
-        n_g = int(mask.sum())
+        r = rows[i]
+        n_g = len(r)
         if n_g == 0:
             working[g.id] = parent_pred
             decision[g.id] = "inherited_empty"
             trace.append(TraceStep(g.id, 0, None, None, epsilon(eps, 0), None, "inherited_empty"))
             continue
         candidate = cache.group_erm(spec, g)
-        parent_risk = float(losses_of(parent_pred)[mask].sum() / n_g)
-        candidate_risk = float(losses_of(candidate)[mask].sum() / n_g)
+        parent_risk = float(losses_of(parent_pred)[r].sum() / n_g)
+        candidate_risk = float(losses_of(candidate)[r].sum() / n_g)
         margin = epsilon(eps, n_g)
         err = parent_risk - candidate_risk - margin
         if err >= 0:
@@ -177,18 +189,16 @@ def excess_risk_report(
         cache = PredictorCache(train)
     tree = predictor.tree
     eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
-    masks = tree.masks(train)
     tree_losses = predictor.loss.per_example(predictor, train)
     rows = []
     violations = []
-    for i, g in enumerate(tree.nodes):
-        mask = masks[i]
-        n_g = int(mask.sum())
+    for g, r in zip(tree.nodes, tree.rows(train)):
+        n_g = len(r)
         if n_g == 0:
             continue
         benchmark = cache.group_erm(predictor.learner_spec, g)
-        bench_risk = float(predictor.loss.per_example(benchmark, train)[mask].sum() / n_g)
-        tree_risk = float(tree_losses[mask].sum() / n_g)
+        bench_risk = float(predictor.loss.per_example(benchmark, train)[r].sum() / n_g)
+        tree_risk = float(tree_losses[r].sum() / n_g)
         margin = epsilon(eps, n_g)
         excess = tree_risk - bench_risk - margin
         row = {
@@ -246,17 +256,15 @@ def monotonicity_audit(
         cache = PredictorCache(train)
     eps = eps.with_context(group_count=len(tree), n_total=train.n)
 
-    masks = tree.masks(train)
-    mask_of = {g.id: masks[i] for i, g in enumerate(tree.nodes)}
-    n_of = {g.id: int(masks[i].sum()) for i, g in enumerate(tree.nodes)}
+    rows_of = {g.id: r for g, r in zip(tree.nodes, tree.rows(train))}
+    n_of = {gid: len(r) for gid, r in rows_of.items()}
 
     root_pred = cache.erm(spec)
     row_loss = loss.per_example(root_pred, train).copy()
     working = {tree.root.id: root_pred}
 
     def risk_on(group_id: str) -> float:
-        mask = mask_of[group_id]
-        return float(row_loss[mask].sum() / n_of[group_id])
+        return float(row_loss[rows_of[group_id]].sum() / n_of[group_id])
 
     bench_risk: dict[str, float] = {}
     margin: dict[str, float] = {}
@@ -264,9 +272,8 @@ def monotonicity_audit(
     def bench(group_id: str) -> float:
         if group_id not in bench_risk:
             candidate = cache.group_erm(spec, tree.node(group_id))
-            mask = mask_of[group_id]
             bench_risk[group_id] = float(
-                loss.per_example(candidate, train)[mask].sum() / n_of[group_id]
+                loss.per_example(candidate, train)[rows_of[group_id]].sum() / n_of[group_id]
             )
             margin[group_id] = epsilon(eps, n_of[group_id])
         return bench_risk[group_id]
@@ -316,8 +323,8 @@ def monotonicity_audit(
         if followed_update:
             candidate = cache.group_erm(spec, g)
             working[g.id] = candidate
-            mask = mask_of[g.id]
-            row_loss[mask] = loss.per_example(candidate, train)[mask]
+            r = rows_of[g.id]
+            row_loss[r] = loss.per_example(candidate, train)[r]
             # only the updated node and its ancestors see changed rows
             current_risk[g.id] = risk_on(g.id)
             for anc in tree.ancestors(g.id):

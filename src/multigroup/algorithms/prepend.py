@@ -61,10 +61,12 @@ class PrependCapExceeded(RuntimeError):
         self.partial = partial
 
 
-def _normalize_groups(groups) -> list[Group]:
+def _group_rows(groups, train: Dataset) -> tuple[list[Group], list[np.ndarray]]:
+    """The groups as a list, and each group's row indices in train."""
     if isinstance(groups, GroupTree):
-        return list(groups.nodes)
-    return list(groups)
+        return list(groups.nodes), groups.rows(train)
+    group_list = list(groups)
+    return group_list, [np.flatnonzero(membership_vector(g, train)) for g in group_list]
 
 
 class _CandidatePool:
@@ -74,13 +76,12 @@ class _CandidatePool:
     restricted fits in id order; none of their risks changes across rounds.
     """
 
-    def __init__(self, train: Dataset, group_list, spec: LearnerSpec, eps: EpsilonSpec,
+    def __init__(self, train: Dataset, group_list, rows, spec: LearnerSpec, eps: EpsilonSpec,
                  loss: Loss, cache: PredictorCache):
-        masks = [membership_vector(g, train) for g in group_list]
-        observed = [(g, m) for g, m in zip(group_list, masks) if m.any()]
+        observed = [(g, r) for g, r in zip(group_list, rows) if len(r)]
         self.groups = [g for g, _ in observed]
-        self.masks = [m for _, m in observed]
-        self.counts = [int(m.sum()) for m in self.masks]
+        self.rows = [r for _, r in observed]
+        self.counts = [len(r) for r in self.rows]
         self.margins = np.array([epsilon(eps, n_g) for n_g in self.counts])
         self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
         for g in sorted(self.groups, key=lambda g: g.id):
@@ -88,8 +89,8 @@ class _CandidatePool:
                 self.candidates.append((g.id, cache.group_erm(spec, g)))
         self.losses = [loss.per_example(p, train) for _, p in self.candidates]
         self.risks = np.array(
-            [[losses[mask].sum() / n_g for losses in self.losses]
-             for mask, n_g in zip(self.masks, self.counts)],
+            [[losses[r].sum() / n_g for losses in self.losses]
+             for r, n_g in zip(self.rows, self.counts)],
         ).reshape(len(self.groups), len(self.candidates))
 
     def scan(self, row_loss: np.ndarray):
@@ -97,8 +98,8 @@ class _CandidatePool:
         candidate) pair under the per-row losses ``row_loss``, plus the
         (group, candidate) index of the first maximum, or None if no group
         is observed."""
-        list_risk = np.array([row_loss[mask].sum() / n_g
-                              for mask, n_g in zip(self.masks, self.counts)])
+        list_risk = np.array([row_loss[r].sum() / n_g
+                              for r, n_g in zip(self.rows, self.counts)])
         values = list_risk[:, None] - self.risks - self.margins[:, None]
         if not values.size:
             return values, None
@@ -119,7 +120,7 @@ def prepend(
     ``groups`` may be a GroupTree or any iterable of groups; unobserved
     groups are skipped. The default cap is 4x the number of groups.
     """
-    group_list = _normalize_groups(groups)
+    group_list, rows = _group_rows(groups, train)
     if not group_list:
         raise ValueError("prepend needs at least one group")
     if cap is None:
@@ -130,7 +131,7 @@ def prepend(
     if cache is None:
         cache = PredictorCache(train)
 
-    pool = _CandidatePool(train, group_list, spec, eps, loss, cache)
+    pool = _CandidatePool(train, group_list, rows, spec, eps, loss, cache)
     entries: list[DecisionListEntry] = []
     current = DecisionList(entries, pool.candidates[0][1], spec, eps, loss)
     row_loss = pool.losses[0].copy()
@@ -142,8 +143,8 @@ def prepend(
         gi, ci = best
         source_id, predictor = pool.candidates[ci]
         entries.insert(0, DecisionListEntry(pool.groups[gi], predictor, source_id))
-        mask = pool.masks[gi]
-        row_loss[mask] = pool.losses[ci][mask]
+        r = pool.rows[gi]
+        row_loss[r] = pool.losses[ci][r]
 
     # cap reached; check whether a violation is still outstanding
     values, best = pool.scan(row_loss)
@@ -164,12 +165,12 @@ def termination_scan(
     list and reports those whose violation value is still >= 0; an empty
     result certifies termination.
     """
-    group_list = _normalize_groups(groups)
+    group_list, rows = _group_rows(groups, train)
     eps = dlist.eps_spec.with_context(group_count=len(group_list), n_total=train.n)
     if cache is None:
         cache = PredictorCache(train)
     row_loss = dlist.loss.per_example(dlist, train)
-    pool = _CandidatePool(train, group_list, dlist.learner_spec, eps, dlist.loss, cache)
+    pool = _CandidatePool(train, group_list, rows, dlist.learner_spec, eps, dlist.loss, cache)
     values, _ = pool.scan(row_loss)
     return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
             for gi, ci in zip(*np.nonzero(values >= 0))]

@@ -32,10 +32,10 @@ def cmd_validate_hierarchy(args) -> int:
         if cfg.dataset_path:
             ds = load_csv(cfg.dataset_path, cfg.schema)
         tree = cfg.hierarchy(ds.schema if ds is not None else cfg.schema)
+        verdict = validate_hierarchical(tree.nodes, ds)
     except (ConfigError, SchemaError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    verdict = validate_hierarchical(tree.nodes, ds)
     print(verdict.describe())
     return 0 if verdict.valid else 1
 
@@ -74,8 +74,8 @@ def cmd_train(args) -> int:
         loss = loss_from_name(cfg.loss)
         encoder = FeatureEncoder(train.schema, cfg.include_group_attributes)
         cache = PredictorCache(train, encoder)
-        masks = tree.masks(train)
-        counts = {g.id: int(masks[i].sum()) for i, g in enumerate(tree.nodes)}
+        rows = tree.rows(train)
+        counts = {g.id: len(r) for g, r in zip(tree.nodes, rows)}
 
         for ls in cfg.learners:
             label = ls.label()
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
                     if method.save is not None:
                         path = os.path.join(out_dir, f"{name}.{label}.model.json")
                         method.save(path, fitted, train, tree, ls, cfg)
-                    risks_by_method[name] = group_risks(fitted, train, tree, masks, loss)
+                    risks_by_method[name] = group_risks(fitted, train, tree, rows, loss)
 
             print(f"== learner {label}: per-group training risk ({cfg.loss})")
             _print_train_table(tree, risks_by_method, counts)

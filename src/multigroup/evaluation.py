@@ -29,8 +29,8 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
     train, test = split(ds, SplitSpec(cfg.test_fraction, cfg.seed, trial))
     encoder = FeatureEncoder(ds.schema, cfg.include_group_attributes)
     cache = PredictorCache(train, encoder)
-    test_masks = tree.masks(test)
-    n_test = {g.id: int(test_masks[i].sum()) for i, g in enumerate(tree.nodes)}
+    test_rows = tree.rows(test)
+    n_test = {g.id: len(r) for g, r in zip(tree.nodes, test_rows)}
 
     errors: dict[tuple[str, str], dict[str, float | None]] = {}
     summaries: dict[tuple[str, str], dict] = {}
@@ -40,7 +40,7 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
             method = METHODS[name]
             with method_failure(name, label, trial):
                 fitted = method.fit(train, tree, ls, cfg, cache)
-                errors[(name, label)] = group_risks(fitted, test, tree, test_masks, ZERO_ONE)
+                errors[(name, label)] = group_risks(fitted, test, tree, test_rows, ZERO_ONE)
                 if method.summary is not None:
                     summaries[(name, label)] = method.summary(fitted, train, cache)
     return trial, n_test, errors, summaries

@@ -52,6 +52,16 @@ class IndexGroup:
     rows: frozenset[int]
 
 
+def _conjunct_code(g, attr: str, cat: str, ds: Dataset) -> int:
+    """Category code that g's conjunct attr=cat tests; SchemaError if invalid."""
+    if ds.schema.column(attr).kind != CATEGORICAL:
+        raise SchemaError(f"group {g.id!r} tests non-categorical attribute {attr!r}")
+    cats = ds.schema.categories.get(attr, ())
+    if cat not in cats:
+        raise SchemaError(f"group {g.id!r} tests unknown category {cat!r} of {attr!r}")
+    return cats.index(cat)
+
+
 def membership_vector(g, ds: Dataset) -> np.ndarray:
     """Boolean mask of length ds.n; mask[i] is True iff row i is in g."""
     if isinstance(g, IndexGroup):
@@ -64,28 +74,9 @@ def membership_vector(g, ds: Dataset) -> np.ndarray:
         return mask
     mask = np.ones(ds.n, dtype=bool)
     for attr, cat in g.conjuncts:
-        col = ds.schema.column(attr)
-        if col.kind != CATEGORICAL:
-            raise SchemaError(f"group {g.id!r} tests non-categorical attribute {attr!r}")
-        cats = ds.schema.categories.get(attr, ())
-        if cat not in cats:
-            raise SchemaError(f"group {g.id!r} tests unknown category {cat!r} of {attr!r}")
-        mask &= ds.codes(attr) == cats.index(cat)
+        code = _conjunct_code(g, attr, cat, ds)
+        mask &= ds.codes(attr) == code
     return mask
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    counts: Mapping[str, int]
-    total: int
-
-    def mass(self, group_id: str) -> float:
-        return self.counts[group_id] / self.total if self.total else 0.0
-
-
-def group_stats(groups: Iterable, ds: Dataset) -> GroupStats:
-    counts = {g.id: int(membership_vector(g, ds).sum()) for g in groups}
-    return GroupStats(counts=counts, total=ds.n)
 
 
 class GroupTree:
@@ -110,6 +101,7 @@ class GroupTree:
             raise ValueError("two groups share the same conjunct set")
 
         self._parent: dict[str, str] = {}
+        self._added: dict[str, tuple[str, str]] = {}  # the conjunct a child adds
         children: dict[str, list[str]] = {g.id: [] for g in node_list}
         for g in node_list:
             if g.is_root:
@@ -119,16 +111,17 @@ class GroupTree:
             for drop in conj:
                 parent = by_set.get(conj - {drop})
                 if parent is not None:
-                    candidates.append(parent)
+                    candidates.append((parent, drop))
             if not candidates:
                 raise ValueError(
                     f"group {g.id!r} has no parent extending it by one conjunct"
                 )
             if len(candidates) > 1:
-                names = sorted(p.id for p in candidates)
+                names = sorted(p.id for p, _ in candidates)
                 raise ValueError(f"group {g.id!r} has ambiguous parents {names}")
-            self._parent[g.id] = candidates[0].id
-            children[candidates[0].id].append(g.id)
+            parent, self._added[g.id] = candidates[0]
+            self._parent[g.id] = parent.id
+            children[parent.id].append(g.id)
 
         by_id = {g.id: g for g in node_list}
         self._children = {pid: tuple(sorted(kids)) for pid, kids in children.items()}
@@ -191,13 +184,25 @@ class GroupTree:
             out[i] = membership_vector(g, ds)
         return out
 
+    def rows(self, ds: Dataset) -> list[np.ndarray]:
+        """Row indices of each node, ascending, in breadth-first order.
+
+        A child's rows are its parent's rows filtered by the one conjunct it
+        adds, so rows(ds)[i] equals np.flatnonzero(masks(ds)[i]).
+        """
+        out = [np.arange(ds.n)]
+        for g in self.nodes[1:]:
+            attr, cat = self._added[g.id]
+            code = _conjunct_code(g, attr, cat, ds)
+            parent_rows = out[self._index[self._parent[g.id]]]
+            out.append(parent_rows[ds.codes(attr)[parent_rows] == code])
+        return out
+
     def route(self, ds: Dataset) -> np.ndarray:
         """Index (into bfs order) of the deepest containing node per row."""
         assign = np.zeros(ds.n, dtype=np.int64)
-        for i, g in enumerate(self.nodes):
-            if g.is_root:
-                continue
-            assign[membership_vector(g, ds)] = i
+        for i, rows in enumerate(self.rows(ds)):
+            assign[rows] = i
         return assign
 
 

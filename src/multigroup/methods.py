@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .algorithms import PrependCapExceeded, decoupled, excess_risk_report, mgl_tree, prepend
 from .learners import EmptyGroupError
 from .modelio import save_list_model, save_partition_model, save_plain_model, save_tree_model
@@ -107,8 +105,8 @@ def method_failure(method: str, label: str, trial: int | None = None):
         raise MethodError(f"method {method!r} (learner {label}) failed{where}: {exc}") from exc
 
 
-def group_risks(fitted, ds, tree, masks, loss) -> dict[str, float | None]:
-    """Mean loss on each group's rows of ds (``masks`` in tree order).
+def group_risks(fitted, ds, tree, rows, loss) -> dict[str, float | None]:
+    """Mean loss on each group's rows of ds (``rows`` from ``tree.rows(ds)``).
 
     ``fitted`` is one predictor scored once on all of ds, or a dict of
     per-group fits (group_erm), each scored on its own group's rows only.
@@ -116,12 +114,11 @@ def group_risks(fitted, ds, tree, masks, loss) -> dict[str, float | None]:
     """
     shared = None if isinstance(fitted, dict) else loss.per_example(fitted, ds)
     out = {}
-    for mask, g in zip(masks, tree.nodes):
-        if not mask.any() or (shared is None and g.id not in fitted):
+    for r, g in zip(rows, tree.nodes):
+        if not len(r) or (shared is None and g.id not in fitted):
             out[g.id] = None
         elif shared is not None:
-            out[g.id] = float(shared[mask].mean())
+            out[g.id] = float(shared[r].mean())
         else:
-            sub = ds.take(np.flatnonzero(mask))
-            out[g.id] = float(loss.per_example(fitted[g.id], sub).mean())
+            out[g.id] = float(loss.per_example(fitted[g.id], ds.take(r)).mean())
     return out

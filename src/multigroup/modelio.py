@@ -75,14 +75,8 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
         }
         step = trace_by_id.get(g.id)
         if step is not None:
-            # json.dump/load round-trips inf as the Infinity literal
-            entry.update({
-                "n_g": step.n_g,
-                "parent_risk": step.parent_risk,
-                "candidate_risk": step.candidate_risk,
-                "epsilon": step.epsilon,
-                "err": step.err,
-            })
+            entry.update({k: v for k, v in step.to_json().items()
+                          if k not in ("group_id", "decision")})
         if source[g.id] == g.id:  # only nodes that own a fit carry parameters
             entry["predictor"] = predictor_to_json(predictor.working[g.id])
         nodes.append(entry)
@@ -95,14 +89,6 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
         "trace": [t.to_json() for t in predictor.trace],
     })
     _dump(doc, path)
-
-
-def load_tree_model(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("model") != "mgl_tree":
-        raise ValueError(f"not a tree model file: {path}")
-    return doc
 
 
 def rebuild_tree_predictor(doc: dict) -> tuple[GroupTreePredictor, str, int]:
@@ -157,14 +143,6 @@ def save_list_model(path, dlist: DecisionList, train: Dataset,
         ],
     })
     _dump(doc, path)
-
-
-def load_list_model(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("model") != "prepend":
-        raise ValueError(f"not a decision list model file: {path}")
-    return doc
 
 
 def rebuild_decision_list(doc: dict) -> tuple[DecisionList, str, int]:

@@ -28,7 +28,7 @@ from multigroup.groups import (
     membership_vector,
 )
 from multigroup.learners import LearnerSpec, PredictorCache, erm
-from multigroup.risk import ZERO_ONE, group_risk
+from multigroup.risk import ZERO_ONE, group_risk, loss_from_name
 
 from synthcases import (
     FixedPredictor,
@@ -160,6 +160,34 @@ def test_mgl_tree_determinism():
     b = mgl_tree(ds, tree, learner, eps, ZERO_ONE)
     assert [t.to_json() for t in a.trace] == [t.to_json() for t in b.trace]
     assert np.array_equal(a.predict(ds), b.predict(ds))
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "clipped_logistic"])
+def test_mgl_tree_risks_match_mask_reference(loss):
+    """Each trace step's risks, recomputed over membership masks, are bit-equal."""
+    loss = loss_from_name(loss)
+    learner = LearnerSpec("tree", max_depth=2)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        spec = random_hierarchical_spec(rng)
+        ds = make_synthetic(spec, seed=int(rng.integers(1 << 30)))
+        tree = build_hierarchy(ds.schema, list(spec.attributes))
+        cache = PredictorCache(ds)
+        predictor = mgl_tree(ds, tree, learner, EpsilonSpec("scaled", scale=1.0), loss,
+                             cache=cache)
+        for step in predictor.trace:
+            g = tree.node(step.group_id)
+            mask = membership_vector(g, ds)
+            assert step.n_g == mask.sum()
+            if not step.n_g:
+                assert step.parent_risk is None and step.candidate_risk is None
+                continue
+            parent_pred = predictor.working[tree.parent(g.id).id]
+            candidate = cache.group_erm(learner, g)
+            assert step.parent_risk == float(
+                loss.per_example(parent_pred, ds)[mask].sum() / step.n_g)
+            assert step.candidate_risk == float(
+                loss.per_example(candidate, ds)[mask].sum() / step.n_g)
 
 
 # ---------------------------------------------------------------------------

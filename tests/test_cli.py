@@ -57,6 +57,26 @@ def test_validate_hierarchy_crossing_predicates(tmp_path, capsys):
     assert "INVALID" in out and "a1=p" in out and "a2=u" in out
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ([[], [["grp", "a"]], [["grp", "zzz"]]],
+     "group 'grp=zzz' tests unknown category 'zzz' of 'grp'"),
+    ([[], [["x0", "a"]]], "group 'x0=a' tests non-categorical attribute 'x0'"),
+], ids=["unknown_category", "numeric_attribute"])
+@pytest.mark.parametrize("command, code", [
+    (["validate-hierarchy"], 2), (["train", "--out", "out"], 1), (["evaluate", "--out", "out"], 1),
+], ids=["validate", "train", "evaluate"])
+def test_bad_hierarchy_conjunct_is_reported(tmp_path, monkeypatch, capsys, nodes, message,
+                                            command, code):
+    ds, csv_path = write_fixture(tmp_path)
+    doc = base_config(ds, csv_path)
+    del doc["attribute_order"]
+    doc["hierarchy_nodes"] = nodes
+    cfg = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_hierarchy_malformed_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -132,15 +152,38 @@ def test_train_is_idempotent(tmp_path):
     assert first == second
 
 
-def test_train_infinite_margin_inherits_everything(tmp_path):
+def test_train_infinite_margin_inherits_everything(tmp_path, capsys):
     ds, csv_path = write_fixture(tmp_path)
     out_dir = tmp_path / "out"
     cfg = write_config(tmp_path, base_config(
         ds, csv_path, methods=["mgl_tree"], epsilon={"kind": "constant", "value": "inf"}))
     assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    model = json.loads((out_dir / "mgl_tree.constant.model.json").read_text())
+    model_path = out_dir / "mgl_tree.constant.model.json"
+    model = json.loads(model_path.read_text())
     non_root = [n["decision"] for n in model["nodes"] if n["id"] != "ALL"]
     assert all(d == "inherited" for d in non_root)
+
+    def reject(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    for path in out_dir.iterdir():
+        text = path.read_text()
+        for doc in (text.splitlines() if path.suffix == ".jsonl" else [text]):
+            json.loads(doc, parse_constant=reject)
+    assert model["trace"][0]["epsilon"] == "inf" and model["trace"][0]["err"] == "-inf"
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 0
+    assert "AUDIT CLEAN" in capsys.readouterr().out
+
+    # model files written before infinities became strings hold the literal
+    literal = {"inf": float("inf"), "-inf": float("-inf")}
+    for entry in model["nodes"] + model["trace"]:
+        for key in ("epsilon", "err"):
+            if key in entry:
+                entry[key] = literal.get(entry[key], entry[key])
+    model_path.write_text(json.dumps(model))
+    assert "-Infinity" in model_path.read_text()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 0
+    assert "AUDIT CLEAN" in capsys.readouterr().out
 
 
 def test_train_empty_dataset_exits_one(tmp_path):

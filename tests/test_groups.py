@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from multigroup.data import AttributeSchema, Column, dataset_from_values
+from multigroup.data import AttributeSchema, Column, SchemaError, dataset_from_values
 from multigroup.groups import (
     Group,
     GroupTree,
     IndexGroup,
     build_hierarchy,
     deepest_containing,
-    group_stats,
     hierarchy_from_json,
     hierarchy_to_json,
     membership_vector,
@@ -151,15 +150,7 @@ def test_deepest_containing_pruned_tree_stops_at_parent():
 def test_deepest_containing_matches_linear_scan():
     rng = np.random.default_rng(4)
     schema = census_like_schema()
-    full = build_hierarchy(schema, ["race", "sex", "age"])
-    for _ in range(20):
-        keep = [g for g in full.nodes
-                if g.is_root or rng.random() < 0.7]
-        # keep only nodes whose ancestors survived, so parent links exist
-        ids = {g.id for g in keep}
-        nodes = [g for g in keep
-                 if all(anc.id in ids for anc in full.ancestors(g.id))]
-        tree = GroupTree(nodes)
+    for tree in random_pruned_trees(rng, 20):
         for _ in range(50):
             row = {
                 "race": rng.choice(schema.categories["race"]),
@@ -212,13 +203,63 @@ def test_same_depth_masks_partition_parent():
         assert np.array_equal(union, parent_mask)
 
 
-def test_group_stats_invariants():
+def random_pruned_trees(rng, count):
+    """Random subtrees of the race x sex x age product hierarchy."""
+    full = build_hierarchy(census_like_schema(), ["race", "sex", "age"])
+    for _ in range(count):
+        keep = [g for g in full.nodes
+                if g.is_root or rng.random() < 0.7]
+        # keep only nodes whose ancestors survived, so parent links exist
+        ids = {g.id for g in keep}
+        yield GroupTree([g for g in keep
+                         if all(anc.id in ids for anc in full.ancestors(g.id))])
+
+
+def random_census_dataset(rng, n):
+    schema = census_like_schema()
+    values = {a: list(rng.choice(schema.categories[a], size=n)) for a in ("race", "sex", "age")}
+    values["label"] = [0] * n
+    return dataset_from_values(schema, values)
+
+
+def test_rows_match_mask_oracle():
     ds = two_leaf_constants()
     tree = build_hierarchy(ds.schema, ["grp"])
-    stats = group_stats(tree.nodes, ds)
-    assert stats.counts["ALL"] == ds.n
-    assert stats.counts["grp=a"] + stats.counts["grp=b"] == ds.n
-    assert stats.mass("grp=b") == 0.25
+    counts = {g.id: len(r) for g, r in zip(tree.nodes, tree.rows(ds))}
+    assert counts["ALL"] == ds.n
+    assert counts["grp=a"] + counts["grp=b"] == ds.n
+    assert counts["grp=b"] == 1
+
+    rng = np.random.default_rng(11)
+    for tree in random_pruned_trees(rng, 20):
+        for n in (0, 1, 300):
+            ds = random_census_dataset(rng, n)
+            rows, masks = tree.rows(ds), tree.masks(ds)
+            assert len(rows) == len(masks) == len(tree)
+            losses = rng.random(n)
+            for r, mask in zip(rows, masks):
+                assert r.dtype == np.flatnonzero(mask).dtype
+                assert np.array_equal(r, np.flatnonzero(mask))
+                # the same rows in the same order give the same bits
+                assert losses[r].sum() == losses[mask].sum()
+            routed = np.zeros(n, dtype=np.int64)
+            for i, mask in enumerate(masks):
+                routed[mask] = i
+            assert np.array_equal(tree.route(ds), routed)
+
+
+@pytest.mark.parametrize("bad", [("sex", "R1"), ("label", "1"), ("nope", "x")])
+@pytest.mark.parametrize("n", [0, 5])
+def test_rows_schema_error_matches_membership_vector(bad, n):
+    ds = random_census_dataset(np.random.default_rng(2), n)
+    tree = GroupTree([Group("ALL", ()), Group.from_conjuncts([("race", "R1")]),
+                      Group.from_conjuncts([("race", "R1"), bad]),
+                      Group.from_conjuncts([("race", "R1"), bad, ("age", "Ya")])])
+    with pytest.raises(SchemaError) as from_masks:
+        tree.masks(ds)
+    with pytest.raises(SchemaError) as from_rows:
+        tree.rows(ds)
+    assert str(from_rows.value) == str(from_masks.value)
 
 
 def test_group_tree_rejects_orphans_and_duplicates():
