@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..groups import GroupTree, validate_hierarchical
+from ..groups import GroupTree, membership_vector, validate_hierarchical
 from ..learners import LearnerSpec, PredictorCache
 from .routing import route
 
@@ -23,14 +23,15 @@ class PartitionPredictor:
         self.fallback = fallback  # predictor or None (meaning: raise on uncovered rows)
         self.learner_spec = learner_spec
 
-    def _rules(self):
-        return [(leaf, self.per_leaf[leaf.id]) for leaf in self.leaves]
+    def _rules(self, ds: Dataset):
+        return ((np.flatnonzero(membership_vector(leaf, ds)), self.per_leaf[leaf.id])
+                for leaf in self.leaves)
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), self.fallback, "scores")
+        return route(ds, self._rules(ds), self.fallback, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), self.fallback, "predict")
+        return route(ds, self._rules(ds), self.fallback, "predict")
 
 
 def decoupled(

@@ -10,7 +10,7 @@ deepest containing node and applies that node's working predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,15 +96,75 @@ class GroupTreePredictor:
                 out[g.id] = out[self.tree.parent(g.id).id]
         return out
 
-    def _rules(self):
+    def _rules(self, ds: Dataset):
         # deepest first, so the first containing node is the deepest one
-        return [(g, self.working[g.id]) for g in reversed(self.tree.nodes)]
+        pairs = zip(self.tree.rows(ds), (self.working[g.id] for g in self.tree.nodes))
+        return reversed(list(pairs))
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), None, "scores")
+        return route(ds, self._rules(ds), None, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), None, "predict")
+        return route(ds, self._rules(ds), None, "predict")
+
+
+class _Pass:
+    """The breadth-first pass: visit each node once, parents before children.
+
+    ``row_loss`` holds the per-row loss of the tree decided so far. A node's
+    rows lie in no visited node deeper than its parent, so before node i is
+    visited ``row_loss[rows[i]]`` are exactly the losses of the parent's
+    working predictor on them, in the same order.
+    """
+
+    def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
+                 loss: Loss, cache: PredictorCache | None):
+        self.train, self.tree, self.spec, self.loss = train, tree, spec, loss
+        self.eps = eps.with_context(group_count=len(tree), n_total=train.n)
+        self.cache = cache if cache is not None else PredictorCache(train)
+        self.rows = tree.rows(train)
+        root_pred = self.cache.erm(spec)
+        self.row_loss = loss.per_example(root_pred, train).copy()
+        self.working = {tree.root.id: root_pred}
+        self.decision = {tree.root.id: "root"}
+
+    def risk(self, i: int) -> float:
+        """The current tree's risk on node i (which must be observed)."""
+        r = self.rows[i]
+        return float(self.row_loss[r].sum() / len(r))
+
+    def visit(self, i: int, follow) -> TraceStep:
+        """Compare node i's restricted fit with its parent's working predictor.
+
+        Returns the step with the update rule's decision. Node i takes the
+        fit only when ``follow(step)`` is true; an unobserved node always
+        inherits, without asking.
+        """
+        g = self.tree.nodes[i]
+        self.working[g.id] = self.working[self.tree.parent(g.id).id]
+        r = self.rows[i]
+        n_g = len(r)
+        if n_g == 0:
+            self.decision[g.id] = "inherited_empty"
+            return TraceStep(g.id, 0, None, None, epsilon(self.eps, 0), None, "inherited_empty")
+        candidate = self.cache.group_erm(self.spec, g)
+        candidate_loss = self.loss.per_example(candidate, self.train)
+        parent_risk = self.risk(i)
+        candidate_risk = float(candidate_loss[r].sum() / n_g)
+        margin = epsilon(self.eps, n_g)
+        err = parent_risk - candidate_risk - margin
+        step = TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err,
+                         "updated" if err >= 0 else "inherited")
+        followed = follow(step)
+        if followed:
+            self.working[g.id] = candidate
+            self.row_loss[r] = candidate_loss[r]
+        self.decision[g.id] = "updated" if followed else "inherited"
+        return step
+
+    def predictor(self, trace: list[TraceStep]) -> GroupTreePredictor:
+        return GroupTreePredictor(self.tree, self.working, self.decision, trace,
+                                  self.spec, self.eps, self.loss)
 
 
 def mgl_tree(
@@ -126,51 +186,10 @@ def mgl_tree(
     verdict = validate_hierarchical(tree.nodes, None)
     if not verdict.valid:
         raise ValueError(f"invalid hierarchy: {verdict.violations[0]}")
-    eps = eps.with_context(group_count=len(tree), n_total=train.n)
-    if cache is None:
-        cache = PredictorCache(train)
-
-    rows = tree.rows(train)
-    loss_vectors: dict[int, np.ndarray] = {}
-
-    def losses_of(pred) -> np.ndarray:
-        key = id(pred)
-        if key not in loss_vectors:
-            loss_vectors[key] = loss.per_example(pred, train)
-        return loss_vectors[key]
-
-    root_pred = cache.erm(spec)
-    working = {tree.root.id: root_pred}
-    decision = {tree.root.id: "root"}
-    trace: list[TraceStep] = []
-
-    for i, g in enumerate(tree.nodes):
-        if g.is_root:
-            continue
-        parent = tree.parent(g.id)
-        parent_pred = working[parent.id]
-        r = rows[i]
-        n_g = len(r)
-        if n_g == 0:
-            working[g.id] = parent_pred
-            decision[g.id] = "inherited_empty"
-            trace.append(TraceStep(g.id, 0, None, None, epsilon(eps, 0), None, "inherited_empty"))
-            continue
-        candidate = cache.group_erm(spec, g)
-        parent_risk = float(losses_of(parent_pred)[r].sum() / n_g)
-        candidate_risk = float(losses_of(candidate)[r].sum() / n_g)
-        margin = epsilon(eps, n_g)
-        err = parent_risk - candidate_risk - margin
-        if err >= 0:
-            working[g.id] = candidate
-            decision[g.id] = "updated"
-            trace.append(TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err, "updated"))
-        else:
-            working[g.id] = parent_pred
-            decision[g.id] = "inherited"
-            trace.append(TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err, "inherited"))
-
-    return GroupTreePredictor(tree, working, decision, trace, spec, eps, loss)
+    tree_pass = _Pass(train, tree, spec, eps, loss, cache)
+    trace = [tree_pass.visit(i, lambda step: step.decision == "updated")
+             for i in range(1, len(tree))]
+    return tree_pass.predictor(trace)
 
 
 def excess_risk_report(
@@ -220,6 +239,8 @@ def excess_risk_report(
 class AuditVerdict:
     ok: bool
     violations: tuple[tuple[int, str, str, str], ...] = ()  # (step, group, kind, detail)
+    # the tree rebuilt from the data by following the recorded decisions
+    replay: GroupTreePredictor | None = field(default=None, compare=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -240,7 +261,7 @@ def monotonicity_audit(
     cache: PredictorCache | None = None,
     tol: float = 1e-9,
 ) -> AuditVerdict:
-    """Replay the breadth-first pass step by step.
+    """Replay the breadth-first pass step by step, following the trace.
 
     Checks two things: (a) each recorded decision agrees with the update
     rule recomputed from the data, and (b) after every update the tree's
@@ -252,60 +273,38 @@ def monotonicity_audit(
     expected_ids = [g.id for g in tree.nodes if not g.is_root]
     if [t.group_id for t in trace] != expected_ids:
         raise ValueError("trace does not match the tree's breadth-first order")
-    if cache is None:
-        cache = PredictorCache(train)
-    eps = eps.with_context(group_count=len(tree), n_total=train.n)
-
-    rows_of = {g.id: r for g, r in zip(tree.nodes, tree.rows(train))}
-    n_of = {gid: len(r) for gid, r in rows_of.items()}
-
-    root_pred = cache.erm(spec)
-    row_loss = loss.per_example(root_pred, train).copy()
-    working = {tree.root.id: root_pred}
-
-    def risk_on(group_id: str) -> float:
-        return float(row_loss[rows_of[group_id]].sum() / n_of[group_id])
-
-    bench_risk: dict[str, float] = {}
-    margin: dict[str, float] = {}
-
-    def bench(group_id: str) -> float:
-        if group_id not in bench_risk:
-            candidate = cache.group_erm(spec, tree.node(group_id))
-            bench_risk[group_id] = float(
-                loss.per_example(candidate, train)[rows_of[group_id]].sum() / n_of[group_id]
-            )
-            margin[group_id] = epsilon(eps, n_of[group_id])
-        return bench_risk[group_id]
+    tree_pass = _Pass(train, tree, spec, eps, loss, cache)
 
     violations: list[tuple[int, str, str, str]] = []
-    visited: list[str] = []
-    current_risk: dict[str, float] = {}
-    if n_of[tree.root.id] > 0:
-        visited.append(tree.root.id)
-        current_risk[tree.root.id] = risk_on(tree.root.id)
-        if current_risk[tree.root.id] > bench(tree.root.id) + margin[tree.root.id] + tol:
+    # per visited observed node index: its group-restricted fit's risk and margin,
+    # and the current tree's risk on it
+    bench: dict[int, tuple[float, float]] = {}
+    current_risk: dict[int, float] = {}
+
+    n_root = len(tree_pass.rows[0])
+    if n_root > 0:
+        root_fit = tree_pass.cache.group_erm(spec, tree.root)
+        bench[0] = (float(loss.per_example(root_fit, train)[tree_pass.rows[0]].sum() / n_root),
+                    epsilon(tree_pass.eps, n_root))
+        current_risk[0] = tree_pass.risk(0)
+        if current_risk[0] > bench[0][0] + bench[0][1] + tol:
             violations.append((0, tree.root.id, "margin", "root exceeds its margin"))
 
     for step, recorded in enumerate(trace, start=1):
-        g = tree.node(recorded.group_id)
-        parent = tree.parent(g.id)
-        n_g = n_of[g.id]
-        if n_g != recorded.n_g:
+        followed_update = recorded.decision == "updated"
+        replayed = tree_pass.visit(step, lambda _: followed_update)
+        g = tree.nodes[step]
+        if replayed.n_g != recorded.n_g:
             violations.append(
-                (step, g.id, "rule", f"recorded n_g={recorded.n_g}, data has {n_g}")
+                (step, g.id, "rule", f"recorded n_g={recorded.n_g}, data has {replayed.n_g}")
             )
-        if n_g == 0:
-            working[g.id] = working[parent.id]
+        if replayed.n_g == 0:
             if recorded.decision != "inherited_empty":
                 violations.append(
                     (step, g.id, "rule", f"empty group recorded as {recorded.decision!r}")
                 )
             continue
-        parent_risk = risk_on(g.id)  # pre-update tree behaves as the parent on g
-        candidate_risk = bench(g.id)
-        err = parent_risk - candidate_risk - margin[g.id]
-        should_update = err >= 0
+        err = replayed.err
         # equal infinities give nan here, which compares False as intended
         if recorded.err is not None and abs(recorded.err - err) > tol:
             violations.append(
@@ -313,35 +312,27 @@ def monotonicity_audit(
             )
         if recorded.decision not in ("updated", "inherited"):
             violations.append((step, g.id, "rule", f"bad decision {recorded.decision!r}"))
-        elif (recorded.decision == "updated") != should_update:
+        elif recorded.decision != replayed.decision:
             violations.append(
                 (step, g.id, "rule",
                  f"decision {recorded.decision!r} disagrees with err={err}")
             )
 
-        followed_update = recorded.decision == "updated"
+        bench[step] = (replayed.candidate_risk, replayed.epsilon)
         if followed_update:
-            candidate = cache.group_erm(spec, g)
-            working[g.id] = candidate
-            r = rows_of[g.id]
-            row_loss[r] = loss.per_example(candidate, train)[r]
             # only the updated node and its ancestors see changed rows
-            current_risk[g.id] = risk_on(g.id)
+            current_risk[step] = tree_pass.risk(step)
             for anc in tree.ancestors(g.id):
-                if anc.id in current_risk:
-                    current_risk[anc.id] = risk_on(anc.id)
+                j = tree.index(anc.id)
+                if j in current_risk:
+                    current_risk[j] = tree_pass.risk(j)
+            for j, risk in current_risk.items():
+                bench_risk, margin = bench[j]
+                if risk > bench_risk + margin + tol:
+                    violations.append((step, tree.nodes[j].id, "margin",
+                                       f"risk {risk} exceeds {bench_risk} + {margin}"))
         else:
-            working[g.id] = working[parent.id]
-            current_risk[g.id] = parent_risk
-        visited.append(g.id)
+            current_risk[step] = replayed.parent_risk
 
-        if followed_update:
-            for gid in visited:
-                if current_risk[gid] > bench(gid) + margin[gid] + tol:
-                    violations.append(
-                        (step, gid, "margin",
-                         f"risk {current_risk[gid]} exceeds "
-                         f"{bench(gid)} + {margin[gid]}")
-                    )
-
-    return AuditVerdict(ok=not violations, violations=tuple(violations))
+    return AuditVerdict(ok=not violations, violations=tuple(violations),
+                        replay=tree_pass.predictor(list(trace)))

@@ -43,14 +43,15 @@ class DecisionList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _rules(self):
-        return [(e.group, e.predictor) for e in self.entries]
+    def _rules(self, ds: Dataset):
+        return ((np.flatnonzero(membership_vector(e.group, ds)), e.predictor)
+                for e in self.entries)
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), self.default, "scores")
+        return route(ds, self._rules(ds), self.default, "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(), self.default, "predict")
+        return route(ds, self._rules(ds), self.default, "predict")
 
 
 class PrependCapExceeded(RuntimeError):

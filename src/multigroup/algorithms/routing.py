@@ -2,7 +2,8 @@
 
 Every composite predictor in this package is an ordered list of
 (group, predictor) rules plus a default: a row goes to the first rule whose
-group contains it, and rows no rule contains go to the default.
+group contains it, and rows no rule contains go to the default. A rule
+gives its group as the indices of the rows it contains.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..groups import membership_vector
 
 
 class RoutingError(ValueError):
@@ -20,8 +20,10 @@ class RoutingError(ValueError):
 def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
     """Apply ``method`` ("scores" or "predict") of the first matching rule.
 
-    ``default`` of None raises RoutingError for rows outside every rule.
-    Each distinct predictor is evaluated at most once, on the whole dataset.
+    ``rules`` yields (row indices, predictor) pairs and may be lazy: it is
+    read only until every row is routed. ``default`` of None raises
+    RoutingError for rows outside every rule. Each distinct predictor is
+    evaluated at most once, on the whole dataset.
     """
     out = np.empty(ds.n, dtype=np.float64 if method == "scores" else np.int64)
     free = np.ones(ds.n, dtype=bool)
@@ -34,10 +36,10 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
             values[key] = getattr(predictor, method)(ds)
         out[rows] = values[key][rows]
 
-    for group, predictor in rules:
+    for rows, predictor in rules:
         if not left:
             break  # every row is routed; later rules cannot match any
-        rows = np.flatnonzero(membership_vector(group, ds) & free)
+        rows = rows[free[rows]]
         if len(rows):
             fill(predictor, rows)
             free[rows] = False

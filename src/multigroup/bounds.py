@@ -68,6 +68,8 @@ class EpsilonSpec:
             v = getattr(self, name)
             if v is not None and not (name == "delta" and v == 0.05):
                 doc[name] = v
+        if doc.get("value") == math.inf:
+            doc["value"] = "inf"  # JSON has no infinity; from_json reads it back
         if self.scale != 1.0:
             doc["scale"] = self.scale
         return doc

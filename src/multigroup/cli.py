@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .algorithms import excess_risk_report, mgl_tree, monotonicity_audit, termination_scan
+from .algorithms import excess_risk_report, monotonicity_audit, termination_scan
 from .config import ConfigError, load_run_config
 from .data import DataError, SchemaError, load_csv, make_synthetic, schema_to_json, \
     synthetic_spec_from_json, write_csv
@@ -154,24 +154,29 @@ def cmd_audit(args) -> int:
         train.schema, doc.get("include_group_attributes", True)))
     problems = 0
     if kind == "mgl_tree":
-        tree = predictor.tree
-        fresh = mgl_tree(train, tree, predictor.learner_spec, predictor.eps_spec,
-                         predictor.loss, cache=cache)
-        for stored, replayed in zip(predictor.trace, fresh.trace):
-            if stored.decision != replayed.decision:
-                print(f"decision mismatch at {stored.group_id}: "
-                      f"stored {stored.decision}, replay {replayed.decision}")
-                problems += 1
-        mismatches = int((predictor.predict(train) != fresh.predict(train)).sum())
-        if mismatches:
-            print(f"stored predictor disagrees with replay on {mismatches} training rows")
-            problems += 1
-        verdict = monotonicity_audit(predictor.trace, train, tree,
-                                     predictor.learner_spec, predictor.eps_spec,
-                                     predictor.loss, cache=cache)
+        try:
+            verdict = monotonicity_audit(predictor.trace, train, predictor.tree,
+                                         predictor.learner_spec, predictor.eps_spec,
+                                         predictor.loss, cache=cache)
+        except ValueError as exc:  # a trace that does not fit the stored tree
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not verdict.ok:
             print(verdict.describe())
             problems += len(verdict.violations)
+        replay = verdict.replay
+        replay_source = replay.source()
+        for entry in doc["nodes"]:
+            gid = entry["id"]
+            for key, replayed in (("decision", replay.decision.get(gid)),
+                                  ("source", replay_source.get(gid))):
+                if entry[key] != replayed:
+                    print(f"node {gid}: stored {key} {entry[key]!r}, replay {replayed!r}")
+                    problems += 1
+        mismatches = int((predictor.predict(train) != replay.predict(train)).sum())
+        if mismatches:
+            print(f"stored predictor disagrees with replay on {mismatches} training rows")
+            problems += 1
         _, violations = excess_risk_report(predictor, train, cache=cache)
         for row in violations:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")

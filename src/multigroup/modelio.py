@@ -53,13 +53,6 @@ def _common_header(model_kind: str, train: Dataset, spec: LearnerSpec,
     }
 
 
-def _eps_json(eps: EpsilonSpec) -> dict:
-    doc = eps.to_json()
-    if doc.get("value") == float("inf"):
-        doc["value"] = "inf"
-    return doc
-
-
 def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
                     include_group_attributes: bool = True) -> None:
     tree = predictor.tree
@@ -83,7 +76,7 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
     doc = _common_header("mgl_tree", train, predictor.learner_spec, include_group_attributes)
     doc.update({
         "hierarchy": hierarchy_to_json(tree),
-        "epsilon": _eps_json(predictor.eps_spec),
+        "epsilon": predictor.eps_spec.to_json(),
         "loss": predictor.loss.kind,
         "nodes": nodes,
         "trace": [t.to_json() for t in predictor.trace],
@@ -130,7 +123,7 @@ def save_list_model(path, dlist: DecisionList, train: Dataset,
     if tree is not None:
         doc["hierarchy"] = hierarchy_to_json(tree)
     doc.update({
-        "epsilon": _eps_json(dlist.eps_spec),
+        "epsilon": dlist.eps_spec.to_json(),
         "loss": dlist.loss.kind,
         "default": predictor_to_json(dlist.default),
         "entries": [

@@ -421,6 +421,10 @@ def test_audit_clean_on_fresh_runs():
             verdict = monotonicity_audit(
                 predictor.trace, ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
             assert verdict.ok, verdict.describe()
+            # following a clean trace rebuilds the fitted tree itself
+            assert verdict.replay.decision == predictor.decision
+            assert verdict.replay.working == predictor.working
+            assert verdict.replay.trace == predictor.trace
 
 
 def test_audit_flags_tampered_trace():

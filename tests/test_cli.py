@@ -4,12 +4,44 @@ import shutil
 
 import pytest
 
+from multigroup import cli
 from multigroup.cli import main
 from multigroup.data import make_synthetic, schema_to_json, write_csv
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _reject(literal):
+    raise ValueError(f"non-standard JSON literal {literal}")
+
+
+def _json_files(top):
+    return {p: p.read_bytes() for p in top.rglob("*")
+            if p.suffix in (".json", ".jsonl") and p.is_file()}
+
+
+@pytest.fixture(autouse=True)
+def cli_writes_strict_json(tmp_path, monkeypatch):
+    """Every .json or .jsonl file a command writes parses as strict JSON.
+
+    The tests call ``main``; this swaps it for a wrapper that parses each
+    such file under tmp_path that the command created or changed. Inputs the
+    tests write themselves (such as a deliberately broken config) are not
+    checked.
+    """
+    def checked_main(argv):
+        before = _json_files(tmp_path)
+        code = cli.main(argv)
+        for path, data in _json_files(tmp_path).items():
+            if before.get(path) != data:
+                text = data.decode()
+                for doc in (text.splitlines() if path.suffix == ".jsonl" else [text]):
+                    json.loads(doc, parse_constant=_reject)
+        return code
+
+    monkeypatch.setitem(globals(), "main", checked_main)
 
 
 def write_fixture(tmp_path, spec=None, seed=7):
@@ -162,14 +194,6 @@ def test_train_infinite_margin_inherits_everything(tmp_path, capsys):
     model = json.loads(model_path.read_text())
     non_root = [n["decision"] for n in model["nodes"] if n["id"] != "ALL"]
     assert all(d == "inherited" for d in non_root)
-
-    def reject(literal):
-        raise ValueError(f"non-standard JSON literal {literal}")
-
-    for path in out_dir.iterdir():
-        text = path.read_text()
-        for doc in (text.splitlines() if path.suffix == ".jsonl" else [text]):
-            json.loads(doc, parse_constant=reject)
     assert model["trace"][0]["epsilon"] == "inf" and model["trace"][0]["err"] == "-inf"
     assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 0
     assert "AUDIT CLEAN" in capsys.readouterr().out
@@ -184,6 +208,82 @@ def test_train_infinite_margin_inherits_everything(tmp_path, capsys):
     assert "-Infinity" in model_path.read_text()
     assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 0
     assert "AUDIT CLEAN" in capsys.readouterr().out
+
+
+def test_evaluate_infinite_margin_echo_is_strict_json(tmp_path):
+    ds, csv_path = write_fixture(tmp_path)
+    out_dir = tmp_path / "report"
+    inf_margin = {"kind": "constant", "value": "inf"}
+    cfg = write_config(tmp_path, base_config(
+        ds, csv_path, methods=["erm", "mgl_tree", "prepend"], epsilon=inf_margin))
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    report_doc = json.loads((out_dir / "report.json").read_text(), parse_constant=_reject)
+    assert report_doc["config"]["epsilon"] == inf_margin
+
+
+def _flip(decision):
+    return {"updated": "inherited", "inherited": "updated"}[decision]
+
+
+def _tamper(doc, case):
+    """Edit one part of an mgl_tree model file in place."""
+    step = doc["trace"][0]
+    node = next(n for n in doc["nodes"] if n["id"] == "grp=b")
+    if case == "trace_decision":
+        step["decision"] = _flip(step["decision"])
+    elif case == "trace_err":
+        step["err"] += 0.5
+    elif case == "trace_n_g":
+        step["n_g"] += 1
+    elif case == "trace_truncated":
+        doc["trace"] = doc["trace"][:-1]
+    elif case == "trace_reordered":
+        doc["trace"] = doc["trace"][::-1]
+    elif case == "node_source":  # the leaf's fit swapped for the global one
+        node["source"] = "ALL"
+        node.pop("predictor")
+    elif case == "predictor_params":  # every stored fit now predicts the other label
+        for entry in doc["nodes"]:
+            params = entry.get("predictor")
+            if params is None:
+                continue
+            if params["type"] == "constant":
+                params["score"] = 1.0 - params["score"]
+            else:
+                params["weights"] = [-w for w in params["weights"]]
+                params["intercept"] = -params["intercept"]
+    elif case == "node_decision":
+        node["decision"] = _flip(node["decision"])
+    else:
+        assert case == "clean"
+
+
+@pytest.mark.parametrize("learner", ["constant", "logistic"])
+@pytest.mark.parametrize("case, code", [
+    ("clean", 0), ("trace_decision", 1), ("trace_err", 1), ("trace_n_g", 1),
+    ("trace_truncated", 2), ("trace_reordered", 2), ("node_source", 1),
+    ("predictor_params", 1), ("node_decision", 1),
+])
+def test_audit_tamper_matrix(tmp_path, capsys, learner, case, code):
+    ds, csv_path = write_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(
+        ds, csv_path, methods=["mgl_tree"], learners=[{"kind": learner}],
+        epsilon={"kind": "constant", "value": 0.0}))
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / f"mgl_tree.{learner}.model.json"
+    doc = json.loads(model_path.read_text())
+    # a zero margin updates both leaves, so grp=b owns a fit to tamper with
+    assert [n["decision"] for n in doc["nodes"]] == ["root", "updated", "updated"]
+    _tamper(doc, case)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err == "error: trace does not match the tree's breadth-first order\n"
+    else:
+        assert ("AUDIT CLEAN" if code == 0 else "AUDIT FAILED") in out
 
 
 def test_train_empty_dataset_exits_one(tmp_path):
