@@ -17,6 +17,7 @@ from .evaluation import EvalReport, ExperimentConfig, run_experiment
 from .groups import (
     Group,
     GroupTree,
+    HierarchyError,
     build_hierarchy,
     deepest_containing,
     membership_vector,

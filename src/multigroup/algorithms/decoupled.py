@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..groups import GroupTree, membership_vector, validate_hierarchical
+from ..groups import GroupTree, membership_vector
 from ..learners import LearnerSpec, PredictorCache
 from .routing import route
 
@@ -49,9 +49,6 @@ def decoupled(
     if fallback not in ("root", "error"):
         raise ValueError(f"unknown fallback {fallback!r}")
     leaves = tree.leaves()
-    verdict = validate_hierarchical(leaves, None)
-    if not verdict.valid:
-        raise ValueError(f"leaves are not pairwise disjoint: {verdict.violations[0]}")
     if cache is None:
         cache = PredictorCache(train)
     root_pred = cache.erm(spec)

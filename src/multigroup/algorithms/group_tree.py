@@ -16,7 +16,7 @@ import numpy as np
 
 from ..bounds import EpsilonSpec, epsilon, uc_width
 from ..data import Dataset
-from ..groups import GroupTree, validate_hierarchical
+from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
 from .routing import route
@@ -111,10 +111,11 @@ class GroupTreePredictor:
 class _Pass:
     """The breadth-first pass: visit each node once, parents before children.
 
-    ``row_loss`` holds the per-row loss of the tree decided so far. A node's
-    rows lie in no visited node deeper than its parent, so before node i is
-    visited ``row_loss[rows[i]]`` are exactly the losses of the parent's
-    working predictor on them, in the same order.
+    ``row_loss`` holds the per-row loss of the tree decided so far. Siblings
+    are disjoint (GroupTree rejects any other tree), so a node's rows lie in
+    no visited node deeper than its parent, and before node i is visited
+    ``row_loss[rows[i]]`` are exactly the losses of the parent's working
+    predictor on them, in the same order.
     """
 
     def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
@@ -183,9 +184,6 @@ def mgl_tree(
     """
     if train.n == 0:
         raise ValueError("empty training set")
-    verdict = validate_hierarchical(tree.nodes, None)
-    if not verdict.valid:
-        raise ValueError(f"invalid hierarchy: {verdict.violations[0]}")
     tree_pass = _Pass(train, tree, spec, eps, loss, cache)
     trace = [tree_pass.visit(i, lambda step: step.decision == "updated")
              for i in range(1, len(tree))]

@@ -43,14 +43,14 @@ class EpsilonSpec:
             raise ValueError(f"unknown epsilon kind {self.kind!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.scale < 0:
+        if not self.scale >= 0:  # also rejects NaN
             raise ValueError("scale must be >= 0")
         for name in ("h_size", "vc_dim", "group_count", "n_total"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.kind == "constant":
-            if self.value is None or self.value < 0:
+            if self.value is None or not self.value >= 0:
                 raise ValueError("constant kind needs a value >= 0")
 
     def with_context(self, group_count: int | None = None, n_total: int | None = None):

@@ -15,10 +15,10 @@ import sys
 
 from .algorithms import excess_risk_report, monotonicity_audit, termination_scan
 from .config import ConfigError, load_run_config
-from .data import DataError, SchemaError, load_csv, make_synthetic, schema_to_json, \
-    synthetic_spec_from_json, write_csv
+from .data import DataError, SchemaError, load_csv, make_synthetic, schema_from_json, \
+    schema_to_json, synthetic_spec_from_json, write_csv
 from .evaluation import run_experiment
-from .groups import hierarchy_from_json, validate_hierarchical
+from .groups import HierarchyError, HierarchyVerdict, hierarchy_from_json
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, MethodError, group_risks, method_failure
 from .modelio import dataset_fingerprint, rebuild_decision_list, rebuild_tree_predictor
@@ -32,12 +32,16 @@ def cmd_validate_hierarchy(args) -> int:
         if cfg.dataset_path:
             ds = load_csv(cfg.dataset_path, cfg.schema)
         tree = cfg.hierarchy(ds.schema if ds is not None else cfg.schema)
-        verdict = validate_hierarchical(tree.nodes, ds)
+        if ds is not None:
+            tree.rows(ds)  # a conjunct on an unknown category is a SchemaError
+    except HierarchyError as exc:
+        print(HierarchyVerdict(False, (exc.violation,)).describe())
+        return 1
     except (ConfigError, SchemaError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(verdict.describe())
-    return 0 if verdict.valid else 1
+    print("VALID")
+    return 0
 
 
 def _print_train_table(tree, risks_by_method, counts):
@@ -133,18 +137,25 @@ def cmd_audit(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kind = doc.get("model")
+    kind = doc.get("model") if isinstance(doc, dict) else None
     if kind not in ("mgl_tree", "prepend"):
         print(f"error: model kind {kind!r} is not auditable", file=sys.stderr)
         return 2
     try:
+        schema = schema_from_json(doc["schema"])
         if kind == "mgl_tree":
             predictor, fingerprint, n_train = rebuild_tree_predictor(doc)
         else:
             predictor, fingerprint, n_train = rebuild_decision_list(doc)
-        train = load_csv(args.data, _schema_of(doc))
+            if "hierarchy" not in doc:
+                raise ValueError("decision list model lacks its group collection")
+            tree = hierarchy_from_json(doc["hierarchy"], schema)
+        train = load_csv(args.data, schema)
     except (SchemaError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, TypeError) as exc:
+        print(f"error: malformed model file: {exc!r}", file=sys.stderr)
         return 2
     if train.n != n_train or dataset_fingerprint(train) != fingerprint:
         print("error: dataset does not match the model's training data", file=sys.stderr)
@@ -182,10 +193,6 @@ def cmd_audit(args) -> int:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")
             problems += 1
     else:
-        if "hierarchy" not in doc:
-            print("error: decision list model lacks its group collection", file=sys.stderr)
-            return 2
-        tree = hierarchy_from_json(doc["hierarchy"], _schema_of(doc))
         for gid, source, value in termination_scan(predictor, train, tree, cache=cache):
             print(f"stopping-test violation: group {gid} candidate {source} value {value}")
             problems += 1
@@ -195,12 +202,6 @@ def cmd_audit(args) -> int:
         return 1
     print("AUDIT CLEAN")
     return 0
-
-
-def _schema_of(doc):
-    from .data import schema_from_json
-
-    return schema_from_json(doc["schema"])
 
 
 def cmd_synth(args) -> int:

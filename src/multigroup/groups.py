@@ -79,12 +79,21 @@ def membership_vector(g, ds: Dataset) -> np.ndarray:
     return mask
 
 
+class HierarchyError(ValueError):
+    """A pair of groups that keeps a GroupTree from being a hierarchy."""
+
+    def __init__(self, a: str, b: str, reason: str):
+        super().__init__(f"invalid hierarchy: ({a}, {b}): {reason}")
+        self.violation = (a, b, reason)
+
+
 class GroupTree:
     """Rooted tree of groups; each child extends its parent by one conjunct.
 
     Construction wires parent links and a deterministic breadth-first order
-    (siblings sorted by id). It does not check same-depth disjointness; use
-    validate_hierarchical for that.
+    (siblings sorted by id), and raises HierarchyError unless all children
+    of a node refine one attribute that the node does not test. Siblings are
+    then disjoint, so any two nodes are disjoint or nested.
     """
 
     def __init__(self, nodes: Iterable[Group]):
@@ -93,8 +102,7 @@ class GroupTree:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate group ids: {dup}")
-        roots = [g for g in node_list if g.is_root]
-        if not roots:
+        if not any(g.is_root for g in node_list):
             node_list.insert(0, Group(ROOT_ID, ()))
         by_set = {frozenset(g.conjuncts): g for g in node_list}
         if len(by_set) != len(node_list):
@@ -127,23 +135,22 @@ class GroupTree:
         self._children = {pid: tuple(sorted(kids)) for pid, kids in children.items()}
         root = next(g for g in node_list if g.is_root)
 
-        order: list[Group] = []
-        depth: dict[str, int] = {root.id: 0}
-        queue = [root.id]
-        while queue:
-            current = queue.pop(0)
-            order.append(by_id[current])
-            for kid in self._children[current]:
-                depth[kid] = depth[current] + 1
-                queue.append(kid)
-        if len(order) != len(node_list):
-            stranded = sorted(set(ids) - {g.id for g in order})
-            raise ValueError(f"groups not reachable from the root: {stranded}")
+        # every parent has one conjunct fewer than its child, so all nodes
+        # are reached; the list grows while it is read, breadth-first
+        order: list[Group] = [root]
+        for node in order:
+            kids = self._children[node.id]
+            for kid in kids:
+                attr = self._added[kid][0]
+                if attr in dict(node.conjuncts):
+                    raise HierarchyError(node.id, kid, f"child re-tests {attr!r}")
+                if attr != self._added[kids[0]][0]:
+                    raise HierarchyError(kids[0], kid, "overlap without containment")
+                order.append(by_id[kid])
 
         self.root = root
         self.nodes: tuple[Group, ...] = tuple(order)  # breadth-first order
         self._by_id = by_id
-        self._depth = depth
         self._index = {g.id: i for i, g in enumerate(order)}
 
     def __len__(self) -> int:
@@ -160,7 +167,8 @@ class GroupTree:
         return tuple(self._by_id[k] for k in self._children[group_id])
 
     def depth(self, group_id: str) -> int:
-        return self._depth[group_id]
+        """Each child adds one conjunct its parent lacks, so depth is their count."""
+        return len(frozenset(self._by_id[group_id].conjuncts))
 
     def index(self, group_id: str) -> int:
         return self._index[group_id]

@@ -8,7 +8,6 @@ reproduces the labels. Fitting is deterministic given the spec.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,26 +430,20 @@ class PredictorCache:
     """One fitted predictor per (learner spec, group) on a fixed training set.
 
     Shared by the different training procedures so they compare against the
-    same group-restricted fits. Insertion is lock-guarded; reads after the
-    warm phase are safe from any thread.
+    same group-restricted fits. Single-threaded: ``evaluate --jobs`` runs
+    trials in separate processes, each with its own cache.
     """
 
     def __init__(self, ds: Dataset, encoder: FeatureEncoder | None = None):
         self.ds = ds
         self.encoder = encoder if encoder is not None else FeatureEncoder(ds.schema)
         self._store: dict[tuple, object] = {}
-        self._lock = threading.Lock()
 
     def group_erm(self, spec: LearnerSpec, g: Group):
         key = (spec, g.id)
         found = self._store.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._store.get(key)
-            if found is None:
-                found = group_erm(spec, self.ds, g, self.encoder)
-                self._store[key] = found
+        if found is None:
+            found = self._store[key] = group_erm(spec, self.ds, g, self.encoder)
         return found
 
     def erm(self, spec: LearnerSpec):

@@ -141,12 +141,12 @@ def test_mgl_tree_rejects_bad_inputs():
         mgl_tree(ds.take([]), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     spec = inverted_leaf_spec(n_per_leaf=4, noise=0.0)
     rich = make_synthetic(spec, seed=0)
-    crossing = GroupTree([
-        Group("ALL", ()),
-        Group.from_conjuncts([("a1", "p")]),
-        Group.from_conjuncts([("a2", "u")]),
-    ])
     with pytest.raises(ValueError, match="invalid hierarchy"):
+        crossing = GroupTree([
+            Group("ALL", ()),
+            Group.from_conjuncts([("a1", "p")]),
+            Group.from_conjuncts([("a2", "u")]),
+        ])
         mgl_tree(rich, crossing, CONSTANT, const_eps(0.0), ZERO_ONE)
 
 

@@ -109,6 +109,33 @@ def test_bad_hierarchy_conjunct_is_reported(tmp_path, monkeypatch, capsys, nodes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+CROSSING = "(a1=p, a2=u): overlap without containment"
+
+
+@pytest.mark.parametrize("methods", [None, ["erm", "group_erm", "prepend"]],
+                         ids=["all_methods", "no_tree_methods"])
+@pytest.mark.parametrize("command", ["validate-hierarchy", "train", "evaluate"])
+def test_crossing_hierarchy_is_refused_before_fitting(tmp_path, capsys, command, methods):
+    ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))
+    doc = base_config(ds, csv_path, epsilon={"kind": "constant", "value": 0.05})
+    del doc["attribute_order"]
+    doc["hierarchy_nodes"] = [[], [["a1", "p"]], [["a1", "q"]], [["a2", "u"]]]
+    if methods is not None:
+        doc["methods"] = methods
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command != "validate-hierarchy":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    if command == "validate-hierarchy":
+        assert (out, err) == (f"INVALID\n  {CROSSING}\n", "")
+    else:
+        assert err == f"error: invalid hierarchy: {CROSSING}\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_validate_hierarchy_malformed_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -117,8 +144,10 @@ def test_validate_hierarchy_malformed_json(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     {"surprise": True}, {"prepend_cap": 0}, {"prepend_cap": "abc"}, {"prepend_cap": True},
-    {"prepend_cap": 1.5},
-], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float"])
+    {"prepend_cap": 1.5}, {"epsilon": {"kind": "constant", "value": float("nan")}},
+    {"epsilon": {"kind": "scaled", "scale": float("nan")}},
+], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
+        "nan_scale"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -284,6 +313,51 @@ def test_audit_tamper_matrix(tmp_path, capsys, learner, case, code):
         assert err == "error: trace does not match the tree's breadth-first order\n"
     else:
         assert ("AUDIT CLEAN" if code == 0 else "AUDIT FAILED") in out
+
+
+def _break_model(doc, case):
+    """Edit a model file over the hierarchy ALL, a1=p, a1=q so that it cannot be rebuilt."""
+    if case == "not_an_object":
+        return [doc]
+    if case == "trace_without_decision":
+        del doc["trace"][0]["decision"]
+    elif case == "nodes_missing_a_node":
+        doc["nodes"].pop()
+    elif case == "orphan_node":
+        doc["hierarchy"]["nodes"].append([["a1", "p"], ["a2", "zz"], ["a3", "s"]])
+    elif case == "crossing_hierarchy":
+        doc["hierarchy"]["nodes"].append([["a2", "u"]])
+    else:
+        assert case == "nan_margin"
+        doc["epsilon"]["value"] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("model, case, message", [
+    ("mgl_tree", "trace_without_decision", "malformed model file: KeyError('decision')"),
+    ("mgl_tree", "nodes_missing_a_node", "malformed model file: KeyError('a1=q')"),
+    ("prepend", "orphan_node",
+     "group 'a1=p&a2=zz&a3=s' has no parent extending it by one conjunct"),
+    ("mgl_tree", "crossing_hierarchy", f"invalid hierarchy: {CROSSING}"),
+    ("prepend", "crossing_hierarchy", f"invalid hierarchy: {CROSSING}"),
+    ("mgl_tree", "nan_margin", "constant kind needs a value >= 0"),
+    ("mgl_tree", "not_an_object", "model kind None is not auditable"),
+])
+def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
+    ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))
+    out_dir = tmp_path / "out"
+    doc = base_config(ds, csv_path, methods=[model],
+                      epsilon={"kind": "constant", "value": 0.05})
+    del doc["attribute_order"]
+    doc["hierarchy_nodes"] = [[], [["a1", "p"]], [["a1", "q"]]]
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / f"{model}.constant.model.json"
+    doc = _break_model(json.loads(model_path.read_text()), case)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_train_empty_dataset_exits_one(tmp_path):

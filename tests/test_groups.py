@@ -7,7 +7,9 @@ from multigroup.data import AttributeSchema, Column, SchemaError, dataset_from_v
 from multigroup.groups import (
     Group,
     GroupTree,
+    HierarchyError,
     IndexGroup,
+    ROOT_ID,
     build_hierarchy,
     deepest_containing,
     hierarchy_from_json,
@@ -284,3 +286,54 @@ def test_validate_flags_identical_predicates():
     verdict = validate_hierarchical(groups, None)
     assert not verdict.valid
     assert verdict.violations[0][2] == "identical predicates"
+
+
+def random_node_list(rng):
+    """Root plus 1-7 nodes, each one conjunct beyond an earlier node on an
+    attribute that node does not test; duplicates and crossings happen."""
+    categories = {"a": ("1", "2", "3"), "b": ("1", "2"), "c": ("1", "2"), "d": ("1", "2")}
+    nodes = [Group(ROOT_ID, ())]
+    for _ in range(int(rng.integers(1, 8))):
+        base = nodes[int(rng.integers(len(nodes)))]
+        free = [a for a in categories if a not in dict(base.conjuncts)]
+        if not free:
+            continue
+        attr = free[int(rng.integers(len(free)))]
+        cat = categories[attr][int(rng.integers(len(categories[attr])))]
+        nodes.append(Group.from_conjuncts(base.conjuncts + ((attr, cat),)))
+    return nodes
+
+
+def test_group_tree_agrees_with_pairwise_oracle():
+    rng = np.random.default_rng(5)
+    outcomes = {True: 0, False: 0}
+    for _ in range(10_000):
+        nodes = random_node_list(rng)
+        verdict = validate_hierarchical(nodes, None)
+        try:
+            GroupTree(nodes)
+            built = True
+        except HierarchyError as exc:
+            built = False
+            a, b, reason = exc.violation
+            assert {(a, b, reason), (b, a, reason)} & set(verdict.violations)
+        except ValueError:  # duplicate, identical or ambiguously-parented groups
+            built = False
+        assert built == verdict.valid, [g.id for g in nodes]
+        outcomes[built] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
+
+
+@pytest.mark.parametrize("conjuncts, message", [
+    ([[("a1", "p")], [("a2", "u")]], "(a1=p, a2=u): overlap without containment"),
+    ([[("a", "1")], [("a", "1"), ("c", "1")], [("a", "1"), ("b", "2")],
+      [("a", "1"), ("b", "1")], [("a", "1"), ("c", "2")]],
+     "(a=1&b=1, a=1&c=1): overlap without containment"),
+    ([[("a", "1")], [("a", "1"), ("a", "2")]], "(a=1, a=1&a=2): child re-tests 'a'"),
+], ids=["crossing_siblings", "first_crossing_pair", "attribute_tested_twice"])
+def test_group_tree_rejects_non_hierarchy(conjuncts, message):
+    nodes = [Group(ROOT_ID, ())] + [Group.from_conjuncts(c) for c in conjuncts]
+    with pytest.raises(HierarchyError) as raised:
+        GroupTree(nodes)
+    assert isinstance(raised.value, ValueError)
+    assert str(raised.value) == f"invalid hierarchy: {message}"
