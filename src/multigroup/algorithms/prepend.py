@@ -1,11 +1,13 @@
 """Decision-list learner that repeatedly prepends a violating pair.
 
 Each round scans (group, candidate) pairs for the largest value of
-list_risk(g) - candidate_risk(g) - margin(g); while that value stays
-nonnegative the pair is prepended, so the front of the list holds the most
-recently added rule. Candidates are the group-restricted fits of the
-supplied groups plus the global fit; the full benchmark class is implicit
-in the learners, so the scan cannot enumerate it.
+list_risk(g) - candidate_risk(g) - margin(g); while that value is
+positive the pair is prepended, so the front of the list holds the most
+recently added rule. A value of exactly 0 is no violation: once a group's
+own fit heads the list, that same pair scores 0 and must not be prepended
+again. Candidates are the group-restricted fits of the supplied groups
+plus the global fit; the full benchmark class is implicit in the learners,
+so the scan cannot enumerate it.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def prepend(
 
     for _ in range(cap):
         values, best = pool.scan(row_loss)
-        if best is None or values[best] < 0:
+        if best is None or values[best] <= 0:
             return current
         gi, ci = best
         source_id, predictor = pool.candidates[ci]
@@ -149,7 +151,7 @@ def prepend(
 
     # cap reached; check whether a violation is still outstanding
     values, best = pool.scan(row_loss)
-    if best is not None and values[best] >= 0:
+    if best is not None and values[best] > 0:
         raise PrependCapExceeded(cap, current)
     return current
 
@@ -163,7 +165,7 @@ def termination_scan(
     """Post-hoc check of the stopping condition.
 
     Re-scans every (observed group, candidate) pair against the returned
-    list and reports those whose violation value is still >= 0; an empty
+    list and reports those whose violation value is still > 0; an empty
     result certifies termination.
     """
     group_list, rows = _group_rows(groups, train)
@@ -174,4 +176,4 @@ def termination_scan(
     pool = _CandidatePool(train, group_list, rows, dlist.learner_spec, eps, dlist.loss, cache)
     values, _ = pool.scan(row_loss)
     return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
-            for gi, ci in zip(*np.nonzero(values >= 0))]
+            for gi, ci in zip(*np.nonzero(values > 0))]

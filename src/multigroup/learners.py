@@ -27,6 +27,9 @@ class LearnerSpec:
     """Hypothesis-class choice plus hyperparameters.
 
     kind: "constant" | "logistic" | "tree" | "bagged_trees".
+    solver: how a logistic fit is found, "newton" (Newton/IRLS) or "gd"
+    (full-batch gradient descent, the only solver before the field existed;
+    see ``modelio.stored_learner``).
     """
 
     kind: str
@@ -37,10 +40,13 @@ class LearnerSpec:
     n_trees: int = 25
     feature_fraction: float = 0.5
     seed: int = 0
+    solver: str = "newton"
 
     def __post_init__(self):
         if self.kind not in ("constant", "logistic", "tree", "bagged_trees"):
             raise ValueError(f"unknown learner kind {self.kind!r}")
+        if self.solver not in ("newton", "gd"):
+            raise ValueError(f"unknown logistic solver {self.solver!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.iterations < 1:
@@ -69,6 +75,7 @@ class LearnerSpec:
             doc["learning_rate"] = self.learning_rate
             doc["iterations"] = self.iterations
             doc["tolerance"] = self.tolerance
+            doc["solver"] = self.solver
         if self.kind == "bagged_trees":
             doc["n_trees"] = self.n_trees
             doc["feature_fraction"] = self.feature_fraction
@@ -80,7 +87,7 @@ class LearnerSpec:
     def from_json(doc) -> "LearnerSpec":
         allowed = {
             "kind", "max_depth", "learning_rate", "iterations", "tolerance",
-            "n_trees", "feature_fraction", "seed",
+            "n_trees", "feature_fraction", "seed", "solver",
         }
         unknown = set(doc) - allowed
         if unknown:
@@ -154,12 +161,9 @@ class ConstantPredictor:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) without overflow: exp is only taken of -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_loss(weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray) -> float:
@@ -177,7 +181,8 @@ def logistic_gradient(
 
 
 class LogisticPredictor:
-    """Linear model on standardized features, fit by full-batch gradient descent."""
+    """Linear model on standardized features, fit by Newton/IRLS or
+    full-batch gradient descent (``LearnerSpec.solver``)."""
 
     kind = "logistic"
 
@@ -207,12 +212,13 @@ class LogisticPredictor:
         }
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    Xs = (X - mean) / scale
-    w = np.zeros(X.shape[1])
+_RIDGE = 1e-8  # keeps the Newton system solvable on constant columns and separable data
+_MAX_HALVINGS = 60
+_BLOCK = 4096  # rows per Hessian block, so its weighted copy stays small
+
+
+def _gradient_descent(Xs: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+    w = np.zeros(Xs.shape[1])
     b = 0.0
     for _ in range(spec.iterations):
         gw, gb = logistic_gradient(w, b, Xs, y)
@@ -221,6 +227,56 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
             break
         w -= spec.learning_rate * gw
         b -= spec.learning_rate * gb
+    return w, b
+
+
+def _newton(X: np.ndarray, mean: np.ndarray, scale: np.ndarray, y: np.ndarray,
+            spec: LearnerSpec):
+    """Newton/IRLS on the mean log-loss of the standardized design, built in
+    place with the intercept as a last column of 1s.
+
+    Each step solves (H + ridge*I) step = gradient and halves the step until
+    the loss does not increase. Stops when the gradient norm is below
+    ``spec.tolerance``, when no halving lowers the loss, or after
+    ``spec.iterations`` steps.
+    """
+    n, d = X.shape
+    A = np.ones((n, d + 1))
+    np.subtract(X, mean, out=A[:, :d])
+    A[:, :d] /= scale
+    theta = np.zeros(d + 1)
+    loss = logistic_loss(theta, 0.0, A, y)
+    for _ in range(spec.iterations):
+        p = sigmoid(A @ theta)
+        grad = A.T @ (p - y) / n
+        if float(np.sqrt(np.dot(grad, grad))) < spec.tolerance:
+            break
+        weight = p * (1.0 - p) / n
+        hessian = _RIDGE * np.eye(d + 1)
+        for lo in range(0, n, _BLOCK):
+            block = A[lo:lo + _BLOCK]
+            hessian += (block.T * weight[lo:lo + _BLOCK]) @ block
+        step = np.linalg.solve(hessian, grad)
+        for _ in range(_MAX_HALVINGS):
+            trial = theta - step
+            trial_loss = logistic_loss(trial, 0.0, A, y)
+            if trial_loss <= loss:
+                break
+            step = step / 2.0
+        if not trial_loss < loss:
+            break
+        theta, loss = trial, trial_loss
+    return theta[:d], float(theta[d])
+
+
+def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    if spec.solver == "newton":
+        w, b = _newton(X, mean, scale, y, spec)
+    else:
+        w, b = _gradient_descent((X - mean) / scale, y, spec)
     return w, b, mean, scale
 
 

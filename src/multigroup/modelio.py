@@ -41,6 +41,16 @@ def _dump(doc: dict, path) -> None:
         fh.write("\n")
 
 
+def stored_learner(doc: dict) -> LearnerSpec:
+    """The learner spec of a model file. Logistic models written before
+    ``LearnerSpec.solver`` existed were fit by gradient descent, so a stored
+    logistic learner without a solver reads as ``"gd"``."""
+    learner = dict(doc["learner"])
+    if learner.get("kind") == "logistic":
+        learner.setdefault("solver", "gd")
+    return LearnerSpec.from_json(learner)
+
+
 def _common_header(model_kind: str, train: Dataset, spec: LearnerSpec,
                    include_group_attributes: bool) -> dict:
     return {
@@ -93,7 +103,7 @@ def rebuild_tree_predictor(doc: dict) -> tuple[GroupTreePredictor, str, int]:
     schema = schema_from_json(doc["schema"])
     tree = hierarchy_from_json(doc["hierarchy"], schema)
     encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
-    spec = LearnerSpec.from_json(doc["learner"])
+    spec = stored_learner(doc)
     eps = EpsilonSpec.from_json(doc["epsilon"])
     loss = loss_from_name(doc["loss"])
 
@@ -141,7 +151,7 @@ def save_list_model(path, dlist: DecisionList, train: Dataset,
 def rebuild_decision_list(doc: dict) -> tuple[DecisionList, str, int]:
     schema = schema_from_json(doc["schema"])
     encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
-    spec = LearnerSpec.from_json(doc["learner"])
+    spec = stored_learner(doc)
     eps = EpsilonSpec.from_json(doc["epsilon"])
     loss = loss_from_name(doc["loss"])
     entries = [

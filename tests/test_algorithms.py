@@ -19,7 +19,7 @@ from multigroup.algorithms import (
     termination_scan,
 )
 from multigroup.bounds import EpsilonSpec, epsilon as eps_value
-from multigroup.data import make_synthetic
+from multigroup.data import LeafRule, SyntheticLeaf, SyntheticSpec, make_synthetic
 from multigroup.groups import (
     Group,
     GroupTree,
@@ -218,11 +218,31 @@ def test_prepend_infinite_margin_returns_bare_default():
 
 
 def test_prepend_zero_margin_hits_cap_with_partial_payload():
-    ds, tree = two_leaf_setup()
-    with pytest.raises(PrependCapExceeded, match="cap=3") as excinfo:
-        prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=3)
+    # leaves b and c each violate the global majority, so a zero margin
+    # needs two rounds; a cap of 1 is hit with one rule in the list
+    ds = make_synthetic(SyntheticSpec(
+        attributes={"grp": ("a", "b", "c")},
+        leaves=(
+            SyntheticLeaf({"grp": "a"}, LeafRule("constant", label=1), 5),
+            SyntheticLeaf({"grp": "b"}, LeafRule("constant", label=0), 2),
+            SyntheticLeaf({"grp": "c"}, LeafRule("constant", label=0), 2),
+        ),
+        feature_dim=1,
+    ), seed=0)
+    tree = build_hierarchy(ds.schema, ["grp"])
+    with pytest.raises(PrependCapExceeded, match="cap=1") as excinfo:
+        prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
     assert isinstance(excinfo.value.partial, DecisionList)
-    assert len(excinfo.value.partial) == 3
+    assert len(excinfo.value.partial) == 1
+    assert len(prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=2)) == 2
+
+
+def test_prepend_zero_margin_terminates():
+    """A pair whose violation value is exactly 0 is not prepended again."""
+    ds, tree = two_leaf_setup()
+    dlist = prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
+    assert [(e.group.id, e.source_id) for e in dlist.entries] == [("grp=b", "grp=b")]
+    assert termination_scan(dlist, ds, tree) == []
 
 
 def test_prepend_termination_scan_random_fixtures():
@@ -332,7 +352,7 @@ def test_prepend_scan_matches_loop_reference():
             for pair in loop_scan(row_loss, ds, tree.nodes, candidates, ctx):
                 if best is None or pair[3] > best[3]:  # the first maximum wins ties
                     best = pair
-            if best[3] < 0:
+            if best[3] <= 0:
                 break
             expected.insert(0, (best[0].id, best[1]))
             mask = membership_vector(best[0], ds)
@@ -343,7 +363,7 @@ def test_prepend_scan_matches_loop_reference():
             dlist = exc.partial
         assert [(e.group.id, e.source_id) for e in dlist.entries] == expected
         outstanding = [(g.id, source, float(value)) for g, source, _, value in loop_scan(
-            ZERO_ONE.per_example(dlist, ds), ds, tree.nodes, candidates, ctx) if value >= 0]
+            ZERO_ONE.per_example(dlist, ds), ds, tree.nodes, candidates, ctx) if value > 0]
         assert termination_scan(dlist, ds, tree, cache=cache) == outstanding
 
 

@@ -7,6 +7,7 @@ import pytest
 from multigroup import cli
 from multigroup.cli import main
 from multigroup.data import make_synthetic, schema_to_json, write_csv
+from multigroup.modelio import stored_learner
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
 
@@ -146,8 +147,9 @@ def test_validate_hierarchy_malformed_json(tmp_path):
     {"surprise": True}, {"prepend_cap": 0}, {"prepend_cap": "abc"}, {"prepend_cap": True},
     {"prepend_cap": 1.5}, {"epsilon": {"kind": "constant", "value": float("nan")}},
     {"epsilon": {"kind": "scaled", "scale": float("nan")}},
+    {"learners": [{"kind": "logistic", "solver": "lbfgs"}]},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
-        "nan_scale"])
+        "nan_scale", "unknown_solver"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -499,17 +501,63 @@ def test_failed_method_exits_one_with_its_name(tmp_path, capsys, command):
     data = tmp_path / "data.csv"
     assert main(["synth", "--spec", str(ROOT / "fixtures" / "synth.json"),
                  "--seed", "7", "--out", str(data)]) == 0
-    # a zero margin never lets prepend terminate, so cap=1 is always exceeded
+    # with a zero margin both groups' own stumps beat the global one, so
+    # prepend needs two rounds and cap=1 is exceeded
     overrides = ["--set", f"dataset={data}", "--set", "split.trials=2", "--set", "prepend_cap=1",
-                 "--set", 'learners=[{"kind": "constant"}]',
+                 "--set", 'learners=[{"kind": "tree", "max_depth": 1}]',
                  "--set", 'epsilon={"kind": "constant", "value": 0.0}']
     capsys.readouterr()
     assert main([command[0], "--config", str(ROOT / "fixtures" / "run.json"),
                  "--out", str(tmp_path / "out"), *command[1:], *overrides]) == 1
     where = "" if command[0] == "train" else " in trial 0"
     assert capsys.readouterr().err == (
-        f"error: method 'prepend' (learner constant) failed{where}: "
+        f"error: method 'prepend' (learner tree_depth1) failed{where}: "
         "prepend did not terminate within cap=1\n")
+
+
+def test_prepend_zero_margin_trains_evaluates_and_audits(tmp_path):
+    """A (group, candidate) pair whose violation value is exactly 0 is not a
+    violation, so prepend terminates at a zero margin."""
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--spec", str(ROOT / "fixtures" / "synth.json"),
+                 "--seed", "7", "--out", str(data)]) == 0
+    config = str(ROOT / "fixtures" / "run.json")
+    overrides = ["--set", f"dataset={data}", "--set", "split.trials=2",
+                 "--set", 'methods=["prepend"]', "--set", 'learners=[{"kind": "constant"}]',
+                 "--set", 'epsilon={"kind": "constant", "value": 0}']
+    models = tmp_path / "models"
+    assert main(["train", "--config", config, "--out", str(models), *overrides]) == 0
+    assert main(["evaluate", "--config", config, "--out", str(tmp_path / "report"),
+                 *overrides]) == 0
+    assert main(["audit", "--model", str(models / "prepend.constant.model.json"),
+                 "--data", str(data)]) == 0
+
+
+def test_legacy_gradient_descent_model_audits_clean(tmp_path, capsys):
+    """A logistic model file written before ``solver`` existed was fit by
+    gradient descent: it reads as ``"gd"`` and its replay reproduces it."""
+    legacy = ROOT / "fixtures" / "legacy_gd" / "mgl_tree.logistic.model.json"
+    doc = json.loads(legacy.read_text())
+    assert "solver" not in doc["learner"]
+    assert stored_learner(doc).solver == "gd"
+    capsys.readouterr()
+    assert main(["audit", "--model", str(legacy), "--data", str(ROOT / "demo" / "data.csv")]) == 0
+    assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+def test_new_logistic_model_records_newton(tmp_path, capsys):
+    ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=20, noise=0.1))
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"],
+                                             learners=[{"kind": "logistic"}]))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    model = out / "mgl_tree.logistic.model.json"
+    doc = json.loads(model.read_text())
+    assert doc["learner"]["solver"] == "newton"
+    assert stored_learner(doc).solver == "newton"
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model), "--data", str(csv_path)]) == 0
+    assert capsys.readouterr().out == "AUDIT CLEAN\n"
 
 
 def test_readme_commands_regenerate_demo(tmp_path, monkeypatch):

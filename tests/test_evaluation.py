@@ -193,11 +193,13 @@ def test_compare_two_leaf_minority():
 
 def test_method_failure_names_method_and_trial():
     spec = opposite_separators_spec(30, noise=0.1)
+    # both leaves' own stumps beat the global one, so prepend needs two
+    # rounds and a cap of 1 fails
     cfg, ds = fixture_config(
-        spec, ["prepend"], trials=2,
-        epsilon=EpsilonSpec("constant", value=0.0))  # zero margin cannot terminate
-    with pytest.raises(RuntimeError, match=r"method 'prepend'.*trial 0"):
-        run_experiment(cfg, dataset=ds)
+        spec, ["prepend"], trials=2, epsilon=EpsilonSpec("constant", value=0.0),
+        learners=(LearnerSpec("tree", max_depth=1),))
+    with pytest.raises(RuntimeError, match=r"method 'prepend'.*trial 0.*cap=1"):
+        run_experiment(dataclasses.replace(cfg, prepend_cap=1), dataset=ds)
 
 
 def test_group_attributes_can_be_excluded_from_features():

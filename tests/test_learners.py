@@ -17,6 +17,7 @@ from multigroup.learners import (
     logistic_loss,
     predictor_from_json,
     predictor_to_json,
+    sigmoid,
 )
 
 from synthcases import opposite_separators_spec, two_leaf_constants
@@ -92,6 +93,99 @@ def test_logistic_gradient_matches_finite_differences():
         rel = np.abs(analytic - num) / np.maximum(np.abs(num), 1e-8)
         worst = max(worst, float(rel.max()))
     assert worst < 1e-5
+
+
+def masked_sigmoid(z):
+    """Reference: the two-branch sigmoid with boolean fancy indexing."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(21)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                      1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0])
+    for z in (edges, rng.normal(size=1000), rng.normal(scale=50.0, size=1000),
+              rng.uniform(-800.0, 800.0, size=1000), np.empty(0)):
+        got, want = sigmoid(z), masked_sigmoid(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)  # a NaN's sign bit carries no value
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def standardized_fit(X, y, spec):
+    """The fitted logistic predictor and its standardized training design."""
+    predictor = fit(spec, numeric_dataset(X, y), np.ones(len(y), dtype=bool))
+    return predictor, (X - predictor.mean) / predictor.scale
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_newton_reaches_gradient_descent_optimum():
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        n, d = int(rng.integers(40, 200)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(size=d)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ rng.normal(size=d))))).astype(np.int64)
+        y[:2] = [0, 1]
+        newton, Xs = standardized_fit(X, y, LearnerSpec("logistic"))
+        gd, _ = standardized_fit(X, y, LearnerSpec("logistic", solver="gd", iterations=20000))
+        loss = logistic_loss(newton.weights, newton.intercept, Xs, y)
+        assert loss <= logistic_loss(gd.weights, gd.intercept, Xs, y) + 1e-12
+        gw, gb = logistic_gradient(newton.weights, newton.intercept, Xs, y)
+        assert np.sqrt(gw @ gw + gb * gb) < LearnerSpec("logistic").tolerance
+
+
+def test_newton_separable_data_stops_with_finite_weights(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 2))
+    X = X[np.abs(X @ np.array([1.0, -2.0])) > 0.3]
+    y = (X @ np.array([1.0, -2.0]) > 0).astype(np.int64)
+    solves = count_solves(monkeypatch)
+    spec = LearnerSpec("logistic")
+    predictor, _ = standardized_fit(X, y, spec)
+    assert np.isfinite(predictor.weights).all() and np.isfinite(predictor.intercept)
+    assert (predictor.predict(numeric_dataset(X, y)) == y).all()
+    assert 0 < len(solves) < spec.iterations
+
+
+def test_newton_constant_column_and_two_row_group():
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.normal(size=50), np.full(50, 3.0)])
+    y = (X[:, 0] + rng.normal(scale=0.5, size=50) > 0).astype(np.int64)
+    predictor, _ = standardized_fit(X, y, LearnerSpec("logistic"))
+    assert np.isfinite(predictor.weights).all()
+    assert predictor.weights[1] == 0.0  # the constant column standardizes to 0
+    ds = numeric_dataset(X, y)
+    mask = np.zeros(50, dtype=bool)
+    mask[[np.argmax(y), np.argmin(y)]] = True
+    pair = fit(LearnerSpec("logistic"), ds, mask)
+    assert np.isfinite(pair.weights).all() and np.isfinite(pair.intercept)
+    assert (pair.predict(ds)[mask] == y[mask]).all()
+
+
+def test_solver_is_recorded_and_validated():
+    assert LearnerSpec("logistic").solver == "newton"
+    assert LearnerSpec("logistic").to_json()["solver"] == "newton"
+    spec = LearnerSpec("logistic", solver="gd")
+    assert LearnerSpec.from_json(spec.to_json()) == spec
+    assert "solver" not in LearnerSpec("tree").to_json()
+    with pytest.raises(ValueError, match="unknown logistic solver 'lbfgs'"):
+        LearnerSpec("logistic", solver="lbfgs")
 
 
 def test_depth1_tree_threshold_rule():
