@@ -11,20 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..groups import GroupTree, membership_vector
+from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache
 from .routing import route
 
 
 class PartitionPredictor:
-    def __init__(self, leaves, per_leaf: dict, fallback, learner_spec: LearnerSpec):
-        self.leaves = list(leaves)
+    """Routes each row to the fit of the tree leaf that contains it."""
+
+    def __init__(self, tree: GroupTree, per_leaf: dict, fallback, learner_spec: LearnerSpec):
+        self.tree = tree
+        self.leaves = tree.leaves()
         self.per_leaf = per_leaf  # leaf id -> predictor
         self.fallback = fallback  # predictor or None (meaning: raise on uncovered rows)
         self.learner_spec = learner_spec
 
     def _rules(self, ds: Dataset):
-        return ((np.flatnonzero(membership_vector(leaf, ds)), self.per_leaf[leaf.id])
+        rows = self.tree.rows(ds)
+        return ((rows[self.tree.index(leaf.id)], self.per_leaf[leaf.id])
                 for leaf in self.leaves)
 
     def scores(self, ds: Dataset) -> np.ndarray:
@@ -48,17 +52,14 @@ def decoupled(
     """
     if fallback not in ("root", "error"):
         raise ValueError(f"unknown fallback {fallback!r}")
-    leaves = tree.leaves()
     if cache is None:
         cache = PredictorCache(train)
     root_pred = cache.erm(spec)
     rows = tree.rows(train)
     per_leaf = {}
-    for leaf in leaves:
+    for leaf in tree.leaves():
         if len(rows[tree.index(leaf.id)]):
             per_leaf[leaf.id] = cache.group_erm(spec, leaf)
         else:
             per_leaf[leaf.id] = root_pred
-    return PartitionPredictor(
-        leaves, per_leaf, root_pred if fallback == "root" else None, spec
-    )
+    return PartitionPredictor(tree, per_leaf, root_pred if fallback == "root" else None, spec)

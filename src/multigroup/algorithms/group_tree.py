@@ -149,9 +149,9 @@ class _Pass:
             self.decision[g.id] = "inherited_empty"
             return TraceStep(g.id, 0, None, None, epsilon(self.eps, 0), None, "inherited_empty")
         candidate = self.cache.group_erm(self.spec, g)
-        candidate_loss = self.loss.per_example(candidate, self.train)
+        candidate_loss = self.loss.per_example(candidate, self.train.take(r))
         parent_risk = self.risk(i)
-        candidate_risk = float(candidate_loss[r].sum() / n_g)
+        candidate_risk = float(candidate_loss.sum() / n_g)
         margin = epsilon(self.eps, n_g)
         err = parent_risk - candidate_risk - margin
         step = TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err,
@@ -159,7 +159,7 @@ class _Pass:
         followed = follow(step)
         if followed:
             self.working[g.id] = candidate
-            self.row_loss[r] = candidate_loss[r]
+            self.row_loss[r] = candidate_loss
         self.decision[g.id] = "updated" if followed else "inherited"
         return step
 
@@ -214,7 +214,7 @@ def excess_risk_report(
         if n_g == 0:
             continue
         benchmark = cache.group_erm(predictor.learner_spec, g)
-        bench_risk = float(predictor.loss.per_example(benchmark, train)[r].sum() / n_g)
+        bench_risk = float(predictor.loss.per_example(benchmark, train.take(r)).sum() / n_g)
         tree_risk = float(tree_losses[r].sum() / n_g)
         margin = epsilon(eps, n_g)
         excess = tree_risk - bench_risk - margin
@@ -281,10 +281,10 @@ def monotonicity_audit(
 
     n_root = len(tree_pass.rows[0])
     if n_root > 0:
-        root_fit = tree_pass.cache.group_erm(spec, tree.root)
-        bench[0] = (float(loss.per_example(root_fit, train)[tree_pass.rows[0]].sum() / n_root),
-                    epsilon(tree_pass.eps, n_root))
+        # before the first visit the tree is the root fit, so its risk is
+        # also the root's group-restricted benchmark
         current_risk[0] = tree_pass.risk(0)
+        bench[0] = (current_risk[0], epsilon(tree_pass.eps, n_root))
         if current_risk[0] > bench[0][0] + bench[0][1] + tol:
             violations.append((0, tree.root.id, "margin", "root exceeds its margin"))
 

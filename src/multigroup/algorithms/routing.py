@@ -22,26 +22,27 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
 
     ``rules`` yields (row indices, predictor) pairs and may be lazy: it is
     read only until every row is routed. ``default`` of None raises
-    RoutingError for rows outside every rule. Each distinct predictor is
-    evaluated at most once, on the whole dataset.
+    RoutingError for rows outside every rule.
+
+    Predictors must be row-wise: a predictor's output for a row depends
+    only on that row. Each distinct predictor is then scored once, on
+    exactly the rows routed to it (``ds.take(rows)``), so no full-length
+    output is ever built for a predictor that answers only part of ``ds``.
     """
     out = np.empty(ds.n, dtype=np.float64 if method == "scores" else np.int64)
     free = np.ones(ds.n, dtype=bool)
     left = ds.n
-    values: dict[int, np.ndarray] = {}
+    routed: dict[int, tuple[object, list[np.ndarray]]] = {}
 
-    def fill(predictor, rows):
-        key = id(predictor)
-        if key not in values:
-            values[key] = getattr(predictor, method)(ds)
-        out[rows] = values[key][rows]
+    def claim(predictor, rows):
+        routed.setdefault(id(predictor), (predictor, []))[1].append(rows)
 
     for rows, predictor in rules:
         if not left:
             break  # every row is routed; later rules cannot match any
         rows = rows[free[rows]]
         if len(rows):
-            fill(predictor, rows)
+            claim(predictor, rows)
             free[rows] = False
             left -= len(rows)
     if left:
@@ -49,5 +50,8 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
         if default is None:
             attrs = {a: ds.value(a, int(rows[0])) for a in ds.schema.group_attributes}
             raise RoutingError(f"example outside every group: {attrs}")
-        fill(default, rows)
+        claim(default, rows)
+    for predictor, parts in routed.values():
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out[rows] = getattr(predictor, method)(ds.take(rows))
     return out

@@ -189,7 +189,7 @@ class Dataset:
         if len(lengths) > 1:
             raise DataError(f"ragged columns: lengths {sorted(lengths)}")
         labels = self.columns[self.schema.label_column]
-        if len(labels) and not np.isin(labels, (0, 1)).all():
+        if len(labels) and not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be exactly 0 or 1")
         for name in self.schema.categorical_columns():
             cats = self.schema.categories.get(name, ())

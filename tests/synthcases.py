@@ -3,6 +3,7 @@
 import numpy as np
 
 from multigroup.data import (
+    NUMERIC,
     Dataset,
     LeafRule,
     SyntheticLeaf,
@@ -90,19 +91,47 @@ def random_hierarchical_spec(rng: np.random.Generator) -> SyntheticSpec:
 
 
 class FixedPredictor:
-    """Test stub with preset per-row outputs."""
+    """Test stub with preset per-row outputs.
+
+    Given ``rows_of``, the dataset whose rows the outputs belong to, the stub
+    answers by row content like a real predictor: a row is looked up by its
+    numeric feature values, which must be distinct (they are in
+    make_synthetic data), so any subset of those rows gets its own outputs.
+    Without it the outputs are positional and only a dataset of exactly
+    len(labels) rows can be answered.
+    """
 
     kind = "fixed"
     provenance = "fixed"
 
-    def __init__(self, labels, scores=None):
+    def __init__(self, labels, scores=None, rows_of=None):
         self._labels = np.asarray(labels, dtype=np.int64)
         self._scores = np.asarray(
             scores if scores is not None else self._labels, dtype=np.float64
         )
+        self._index = None
+        if rows_of is not None:
+            keys = _row_keys(rows_of)
+            self._index = {key: i for i, key in enumerate(keys)}
+            if len(self._index) != len(keys) or len(keys) != len(self._labels):
+                raise ValueError("rows_of needs one output per row and distinct features")
+
+    def _rows(self, ds):
+        if self._index is None:
+            if ds.n != len(self._labels):
+                raise ValueError(f"positional stub of {len(self._labels)} rows "
+                                 f"asked about {ds.n}")
+            return slice(None)
+        return np.array([self._index[key] for key in _row_keys(ds)], dtype=np.int64)
 
     def predict(self, ds):
-        return self._labels[: ds.n]
+        return self._labels[self._rows(ds)]
 
     def scores(self, ds):
-        return self._scores[: ds.n]
+        return self._scores[self._rows(ds)]
+
+
+def _row_keys(ds):
+    names = [c.name for c in ds.schema.columns if c.kind == NUMERIC]
+    features = np.column_stack([ds.numeric(name) for name in names])
+    return [row.tobytes() for row in features]

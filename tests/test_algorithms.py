@@ -261,7 +261,7 @@ def _routed_fixture(kind, ds, rng):
     """A routed predictor over random per-row stubs, plus its per-row oracle:
     row -> the stub that should answer it, or None for a RoutingError."""
     def stub():
-        return FixedPredictor(rng.integers(0, 2, size=ds.n))
+        return FixedPredictor(rng.integers(0, 2, size=ds.n), rows_of=ds)
 
     default = stub()
     if kind == "decision_list":
@@ -286,10 +286,11 @@ def _routed_fixture(kind, ds, rng):
         predictor = GroupTreePredictor(tree, working, decision, [], CONSTANT,
                                        const_eps(0.0), ZERO_ONE)
         return predictor, lambda row: working[deepest_containing(tree, row).id]
-    leaves = [leaf for leaf in tree.leaves() if leaf.id != "a1=p&a2=u&a3=t"]
+    tree = GroupTree([g for g in tree.nodes if g.id != "a1=p&a2=u&a3=t"])
+    leaves = tree.leaves()
     per_leaf = {leaf.id: stub() for leaf in leaves}
     fallback = default if kind == "partition" else None
-    predictor = PartitionPredictor(leaves, per_leaf, fallback, CONSTANT)
+    predictor = PartitionPredictor(tree, per_leaf, fallback, CONSTANT)
 
     def oracle(row):
         return next((per_leaf[leaf.id] for leaf in leaves if leaf.contains_row(row)), fallback)

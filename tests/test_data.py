@@ -8,6 +8,7 @@ from multigroup.data import (
     Bin,
     Column,
     DataError,
+    Dataset,
     LeafRule,
     SchemaError,
     SplitSpec,
@@ -213,3 +214,16 @@ def test_load_csv_short_row_names_row(tmp_path):
     p.write_text("race,sex,label\nR1,M,1\nR1,F\n")
     with pytest.raises(DataError, match="row 2"):
         load_csv(p, small_schema())
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [0.5, 1.0], [1.0, np.nan], [-1, 0]],
+                         ids=["two", "half", "nan", "minus_one"])
+def test_dataset_rejects_labels_other_than_zero_and_one(labels):
+    ds = two_leaf_constants()
+    columns = {name: arr[:2] for name, arr in ds.columns.items()}
+    columns["label"] = np.asarray(labels)
+    with pytest.raises(DataError, match="exactly 0 or 1"):
+        Dataset(ds.schema, columns)
+    for good in ([0, 1], [1.0, 0.0], [True, False]):
+        columns["label"] = np.asarray(good)
+        assert Dataset(ds.schema, columns).n == 2
