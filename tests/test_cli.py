@@ -579,3 +579,25 @@ def test_readme_commands_regenerate_demo(tmp_path, monkeypatch):
     assert files(tmp_path / "demo") == files(golden)
     for name in files(golden):
         assert (tmp_path / "demo" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_bagged_trees_train_matches_golden(tmp_path, monkeypatch, capsys):
+    """fixtures/golden_bagged is the train output of fixtures/run.json with
+    5 bagged depth-3 trees on demo/data.csv; retraining reproduces its bytes
+    and every auditable model in it audits clean."""
+    golden = ROOT / "fixtures" / "golden_bagged"
+    monkeypatch.chdir(ROOT)
+    assert main(["train", "--config", "fixtures/run.json", "--set",
+                 'learners=[{"kind":"bagged_trees","n_trees":5,"max_depth":3}]',
+                 "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    audited = [name for name in names if name.startswith(("mgl_tree.", "prepend."))
+               and name.endswith(".model.json")]
+    assert len(audited) == 2
+    for name in audited:
+        capsys.readouterr()
+        assert main(["audit", "--model", str(golden / name), "--data", "demo/data.csv"]) == 0
+        assert capsys.readouterr().out == "AUDIT CLEAN\n"
