@@ -295,6 +295,7 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
 
     Columns may appear in any order; extra columns are ignored. Categorical
     columns with declared bins are parsed as numbers and discretized.
+    Numeric cells must be finite: nan and inf are rejected.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -310,8 +311,10 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
 
         width_needed = max(positions.values()) + 1
         raw: dict[str, list] = {c.name: [] for c in schema.columns}
+        blank = []
         for rownum, record in enumerate(reader, start=1):
             if not record:
+                blank.append(rownum)
                 continue
             if len(record) < width_needed:
                 raise DataError(
@@ -348,7 +351,21 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
                         ) from None
     if not raw[schema.label_column]:
         raise DataError(f"no data rows in {path}")
-    return dataset_from_values(schema, raw)
+    ds = dataset_from_values(schema, raw)
+    for col in schema.columns:
+        if col.kind != NUMERIC:
+            continue
+        values = ds.numeric(col.name)
+        if np.isfinite(values.min()) and np.isfinite(values.max()):  # min and max keep a NaN
+            continue
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        rownum = i + 1
+        for b in blank:  # empty records count as data rows but hold no values
+            if b > rownum:
+                break
+            rownum += 1
+        raise DataError(f"non-finite value {values[i]} in column {col.name!r} at data row {rownum}")
+    return ds
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -9,6 +9,7 @@ reproduces the labels. Fitting is deterministic given the spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,6 +289,12 @@ _MIN_GAIN = 1e-12  # floating-point guard: splits must strictly reduce entropy
 _SPLIT_BLOCK = 1 << 14  # sorted values per block of features in the split search
 
 
+def _block_rows(k: int, m: int) -> int:
+    """Rows of a (k, m) level array per block, at most _SPLIT_BLOCK values
+    unless one row alone is longer."""
+    return min(k, max(1, _SPLIT_BLOCK // m))
+
+
 def _entropy(p: np.ndarray) -> np.ndarray:
     """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
     p = np.clip(p, 0.0, 1.0)
@@ -297,84 +304,189 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return (0.0 - p * log_p) - q * log_q  # 0.0 - x keeps a zero term at +0.0
 
 
-def _best_split(X: np.ndarray, y: np.ndarray):
-    """Best (feature, threshold) by entropy reduction.
+def _presort(XT: np.ndarray) -> np.ndarray:
+    """Order of each row of XT (one feature per row), ascending.
 
-    The candidate thresholds are the boundaries between distinct sorted
-    values. Features are scanned in index order and thresholds in ascending
-    order, so ties resolve to the lowest feature index and lowest threshold.
-    Features are sorted and scored a block at a time, as many per block as
-    keep it within _SPLIT_BLOCK values, so small nodes take few numpy calls
-    while a large node's temporaries stay O(n).
+    Ties may come in any order: a split reads class counts only at the
+    boundaries between distinct values, and those do not depend on it.
     """
-    n, d = X.shape
-    parent = float(_entropy(np.array([y.mean()]))[0])
-    step = max(1, _SPLIT_BLOCK // n)
-    best = None  # (gain, feature, threshold)
-    for start in range(0, d, step):
-        block = X[:, start:start + step]
-        order = np.argsort(block, axis=0, kind="stable")
-        cs = np.take_along_axis(block, order, axis=0)
-        cum_pos = np.cumsum(y[order], axis=0)
-        feature, at = np.nonzero((cs[:-1] < cs[1:]).T)  # by feature, then threshold
-        if at.size == 0:
+    order = np.empty(XT.shape, dtype=np.int32 if XT.shape[1] < 2**31 else np.intp)
+    for j, column in enumerate(XT):
+        order[j] = np.argsort(column)
+    return order
+
+
+def _best_splits(XT, y, order, columns, starts, sizes, pos):
+    """Best (feature, threshold) of each node of one tree level, by entropy
+    reduction.
+
+    The level's nodes are contiguous segments of order's columns (start,
+    size, positives), and row c of a segment lists its sample ids sorted by
+    feature c, which is XT[columns[c]]. The candidate thresholds are the
+    boundaries between distinct sorted values. Features are scanned in index
+    order and thresholds in ascending order, so ties resolve to the lowest
+    feature index and lowest threshold. Rows of order are scored a block at
+    a time, as many per block as keep it within _SPLIT_BLOCK values.
+
+    Returns per node: the gain (-inf if no feature has two distinct
+    values), the feature, the last position left of the cut, the threshold
+    (the midpoint of the values either side of the cut) and the positives
+    left of it.
+    """
+    k, m = order.shape
+    count = len(starts)
+    step = _block_rows(k, m)
+    # Per position of a block's rows laid end to end: its node, the count
+    # left of a cut after it, and whether a cut after it is inside its node.
+    node_of = np.tile(np.repeat(np.arange(count), sizes), step)
+    n_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, sizes), step)
+    inside = np.tile(n_left_at[:m] < np.repeat(sizes, sizes), step)[:-1]
+    parent = _entropy(pos / sizes)
+    gain = np.full(count, -np.inf)
+    feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+    lo, hi, pos_left = np.zeros(count), np.zeros(count), np.zeros(count)
+    cum = np.zeros(step * m + 1)  # cum[f] = positives before flat position f
+    for c0 in range(0, k, step):
+        ids = order[c0:c0 + step]
+        width = ids.size
+        values = XT[columns[c0:c0 + step, None], ids].ravel()
+        np.cumsum(y[ids], out=cum[1:width + 1])  # rows end to end
+        f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
+        if f.size == 0:
             continue
-        n_left = at + 1
-        pos_left = cum_pos[at, feature]
+        s = node_of[f]
+        n = sizes[s]
+        n_left = n_left_at[f]
+        p_left = cum[f + 1] - cum[f + 1 - n_left]
         n_right = n - n_left
-        pos_right = cum_pos[-1, feature] - pos_left
-        h_left = _entropy(pos_left / n_left)
-        h_right = _entropy(pos_right / n_right)
-        gains = parent - (n_left * h_left + n_right * h_right) / n
-        k = int(np.argmax(gains))  # first maximum
-        gain = float(gains[k])
-        if best is None or gain > best[0]:
-            j = int(feature[k])
-            lo, hi = cs[at[k], j], cs[at[k] + 1, j]
-            thr = lo + (hi - lo) / 2.0
-            if thr >= hi:  # midpoint rounded up onto the right value
-                thr = lo
-            best = (gain, start + j, float(thr))
-    if best is None or best[0] <= _MIN_GAIN:
-        return None
-    return best[1], best[2]
+        p_right = pos[s] - p_left
+        gains = parent[s] - (n_left * _entropy(p_left / n_left)
+                             + n_right * _entropy(p_right / n_right)) / n
+        top = np.full(count, -np.inf)
+        np.maximum.at(top, s, gains)
+        hit = np.flatnonzero(gains == top[s])
+        won, first = np.unique(s[hit], return_index=True)  # each node's first maximum
+        k_won = hit[first]
+        better = top[won] > gain[won]
+        won, k_won = won[better], k_won[better]
+        gain[won] = top[won]
+        f = f[k_won]
+        feature[won] = c0 + f // m
+        at[won] = f % m
+        lo[won] = values[f]
+        hi[won] = values[f + 1]
+        pos_left[won] = p_left[k_won]
+    threshold = lo + (hi - lo) / 2.0
+    rounded_up = threshold >= hi  # midpoint rounded up onto the right value
+    threshold[rounded_up] = lo[rounded_up]
+    return gain, feature, at, threshold, pos_left
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> dict:
-    score = float(y.mean())
-    if depth >= max_depth or score in (0.0, 1.0) or len(y) < 2:
-        return {"score": score}
-    found = _best_split(X, y)
-    if found is None:
-        return {"score": score}
-    j, thr = found
-    left = X[:, j] <= thr
-    return {
-        "feature": j,
-        "threshold": thr,
-        "left": _grow_tree(X[left], y[left], depth + 1, max_depth),
-        "right": _grow_tree(X[~left], y[~left], depth + 1, max_depth),
-    }
+def _grow_tree(XT: np.ndarray, y: np.ndarray, order: np.ndarray, columns: np.ndarray,
+               max_depth: int) -> dict:
+    """Grow one depth-bounded tree by greedy entropy reduction, a level at a
+    time.
+
+    order is the tree's sample as (features, samples) ids of XT's columns,
+    row c sorted by feature c, which is XT[columns[c]]; a bootstrap sample
+    repeats ids. A split keeps each side's ids in the order they had, so no
+    node sorts: the nodes of the next level are again sorted segments of
+    one array. A node is a leaf at max_depth, when its labels agree, or when
+    no split gains more than _MIN_GAIN.
+    """
+    k, m = order.shape
+    root = {}
+    total = float(y[order[0]].sum())
+    if not 0.0 < total < m:
+        root["score"] = total / m
+        return root
+    nodes, sizes, pos = [root], np.array([m]), np.array([total])
+    for depth in range(max_depth):
+        starts = np.cumsum(sizes) - sizes
+        gain, feature, at, threshold, pos_left = _best_splits(
+            XT, y, order, columns, starts, sizes, pos)
+        side = np.zeros(len(y), dtype=np.int8)  # 1, 2: goes to a left, right node to split
+        grow = ([], [])
+        for s, node in enumerate(nodes):
+            if not gain[s] > _MIN_GAIN:
+                node["score"] = float(pos[s] / sizes[s])
+                continue
+            start, cut, end = int(starts[s]), int(at[s]) + 1, int(starts[s] + sizes[s])
+            node["feature"] = int(feature[s])
+            node["threshold"] = float(threshold[s])
+            sides = ((cut - start, float(pos_left[s]), start, cut),
+                     (end - cut, float(pos[s] - pos_left[s]), cut, end))
+            for b, (size, p, first, last) in enumerate(sides):
+                child = node["left" if b == 0 else "right"] = {}
+                if depth + 1 < max_depth and 0.0 < p < size:
+                    side[order[feature[s], first:last]] = b + 1
+                    grow[b].append((child, size, p))
+                else:
+                    child["score"] = p / size
+        children = grow[0] + grow[1]
+        if not children:
+            break
+        nodes = [child for child, _, _ in children]
+        sizes = np.array([size for _, size, _ in children])
+        pos = np.array([p for _, _, p in children])
+        left = sum(size for _, size, _ in grow[0])
+        parted = np.empty((k, sizes.sum()), dtype=order.dtype)
+        step = _block_rows(k, m)
+        for c0 in range(0, k, step):
+            block = order[c0:c0 + step]
+            to = side[block].ravel()
+            parted[c0:c0 + step, :left] = np.compress(to == 1, block).reshape(len(block), -1)
+            parted[c0:c0 + step, left:] = np.compress(to == 2, block).reshape(len(block), -1)
+        order, m = parted, parted.shape[1]
+    return root
 
 
-def _tree_scores(node: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        current, idx = stack.pop()
-        if "feature" not in current:
-            out[idx] = current["score"]
-            continue
-        mask = X[idx, current["feature"]] <= current["threshold"]
-        stack.append((current["left"], idx[mask]))
-        stack.append((current["right"], idx[~mask]))
-    return out
+class _FlatTree(NamedTuple):
+    """A tree dict as arrays, one entry per node in breadth-first order, so
+    scoring takes one vectorised step per level. A leaf is its own child on
+    both sides."""
+
+    feature: np.ndarray  # column of X a split reads
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # leaf score
+    depth: int
 
 
-def _tree_depth(node: dict) -> int:
-    if "feature" not in node:
-        return 0
-    return 1 + max(_tree_depth(node["left"]), _tree_depth(node["right"]))
+def _flatten(root: dict, columns=None) -> _FlatTree:
+    """columns maps the tree's feature indices to columns of X."""
+    nodes, depths = [root], [0]
+    feature, threshold, left, right, value = [], [], [], [], []
+    for i, node in enumerate(nodes):
+        if "feature" in node:
+            feature.append(int(node["feature"]))
+            threshold.append(float(node["threshold"]))
+            left.append(len(nodes))
+            right.append(len(nodes) + 1)
+            value.append(0.0)
+            nodes += [node["left"], node["right"]]
+            depths += [depths[i] + 1] * 2
+        else:
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            value.append(float(node["score"]))
+    feature = np.array(feature, dtype=np.intp)
+    if columns is not None:
+        feature = np.asarray(columns, dtype=np.intp)[feature]
+    return _FlatTree(feature, np.array(threshold), np.array(left, dtype=np.intp),
+                     np.array(right, dtype=np.intp), np.array(value), max(depths))
+
+
+def _flat_scores(tree: _FlatTree, X: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(X))
+    node = np.zeros(len(X), dtype=np.intp)
+    for _ in range(tree.depth):
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[node]
 
 
 class DecisionTreePredictor:
@@ -386,12 +498,13 @@ class DecisionTreePredictor:
         self.root = root
         self.encoder = encoder
         self.provenance = provenance
+        self._flat = _flatten(root)
 
     def depth(self) -> int:
-        return _tree_depth(self.root)
+        return self._flat.depth
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return _tree_scores(self.root, self.encoder.transform(ds))
+        return _flat_scores(self._flat, self.encoder.transform(ds))
 
     def predict(self, ds: Dataset) -> np.ndarray:
         return _labels_from_scores(self.scores(ds))
@@ -410,12 +523,13 @@ class BaggedTreesPredictor:
         self.feature_subsets = [np.asarray(s, dtype=np.int64) for s in feature_subsets]
         self.encoder = encoder
         self.provenance = provenance
+        self._flat = [_flatten(root, subset) for root, subset in zip(trees, self.feature_subsets)]
 
     def scores(self, ds: Dataset) -> np.ndarray:
         X = self.encoder.transform(ds)
         votes = np.zeros(ds.n)
-        for root, subset in zip(self.trees, self.feature_subsets):
-            votes += _tree_scores(root, X[:, subset]) >= 0.5
+        for flat in self._flat:
+            votes += _flat_scores(flat, X) >= 0.5
         return votes / len(self.trees)
 
     def predict(self, ds: Dataset) -> np.ndarray:
@@ -430,16 +544,21 @@ class BaggedTreesPredictor:
         }
 
 
-def _fit_bagged(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
-    n, d = X.shape
+def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+    d, n = XT.shape
     k = max(1, int(round(spec.feature_fraction * d)))
+    order = _presort(XT)
     trees = []
     subsets = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng([spec.seed & _SEED_MASK, t])
         rows = rng.integers(0, n, size=n)
         subset = np.sort(rng.choice(d, size=k, replace=False))
-        trees.append(_grow_tree(X[rows][:, subset], y[rows], 0, spec.max_depth))
+        copies = np.bincount(rows, minlength=n)
+        sample = np.empty((k, n), dtype=np.intp)  # each id repeated as often as drawn
+        for c, j in enumerate(subset):
+            sample[c] = np.repeat(order[j], copies[order[j]])
+        trees.append(_grow_tree(XT, y, sample, subset, spec.max_depth))
         subsets.append(subset)
     return trees, subsets
 
@@ -469,9 +588,16 @@ def fit(
     if spec.kind == "logistic":
         w, b, mean, scale = _fit_logistic(X, y, spec)
         return LogisticPredictor(w, b, mean, scale, encoder, provenance)
+    XT = np.ascontiguousarray(X.T)  # trees read one feature at a time
+    del X  # one copy of the features while the trees grow
+    finite = np.isfinite(XT).all(axis=1)
+    if not finite.all():
+        name = encoder.feature_names[int(np.argmin(finite))]
+        raise ValueError(f"feature {name!r} has a non-finite value; trees split finite values only")
     if spec.kind == "tree":
-        return DecisionTreePredictor(_grow_tree(X, y, 0, spec.max_depth), encoder, provenance)
-    trees, subsets = _fit_bagged(X, y, spec)
+        root = _grow_tree(XT, y, _presort(XT), np.arange(len(XT)), spec.max_depth)
+        return DecisionTreePredictor(root, encoder, provenance)
+    trees, subsets = _fit_bagged(XT, y, spec)
     return BaggedTreesPredictor(trees, subsets, encoder, provenance)
 
 

@@ -447,6 +447,35 @@ def test_audit_wrong_dataset_exits_two(tmp_path):
                  "--data", str(wrong)]) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_feature_is_a_data_error(tmp_path, capsys, cell):
+    """A non-finite numeric cell stops every command at load, naming the
+    column and the data row; train and evaluate exit 1 on a data error, as
+    they do for an empty file, and audit exits 2."""
+    lines = (ROOT / "demo" / "data.csv").read_text().splitlines()
+    assert lines[0].split(",")[1] == "x0"
+    fields = lines[2].split(",")
+    fields[1] = cell
+    lines[2] = ",".join(fields)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    message = f"error: non-finite value {float(cell)} in column 'x0' at data row 2\n"
+    config = str(ROOT / "fixtures" / "run.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--set", f"dataset={data}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert main(["evaluate", "--config", config, "--set", f"dataset={data}",
+                 "--out", str(out), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    model = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
+    assert main(["audit", "--model", str(model), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_set_overrides_apply(tmp_path):
     ds, csv_path = write_fixture(tmp_path)
     out_dir = tmp_path / "out"

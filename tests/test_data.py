@@ -216,6 +216,22 @@ def test_load_csv_short_row_names_row(tmp_path):
         load_csv(p, small_schema())
 
 
+@pytest.mark.parametrize("text, row", [
+    ("R1,0.5,1\nR1,nan,0\n", 2), ("R1,-inf,1\n", 1), ("\nR1,0.5,1\n\n\nR2,inf,0\n", 5),
+], ids=["nan", "minus_inf", "after_blank_lines"])
+def test_load_csv_non_finite_numeric_names_row(tmp_path, text, row):
+    schema = AttributeSchema(
+        columns=(Column("race", "categorical"), Column("x", "numeric"),
+                 Column("label", "binary-label")),
+        label_column="label",
+        group_attributes=("race",),
+    )
+    p = tmp_path / "d.csv"
+    p.write_text("race,x,label\n" + text)
+    with pytest.raises(DataError, match=f"non-finite value .* in column 'x' at data row {row}$"):
+        load_csv(p, schema)
+
+
 @pytest.mark.parametrize("labels", [[0, 2], [0.5, 1.0], [1.0, np.nan], [-1, 0]],
                          ids=["two", "half", "nan", "minus_one"])
 def test_dataset_rejects_labels_other_than_zero_and_one(labels):

@@ -10,8 +10,9 @@ from multigroup.learners import (
     FeatureEncoder,
     LearnerSpec,
     _MIN_GAIN,
-    _best_split,
+    _best_splits,
     _entropy,
+    _presort,
     PredictorCache,
     erm,
     fit,
@@ -402,16 +403,34 @@ def test_entropy_bit_identical_to_masked_reference():
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def level_best_splits(nodes):
+    """_best_splits on the (X, y) nodes laid side by side as one tree level;
+    each node's (feature, threshold), or None where it is not split."""
+    XT = np.concatenate([X for X, _ in nodes]).T.copy()
+    y = np.concatenate([y for _, y in nodes])
+    sizes = np.array([len(y) for _, y in nodes])
+    starts = np.cumsum(sizes) - sizes
+    order = np.concatenate([_presort(X.T.copy()) + start
+                            for (X, _), start in zip(nodes, starts)], axis=1)
+    pos = np.array([y.sum() for _, y in nodes])
+    gain, feature, _, threshold, _ = _best_splits(
+        XT, y, order, np.arange(len(XT)), starts, sizes, pos)
+    return [(int(f), float(t)) if g > _MIN_GAIN else None
+            for g, f, t in zip(gain, feature, threshold)]
+
+
 def test_best_split_matches_loop_reference():
-    """The blocked scan picks the same (feature, threshold) as the
+    """The level search picks the same (feature, threshold) as the
     feature-by-feature scan, ties included: one-hot, duplicated, constant
-    and coarse columns give many equal gains. Nodes above a few thousand
-    rows split their features over several blocks."""
+    and coarse columns give many equal gains. The nodes are searched one to
+    four at a time as the segments of one level, and levels above a few
+    thousand rows split their features over several blocks."""
     rng = np.random.default_rng(9)
     checked = 0
+    level = []  # the nodes with four features, searched a few at a time below
     for trial in range(300):
         n = int(rng.integers(1, 60)) if trial % 15 else int(rng.integers(3000, 9000))
-        d = int(rng.integers(1, 7))
+        d = int(rng.integers(1, 7)) if trial % 4 else 4
         X = rng.normal(size=(n, d))
         for j in range(d):
             kind = rng.integers(0, 4)
@@ -425,6 +444,23 @@ def test_best_split_matches_loop_reference():
             X[:, 0] = 1.0  # constant column
         y = rng.integers(0, 2, size=n).astype(np.float64)
         want = loop_best_split(X, y)
-        assert _best_split(X, y) == want
         checked += want is not None
+        if d == 4:
+            level.append(((X, y), want))
+        else:
+            assert level_best_splits([(X, y)]) == [want]
+    start, size = 0, 1
+    while start < len(level):
+        nodes, wants = zip(*level[start:start + size])
+        assert level_best_splits(list(nodes)) == list(wants)
+        start, size = start + size, size % 4 + 1
+    assert len(level) > 80
     assert checked > 100
+
+
+@pytest.mark.parametrize("kind", ["tree", "bagged_trees"])
+def test_tree_fit_rejects_non_finite_features(kind):
+    X = np.array([[0.0, 1.0], [1.0, np.inf], [2.0, 0.5], [3.0, 2.0]])
+    ds = numeric_dataset(X, np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="feature 'x1' has a non-finite value"):
+        fit(LearnerSpec(kind), ds, all_rows(ds))
