@@ -56,9 +56,9 @@ class LearnerSpec:
             raise ValueError("need at least one tree")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise ValueError("feature_fraction must be in (0, 1]")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # written so that NaN fails
             raise ValueError("learning_rate must be > 0")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
 
     def label(self) -> str:
@@ -96,7 +96,10 @@ class LearnerSpec:
         doc = dict(doc)
         for key in ("max_depth", "iterations", "n_trees", "seed"):
             if key in doc:
-                doc[key] = int(doc[key])
+                try:
+                    doc[key] = int(doc[key])
+                except OverflowError:  # int() of an infinite float
+                    raise ValueError(f"{key} must be finite, got {doc[key]!r}") from None
         return LearnerSpec(**doc)
 
 
@@ -287,6 +290,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
 
 _MIN_GAIN = 1e-12  # floating-point guard: splits must strictly reduce entropy
 _SPLIT_BLOCK = 1 << 14  # sorted values per block of features in the split search
+_SCORE_BLOCK = 1 << 14  # (tree, row) pairs per block when a forest scores rows
 
 
 def _block_rows(k: int, m: int) -> int:
@@ -295,12 +299,20 @@ def _block_rows(k: int, m: int) -> int:
     return min(k, max(1, _SPLIT_BLOCK // m))
 
 
+def _pass_trees(n: int) -> int:
+    """Trees a bagged fit grows together in one pass when each tree's
+    bootstrap sample has n rows: as many as lay side by side in
+    _SPLIT_BLOCK sample positions, and at least one. A pass's arrays are
+    then no wider than one tree's on max(n, _SPLIT_BLOCK) rows."""
+    return max(1, _SPLIT_BLOCK // n)
+
+
 def _entropy(p: np.ndarray) -> np.ndarray:
     """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
     p = np.clip(p, 0.0, 1.0)
     q = 1.0 - p
-    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
-    log_q = np.log(q, out=np.zeros_like(q), where=q > 0)
+    log_p = np.log(np.where(p > 0, p, 1.0))
+    log_q = np.log(np.where(q > 0, q, 1.0))
     return (0.0 - p * log_p) - q * log_q  # 0.0 - x keeps a zero term at +0.0
 
 
@@ -316,17 +328,19 @@ def _presort(XT: np.ndarray) -> np.ndarray:
     return order
 
 
-def _best_splits(XT, y, order, columns, starts, sizes, pos):
-    """Best (feature, threshold) of each node of one tree level, by entropy
-    reduction.
+def _best_splits(X, y, order, starts, sizes, pos):
+    """Best (feature, threshold) of each node of one forest level, by
+    entropy reduction.
 
     The level's nodes are contiguous segments of order's columns (start,
     size, positives), and row c of a segment lists its sample ids sorted by
-    feature c, which is XT[columns[c]]. The candidate thresholds are the
-    boundaries between distinct sorted values. Features are scanned in index
-    order and thresholds in ascending order, so ties resolve to the lowest
-    feature index and lowest threshold. Rows of order are scored a block at
-    a time, as many per block as keep it within _SPLIT_BLOCK values.
+    feature c, which is X[c]; ids index the columns of X and y. The
+    candidate thresholds are the boundaries between distinct sorted values
+    inside a node. Features are scanned in index order and thresholds in
+    ascending order, so ties resolve to the lowest feature index and lowest
+    threshold. Rows of order are scored a block at a time, as many per
+    block as keep it within _SPLIT_BLOCK values, and read X with 1-D take
+    on flat indices.
 
     Returns per node: the gain (-inf if no feature has two distinct
     values), the feature, the last position left of the cut, the threshold
@@ -341,6 +355,7 @@ def _best_splits(XT, y, order, columns, starts, sizes, pos):
     node_of = np.tile(np.repeat(np.arange(count), sizes), step)
     n_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, sizes), step)
     inside = np.tile(n_left_at[:m] < np.repeat(sizes, sizes), step)[:-1]
+    row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
     parent = _entropy(pos / sizes)
     gain = np.full(count, -np.inf)
     feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
@@ -349,8 +364,8 @@ def _best_splits(XT, y, order, columns, starts, sizes, pos):
     for c0 in range(0, k, step):
         ids = order[c0:c0 + step]
         width = ids.size
-        values = XT[columns[c0:c0 + step, None], ids].ravel()
-        np.cumsum(y[ids], out=cum[1:width + 1])  # rows end to end
+        values = X.take(ids + row_at[c0:c0 + step]).ravel()
+        np.cumsum(y.take(ids), out=cum[1:width + 1])  # rows end to end
         f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
         if f.size == 0:
             continue
@@ -382,29 +397,29 @@ def _best_splits(XT, y, order, columns, starts, sizes, pos):
     return gain, feature, at, threshold, pos_left
 
 
-def _grow_tree(XT: np.ndarray, y: np.ndarray, order: np.ndarray, columns: np.ndarray,
-               max_depth: int) -> dict:
-    """Grow one depth-bounded tree by greedy entropy reduction, a level at a
-    time.
+def _grow_tree(X: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
+               max_depth: int) -> list[dict]:
+    """Grow a forest of depth-bounded trees by greedy entropy reduction, all
+    its trees a level at a time; returns their roots.
 
-    order is the tree's sample as (features, samples) ids of XT's columns,
-    row c sorted by feature c, which is XT[columns[c]]; a bootstrap sample
-    repeats ids. A split keeps each side's ids in the order they had, so no
-    node sorts: the nodes of the next level are again sorted segments of
-    one array. A node is a leaf at max_depth, when its labels agree, or when
-    no split gains more than _MIN_GAIN.
+    order holds the trees' samples side by side, one segment of the given
+    size per tree, as (features, samples) ids of the columns of X and y:
+    row c of a segment is sorted by feature c, which is X[c], and a
+    bootstrap sample repeats ids. A node is a segment and its cuts lie
+    inside it, so trees never mix. A split keeps each side's ids in the
+    order they had, so no node sorts: the nodes of the next level are
+    again sorted segments of one array. A node is a leaf at max_depth, when
+    its labels agree, or when no split gains more than _MIN_GAIN.
     """
     k, m = order.shape
-    root = {}
-    total = float(y[order[0]].sum())
-    if not 0.0 < total < m:
-        root["score"] = total / m
-        return root
-    nodes, sizes, pos = [root], np.array([m]), np.array([total])
+    sizes = np.asarray(sizes)
+    pos = np.add.reduceat(y.take(order[0]), np.cumsum(sizes) - sizes)
+    roots = [{} for _ in sizes]
+    nodes = roots
     for depth in range(max_depth):
         starts = np.cumsum(sizes) - sizes
         gain, feature, at, threshold, pos_left = _best_splits(
-            XT, y, order, columns, starts, sizes, pos)
+            X, y, order, starts, sizes, pos)
         side = np.zeros(len(y), dtype=np.int8)  # 1, 2: goes to a left, right node to split
         grow = ([], [])
         for s, node in enumerate(nodes):
@@ -434,59 +449,98 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, order: np.ndarray, columns: np.nda
         step = _block_rows(k, m)
         for c0 in range(0, k, step):
             block = order[c0:c0 + step]
-            to = side[block].ravel()
+            to = side.take(block).ravel()
             parted[c0:c0 + step, :left] = np.compress(to == 1, block).reshape(len(block), -1)
             parted[c0:c0 + step, left:] = np.compress(to == 2, block).reshape(len(block), -1)
         order, m = parted, parted.shape[1]
-    return root
+    return roots
 
 
 class _FlatTree(NamedTuple):
-    """A tree dict as arrays, one entry per node in breadth-first order, so
-    scoring takes one vectorised step per level. A leaf is its own child on
-    both sides."""
+    """Tree dicts as one node table, one entry per node: each tree's nodes
+    in breadth-first order after the previous tree's, so scoring takes one
+    vectorised step per level for all trees at once."""
 
-    feature: np.ndarray  # column of X a split reads
+    feature: np.ndarray  # column of X a split reads; 0 at a leaf
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    child: np.ndarray  # node i's left child at 2i + 1, right at 2i; a leaf's is itself
     value: np.ndarray  # leaf score
-    depth: int
+    roots: np.ndarray  # each tree's root node
+    depth: int  # of the deepest tree
+
+
+def _out_of_range(values: np.ndarray, bound: int):
+    """The first of values outside range(bound), or None."""
+    bad = values[(values < 0) | (values >= bound)]
+    return int(bad[0]) if bad.size else None
 
 
 def _flatten(root: dict, columns=None) -> _FlatTree:
-    """columns maps the tree's feature indices to columns of X."""
+    """One tree as a forest of one. columns maps the tree's feature indices
+    to columns of X; a split on a feature outside columns raises
+    ValueError."""
     nodes, depths = [root], [0]
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, child, value = [], [], [], []
     for i, node in enumerate(nodes):
         if "feature" in node:
             feature.append(int(node["feature"]))
             threshold.append(float(node["threshold"]))
-            left.append(len(nodes))
-            right.append(len(nodes) + 1)
+            child += [len(nodes) + 1, len(nodes)]
             value.append(0.0)
             nodes += [node["left"], node["right"]]
             depths += [depths[i] + 1] * 2
         else:
             feature.append(0)
             threshold.append(0.0)
-            left.append(i)
-            right.append(i)
+            child += [i, i]
             value.append(float(node["score"]))
-    feature = np.array(feature, dtype=np.intp)
+    feature, child = np.array(feature, dtype=np.intp), np.array(child, dtype=np.intp)
     if columns is not None:
-        feature = np.asarray(columns, dtype=np.intp)[feature]
-    return _FlatTree(feature, np.array(threshold), np.array(left, dtype=np.intp),
-                     np.array(right, dtype=np.intp), np.array(value), max(depths))
+        columns = np.asarray(columns, dtype=np.intp)
+        split = child[1::2] != np.arange(len(nodes))
+        bad = _out_of_range(feature[split], len(columns))
+        if bad is not None:
+            raise ValueError(f"a tree splits on feature {bad}, outside its {len(columns)} features")
+        feature[split] = columns[feature[split]]
+    return _FlatTree(feature, np.array(threshold), child, np.array(value),
+                     np.zeros(1, dtype=np.intp), max(depths))
 
 
-def _flat_scores(tree: _FlatTree, X: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(X))
-    node = np.zeros(len(X), dtype=np.intp)
-    for _ in range(tree.depth):
-        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        node = np.where(go_left, tree.left[node], tree.right[node])
-    return tree.value[node]
+def _forest(trees: list[_FlatTree]) -> _FlatTree:
+    """The trees as one node table, each tree's node ids shifted past the
+    nodes of the trees before it."""
+    shift = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
+    return _FlatTree(
+        np.concatenate([tree.feature for tree in trees]),
+        np.concatenate([tree.threshold for tree in trees]),
+        np.concatenate([tree.child + s for tree, s in zip(trees, shift)]),
+        np.concatenate([tree.value for tree in trees]),
+        np.concatenate([tree.roots + s for tree, s in zip(trees, shift)]),
+        max(tree.depth for tree in trees))
+
+
+def _flat_scores(forest: _FlatTree, X: np.ndarray) -> np.ndarray:
+    """Per row of X, the sum over the forest's trees, in tree order, of the
+    value of the leaf the row reaches.
+
+    Rows are scored in blocks of at most _SCORE_BLOCK (tree, row) pairs,
+    and at least one row. In a block every tree steps one level at a time,
+    reading the block's features with 1-D take on flat indices; a value
+    that is not <= the threshold (NaN included) goes right.
+    """
+    n, d = X.shape
+    out = np.empty(n)
+    step = max(1, _SCORE_BLOCK // len(forest.roots))
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        block = X[lo:lo + rows].ravel()  # X[lo + r, f] at r * d + f
+        row_at = np.arange(rows) * d
+        node = forest.roots[:, None]  # (trees, 1) until the first step
+        for _ in range(forest.depth):
+            go_left = block.take(row_at + forest.feature.take(node)) <= forest.threshold.take(node)
+            node = forest.child.take(2 * node + go_left)
+        out[lo:lo + rows] = forest.value.take(node).sum(axis=0)
+    return out
 
 
 class DecisionTreePredictor:
@@ -498,7 +552,7 @@ class DecisionTreePredictor:
         self.root = root
         self.encoder = encoder
         self.provenance = provenance
-        self._flat = _flatten(root)
+        self._flat = _flatten(root, np.arange(encoder.width))
 
     def depth(self) -> int:
         return self._flat.depth
@@ -519,18 +573,25 @@ class BaggedTreesPredictor:
     kind = "bagged_trees"
 
     def __init__(self, trees, feature_subsets, encoder: FeatureEncoder, provenance=""):
+        if len(trees) != len(feature_subsets):
+            raise ValueError(f"{len(trees)} trees but {len(feature_subsets)} feature subsets")
+        if not trees:
+            raise ValueError("a bag needs at least one tree")
         self.trees = trees
         self.feature_subsets = [np.asarray(s, dtype=np.int64) for s in feature_subsets]
         self.encoder = encoder
         self.provenance = provenance
-        self._flat = [_flatten(root, subset) for root, subset in zip(trees, self.feature_subsets)]
+        for subset in self.feature_subsets:
+            bad = _out_of_range(subset, encoder.width)
+            if bad is not None:
+                raise ValueError(f"feature subset index {bad} is outside the "
+                                 f"{encoder.width} encoded features")
+        forest = _forest([_flatten(root, subset)
+                          for root, subset in zip(trees, self.feature_subsets)])
+        self._flat = forest._replace(value=(forest.value >= 0.5) * 1.0)  # a leaf's vote
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        X = self.encoder.transform(ds)
-        votes = np.zeros(ds.n)
-        for flat in self._flat:
-            votes += _flat_scores(flat, X) >= 0.5
-        return votes / len(self.trees)
+        return _flat_scores(self._flat, self.encoder.transform(ds)) / len(self.trees)
 
     def predict(self, ds: Dataset) -> np.ndarray:
         return _labels_from_scores(self.scores(ds))
@@ -545,21 +606,34 @@ class BaggedTreesPredictor:
 
 
 def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+    """Trees on bootstrap samples of XT's columns and feature subsets, drawn
+    per tree from default_rng([seed, tree index]), grown _pass_trees(n) at a
+    time as one forest.
+
+    A pass lays its trees side by side: tree t's bootstrap ids are shifted
+    by t * n, row c of the pass's features holds each tree's c-th lowest
+    feature of its subset, and the labels repeat once per tree.
+    """
     d, n = XT.shape
     k = max(1, int(round(spec.feature_fraction * d)))
     order = _presort(XT)
-    trees = []
-    subsets = []
-    for t in range(spec.n_trees):
-        rng = np.random.default_rng([spec.seed & _SEED_MASK, t])
-        rows = rng.integers(0, n, size=n)
-        subset = np.sort(rng.choice(d, size=k, replace=False))
-        copies = np.bincount(rows, minlength=n)
-        sample = np.empty((k, n), dtype=np.intp)  # each id repeated as often as drawn
-        for c, j in enumerate(subset):
-            sample[c] = np.repeat(order[j], copies[order[j]])
-        trees.append(_grow_tree(XT, y, sample, subset, spec.max_depth))
-        subsets.append(subset)
+    trees, subsets = [], []
+    per_pass = _pass_trees(n)
+    for t0 in range(0, spec.n_trees, per_pass):
+        count = min(per_pass, spec.n_trees - t0)
+        copies = np.empty((count, n), dtype=np.intp)
+        for t in range(count):
+            rng = np.random.default_rng([spec.seed & _SEED_MASK, t0 + t])
+            copies[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            subsets.append(np.sort(rng.choice(d, size=k, replace=False)))
+        columns = np.array(subsets[t0:]).T  # (k, count)
+        shift = (np.arange(count) * n)[:, None]
+        sample = np.empty((k, count * n), dtype=order.dtype)
+        for c in range(k):
+            ids = order[columns[c]] + shift
+            sample[c] = np.repeat(ids.ravel(), copies.take(ids).ravel())  # as often as drawn
+        X = XT[columns].reshape(k, count * n)
+        trees += _grow_tree(X, np.tile(y, count), sample, np.full(count, n), spec.max_depth)
     return trees, subsets
 
 
@@ -595,7 +669,7 @@ def fit(
         name = encoder.feature_names[int(np.argmin(finite))]
         raise ValueError(f"feature {name!r} has a non-finite value; trees split finite values only")
     if spec.kind == "tree":
-        root = _grow_tree(XT, y, _presort(XT), np.arange(len(XT)), spec.max_depth)
+        [root] = _grow_tree(XT, y, _presort(XT), [len(y)], spec.max_depth)
         return DecisionTreePredictor(root, encoder, provenance)
     trees, subsets = _fit_bagged(XT, y, spec)
     return BaggedTreesPredictor(trees, subsets, encoder, provenance)

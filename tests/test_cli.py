@@ -148,8 +148,14 @@ def test_validate_hierarchy_malformed_json(tmp_path):
     {"prepend_cap": 1.5}, {"epsilon": {"kind": "constant", "value": float("nan")}},
     {"epsilon": {"kind": "scaled", "scale": float("nan")}},
     {"learners": [{"kind": "logistic", "solver": "lbfgs"}]},
+    {"learners": [{"kind": "logistic", "tolerance": float("nan")}]},
+    {"learners": [{"kind": "logistic", "solver": "gd", "learning_rate": float("nan")}]},
+    {"learners": [{"kind": "tree", "max_depth": float("inf")}]},
+    {"learners": [{"kind": "bagged_trees", "n_trees": float("-inf")}]},
+    {"learners": [{"kind": "tree", "max_depth": float("nan")}]},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
-        "nan_scale", "unknown_solver"])
+        "nan_scale", "unknown_solver", "nan_tolerance", "nan_learning_rate",
+        "infinite_depth", "infinite_trees", "nan_depth"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -359,6 +365,53 @@ def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _break_tree_model(predictor, case):
+    """Edit the tree or bagged-trees predictor of a model's root node."""
+    if case == "subset_dropped":
+        predictor["feature_subsets"].pop()
+    elif case == "no_trees":
+        predictor["trees"], predictor["feature_subsets"] = [], []
+    elif case == "subset_index_999":
+        predictor["feature_subsets"][0][0] = 999
+    elif case == "bagged_split_feature_50":
+        predictor["trees"][0]["feature"] = 50
+    elif case == "tree_split_feature_50":
+        predictor["root"]["feature"] = 50
+    else:
+        assert case == "tree_split_feature_negative"
+        predictor["root"]["feature"] = -1
+
+
+@pytest.mark.parametrize("learner, case, message", [
+    ("bagged", "subset_dropped", "5 trees but 4 feature subsets"),
+    ("bagged", "no_trees", "a bag needs at least one tree"),
+    ("bagged", "subset_index_999", "feature subset index 999 is outside the 4 encoded features"),
+    ("bagged", "bagged_split_feature_50", "a tree splits on feature 50, outside its 2 features"),
+    ("tree", "tree_split_feature_50", "a tree splits on feature 50, outside its 4 features"),
+    ("tree", "tree_split_feature_negative", "a tree splits on feature -1, outside its 4 features"),
+])
+def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learner, case,
+                                            message):
+    """A tree or bag whose splits or feature subsets do not fit the encoded
+    features is refused when the model is rebuilt, before any scoring."""
+    monkeypatch.chdir(ROOT)
+    if learner == "bagged":
+        model_path = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
+    else:
+        assert main(["train", "--config", "fixtures/run.json", "--set",
+                     'learners=[{"kind":"tree","max_depth":2}]', "--set",
+                     'methods=["mgl_tree"]', "--out", str(tmp_path)]) == 0
+        model_path = tmp_path / "mgl_tree.tree_depth2.model.json"
+    doc = json.loads(model_path.read_text())
+    assert main(["audit", "--model", str(model_path), "--data", "demo/data.csv"]) == 0
+    _break_tree_model(doc["nodes"][0]["predictor"], case)
+    broken = tmp_path / "broken.model.json"
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(broken), "--data", "demo/data.csv"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

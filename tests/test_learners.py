@@ -414,7 +414,7 @@ def level_best_splits(nodes):
                             for (X, _), start in zip(nodes, starts)], axis=1)
     pos = np.array([y.sum() for _, y in nodes])
     gain, feature, _, threshold, _ = _best_splits(
-        XT, y, order, np.arange(len(XT)), starts, sizes, pos)
+        XT, y, order, starts, sizes, pos)
     return [(int(f), float(t)) if g > _MIN_GAIN else None
             for g, f, t in zip(gain, feature, threshold)]
 

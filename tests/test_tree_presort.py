@@ -1,15 +1,17 @@
 """Presorted, level-by-level tree growth and scoring against the per-node
 references.
 
-The package sorts each feature once per fit and grows every tree a level at
-a time from that order (``learners._grow_tree``), and scores a tree a level
-at a time from flattened arrays (``learners._flat_scores``). The references
-below are the earlier per-node versions: ``reference_grow_tree`` sorts every
-feature of every node again, and ``reference_tree_scores`` walks the tree
-node by node. A split reads only class counts at boundaries between
-distinct values, which are exact integers whatever the tie order, so the
-trees must be byte-identical; a score is a copied leaf value, so scores must
-be bit-identical.
+The package sorts each feature once per fit and grows the trees of a bag a
+pass at a time, several side by side as one forest, each level of all of
+them at once (``learners._grow_tree``); it scores a bag as one flattened
+forest, a level of every tree per step (``learners._flat_scores``). The
+references below are the earlier per-node, per-tree versions:
+``reference_grow_tree`` sorts every feature of every node again, and
+``reference_tree_scores`` walks one tree node by node. A split reads only
+class counts at boundaries between distinct values, which are exact
+integers whatever the tie order, so the trees must be byte-identical; a
+score is a copied leaf value or a count of votes, so scores must be
+bit-identical.
 """
 
 import hashlib
@@ -24,15 +26,19 @@ from multigroup.data import make_synthetic, schema_to_json
 from multigroup.groups import membership_vector
 from multigroup.learners import (
     _MIN_GAIN,
+    _SCORE_BLOCK,
     _SEED_MASK,
     _SPLIT_BLOCK,
+    BaggedTreesPredictor,
     FeatureEncoder,
     LearnerSpec,
     _entropy,
     _fit_bagged,
     _flat_scores,
     _flatten,
+    _forest,
     _grow_tree,
+    _pass_trees,
     _presort,
     group_erm,
 )
@@ -161,7 +167,7 @@ def test_trees_match_per_node_reference():
         XT = np.ascontiguousarray(X.T)
         if trial % 3 == 0:
             want = reference_grow_tree(X, y, 0, max_depth)
-            got = _grow_tree(XT, y, _presort(XT), np.arange(d), max_depth)
+            [got] = _grow_tree(XT, y, _presort(XT), [n], max_depth)
             assert json.dumps(got) == json.dumps(want), trial
             splits += "feature" in want
         else:
@@ -234,3 +240,123 @@ def test_flat_scores_match_per_node_reference():
         assert np.array_equal(got, want)
         checked += "feature" in root
     assert checked > 50
+
+
+def tree_depth(node):
+    if "feature" not in node:
+        return 0
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
+
+
+@pytest.mark.parametrize("n, n_trees, max_depth", [
+    (_SPLIT_BLOCK // 3, 25, 3), (_SPLIT_BLOCK // 3 + 7, 8, 4),
+    (_SPLIT_BLOCK // 3 - 5, 7, 2), (_SPLIT_BLOCK // 2 + 1, 3, 3),
+])
+def test_bags_spanning_several_passes_match_reference(n, n_trees, max_depth):
+    """Bags with more trees than one pass holds: every pass, the last one
+    part full, grows the same trees as the one-tree-at-a-time reference."""
+    assert n_trees > _pass_trees(n)
+    rng = np.random.default_rng(n)
+    X = random_features(rng, n, 6)
+    X[:, 0] = rng.normal(size=n)  # at least one column with many distinct values
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.float64)
+    spec = LearnerSpec("bagged_trees", max_depth=max_depth, n_trees=n_trees,
+                       feature_fraction=0.5, seed=n)
+    got = _fit_bagged(np.ascontiguousarray(X.T), y, spec)
+    assert bagged_json(*got) == bagged_json(*reference_fit_bagged(X, y, spec))
+    assert sum(tree_depth(root) == max_depth for root in got[0]) > n_trees // 2
+
+
+def test_pass_with_trees_of_different_depths_matches_reference():
+    """Small bags grow in one pass; within it some trees stop at the root or
+    after a level or two while others reach max_depth."""
+    rng = np.random.default_rng(22)
+    mixed = 0
+    for trial in range(60):
+        n = int(rng.integers(8, 60))
+        X = random_features(rng, n, 4)
+        X[:, 0] = rng.normal(size=n)
+        y = (X[:, 0] > 0).astype(np.float64)
+        flip = rng.random(n) < 0.08  # a few noisy rows, drawn by some bootstraps only
+        y[flip] = 1.0 - y[flip]
+        spec = LearnerSpec("bagged_trees", max_depth=5, n_trees=9,
+                           feature_fraction=float(rng.uniform(0.3, 1.0)), seed=trial)
+        assert _pass_trees(n) >= spec.n_trees
+        got = _fit_bagged(np.ascontiguousarray(X.T), y, spec)
+        assert bagged_json(*got) == bagged_json(*reference_fit_bagged(X, y, spec)), trial
+        mixed += len({tree_depth(root) for root in got[0]}) >= 3
+    assert mixed > 10
+
+
+def test_one_class_bootstrap_beside_splitting_trees():
+    """A bootstrap sample that draws no positive row makes a one-leaf tree;
+    the trees of its pass that do draw one still split, as in the
+    reference."""
+    rng = np.random.default_rng(23)
+    seen = 0
+    for trial in range(40):
+        n = int(rng.integers(6, 14))
+        X = rng.normal(size=(n, 3))
+        y = np.zeros(n)
+        y[int(rng.integers(0, n))] = 1.0  # one positive row
+        spec = LearnerSpec("bagged_trees", max_depth=3, n_trees=12, seed=trial)
+        got = _fit_bagged(np.ascontiguousarray(X.T), y, spec)
+        assert bagged_json(*got) == bagged_json(*reference_fit_bagged(X, y, spec)), trial
+        leaves = [root for root in got[0] if "feature" not in root]
+        seen += any(root == {"score": 0.0} for root in leaves) and len(leaves) < len(got[0])
+    assert seen > 10
+
+
+class _IdentityEncoder:
+    """Stands in for a FeatureEncoder over an already encoded matrix."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def transform(self, X):
+        return X
+
+
+def scoring_forest(rng):
+    """Roots and subsets of 8 features: fitted depth-5 trees, fitted stumps
+    and leaves, a one-leaf tree and a JSON stump with an integer threshold."""
+    d = 8
+    trees = [({"score": 0.25}, np.array([2, 5])),
+             ({"feature": 1, "threshold": 0, "left": {"score": 1.0},
+               "right": {"score": 0.0}}, np.array([0, 3, 7]))]
+    for trial, depth in enumerate((5, 1, 5, 3)):
+        n = int(rng.integers(50, 400))
+        X = random_features(rng, n, d)
+        X[:, 1] = rng.normal(size=n)
+        y = random_labels(rng, n, trial + 1)
+        spec = LearnerSpec("bagged_trees", max_depth=depth, n_trees=3, seed=trial)
+        roots, subsets = _fit_bagged(np.ascontiguousarray(X.T), y, spec)
+        trees += list(zip(roots, subsets))
+    order = rng.permutation(len(trees))
+    return [trees[i] for i in order], d
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37, 3 * (_SCORE_BLOCK // 14) + 5])
+def test_forest_scores_match_per_tree_reference(rows):
+    """A bag scored as one forest equals the per-tree walk: leaf values
+    summed in tree order, and the bag's votes, bit for bit, on rows with
+    values at thresholds, NaN and infinities, including row counts that
+    span several score blocks and no rows at all."""
+    rng = np.random.default_rng(24 + rows)
+    trees, d = scoring_forest(rng)
+    assert len(trees) == 14
+    depths = {tree_depth(root) for root, _ in trees}
+    assert 0 in depths and 5 in depths
+    X = np.round(rng.normal(size=(rows, d)), 1)
+    for value in (np.nan, np.inf, -np.inf):
+        X[rng.random(X.shape) < 0.03] = value
+    walks = [reference_tree_scores(root, X[:, subset]) for root, subset in trees]
+    leaf_sum, votes = np.zeros(rows), np.zeros(rows)
+    for walk in walks:
+        leaf_sum += walk
+        votes += walk >= 0.5
+    forest = _forest([_flatten(root, subset) for root, subset in trees])
+    assert np.array_equal(_flat_scores(forest, X), leaf_sum)
+    roots, subsets = zip(*trees)
+    bag = BaggedTreesPredictor(list(roots), list(subsets), _IdentityEncoder(d))
+    assert np.array_equal(bag.scores(X), votes / len(trees))
