@@ -15,22 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bounds import EpsilonSpec, epsilon, uc_width
-from ..data import Dataset
+from ..data import Dataset, float_from_json, float_to_json
 from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
 from .routing import route
-
-
-def _strict_json(x: float | None):
-    """JSON has no infinities: write them as the strings "inf" and "-inf"."""
-    return ("inf" if x > 0 else "-inf") if x is not None and math.isinf(x) else x
-
-
-def _from_json(x):
-    """Inverse of _strict_json; older files hold the Infinity literal, which
-    json.load already reads as a float."""
-    return float(x) if x in ("inf", "-inf") else x
 
 
 @dataclass(frozen=True)
@@ -51,8 +40,8 @@ class TraceStep:
             "n_g": self.n_g,
             "parent_risk": self.parent_risk,
             "candidate_risk": self.candidate_risk,
-            "epsilon": _strict_json(self.epsilon),
-            "err": _strict_json(self.err),
+            "epsilon": float_to_json(self.epsilon),
+            "err": float_to_json(self.err),
             "decision": self.decision,
         }
 
@@ -63,8 +52,8 @@ class TraceStep:
             n_g=doc["n_g"],
             parent_risk=doc["parent_risk"],
             candidate_risk=doc["candidate_risk"],
-            epsilon=_from_json(doc["epsilon"]) if doc["epsilon"] is not None else math.inf,
-            err=_from_json(doc["err"]),
+            epsilon=float_from_json(doc["epsilon"]) if doc["epsilon"] is not None else math.inf,
+            err=float_from_json(doc["err"]),
             decision=doc["decision"],
         )
 

@@ -11,7 +11,9 @@ which is why experiment configs usually pick the scaled profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .data import check_keys, float_from_json, float_to_json, json_int
 
 KINDS = ("finite_h", "vc", "constant", "scaled")
 
@@ -43,8 +45,8 @@ class EpsilonSpec:
             raise ValueError(f"unknown epsilon kind {self.kind!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.scale >= 0:  # also rejects NaN
-            raise ValueError("scale must be >= 0")
+        if not 0 <= self.scale < math.inf:  # also rejects NaN
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
         for name in ("h_size", "vc_dim", "group_count", "n_total"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -67,25 +69,18 @@ class EpsilonSpec:
         for name in ("delta", "h_size", "vc_dim", "group_count", "n_total", "value"):
             v = getattr(self, name)
             if v is not None and not (name == "delta" and v == 0.05):
-                doc[name] = v
-        if doc.get("value") == math.inf:
-            doc["value"] = "inf"  # JSON has no infinity; from_json reads it back
+                doc[name] = float_to_json(v)  # value may be inf
         if self.scale != 1.0:
             doc["scale"] = self.scale
         return doc
 
     @staticmethod
     def from_json(doc) -> "EpsilonSpec":
-        allowed = {"kind", "delta", "h_size", "vc_dim", "group_count", "n_total", "scale", "value"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown epsilon keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if doc.get("value") == "inf":
-            doc["value"] = math.inf
+        check_keys(doc, {f.name for f in fields(EpsilonSpec)}, "epsilon")
+        doc = dict(doc, value=float_from_json(doc.get("value")))
         for key in ("h_size", "vc_dim", "group_count", "n_total"):
             if doc.get(key) is not None:
-                doc[key] = int(doc[key])
+                doc[key] = json_int(doc[key], key)
         return EpsilonSpec(**doc)
 
 

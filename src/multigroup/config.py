@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .bounds import EpsilonSpec
-from .data import schema_from_json
+from .data import check_keys, json_int, schema_from_json
 from .groups import GroupTree, build_hierarchy, hierarchy_from_json
 from .learners import LearnerSpec
 from .methods import METHODS
@@ -27,7 +27,6 @@ _TOP_KEYS = {
     "epsilon", "loss", "split", "methods", "include_group_attributes",
     "prepend_cap", "output_dir",
 }
-_SPLIT_KEYS = {"test_fraction", "seed", "trials"}
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:  # also rejects NaN and inf
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
@@ -109,18 +110,14 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 
 def parse_run_config(doc: dict) -> ExperimentConfig:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    check_keys(doc, _TOP_KEYS, "config", ConfigError)
     for required in ("schema", "learners", "epsilon"):
         if required not in doc:
             raise ConfigError(f"config missing required key {required!r}")
     if "attribute_order" not in doc and "hierarchy_nodes" not in doc:
         raise ConfigError("config needs attribute_order or hierarchy_nodes")
     split_doc = doc.get("split", {})
-    unknown = set(split_doc) - _SPLIT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown split keys: {sorted(unknown)}")
+    check_keys(split_doc, {"test_fraction", "seed", "trials"}, "split", ConfigError)
 
     nodes = doc.get("hierarchy_nodes")
     try:
@@ -133,9 +130,9 @@ def parse_run_config(doc: dict) -> ExperimentConfig:
             learners=learners,
             epsilon=EpsilonSpec.from_json(doc["epsilon"]),
             loss=doc.get("loss", "zero_one"),
-            trials=int(split_doc.get("trials", 10)),
+            trials=json_int(split_doc.get("trials", 10), "trials"),
             test_fraction=float(split_doc.get("test_fraction", 0.2)),
-            seed=int(split_doc.get("seed", 0)),
+            seed=json_int(split_doc.get("seed", 0), "seed"),
             methods=tuple(doc.get("methods", METHODS)),
             include_group_attributes=bool(doc.get("include_group_attributes", True)),
             prepend_cap=doc.get("prepend_cap"),

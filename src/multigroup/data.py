@@ -31,6 +31,34 @@ class DataError(ValueError):
     """Malformed data file or value."""
 
 
+def check_keys(doc: Mapping, allowed: set, what: str, error=ValueError) -> None:
+    """Raise ``error("unknown <what> keys: [...]")`` if ``doc`` has a key outside ``allowed``."""
+    unknown = set(doc) - allowed
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def json_int(value, key: str) -> int:
+    """``int(value)`` for a value read from JSON, where an infinite number
+    (``Infinity``, or an overflowing literal such as ``1e400``) raises
+    ValueError naming ``key`` instead of OverflowError."""
+    try:
+        return int(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got {value!r}") from None
+
+
+def float_to_json(x: float | None):
+    """JSON has no infinities: write them as the strings "inf" and "-inf"."""
+    return "inf" if x == math.inf else "-inf" if x == -math.inf else x
+
+
+def float_from_json(x):
+    """Inverse of float_to_json; older files hold the Infinity literal, which
+    json.load already reads as a float."""
+    return float(x) if x in ("inf", "-inf") else x
+
+
 @dataclass(frozen=True)
 class Bin:
     """Right-open numeric interval; ``upper=None`` means unbounded above.
@@ -103,6 +131,8 @@ class AttributeSchema:
             if uppers[-1] is not None or any(u is None for u in uppers[:-1]):
                 raise SchemaError(f"bins for {name!r} must end with one unbounded bin")
             finite = [u for u in uppers if u is not None]
+            if not all(math.isfinite(u) for u in finite):
+                raise SchemaError(f"bin edges for {name!r} must be finite; leave the last one out")
             if sorted(finite) != finite:
                 raise SchemaError(f"bin edges for {name!r} must be increasing")
 
@@ -126,16 +156,11 @@ class AttributeSchema:
 
 def schema_from_json(doc: Mapping) -> AttributeSchema:
     """Parse the schema JSON document (fields: columns, label, group_attributes, bins)."""
-    allowed = {"columns", "label", "group_attributes", "bins"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
+    check_keys(doc, {"columns", "label", "group_attributes", "bins"}, "schema", SchemaError)
     columns = []
     categories = {}
     for entry in doc.get("columns", []):
-        extra = set(entry) - {"name", "kind", "categories"}
-        if extra:
-            raise SchemaError(f"unknown column keys: {sorted(extra)}")
+        check_keys(entry, {"name", "kind", "categories"}, "column", SchemaError)
         columns.append(Column(entry["name"], entry["kind"]))
         if "categories" in entry:
             categories[entry["name"]] = tuple(entry["categories"])
@@ -533,10 +558,7 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 
 def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:
-    allowed = {"attributes", "leaves", "feature_dim", "noise"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown synthetic spec keys: {sorted(unknown)}")
+    check_keys(doc, {"attributes", "leaves", "feature_dim", "noise"}, "synthetic spec")
     leaves = []
     for entry in doc["leaves"]:
         rule = entry["rule"]
@@ -549,12 +571,12 @@ def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:
                     weights=tuple(rule["weights"]) if "weights" in rule else None,
                     bias=rule.get("bias", 0.0),
                 ),
-                count=int(entry["count"]),
+                count=json_int(entry["count"], "count"),
             )
         )
     return SyntheticSpec(
         attributes={a: tuple(c) for a, c in doc["attributes"].items()},
         leaves=tuple(leaves),
-        feature_dim=int(doc.get("feature_dim", 2)),
+        feature_dim=json_int(doc.get("feature_dim", 2), "feature_dim"),
         noise=float(doc.get("noise", 0.0)),
     )

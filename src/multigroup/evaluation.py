@@ -9,6 +9,7 @@ with no test examples in a trial contribute nothing for that trial.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,17 @@ from .groups import GroupTree
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, group_risks, method_failure
 from .risk import ZERO_ONE
+
+
+def _mean_stderr(values) -> tuple[float | None, float | None]:
+    """Mean of ``values`` and its standard error (sample std / sqrt(k)).
+
+    ``(None, None)`` for no values; the standard error of one value is 0.0.
+    """
+    k = len(values)
+    if not k:
+        return None, None
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k)) if k >= 2 else 0.0
 
 
 def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: int):
@@ -65,12 +77,7 @@ class EvalReport:
                 series = self.raw[(method, learner)]
                 for gid in self.group_ids:
                     values = [v for v in series[gid] if v is not None]
-                    k = len(values)
-                    mean = float(np.mean(values)) if k else None
-                    if k >= 2:
-                        stderr = float(np.std(values, ddof=1) / np.sqrt(k))
-                    else:
-                        stderr = 0.0 if k == 1 else None
+                    mean, stderr = _mean_stderr(values)
                     rows.append({
                         "method": method,
                         "learner": learner,
@@ -79,7 +86,7 @@ class EvalReport:
                         "mean_error": mean,
                         "stderr": stderr,
                         "mean_n_g": float(np.mean(self.n_test[gid])),
-                        "trials_present": k,
+                        "trials_present": len(values),
                     })
         return rows
 
@@ -87,13 +94,9 @@ class EvalReport:
         out = io.StringIO()
         cols = ["method", "learner", "group_id", "depth", "mean_error", "stderr",
                 "mean_n_g", "trials_present"]
-        out.write(",".join(cols) + "\n")
-        for row in self.aggregate_rows():
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            out.write(",".join(cells) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([row[c] for c in cols] for row in self.aggregate_rows())
         return out.getvalue()
 
     def to_json_text(self) -> str:
@@ -120,8 +123,7 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def mean_error(self, method: str, learner: str, group_id: str) -> float | None:
-        values = [v for v in self.raw[(method, learner)][group_id] if v is not None]
-        return float(np.mean(values)) if values else None
+        return _mean_stderr([v for v in self.raw[(method, learner)][group_id] if v is not None])[0]
 
     def compare(self, method_a: str, method_b: str, learner: str | None = None) -> list[dict]:
         """Per-group deltas (a minus b), sorted by delta ascending."""
@@ -135,20 +137,12 @@ class EvalReport:
             series_b = self.raw[(method_b, learner)][gid]
             paired = [(a, b) for a, b in zip(series_a, series_b)
                       if a is not None and b is not None]
-            if paired:
-                deltas = [a - b for a, b in paired]
-                delta = float(np.mean(deltas))
-                k = len(deltas)
-                stderr = float(np.std(deltas, ddof=1) / np.sqrt(k)) if k >= 2 else 0.0
-                error_a = float(np.mean([a for a, _ in paired]))
-                error_b = float(np.mean([b for _, b in paired]))
-            else:
-                delta = stderr = error_a = error_b = None
+            delta, stderr = _mean_stderr([a - b for a, b in paired])
             rows.append({
                 "group_id": gid,
                 "depth": self.group_depths[gid],
-                "error_a": error_a,
-                "error_b": error_b,
+                "error_a": _mean_stderr([a for a, _ in paired])[0],
+                "error_b": _mean_stderr([b for _, b in paired])[0],
                 "delta": delta,
                 "delta_stderr": stderr,
             })
@@ -186,20 +180,15 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
     learner_labels = [ls.label() for ls in cfg.learners]
     raw = {
-        (method, label): {g.id: [None] * cfg.trials for g in tree.nodes}
+        (method, label): {g.id: [errors[(method, label)][g.id] for _, _, errors, _ in outcomes]
+                          for g in tree.nodes}
         for method in cfg.methods
         for label in learner_labels
     }
-    n_test = {g.id: [0] * cfg.trials for g in tree.nodes}
-    trace_summaries = {}
-    for trial, counts, errors, summaries in outcomes:
-        for gid, c in counts.items():
-            n_test[gid][trial] = c
-        for key, per_group in errors.items():
-            for gid, err in per_group.items():
-                raw[key][gid][trial] = err
-        for (method, label), summary in summaries.items():
-            trace_summaries[(method, label, trial)] = summary
+    n_test = {g.id: [counts[g.id] for _, counts, _, _ in outcomes] for g in tree.nodes}
+    trace_summaries = {(method, label, trial): summary
+                       for trial, _, _, summaries in outcomes
+                       for (method, label), summary in summaries.items()}
 
     return EvalReport(
         config=cfg.echo(),

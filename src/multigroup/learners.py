@@ -8,12 +8,12 @@ reproduces the labels. Fitting is deterministic given the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset
+from .data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, json_int
 from .groups import Group, membership_vector
 
 _SEED_MASK = (1 << 64) - 1
@@ -56,10 +56,10 @@ class LearnerSpec:
             raise ValueError("need at least one tree")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise ValueError("feature_fraction must be in (0, 1]")
-        if not self.learning_rate > 0:  # written so that NaN fails
-            raise ValueError("learning_rate must be > 0")
-        if not self.tolerance >= 0:
-            raise ValueError("tolerance must be >= 0")
+        if not 0 < self.learning_rate < np.inf:  # written so that NaN fails
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
     def label(self) -> str:
         if self.kind == "tree":
@@ -86,20 +86,11 @@ class LearnerSpec:
 
     @staticmethod
     def from_json(doc) -> "LearnerSpec":
-        allowed = {
-            "kind", "max_depth", "learning_rate", "iterations", "tolerance",
-            "n_trees", "feature_fraction", "seed", "solver",
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown learner keys: {sorted(unknown)}")
+        check_keys(doc, {f.name for f in fields(LearnerSpec)}, "learner")
         doc = dict(doc)
         for key in ("max_depth", "iterations", "n_trees", "seed"):
             if key in doc:
-                try:
-                    doc[key] = int(doc[key])
-                except OverflowError:  # int() of an infinite float
-                    raise ValueError(f"{key} must be finite, got {doc[key]!r}") from None
+                doc[key] = json_int(doc[key], key)
         return LearnerSpec(**doc)
 
 
@@ -483,7 +474,7 @@ def _flatten(root: dict, columns=None) -> _FlatTree:
     feature, threshold, child, value = [], [], [], []
     for i, node in enumerate(nodes):
         if "feature" in node:
-            feature.append(int(node["feature"]))
+            feature.append(json_int(node["feature"], "feature"))
             threshold.append(float(node["threshold"]))
             child += [len(nodes) + 1, len(nodes)]
             value.append(0.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import shutil
@@ -6,7 +7,8 @@ import pytest
 
 from multigroup import cli
 from multigroup.cli import main
-from multigroup.data import make_synthetic, schema_to_json, write_csv
+from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, make_synthetic,
+                            schema_to_json, write_csv)
 from multigroup.modelio import stored_learner
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
@@ -63,6 +65,12 @@ def base_config(ds, csv_path, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def dumps_1e400(doc):
+    """json.dumps, writing each string "1e400" as the bare number 1e400: strict
+    JSON that json.load reads as inf, which json.dumps itself cannot emit."""
+    return json.dumps(doc).replace('"1e400"', "1e400")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -153,9 +161,23 @@ def test_validate_hierarchy_malformed_json(tmp_path):
     {"learners": [{"kind": "tree", "max_depth": float("inf")}]},
     {"learners": [{"kind": "bagged_trees", "n_trees": float("-inf")}]},
     {"learners": [{"kind": "tree", "max_depth": float("nan")}]},
+    {"epsilon": {"kind": "scaled", "scale": float("inf")}},
+    {"learners": [{"kind": "logistic", "tolerance": float("inf")}]},
+    {"learners": [{"kind": "logistic", "solver": "gd", "learning_rate": float("inf")}]},
+    {"split": {"test_fraction": 0.2, "seed": 3, "trials": float("inf")}},
+    {"split": {"test_fraction": 0.2, "seed": float("inf"), "trials": 2}},
+    {"epsilon": {"kind": "vc", "vc_dim": float("inf")}},
+    {"split": {"test_fraction": float("inf"), "seed": 3, "trials": 2}},
+    {"schema": {"columns": [{"name": "grp", "kind": "categorical"},
+                            {"name": "x0", "kind": "numeric"},
+                            {"name": "label", "kind": "binary-label"}],
+                "label": "label", "group_attributes": ["grp"],
+                "bins": {"grp": [{"name": "a", "upper": float("inf")}, {"name": "b"}]}}},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
         "nan_scale", "unknown_solver", "nan_tolerance", "nan_learning_rate",
-        "infinite_depth", "infinite_trees", "nan_depth"])
+        "infinite_depth", "infinite_trees", "nan_depth", "infinite_scale",
+        "infinite_tolerance", "infinite_learning_rate", "infinite_trials", "infinite_seed",
+        "infinite_vc_dim", "infinite_test_fraction", "infinite_bin_edge"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -165,6 +187,25 @@ def test_config_rejects_bad_input(tmp_path, extra):
     out = str(tmp_path / "out")
     assert main(["train", "--config", str(cfg), "--out", out]) == 2
     assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("key, setting", [
+    ("trials", "split.trials=Infinity"),
+    ("seed", "split.seed=-Infinity"),
+    ("vc_dim", 'epsilon={"kind":"vc","vc_dim":1e400}'),
+])
+@pytest.mark.parametrize("command", ["validate-hierarchy", "train", "evaluate"])
+def test_infinite_integer_field_is_reported(tmp_path, capsys, key, setting, command):
+    """An infinite integer field exits 2 with a message naming it, not an
+    OverflowError traceback."""
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    argv = [command, "--config", str(cfg), "--set", setting]
+    if command != "validate-hierarchy":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    sign = "-" if "-Inf" in setting else ""
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {sign}inf\n"
 
 
 def test_synth_emits_loadable_csv(tmp_path):
@@ -190,6 +231,19 @@ def test_synth_emits_loadable_csv(tmp_path):
 
     ds = load_csv(out_csv, schema_from_json(schema_doc))
     assert ds.n == 50
+
+
+@pytest.mark.parametrize("key", ["feature_dim", "count"])
+def test_synth_rejects_infinite_integer(tmp_path, capsys, key):
+    leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": 1}}
+    spec_doc = {"attributes": {"grp": ["a"]}, "leaves": [leaf]}
+    (spec_doc if key == "feature_dim" else leaf)[key] = "1e400"
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(dumps_1e400(spec_doc))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be finite, got inf\n"
+    assert not out_csv.exists()
 
 
 def test_train_marks_updates_with_zero_margin(tmp_path):
@@ -335,6 +389,8 @@ def _break_model(doc, case):
         doc["hierarchy"]["nodes"].append([["a1", "p"], ["a2", "zz"], ["a3", "s"]])
     elif case == "crossing_hierarchy":
         doc["hierarchy"]["nodes"].append([["a2", "u"]])
+    elif case == "infinite_group_count":
+        doc["epsilon"]["group_count"] = "1e400"
     else:
         assert case == "nan_margin"
         doc["epsilon"]["value"] = float("nan")
@@ -350,6 +406,8 @@ def _break_model(doc, case):
     ("prepend", "crossing_hierarchy", f"invalid hierarchy: {CROSSING}"),
     ("mgl_tree", "nan_margin", "constant kind needs a value >= 0"),
     ("mgl_tree", "not_an_object", "model kind None is not auditable"),
+    ("mgl_tree", "infinite_group_count", "group_count must be finite, got inf"),
+    ("prepend", "infinite_group_count", "group_count must be finite, got inf"),
 ])
 def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))
@@ -362,7 +420,7 @@ def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
     model_path = out_dir / f"{model}.constant.model.json"
     doc = _break_model(json.loads(model_path.read_text()), case)
-    model_path.write_text(json.dumps(doc))
+    model_path.write_text(dumps_1e400(doc))
     capsys.readouterr()
     assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -380,6 +438,8 @@ def _break_tree_model(predictor, case):
         predictor["trees"][0]["feature"] = 50
     elif case == "tree_split_feature_50":
         predictor["root"]["feature"] = 50
+    elif case == "tree_split_feature_infinite":
+        predictor["root"]["feature"] = "1e400"
     else:
         assert case == "tree_split_feature_negative"
         predictor["root"]["feature"] = -1
@@ -392,6 +452,7 @@ def _break_tree_model(predictor, case):
     ("bagged", "bagged_split_feature_50", "a tree splits on feature 50, outside its 2 features"),
     ("tree", "tree_split_feature_50", "a tree splits on feature 50, outside its 4 features"),
     ("tree", "tree_split_feature_negative", "a tree splits on feature -1, outside its 4 features"),
+    ("tree", "tree_split_feature_infinite", "feature must be finite, got inf"),
 ])
 def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learner, case,
                                             message):
@@ -409,7 +470,7 @@ def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learn
     assert main(["audit", "--model", str(model_path), "--data", "demo/data.csv"]) == 0
     _break_tree_model(doc["nodes"][0]["predictor"], case)
     broken = tmp_path / "broken.model.json"
-    broken.write_text(json.dumps(doc))
+    broken.write_text(dumps_1e400(doc))
     capsys.readouterr()
     assert main(["audit", "--model", str(broken), "--data", "demo/data.csv"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -448,6 +509,25 @@ def test_evaluate_writes_reports(tmp_path, capsys):
 
     report_doc = json.loads((out_dir / "report.json").read_text())
     assert report_doc["config"]["epsilon"] == {"kind": "scaled", "scale": 3.0}
+
+
+def test_report_csv_round_trips_group_ids_with_commas(tmp_path):
+    """report.csv is standard CSV: a group id holding a comma or a quote is
+    quoted, so every row reads back as its eight fields."""
+    spec = SyntheticSpec(
+        attributes={"grp": ("a,b", 'say "c"')},
+        leaves=(SyntheticLeaf({"grp": "a,b"}, LeafRule("constant", label=1), 6),
+                SyntheticLeaf({"grp": 'say "c"'}, LeafRule("constant", label=0), 6)),
+        feature_dim=1,
+    )
+    ds, csv_path = write_fixture(tmp_path, spec)
+    out_dir = tmp_path / "report"
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["erm"]))
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    with open(out_dir / "report.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 8 and all(len(row) == 8 for row in rows)
+    assert [row[header.index("group_id")] for row in rows] == ["ALL", "grp=a,b", 'grp=say "c"']
 
 
 def test_evaluate_missing_dataset_exits_one(tmp_path):
