@@ -19,12 +19,10 @@ from .groups import (
     GroupTree,
     HierarchyError,
     build_hierarchy,
-    deepest_containing,
     membership_vector,
     validate_hierarchical,
 )
-from .learners import FeatureEncoder, LearnerSpec, PredictorCache, erm, fit, group_erm
-from .risk import CLIPPED_LOGISTIC, ZERO_ONE, Loss, RiskValue, decompose_check, \
-    empirical_risk, group_risk
+from .learners import FeatureEncoder, LearnerSpec, PredictorCache, fit
+from .risk import CLIPPED_LOGISTIC, ZERO_ONE, Loss
 
 __version__ = "0.1.0"

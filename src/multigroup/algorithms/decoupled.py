@@ -2,8 +2,8 @@
 
 Each observed leaf of the hierarchy gets its own restricted fit; empty
 leaves fall back to the global fit. Works as intended when the leaves
-partition the input space; examples landing outside every leaf are handled
-by the configured fallback.
+partition the input space; examples landing outside every leaf also go to
+the global fit.
 """
 
 from __future__ import annotations
@@ -42,16 +42,10 @@ def decoupled(
     train: Dataset,
     tree: GroupTree,
     spec: LearnerSpec,
-    fallback: str = "root",
     cache: PredictorCache | None = None,
 ) -> PartitionPredictor:
-    """Fit one predictor per observed leaf; empty leaves use the global fit.
-
-    fallback: "root" routes examples outside every leaf to the global fit;
-    "error" raises at evaluation time instead.
-    """
-    if fallback not in ("root", "error"):
-        raise ValueError(f"unknown fallback {fallback!r}")
+    """Fit one predictor per observed leaf; empty leaves, and examples
+    outside every leaf, use the global fit."""
     if cache is None:
         cache = PredictorCache(train)
     root_pred = cache.erm(spec)
@@ -62,4 +56,4 @@ def decoupled(
             per_leaf[leaf.id] = cache.group_erm(spec, leaf)
         else:
             per_leaf[leaf.id] = root_pred
-    return PartitionPredictor(tree, per_leaf, root_pred if fallback == "root" else None, spec)
+    return PartitionPredictor(tree, per_leaf, root_pred, spec)

@@ -5,7 +5,7 @@ list_risk(g) - candidate_risk(g) - margin(g); while that value is
 positive the pair is prepended, so the front of the list holds the most
 recently added rule. A value of exactly 0 is no violation: once a group's
 own fit heads the list, that same pair scores 0 and must not be prepended
-again. Candidates are the group-restricted fits of the supplied groups
+again. Candidates are the group-restricted fits of the tree's groups
 plus the global fit; the full benchmark class is implicit in the learners,
 so the scan cannot enumerate it.
 """
@@ -64,14 +64,6 @@ class PrependCapExceeded(RuntimeError):
         self.partial = partial
 
 
-def _group_rows(groups, train: Dataset) -> tuple[list[Group], list[np.ndarray]]:
-    """The groups as a list, and each group's row indices in train."""
-    if isinstance(groups, GroupTree):
-        return list(groups.nodes), groups.rows(train)
-    group_list = list(groups)
-    return group_list, [np.flatnonzero(membership_vector(g, train)) for g in group_list]
-
-
 class _CandidatePool:
     """Observed groups, the candidate fits, and each candidate's risk per group.
 
@@ -79,9 +71,9 @@ class _CandidatePool:
     restricted fits in id order; none of their risks changes across rounds.
     """
 
-    def __init__(self, train: Dataset, group_list, rows, spec: LearnerSpec, eps: EpsilonSpec,
+    def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
                  loss: Loss, cache: PredictorCache):
-        observed = [(g, r) for g, r in zip(group_list, rows) if len(r)]
+        observed = [(g, r) for g, r in zip(tree.nodes, tree.rows(train)) if len(r)]
         self.groups = [g for g, _ in observed]
         self.rows = [r for _, r in observed]
         self.counts = [len(r) for r in self.rows]
@@ -111,7 +103,7 @@ class _CandidatePool:
 
 def prepend(
     train: Dataset,
-    groups,
+    tree: GroupTree,
     spec: LearnerSpec,
     eps: EpsilonSpec,
     loss: Loss,
@@ -120,21 +112,18 @@ def prepend(
 ) -> DecisionList:
     """Build the decision list on the training set.
 
-    ``groups`` may be a GroupTree or any iterable of groups; unobserved
-    groups are skipped. The default cap is 4x the number of groups.
+    Unobserved groups of the tree are skipped. The default cap is 4x the
+    number of groups.
     """
-    group_list, rows = _group_rows(groups, train)
-    if not group_list:
-        raise ValueError("prepend needs at least one group")
     if cap is None:
-        cap = 4 * len(group_list)
+        cap = 4 * len(tree)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    eps = eps.with_context(group_count=len(group_list), n_total=train.n)
+    eps = eps.with_context(group_count=len(tree), n_total=train.n)
     if cache is None:
         cache = PredictorCache(train)
 
-    pool = _CandidatePool(train, group_list, rows, spec, eps, loss, cache)
+    pool = _CandidatePool(train, tree, spec, eps, loss, cache)
     entries: list[DecisionListEntry] = []
     current = DecisionList(entries, pool.candidates[0][1], spec, eps, loss)
     row_loss = pool.losses[0].copy()
@@ -159,7 +148,7 @@ def prepend(
 def termination_scan(
     dlist: DecisionList,
     train: Dataset,
-    groups,
+    tree: GroupTree,
     cache: PredictorCache | None = None,
 ) -> list[tuple[str, str, float]]:
     """Post-hoc check of the stopping condition.
@@ -168,12 +157,11 @@ def termination_scan(
     list and reports those whose violation value is still > 0; an empty
     result certifies termination.
     """
-    group_list, rows = _group_rows(groups, train)
-    eps = dlist.eps_spec.with_context(group_count=len(group_list), n_total=train.n)
+    eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=train.n)
     if cache is None:
         cache = PredictorCache(train)
     row_loss = dlist.loss.per_example(dlist, train)
-    pool = _CandidatePool(train, group_list, rows, dlist.learner_spec, eps, dlist.loss, cache)
+    pool = _CandidatePool(train, tree, dlist.learner_spec, eps, dlist.loss, cache)
     values, _ = pool.scan(row_loss)
     return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
             for gi, ci in zip(*np.nonzero(values > 0))]

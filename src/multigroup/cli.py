@@ -208,8 +208,11 @@ def cmd_synth(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = synthetic_spec_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, TypeError, AttributeError) as exc:  # a missing or wrong-typed field
+        print(f"error: malformed synthetic spec: {exc!r}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

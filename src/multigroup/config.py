@@ -58,6 +58,9 @@ class ExperimentConfig:
             loss_from_name(self.loss)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not isinstance(self.include_group_attributes, bool):
+            raise ConfigError("include_group_attributes must be true or false, "
+                              f"got {self.include_group_attributes!r}")
         cap = self.prepend_cap
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ConfigError(f"prepend_cap must be null or an integer >= 1, got {cap!r}")
@@ -134,7 +137,7 @@ def parse_run_config(doc: dict) -> ExperimentConfig:
             test_fraction=float(split_doc.get("test_fraction", 0.2)),
             seed=json_int(split_doc.get("seed", 0), "seed"),
             methods=tuple(doc.get("methods", METHODS)),
-            include_group_attributes=bool(doc.get("include_group_attributes", True)),
+            include_group_attributes=doc.get("include_group_attributes", True),
             prepend_cap=doc.get("prepend_cap"),
             dataset_path=doc.get("dataset"),
             hierarchy_nodes=None if nodes is None

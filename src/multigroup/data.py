@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -470,6 +471,10 @@ class LeafRule:
                 raise ValueError("linear rule needs weights")
         else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        for name, values in (("bias", (self.bias,)), ("weights", self.weights or ())):
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise ValueError(f"rule {name} must hold finite numbers, got {v!r}")
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         if self.kind == "constant":

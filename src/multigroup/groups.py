@@ -40,19 +40,8 @@ class Group:
     def is_root(self) -> bool:
         return not self.conjuncts
 
-    def contains_row(self, row: Mapping[str, object]) -> bool:
-        return all(row.get(attr) == cat for attr, cat in self.conjuncts)
 
-
-@dataclass(frozen=True)
-class IndexGroup:
-    """Escape hatch: membership given by explicit row indices (tests only)."""
-
-    id: str
-    rows: frozenset[int]
-
-
-def _conjunct_code(g, attr: str, cat: str, ds: Dataset) -> int:
+def _conjunct_code(g: Group, attr: str, cat: str, ds: Dataset) -> int:
     """Category code that g's conjunct attr=cat tests; SchemaError if invalid."""
     if ds.schema.column(attr).kind != CATEGORICAL:
         raise SchemaError(f"group {g.id!r} tests non-categorical attribute {attr!r}")
@@ -62,16 +51,8 @@ def _conjunct_code(g, attr: str, cat: str, ds: Dataset) -> int:
     return cats.index(cat)
 
 
-def membership_vector(g, ds: Dataset) -> np.ndarray:
+def membership_vector(g: Group, ds: Dataset) -> np.ndarray:
     """Boolean mask of length ds.n; mask[i] is True iff row i is in g."""
-    if isinstance(g, IndexGroup):
-        mask = np.zeros(ds.n, dtype=bool)
-        if g.rows:
-            idx = np.fromiter(g.rows, dtype=np.int64)
-            if idx.min() < 0 or idx.max() >= ds.n:
-                raise ValueError(f"row index out of range in group {g.id!r}")
-            mask[idx] = True
-        return mask
     mask = np.ones(ds.n, dtype=bool)
     for attr, cat in g.conjuncts:
         code = _conjunct_code(g, attr, cat, ds)
@@ -252,71 +233,32 @@ class HierarchyVerdict:
         return "\n".join(lines)
 
 
-def _structural_relation(a: Group, b: Group) -> str:
-    """Relation over the full category product space."""
+def _violation(a: Group, b: Group) -> str | None:
+    """Why two conjunctions are neither disjoint nor nested over the full
+    category product space, or None if they are."""
     sa, sb = dict(a.conjuncts), dict(b.conjuncts)
-    for attr in set(sa) & set(sb):
-        if sa[attr] != sb[attr]:
-            return "disjoint"
+    if any(sa[attr] != sb[attr] for attr in sa.keys() & sb.keys()):
+        return None  # disjoint
     if sa == sb:
-        return "identical"
-    if set(sa.items()) > set(sb.items()):
-        return "contained"  # a strictly inside b
-    if set(sb.items()) > set(sa.items()):
-        return "contains"
-    return "overlap"
+        return "identical predicates"
+    if sa.items() <= sb.items() or sb.items() <= sa.items():
+        return None  # nested
+    return "overlap without containment"
 
 
-def validate_hierarchical(groups: Iterable, ds: Dataset | None = None) -> HierarchyVerdict:
-    """Check that every pair of groups is disjoint or nested.
-
-    Conjunction predicates are compared symbolically over the category
-    product space; when a dataset is supplied, an empirical mask check runs
-    as well (and is the only check available for index groups).
-    """
+def validate_hierarchical(groups: Iterable[Group]) -> HierarchyVerdict:
+    """Check that every pair of groups is disjoint or nested, comparing the
+    conjunctions symbolically over the category product space."""
     group_list = list(groups)
     if not group_list:
         raise ValueError("no groups to validate")
-    violations: list[tuple[str, str, str]] = []
-    masks = {}
-    if ds is not None and ds.n > 0:
-        masks = {g.id: membership_vector(g, ds) for g in group_list}
+    violations = []
     for i, a in enumerate(group_list):
         for b in group_list[i + 1:]:
-            both_conj = isinstance(a, Group) and isinstance(b, Group)
-            if both_conj:
-                rel = _structural_relation(a, b)
-                if rel == "identical":
-                    violations.append((a.id, b.id, "identical predicates"))
-                    continue
-                if rel == "overlap":
-                    violations.append((a.id, b.id, "overlap without containment"))
-                    continue
-            if masks:
-                ma, mb = masks[a.id], masks[b.id]
-                inter = ma & mb
-                if inter.any() and not (ma <= mb).all() and not (mb <= ma).all():
-                    violations.append(
-                        (a.id, b.id, "rows witness overlap without containment")
-                    )
-            elif not both_conj:
-                # index groups without data cannot be checked; skip
-                continue
+            reason = _violation(a, b)
+            if reason is not None:
+                violations.append((a.id, b.id, reason))
     return HierarchyVerdict(valid=not violations, violations=tuple(violations))
-
-
-def deepest_containing(tree: GroupTree, row: Mapping[str, object]) -> Group:
-    """Descend from the root, moving to a child whenever it contains the row."""
-    current = tree.root
-    while True:
-        advanced = False
-        for child in tree.children(current.id):
-            if child.contains_row(row):
-                current = child
-                advanced = True
-                break
-        if not advanced:
-            return current
 
 
 def hierarchy_to_json(tree: GroupTree) -> dict:

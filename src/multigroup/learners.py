@@ -666,17 +666,6 @@ def fit(
     return BaggedTreesPredictor(trees, subsets, encoder, provenance)
 
 
-def erm(spec: LearnerSpec, ds: Dataset, encoder: FeatureEncoder | None = None):
-    return fit(spec, ds, np.ones(ds.n, dtype=bool), encoder, tag="ALL")
-
-
-def group_erm(spec: LearnerSpec, ds: Dataset, g: Group, encoder: FeatureEncoder | None = None):
-    mask = membership_vector(g, ds)
-    if not mask.any():
-        raise EmptyGroupError(f"empty group: {g.id}")
-    return fit(spec, ds, mask, encoder, tag=g.id)
-
-
 class PredictorCache:
     """One fitted predictor per (learner spec, group) on a fixed training set.
 
@@ -691,10 +680,14 @@ class PredictorCache:
         self._store: dict[tuple, object] = {}
 
     def group_erm(self, spec: LearnerSpec, g: Group):
+        """The fit of spec on g's rows; EmptyGroupError if g has none."""
         key = (spec, g.id)
         found = self._store.get(key)
         if found is None:
-            found = self._store[key] = group_erm(spec, self.ds, g, self.encoder)
+            mask = membership_vector(g, self.ds)
+            if not mask.any():
+                raise EmptyGroupError(f"empty group: {g.id}")
+            found = self._store[key] = fit(spec, self.ds, mask, self.encoder, tag=g.id)
         return found
 
     def erm(self, spec: LearnerSpec):
@@ -704,10 +697,6 @@ class PredictorCache:
 # ---------------------------------------------------------------------------
 # Predictor (de)serialization
 # ---------------------------------------------------------------------------
-
-def predictor_to_json(predictor) -> dict:
-    return predictor.to_json()
-
 
 def predictor_from_json(doc: dict, encoder: FeatureEncoder):
     ptype = doc["type"]

@@ -20,7 +20,7 @@ from .algorithms import (
 from .bounds import EpsilonSpec
 from .data import Dataset, schema_from_json, schema_to_json
 from .groups import Group, GroupTree, hierarchy_from_json, hierarchy_to_json
-from .learners import FeatureEncoder, LearnerSpec, predictor_from_json, predictor_to_json
+from .learners import FeatureEncoder, LearnerSpec, predictor_from_json
 from .risk import loss_from_name
 
 
@@ -81,7 +81,7 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
             entry.update({k: v for k, v in step.to_json().items()
                           if k not in ("group_id", "decision")})
         if source[g.id] == g.id:  # only nodes that own a fit carry parameters
-            entry["predictor"] = predictor_to_json(predictor.working[g.id])
+            entry["predictor"] = predictor.working[g.id].to_json()
         nodes.append(entry)
     doc = _common_header("mgl_tree", train, predictor.learner_spec, include_group_attributes)
     doc.update({
@@ -135,12 +135,12 @@ def save_list_model(path, dlist: DecisionList, train: Dataset,
     doc.update({
         "epsilon": dlist.eps_spec.to_json(),
         "loss": dlist.loss.kind,
-        "default": predictor_to_json(dlist.default),
+        "default": dlist.default.to_json(),
         "entries": [
             {
                 "group": {"id": e.group.id, "conjuncts": [list(c) for c in e.group.conjuncts]},
                 "source": e.source_id,
-                "predictor": predictor_to_json(e.predictor),
+                "predictor": e.predictor.to_json(),
             }
             for e in dlist.entries
         ],
@@ -176,11 +176,11 @@ def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
             {
                 "id": leaf.id,
                 "conjuncts": [list(c) for c in leaf.conjuncts],
-                "predictor": predictor_to_json(predictor.per_leaf[leaf.id]),
+                "predictor": predictor.per_leaf[leaf.id].to_json(),
             }
             for leaf in predictor.leaves
         ],
-        "root_predictor": predictor_to_json(predictor.fallback)
+        "root_predictor": predictor.fallback.to_json()
         if predictor.fallback is not None else None,
     })
     _dump(doc, path)
@@ -189,5 +189,5 @@ def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
 def save_plain_model(path, predictor, train: Dataset, spec: LearnerSpec,
                      include_group_attributes: bool = True) -> None:
     doc = _common_header("erm", train, spec, include_group_attributes)
-    doc["predictor"] = predictor_to_json(predictor)
+    doc["predictor"] = predictor.to_json()
     _dump(doc, path)

@@ -1,4 +1,4 @@
-"""Bounded losses and group-conditional empirical risk."""
+"""Bounded per-example losses."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .groups import membership_vector
 
 LOG_CLIP_CAP = math.log(1e3)
 _P_FLOOR = 1e-12
@@ -19,17 +18,14 @@ class Loss:
     """Per-example loss with range [0, 1].
 
     zero_one compares hard labels; clipped_logistic rescales the log loss of
-    the predictor's score by clip_cap and caps it at 1 so it stays bounded.
+    the predictor's score by LOG_CLIP_CAP and caps it at 1 so it stays bounded.
     """
 
     kind: str
-    clip_cap: float = LOG_CLIP_CAP
 
     def __post_init__(self):
         if self.kind not in ("zero_one", "clipped_logistic"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.clip_cap <= 0:
-            raise ValueError("clip_cap must be > 0")
 
     def per_example(self, predictor, ds: Dataset) -> np.ndarray:
         y = ds.labels()
@@ -37,7 +33,7 @@ class Loss:
             return (predictor.predict(ds) != y).astype(np.float64)
         p = np.clip(predictor.scores(ds), _P_FLOOR, 1.0 - _P_FLOOR)
         ll = -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
-        return np.minimum(1.0, ll / self.clip_cap)
+        return np.minimum(1.0, ll / LOG_CLIP_CAP)
 
 
 ZERO_ONE = Loss("zero_one")
@@ -50,74 +46,3 @@ def loss_from_name(name: str) -> Loss:
     if name == "clipped_logistic":
         return CLIPPED_LOGISTIC
     raise ValueError(f"unknown loss {name!r}")
-
-
-@dataclass(frozen=True)
-class RiskValue:
-    """Mean loss over a support of rows; value is None iff the support is empty."""
-
-    value: float | None
-    support: int
-
-    def __post_init__(self):
-        if (self.value is None) != (self.support == 0):
-            raise ValueError("value must be None exactly when support is 0")
-
-    @property
-    def absent(self) -> bool:
-        return self.support == 0
-
-
-def masked_mean(losses: np.ndarray, mask: np.ndarray) -> RiskValue:
-    count = int(mask.sum())
-    if count == 0:
-        return RiskValue(None, 0)
-    # np.sum uses pairwise accumulation for float64, which covers the
-    # summation-accuracy requirement at large n.
-    return RiskValue(float(losses[mask].sum() / count), count)
-
-
-def empirical_risk(f, ds: Dataset, loss: Loss) -> RiskValue:
-    if ds.n < 1:
-        raise ValueError("empirical risk needs at least one row")
-    losses = loss.per_example(f, ds)
-    return RiskValue(float(losses.sum() / ds.n), ds.n)
-
-
-def group_risk(f, ds: Dataset, g, loss: Loss) -> RiskValue:
-    if ds.n < 1:
-        raise ValueError("group risk needs at least one row")
-    return masked_mean(loss.per_example(f, ds), membership_vector(g, ds))
-
-
-def decompose_check(f, ds: Dataset, parts, loss: Loss) -> float:
-    """Residual of the disjoint-union risk identity.
-
-    For pairwise-disjoint parts, the risk on their union equals the
-    support-weighted mean of the per-part risks; the return value is the
-    absolute difference between the two sides and should be ~0.
-    """
-    part_list = list(parts)
-    if not part_list:
-        raise ValueError("need at least one part")
-    masks = [membership_vector(g, ds) for g in part_list]
-    for i in range(len(part_list)):
-        for j in range(i + 1, len(part_list)):
-            if (masks[i] & masks[j]).any():
-                raise ValueError(
-                    f"parts overlap: ({part_list[i].id}, {part_list[j].id})"
-                )
-    union = np.zeros(ds.n, dtype=bool)
-    for m in masks:
-        union |= m
-    n_union = int(union.sum())
-    if n_union == 0:
-        raise ValueError("union of parts is empty")
-    losses = loss.per_example(f, ds)
-    lhs = masked_mean(losses, union).value
-    rhs = 0.0
-    for m in masks:
-        part = masked_mean(losses, m)
-        if not part.absent:
-            rhs += (part.support / n_union) * part.value
-    return abs(lhs - rhs)

@@ -1,0 +1,133 @@
+"""Reference implementations that the tests check the package against.
+
+Each one computes its result the plain way: one boolean mask per group, a
+root-to-leaf descent per row, one fit on every row. The package computes
+the same results faster or from less code, and the tests hold it to these.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from multigroup.data import Dataset
+from multigroup.groups import Group, GroupTree, membership_vector
+from multigroup.learners import FeatureEncoder, LearnerSpec, fit
+from multigroup.risk import Loss
+
+
+@dataclass(frozen=True)
+class IndexGroup:
+    """A group given by explicit row indices instead of a conjunction."""
+
+    id: str
+    rows: frozenset[int]
+
+
+def membership(g, ds: Dataset) -> np.ndarray:
+    """membership_vector, extended to index groups."""
+    if not isinstance(g, IndexGroup):
+        return membership_vector(g, ds)
+    mask = np.zeros(ds.n, dtype=bool)
+    if g.rows:
+        idx = np.fromiter(g.rows, dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= ds.n:
+            raise ValueError(f"row index out of range in group {g.id!r}")
+        mask[idx] = True
+    return mask
+
+
+def contains_row(g: Group, row: Mapping[str, object]) -> bool:
+    return all(row.get(attr) == cat for attr, cat in g.conjuncts)
+
+
+def deepest_containing(tree: GroupTree, row: Mapping[str, object]) -> Group:
+    """Descend from the root, moving to a child whenever it contains the row."""
+    current = tree.root
+    while True:
+        advanced = False
+        for child in tree.children(current.id):
+            if contains_row(child, row):
+                current = child
+                advanced = True
+                break
+        if not advanced:
+            return current
+
+
+def erm(spec: LearnerSpec, ds: Dataset, encoder: FeatureEncoder | None = None):
+    """The global fit, on every row of ds."""
+    return fit(spec, ds, np.ones(ds.n, dtype=bool), encoder, tag="ALL")
+
+
+@dataclass(frozen=True)
+class RiskValue:
+    """Mean loss over a support of rows; value is None iff the support is empty."""
+
+    value: float | None
+    support: int
+
+    def __post_init__(self):
+        if (self.value is None) != (self.support == 0):
+            raise ValueError("value must be None exactly when support is 0")
+
+    @property
+    def absent(self) -> bool:
+        return self.support == 0
+
+
+def masked_mean(losses: np.ndarray, mask: np.ndarray) -> RiskValue:
+    count = int(mask.sum())
+    if count == 0:
+        return RiskValue(None, 0)
+    # np.sum uses pairwise accumulation for float64, which covers the
+    # summation-accuracy requirement at large n.
+    return RiskValue(float(losses[mask].sum() / count), count)
+
+
+def empirical_risk(f, ds: Dataset, loss: Loss) -> RiskValue:
+    if ds.n < 1:
+        raise ValueError("empirical risk needs at least one row")
+    losses = loss.per_example(f, ds)
+    return RiskValue(float(losses.sum() / ds.n), ds.n)
+
+
+def group_risk(f, ds: Dataset, g, loss: Loss) -> RiskValue:
+    if ds.n < 1:
+        raise ValueError("group risk needs at least one row")
+    return masked_mean(loss.per_example(f, ds), membership(g, ds))
+
+
+def decompose_check(f, ds: Dataset, parts, loss: Loss) -> float:
+    """Residual of the disjoint-union risk identity.
+
+    For pairwise-disjoint parts, the risk on their union equals the
+    support-weighted mean of the per-part risks; the return value is the
+    absolute difference between the two sides and should be ~0.
+    """
+    part_list = list(parts)
+    if not part_list:
+        raise ValueError("need at least one part")
+    masks = [membership(g, ds) for g in part_list]
+    for i in range(len(part_list)):
+        for j in range(i + 1, len(part_list)):
+            if (masks[i] & masks[j]).any():
+                raise ValueError(
+                    f"parts overlap: ({part_list[i].id}, {part_list[j].id})"
+                )
+    union = np.zeros(ds.n, dtype=bool)
+    for m in masks:
+        union |= m
+    n_union = int(union.sum())
+    if n_union == 0:
+        raise ValueError("union of parts is empty")
+    losses = loss.per_example(f, ds)
+    lhs = masked_mean(losses, union).value
+    rhs = 0.0
+    for m in masks:
+        part = masked_mean(losses, m)
+        if not part.absent:
+            rhs += (part.support / n_union) * part.value
+    return abs(lhs - rhs)

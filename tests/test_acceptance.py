@@ -40,9 +40,9 @@ from multigroup.learners import (
     logistic_gradient,
     logistic_loss,
 )
-from multigroup.risk import ZERO_ONE, decompose_check
-from multigroup.groups import IndexGroup
+from multigroup.risk import ZERO_ONE
 
+from oracles import IndexGroup, decompose_check
 from synthcases import (
     FixedPredictor,
     INVERTED_LEAF_ID,

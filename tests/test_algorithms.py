@@ -20,16 +20,11 @@ from multigroup.algorithms import (
 )
 from multigroup.bounds import EpsilonSpec, epsilon as eps_value
 from multigroup.data import LeafRule, SyntheticLeaf, SyntheticSpec, make_synthetic
-from multigroup.groups import (
-    Group,
-    GroupTree,
-    build_hierarchy,
-    deepest_containing,
-    membership_vector,
-)
-from multigroup.learners import LearnerSpec, PredictorCache, erm
-from multigroup.risk import ZERO_ONE, group_risk, loss_from_name
+from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vector
+from multigroup.learners import LearnerSpec, PredictorCache
+from multigroup.risk import ZERO_ONE, loss_from_name
 
+from oracles import contains_row, deepest_containing, erm, group_risk
 from synthcases import (
     FixedPredictor,
     inverted_leaf_spec,
@@ -274,7 +269,7 @@ def _routed_fixture(kind, ds, rng):
         dlist = DecisionList(entries, default, CONSTANT, const_eps(0.0), ZERO_ONE)
 
         def oracle(row):
-            return next((e.predictor for e in entries if e.group.contains_row(row)), default)
+            return next((e.predictor for e in entries if contains_row(e.group, row)), default)
         return dlist, oracle
     tree = build_hierarchy(ds.schema, ["a1", "a2", "a3"])
     if kind == "group_tree":
@@ -293,7 +288,7 @@ def _routed_fixture(kind, ds, rng):
     predictor = PartitionPredictor(tree, per_leaf, fallback, CONSTANT)
 
     def oracle(row):
-        return next((per_leaf[leaf.id] for leaf in leaves if leaf.contains_row(row)), fallback)
+        return next((per_leaf[leaf.id] for leaf in leaves if contains_row(leaf, row)), fallback)
     return predictor, oracle
 
 
@@ -388,7 +383,8 @@ def test_decoupled_full_product_never_needs_fallback():
     spec = inverted_leaf_spec(n_per_leaf=20, noise=0.0)
     ds = make_synthetic(spec, seed=4)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
-    predictor = decoupled(ds, tree, CONSTANT, fallback="error")
+    fitted = decoupled(ds, tree, CONSTANT)
+    predictor = PartitionPredictor(tree, fitted.per_leaf, None, CONSTANT)
     assert len(predictor.predict(ds)) == ds.n  # no RoutingError raised
 
 
@@ -402,12 +398,12 @@ def test_decoupled_single_leaf_equals_erm():
 def test_decoupled_uncovered_rows_fallback_and_error():
     ds, full = two_leaf_setup()
     pruned = GroupTree([g for g in full.nodes if g.id != "grp=b"])
-    routed = decoupled(ds, pruned, CONSTANT, fallback="root")
+    routed = decoupled(ds, pruned, CONSTANT)
     assert np.array_equal(
         routed.predict(ds)[membership_vector(Group.from_conjuncts([("grp", "b")]), ds)],
         erm(CONSTANT, ds).predict(ds)[3:],
     )
-    strict = decoupled(ds, pruned, CONSTANT, fallback="error")
+    strict = PartitionPredictor(pruned, routed.per_leaf, None, CONSTANT)
     with pytest.raises(RoutingError, match="grp"):
         strict.predict(ds)
 

@@ -173,11 +173,14 @@ def test_validate_hierarchy_malformed_json(tmp_path):
                             {"name": "label", "kind": "binary-label"}],
                 "label": "label", "group_attributes": ["grp"],
                 "bins": {"grp": [{"name": "a", "upper": float("inf")}, {"name": "b"}]}}},
+    {"include_group_attributes": "false"}, {"include_group_attributes": 0},
+    {"include_group_attributes": None},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
         "nan_scale", "unknown_solver", "nan_tolerance", "nan_learning_rate",
         "infinite_depth", "infinite_trees", "nan_depth", "infinite_scale",
         "infinite_tolerance", "infinite_learning_rate", "infinite_trials", "infinite_seed",
-        "infinite_vc_dim", "infinite_test_fraction", "infinite_bin_edge"])
+        "infinite_vc_dim", "infinite_test_fraction", "infinite_bin_edge",
+        "groups_flag_string", "groups_flag_number", "groups_flag_null"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -187,6 +190,18 @@ def test_config_rejects_bad_input(tmp_path, extra):
     out = str(tmp_path / "out")
     assert main(["train", "--config", str(cfg), "--out", out]) == 2
     assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+
+
+def test_group_attributes_flag_is_a_json_boolean(tmp_path, capsys):
+    """--set include_group_attributes="false" passes the string "false",
+    which must be refused, not read as true."""
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    argv = ["validate-hierarchy", "--config", str(cfg), "--set"]
+    assert main(argv + ['include_group_attributes="false"']) == 2
+    assert capsys.readouterr().err == \
+        "error: include_group_attributes must be true or false, got 'false'\n"
+    assert main(argv + ["include_group_attributes=false"]) == 0
 
 
 @pytest.mark.parametrize("key, setting", [
@@ -243,6 +258,51 @@ def test_synth_rejects_infinite_integer(tmp_path, capsys, key):
     out_csv = tmp_path / "synth.csv"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
     assert capsys.readouterr().err == f"error: {key} must be finite, got inf\n"
+    assert not out_csv.exists()
+
+
+def linear_synth_spec(**rule):
+    leaf = {"attributes": {"grp": "a"}, "count": 6,
+            "rule": {"kind": "linear", "weights": [1.0, -1.0], **rule}}
+    return {"attributes": {"grp": ["a"]}, "feature_dim": 2, "leaves": [leaf]}
+
+
+@pytest.mark.parametrize("rule, message", [
+    ({"bias": float("nan")}, "rule bias must hold finite numbers, got nan"),
+    ({"bias": "1e400"}, "rule bias must hold finite numbers, got inf"),
+    ({"bias": "0.5"}, "rule bias must hold finite numbers, got '0.5'"),
+    ({"bias": True}, "rule bias must hold finite numbers, got True"),
+    ({"weights": "ab"}, "rule weights must hold finite numbers, got 'a'"),
+    ({"weights": [1.0, float("nan")]}, "rule weights must hold finite numbers, got nan"),
+    ({"weights": [1.0, None]}, "rule weights must hold finite numbers, got None"),
+], ids=["nan_bias", "infinite_bias", "string_bias", "bool_bias", "string_weights",
+        "nan_weight", "null_weight"])
+def test_synth_rejects_bad_rule_numbers(tmp_path, capsys, rule, message):
+    """A rule whose bias or weights are not finite numbers fails the spec,
+    before any row is drawn or written."""
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(dumps_1e400(linear_synth_spec(**rule)))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"leaves": 5}, {"leaves": ["leaf"]}, {"attributes": 5}, {"attributes": {"grp": 5}},
+    {"leaves": [{"attributes": {"grp": "a"}, "count": 6,
+                 "rule": {"kind": "linear", "weights": 5}}]},
+    {"leaves": [{"attributes": {"grp": "a"}, "count": 6}]},
+], ids=["leaves_number", "leaf_string", "attributes_number", "categories_number",
+        "weights_number", "rule_missing"])
+def test_synth_rejects_wrong_typed_spec(tmp_path, capsys, change):
+    """A field of the wrong JSON type, or a missing one, exits 2 without a
+    traceback, as the other malformed input files do."""
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(json.dumps({**linear_synth_spec(), **change}))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed synthetic spec: ")
     assert not out_csv.exists()
 
 

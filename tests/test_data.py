@@ -20,7 +20,7 @@ from multigroup.data import (
     write_csv,
 )
 from multigroup.groups import Group, membership_vector
-from multigroup.learners import LearnerSpec, erm, group_erm
+from multigroup.learners import LearnerSpec, PredictorCache
 
 from synthcases import opposite_separators_spec, two_leaf_constants
 
@@ -187,11 +187,12 @@ def test_opposite_separators_favor_per_leaf_fits():
     """Global linear fit fails where per-leaf linear fits succeed."""
     ds = make_synthetic(opposite_separators_spec(2000), seed=21)
     spec = LearnerSpec("logistic", iterations=800)
-    global_fit = erm(spec, ds)
+    cache = PredictorCache(ds)
+    global_fit = cache.erm(spec)
     for cat in ("a", "b"):
         g = Group.from_conjuncts([("grp", cat)])
         mask = membership_vector(g, ds)
-        local_fit = group_erm(spec, ds, g)
+        local_fit = cache.group_erm(spec, g)
         y = ds.labels()[mask]
         global_err = float((global_fit.predict(ds)[mask] != y).mean())
         local_err = float((local_fit.predict(ds)[mask] != y).mean())

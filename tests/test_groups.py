@@ -8,16 +8,15 @@ from multigroup.groups import (
     Group,
     GroupTree,
     HierarchyError,
-    IndexGroup,
     ROOT_ID,
     build_hierarchy,
-    deepest_containing,
     hierarchy_from_json,
     hierarchy_to_json,
     membership_vector,
     validate_hierarchical,
 )
 
+from oracles import contains_row, deepest_containing
 from synthcases import two_leaf_constants
 
 
@@ -80,25 +79,17 @@ def test_build_hierarchy_unknown_attribute():
 
 
 def test_validate_nested_groups_valid():
-    ds = two_leaf_constants()
     groups = [
         Group("ALL", ()),
         Group.from_conjuncts([("grp", "a")]),
         Group.from_conjuncts([("grp", "b")]),
     ]
-    assert validate_hierarchical(groups, ds).valid
+    assert validate_hierarchical(groups).valid
 
 
 def test_validate_crossing_predicates_invalid():
-    schema = census_like_schema()
-    ds = dataset_from_values(schema, {
-        "race": ["R1", "R1", "R2"],
-        "sex": ["F", "M", "F"],
-        "age": ["Ya", "Ya", "Ya"],
-        "label": [0, 0, 0],
-    })
     groups = [Group.from_conjuncts([("race", "R1")]), Group.from_conjuncts([("sex", "F")])]
-    verdict = validate_hierarchical(groups, ds)
+    verdict = validate_hierarchical(groups)
     assert not verdict.valid
     assert verdict.violations[0][:2] == ("race=R1", "sex=F")
 
@@ -107,7 +98,7 @@ def test_validate_product_hierarchy_exhaustive_oracle():
     """Pairwise disjoint-or-nested, witnessed on the full category product."""
     schema = census_like_schema()
     tree = build_hierarchy(schema, ["race", "sex", "age"])
-    assert validate_hierarchical(tree.nodes, None).valid
+    assert validate_hierarchical(tree.nodes).valid
     ds = product_dataset(schema)
     masks = {g.id: membership_vector(g, ds) for g in tree.nodes}
     for a, b in itertools.combinations(tree.nodes, 2):
@@ -123,12 +114,6 @@ def test_membership_vector_basics():
     assert mask.sum() == 1
     with pytest.raises(Exception, match="unknown column"):
         membership_vector(Group.from_conjuncts([("zzz", "a")]), ds)
-
-
-def test_index_group_membership():
-    ds = two_leaf_constants()
-    mask = membership_vector(IndexGroup("picked", frozenset({0, 3})), ds)
-    assert mask.tolist() == [True, False, False, True]
 
 
 def test_deepest_containing_full_tree_hits_leaves():
@@ -160,7 +145,7 @@ def test_deepest_containing_matches_linear_scan():
                 "age": rng.choice(schema.categories["age"]),
             }
             got = deepest_containing(tree, row)
-            containing = [g for g in tree.nodes if g.contains_row(row)]
+            containing = [g for g in tree.nodes if contains_row(g, row)]
             best = max(containing, key=lambda g: tree.depth(g.id))
             assert sum(1 for g in containing
                        if tree.depth(g.id) == tree.depth(best.id)) == 1
@@ -283,7 +268,7 @@ def test_hierarchy_json_round_trip():
 
 def test_validate_flags_identical_predicates():
     groups = [Group("first", (("a", "x"),)), Group("second", (("a", "x"),))]
-    verdict = validate_hierarchical(groups, None)
+    verdict = validate_hierarchical(groups)
     assert not verdict.valid
     assert verdict.violations[0][2] == "identical predicates"
 
@@ -309,7 +294,7 @@ def test_group_tree_agrees_with_pairwise_oracle():
     outcomes = {True: 0, False: 0}
     for _ in range(10_000):
         nodes = random_node_list(rng)
-        verdict = validate_hierarchical(nodes, None)
+        verdict = validate_hierarchical(nodes)
         try:
             GroupTree(nodes)
             built = True

@@ -14,16 +14,14 @@ from multigroup.learners import (
     _entropy,
     _presort,
     PredictorCache,
-    erm,
     fit,
-    group_erm,
     logistic_gradient,
     logistic_loss,
     predictor_from_json,
-    predictor_to_json,
     sigmoid,
 )
 
+from oracles import erm
 from synthcases import opposite_separators_spec, two_leaf_constants
 
 
@@ -266,7 +264,7 @@ def test_group_erm_on_root_equals_erm():
     ds = make_synthetic(opposite_separators_spec(100, noise=0.1), seed=2)
     spec = LearnerSpec("logistic", iterations=300)
     a = erm(spec, ds)
-    b = group_erm(spec, ds, Group("ALL", ()))
+    b = PredictorCache(ds).group_erm(spec, Group("ALL", ()))
     assert np.array_equal(a.predict(ds), b.predict(ds))
 
 
@@ -274,7 +272,7 @@ def test_group_erm_single_example_constant():
     ds = two_leaf_constants()
     g = Group.from_conjuncts([("grp", "b")])
     for kind in ("constant", "logistic", "tree", "bagged_trees"):
-        predictor = group_erm(LearnerSpec(kind), ds, g)
+        predictor = PredictorCache(ds).group_erm(LearnerSpec(kind), g)
         mask = membership_vector(g, ds)
         assert predictor.predict(ds)[mask].tolist() == [0]
 
@@ -319,7 +317,7 @@ def test_predictor_json_round_trip():
     encoder = FeatureEncoder(ds.schema)
     for kind in ("constant", "logistic", "tree", "bagged_trees"):
         predictor = fit(LearnerSpec(kind, iterations=100, n_trees=4), ds, all_rows(ds), encoder)
-        doc = predictor_to_json(predictor)
+        doc = predictor.to_json()
         rebuilt = predictor_from_json(doc, encoder)
         assert np.array_equal(predictor.predict(ds), rebuilt.predict(ds))
         assert np.allclose(predictor.scores(ds), rebuilt.scores(ds))
@@ -328,12 +326,13 @@ def test_predictor_json_round_trip():
 def test_per_leaf_logistic_beats_global_on_planted_data():
     ds = make_synthetic(opposite_separators_spec(2000), seed=17)
     spec = LearnerSpec("logistic", iterations=500)
-    global_fit = erm(spec, ds)
+    cache = PredictorCache(ds)
+    global_fit = cache.erm(spec)
     for cat in ("a", "b"):
         g = Group.from_conjuncts([("grp", cat)])
         mask = membership_vector(g, ds)
         y = ds.labels()[mask]
-        local = group_erm(spec, ds, g)
+        local = cache.group_erm(spec, g)
         assert float((local.predict(ds)[mask] != y).mean()) < \
             float((global_fit.predict(ds)[mask] != y).mean())
 

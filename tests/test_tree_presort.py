@@ -40,7 +40,7 @@ from multigroup.learners import (
     _grow_tree,
     _pass_trees,
     _presort,
-    group_erm,
+    PredictorCache,
 )
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -194,9 +194,10 @@ def test_census_bagged_group_fits_match_reference(monkeypatch, seed):
     tree = cfg.hierarchy(ds.schema)
     spec = LearnerSpec.from_json(w.learner)
     encoder = FeatureEncoder(ds.schema)
+    cache = PredictorCache(ds, encoder)
     got, want = hashlib.sha256(), hashlib.sha256()
     for g in tree.nodes:
-        fitted = group_erm(spec, ds, g, encoder)
+        fitted = cache.group_erm(spec, g)
         got.update(json.dumps(fitted.to_json()).encode())
         mask = membership_vector(g, ds)
         y = ds.labels()[mask].astype(np.float64)
