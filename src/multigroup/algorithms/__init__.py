@@ -8,7 +8,6 @@ from .group_tree import (
     monotonicity_audit,
 )
 from .prepend import DecisionList, DecisionListEntry, PrependCapExceeded, prepend, termination_scan
-from .routing import RoutingError
 
 __all__ = [
     "AuditVerdict",
@@ -17,7 +16,6 @@ __all__ = [
     "GroupTreePredictor",
     "PartitionPredictor",
     "PrependCapExceeded",
-    "RoutingError",
     "TraceStep",
     "decoupled",
     "excess_risk_report",

@@ -23,7 +23,7 @@ class PartitionPredictor:
         self.tree = tree
         self.leaves = tree.leaves()
         self.per_leaf = per_leaf  # leaf id -> predictor
-        self.fallback = fallback  # predictor or None (meaning: raise on uncovered rows)
+        self.fallback = fallback  # the global fit, for rows outside every leaf
         self.learner_spec = learner_spec
 
     def _rules(self, ds: Dataset):

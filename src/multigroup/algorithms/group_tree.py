@@ -86,15 +86,16 @@ class GroupTreePredictor:
         return out
 
     def _rules(self, ds: Dataset):
-        # deepest first, so the first containing node is the deepest one
-        pairs = zip(self.tree.rows(ds), (self.working[g.id] for g in self.tree.nodes))
+        # deepest first, so the first containing node is the deepest one; the
+        # root, which contains every row, is the default
+        pairs = zip(self.tree.rows(ds)[1:], (self.working[g.id] for g in self.tree.nodes[1:]))
         return reversed(list(pairs))
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), None, "scores")
+        return route(ds, self._rules(ds), self.working[self.tree.root.id], "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), None, "predict")
+        return route(ds, self._rules(ds), self.working[self.tree.root.id], "predict")
 
 
 class _Pass:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..bounds import EpsilonSpec, epsilon
 from ..data import Dataset
-from ..groups import Group, GroupTree, membership_vector
+from ..groups import Group, GroupTree
 from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss
 from .routing import route
@@ -26,16 +26,18 @@ from .routing import route
 
 @dataclass(frozen=True)
 class DecisionListEntry:
-    group: Group
+    group: Group  # a node of the list's tree
     predictor: object
     source_id: str  # group whose restricted fit the predictor is ("ALL" for the global fit)
 
 
 class DecisionList:
-    """Front-to-back first-match evaluation with a default at the end."""
+    """Front-to-back first-match evaluation over the nodes of ``tree``, with
+    a default at the end."""
 
-    def __init__(self, entries: list[DecisionListEntry], default, learner_spec: LearnerSpec,
-                 eps_spec: EpsilonSpec, loss: Loss):
+    def __init__(self, tree: GroupTree, entries: list[DecisionListEntry], default,
+                 learner_spec: LearnerSpec, eps_spec: EpsilonSpec, loss: Loss):
+        self.tree = tree
         self.entries = entries
         self.default = default
         self.learner_spec = learner_spec
@@ -46,8 +48,8 @@ class DecisionList:
         return len(self.entries)
 
     def _rules(self, ds: Dataset):
-        return ((np.flatnonzero(membership_vector(e.group, ds)), e.predictor)
-                for e in self.entries)
+        rows = self.tree.rows(ds)
+        return ((rows[self.tree.index(e.group.id)], e.predictor) for e in self.entries)
 
     def scores(self, ds: Dataset) -> np.ndarray:
         return route(ds, self._rules(ds), self.default, "scores")
@@ -125,7 +127,7 @@ def prepend(
 
     pool = _CandidatePool(train, tree, spec, eps, loss, cache)
     entries: list[DecisionListEntry] = []
-    current = DecisionList(entries, pool.candidates[0][1], spec, eps, loss)
+    current = DecisionList(tree, entries, pool.candidates[0][1], spec, eps, loss)
     row_loss = pool.losses[0].copy()
 
     for _ in range(cap):
@@ -148,15 +150,15 @@ def prepend(
 def termination_scan(
     dlist: DecisionList,
     train: Dataset,
-    tree: GroupTree,
     cache: PredictorCache | None = None,
 ) -> list[tuple[str, str, float]]:
     """Post-hoc check of the stopping condition.
 
-    Re-scans every (observed group, candidate) pair against the returned
-    list and reports those whose violation value is still > 0; an empty
-    result certifies termination.
+    Re-scans every (observed group of the list's tree, candidate) pair
+    against the returned list and reports those whose violation value is
+    still > 0; an empty result certifies termination.
     """
+    tree = dlist.tree
     eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=train.n)
     if cache is None:
         cache = PredictorCache(train)

@@ -1,9 +1,10 @@
 """First-match routing of rows to sub-predictors.
 
 Every composite predictor in this package is an ordered list of
-(group, predictor) rules plus a default: a row goes to the first rule whose
-group contains it, and rows no rule contains go to the default. A rule
-gives its group as the indices of the rows it contains.
+(group, predictor) rules over the nodes of one GroupTree, plus a default: a
+row goes to the first rule whose group contains it, and rows no rule
+contains go to the default. A rule gives its group as the indices of the
+rows it contains.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ import numpy as np
 from ..data import Dataset
 
 
-class RoutingError(ValueError):
-    """An example matched no rule and there is no default to fall back on."""
-
-
 def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
     """Apply ``method`` ("scores" or "predict") of the first matching rule.
 
     ``rules`` yields (row indices, predictor) pairs and may be lazy: it is
-    read only until every row is routed. ``default`` of None raises
-    RoutingError for rows outside every rule.
+    read only until every row is routed. ``default`` answers the rows
+    outside every rule.
 
     Predictors must be row-wise: a predictor's output for a row depends
     only on that row. Each distinct predictor is then scored once, on
@@ -46,11 +43,7 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
             free[rows] = False
             left -= len(rows)
     if left:
-        rows = np.flatnonzero(free)
-        if default is None:
-            attrs = {a: ds.value(a, int(rows[0])) for a in ds.schema.group_attributes}
-            raise RoutingError(f"example outside every group: {attrs}")
-        claim(default, rows)
+        claim(default, np.flatnonzero(free))
     for predictor, parts in routed.values():
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         out[rows] = getattr(predictor, method)(ds.take(rows))

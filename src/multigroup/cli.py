@@ -18,7 +18,7 @@ from .config import ConfigError, load_run_config
 from .data import DataError, SchemaError, load_csv, make_synthetic, schema_from_json, \
     schema_to_json, synthetic_spec_from_json, write_csv
 from .evaluation import run_experiment
-from .groups import HierarchyError, HierarchyVerdict, hierarchy_from_json
+from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, MethodError, group_risks, method_failure
 from .modelio import dataset_fingerprint, rebuild_decision_list, rebuild_tree_predictor
@@ -138,27 +138,20 @@ def cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     kind = doc.get("model") if isinstance(doc, dict) else None
-    if kind not in ("mgl_tree", "prepend"):
+    rebuild = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list}.get(kind)
+    if rebuild is None:
         print(f"error: model kind {kind!r} is not auditable", file=sys.stderr)
         return 2
     try:
-        schema = schema_from_json(doc["schema"])
-        if kind == "mgl_tree":
-            predictor, fingerprint, n_train = rebuild_tree_predictor(doc)
-        else:
-            predictor, fingerprint, n_train = rebuild_decision_list(doc)
-            if "hierarchy" not in doc:
-                raise ValueError("decision list model lacks its group collection")
-            tree = hierarchy_from_json(doc["hierarchy"], schema)
-        train = load_csv(args.data, schema)
+        predictor = rebuild(doc)
+        train = load_csv(args.data, schema_from_json(doc["schema"]))
+        if train.n != doc["n_train"] or dataset_fingerprint(train) != doc["dataset_fingerprint"]:
+            raise ValueError("dataset does not match the model's training data")
     except (SchemaError, DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError) as exc:
         print(f"error: malformed model file: {exc!r}", file=sys.stderr)
-        return 2
-    if train.n != n_train or dataset_fingerprint(train) != fingerprint:
-        print("error: dataset does not match the model's training data", file=sys.stderr)
         return 2
 
     cache = PredictorCache(train, FeatureEncoder(
@@ -193,7 +186,7 @@ def cmd_audit(args) -> int:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")
             problems += 1
     else:
-        for gid, source, value in termination_scan(predictor, train, tree, cache=cache):
+        for gid, source, value in termination_scan(predictor, train, cache=cache):
             print(f"stopping-test violation: group {gid} candidate {source} value {value}")
             problems += 1
 
@@ -208,6 +201,7 @@ def cmd_synth(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = synthetic_spec_from_json(json.load(fh))
+        ds = make_synthetic(spec, args.seed)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,7 +211,6 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ds = make_synthetic(spec, args.seed)
     write_csv(ds, args.out)
     schema_path = args.schema_out or args.out + ".schema.json"
     with open(schema_path, "w", encoding="utf-8") as fh:

@@ -67,7 +67,7 @@ class ExperimentConfig:
 
     def hierarchy(self, schema) -> GroupTree:
         if self.hierarchy_nodes is not None:
-            return hierarchy_from_json({"nodes": self.hierarchy_nodes}, schema)
+            return hierarchy_from_json({"nodes": self.hierarchy_nodes})
         return build_hierarchy(schema, self.attribute_order)
 
     def echo(self) -> dict:

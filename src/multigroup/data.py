@@ -40,13 +40,16 @@ def check_keys(doc: Mapping, allowed: set, what: str, error=ValueError) -> None:
 
 
 def json_int(value, key: str) -> int:
-    """``int(value)`` for a value read from JSON, where an infinite number
-    (``Infinity``, or an overflowing literal such as ``1e400``) raises
-    ValueError naming ``key`` instead of OverflowError."""
-    try:
+    """An integer field read from JSON: an integral number such as ``3``,
+    ``3.0`` or ``1e3``. Anything else (``2.7``, ``true``, ``"3"``, an
+    infinity) raises ValueError naming ``key``."""
+    if isinstance(value, float) and math.isinf(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except OverflowError:
-        raise ValueError(f"{key} must be finite, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def float_to_json(x: float | None):
@@ -511,6 +514,11 @@ class SyntheticSpec:
             raise ValueError(f"noise rate must be in [0, 0.5), got {self.noise}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        named = [(a, c) for a, cats in self.attributes.items() for c in cats]
+        named += [(a, c) for leaf in self.leaves for a, c in leaf.attributes.items()]
+        for attr, cat in named:
+            if not isinstance(cat, str):
+                raise TypeError(f"categories of {attr!r} must be strings, got {cat!r}")
         attr_names = set(self.attributes)
         for leaf in self.leaves:
             if set(leaf.attributes) != attr_names:

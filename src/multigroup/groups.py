@@ -265,13 +265,6 @@ def hierarchy_to_json(tree: GroupTree) -> dict:
     return {"nodes": [[list(c) for c in g.conjuncts] for g in tree.nodes]}
 
 
-def hierarchy_from_json(doc: Mapping, schema: AttributeSchema | None = None) -> GroupTree:
-    """Accept either {"attribute_order": [...]} or {"nodes": [[[attr, cat], ...], ...]}."""
-    if "attribute_order" in doc:
-        if schema is None:
-            raise ValueError("attribute_order form needs a schema")
-        return build_hierarchy(schema, doc["attribute_order"])
-    if "nodes" in doc:
-        nodes = [Group.from_conjuncts([(a, c) for a, c in conj]) for conj in doc["nodes"]]
-        return GroupTree(nodes)
-    raise ValueError("hierarchy document needs 'attribute_order' or 'nodes'")
+def hierarchy_from_json(doc: Mapping) -> GroupTree:
+    """Inverse of hierarchy_to_json: {"nodes": [[[attr, cat], ...], ...]}."""
+    return GroupTree(Group.from_conjuncts([(a, c) for a, c in conj]) for conj in doc["nodes"])

@@ -78,7 +78,7 @@ METHODS: dict[str, Method] = {
             train, tree, spec, cfg.epsilon, loss_from_name(cfg.loss),
             cap=cfg.prepend_cap, cache=cache),
         save=lambda path, p, train, tree, spec, cfg: save_list_model(
-            path, p, train, cfg.include_group_attributes, tree=tree),
+            path, p, train, cfg.include_group_attributes),
         summary=lambda p, train, cache: {"list_length": len(p)},
     ),
     "mgl_tree": Method(

@@ -19,7 +19,7 @@ from .algorithms import (
 )
 from .bounds import EpsilonSpec
 from .data import Dataset, schema_from_json, schema_to_json
-from .groups import Group, GroupTree, hierarchy_from_json, hierarchy_to_json
+from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, predictor_from_json
 from .risk import loss_from_name
 
@@ -94,14 +94,12 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
     _dump(doc, path)
 
 
-def rebuild_tree_predictor(doc: dict) -> tuple[GroupTreePredictor, str, int]:
-    """Reconstruct the predictor stored in a tree model file.
-
-    Returns (predictor, dataset fingerprint, n_train) so callers can verify
-    the data before trusting the model.
-    """
+def rebuild_tree_predictor(doc: dict) -> GroupTreePredictor:
+    """Reconstruct the predictor stored in a tree model file. Callers check
+    the file's ``n_train`` and ``dataset_fingerprint`` against the data
+    before trusting it."""
     schema = schema_from_json(doc["schema"])
-    tree = hierarchy_from_json(doc["hierarchy"], schema)
+    tree = hierarchy_from_json(doc["hierarchy"])
     encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
     spec = stored_learner(doc)
     eps = EpsilonSpec.from_json(doc["epsilon"])
@@ -122,17 +120,14 @@ def rebuild_tree_predictor(doc: dict) -> tuple[GroupTreePredictor, str, int]:
             raise ValueError(f"model file lacks the predictor for source {src!r}")
         working[g.id] = owned[src]
     trace = [TraceStep.from_json(t) for t in doc["trace"]]
-    predictor = GroupTreePredictor(tree, working, decision, trace, spec, eps, loss)
-    return predictor, doc["dataset_fingerprint"], doc["n_train"]
+    return GroupTreePredictor(tree, working, decision, trace, spec, eps, loss)
 
 
 def save_list_model(path, dlist: DecisionList, train: Dataset,
-                    include_group_attributes: bool = True,
-                    tree: GroupTree | None = None) -> None:
+                    include_group_attributes: bool = True) -> None:
     doc = _common_header("prepend", train, dlist.learner_spec, include_group_attributes)
-    if tree is not None:
-        doc["hierarchy"] = hierarchy_to_json(tree)
     doc.update({
+        "hierarchy": hierarchy_to_json(dlist.tree),
         "epsilon": dlist.eps_spec.to_json(),
         "loss": dlist.loss.kind,
         "default": dlist.default.to_json(),
@@ -148,30 +143,35 @@ def save_list_model(path, dlist: DecisionList, train: Dataset,
     _dump(doc, path)
 
 
-def rebuild_decision_list(doc: dict) -> tuple[DecisionList, str, int]:
+def rebuild_decision_list(doc: dict) -> DecisionList:
+    """Reconstruct the list stored in a prepend model file. Each entry must
+    name a node of the stored hierarchy and repeat that node's conjuncts."""
     schema = schema_from_json(doc["schema"])
+    tree = hierarchy_from_json(doc["hierarchy"])
     encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
     spec = stored_learner(doc)
     eps = EpsilonSpec.from_json(doc["epsilon"])
     loss = loss_from_name(doc["loss"])
-    entries = [
-        DecisionListEntry(
-            group=Group(e["group"]["id"], tuple(tuple(c) for c in e["group"]["conjuncts"])),
-            predictor=predictor_from_json(e["predictor"], encoder),
-            source_id=e["source"],
-        )
-        for e in doc["entries"]
-    ]
+    entries = []
+    for e in doc["entries"]:
+        gid = e["group"]["id"]
+        try:
+            group = tree.node(gid)
+        except KeyError:
+            raise ValueError(f"entry group {gid!r} is not in the model's hierarchy") from None
+        if tuple(map(tuple, e["group"]["conjuncts"])) != group.conjuncts:
+            raise ValueError(f"entry group {gid!r} stores other conjuncts than its node")
+        entries.append(DecisionListEntry(group, predictor_from_json(e["predictor"], encoder),
+                                         e["source"]))
     default = predictor_from_json(doc["default"], encoder)
-    dlist = DecisionList(entries, default, spec, eps, loss)
-    return dlist, doc["dataset_fingerprint"], doc["n_train"]
+    return DecisionList(tree, entries, default, spec, eps, loss)
 
 
 def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
                          include_group_attributes: bool = True) -> None:
     doc = _common_header("decoupled", train, predictor.learner_spec, include_group_attributes)
     doc.update({
-        "fallback": "root" if predictor.fallback is not None else "error",
+        "fallback": "root",
         "leaves": [
             {
                 "id": leaf.id,
@@ -180,8 +180,7 @@ def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
             }
             for leaf in predictor.leaves
         ],
-        "root_predictor": predictor.fallback.to_json()
-        if predictor.fallback is not None else None,
+        "root_predictor": predictor.fallback.to_json(),
     })
     _dump(doc, path)
 

@@ -263,7 +263,7 @@ def inverted_leaf_protocol():
         errors["prepend"].append(err(dlist))
         errors["mgl_tree"].append(err(
             mgl_tree(train, tree, learner, eps, ZERO_ONE, cache=cache)))
-        scans.append((len(dlist), 4 * len(tree), termination_scan(dlist, train, tree, cache=cache)))
+        scans.append((len(dlist), 4 * len(tree), termination_scan(dlist, train, cache=cache)))
     return errors, scans
 
 

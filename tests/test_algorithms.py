@@ -10,7 +10,6 @@ from multigroup.algorithms import (
     GroupTreePredictor,
     PartitionPredictor,
     PrependCapExceeded,
-    RoutingError,
     decoupled,
     excess_risk_report,
     mgl_tree,
@@ -202,7 +201,7 @@ def test_prepend_hand_simulation():
     dlist = prepend(ds, tree, CONSTANT, const_eps(0.25), ZERO_ONE, cache=cache)
     assert [(e.group.id, e.source_id) for e in dlist.entries] == [("grp=b", "grp=b")]
     assert dlist.predict(ds).tolist() == [1, 1, 1, 0]
-    assert termination_scan(dlist, ds, tree, cache=cache) == []
+    assert termination_scan(dlist, ds, cache=cache) == []
 
 
 def test_prepend_infinite_margin_returns_bare_default():
@@ -237,7 +236,7 @@ def test_prepend_zero_margin_terminates():
     ds, tree = two_leaf_setup()
     dlist = prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
     assert [(e.group.id, e.source_id) for e in dlist.entries] == [("grp=b", "grp=b")]
-    assert termination_scan(dlist, ds, tree) == []
+    assert termination_scan(dlist, ds) == []
 
 
 def test_prepend_termination_scan_random_fixtures():
@@ -249,32 +248,32 @@ def test_prepend_termination_scan_random_fixtures():
         cache = PredictorCache(ds)
         eps = EpsilonSpec("scaled", scale=3.0)
         dlist = prepend(ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
-        assert termination_scan(dlist, ds, tree, cache=cache) == []
+        assert termination_scan(dlist, ds, cache=cache) == []
 
 
 def _routed_fixture(kind, ds, rng):
     """A routed predictor over random per-row stubs, plus its per-row oracle:
-    row -> the stub that should answer it, or None for a RoutingError."""
+    row -> the stub that should answer it."""
     def stub():
         return FixedPredictor(rng.integers(0, 2, size=ds.n), rows_of=ds)
 
     default = stub()
+    tree = build_hierarchy(ds.schema, ["a1", "a2", "a3"])
     if kind == "decision_list":
-        groups = [
-            Group.from_conjuncts([("a1", "q")]),
-            Group.from_conjuncts([("a2", "u"), ("a1", "p")]),
-            Group.from_conjuncts([("a3", "t")]),
-        ]
-        entries = [DecisionListEntry(g, stub(), g.id) for g in groups]
-        dlist = DecisionList(entries, default, CONSTANT, const_eps(0.0), ZERO_ONE)
+        # a1=q sits after one of its descendants, which takes part of its
+        # rows, and before another, which it shadows; a1=p&a2=v&a3=t rows
+        # match no entry and go to the default
+        ids = ["a1=q&a2=u", "a1=q", "a1=q&a2=v&a3=t", "a1=p&a2=v&a3=s", "a1=p&a2=u"]
+        entries = [DecisionListEntry(tree.node(gid), stub(), gid) for gid in ids]
+        dlist = DecisionList(tree, entries, default, CONSTANT, const_eps(0.0), ZERO_ONE)
 
         def oracle(row):
             return next((e.predictor for e in entries if contains_row(e.group, row)), default)
         return dlist, oracle
-    tree = build_hierarchy(ds.schema, ["a1", "a2", "a3"])
     if kind == "group_tree":
-        # pruned so that some rows stop at depth 1 and some at depth 2
-        tree = GroupTree([g for g in tree.nodes if not g.id.startswith("a1=q&a2=v")
+        # pruned so that some rows stop at the root (its default), some at
+        # depth 1 and some at depth 2
+        tree = GroupTree([g for g in tree.nodes if not g.id.startswith(("a1=q", "a1=p&a2=v"))
                           and g.id != "a1=p&a2=u&a3=s"])
         working = {g.id: stub() for g in tree.nodes}
         decision = {g.id: "root" if g.is_root else "updated" for g in tree.nodes}
@@ -284,16 +283,14 @@ def _routed_fixture(kind, ds, rng):
     tree = GroupTree([g for g in tree.nodes if g.id != "a1=p&a2=u&a3=t"])
     leaves = tree.leaves()
     per_leaf = {leaf.id: stub() for leaf in leaves}
-    fallback = default if kind == "partition" else None
-    predictor = PartitionPredictor(tree, per_leaf, fallback, CONSTANT)
+    predictor = PartitionPredictor(tree, per_leaf, default, CONSTANT)
 
     def oracle(row):
-        return next((per_leaf[leaf.id] for leaf in leaves if contains_row(leaf, row)), fallback)
+        return next((per_leaf[leaf.id] for leaf in leaves if contains_row(leaf, row)), default)
     return predictor, oracle
 
 
-@pytest.mark.parametrize(
-    "kind", ["decision_list", "group_tree", "partition", "partition_no_fallback"])
+@pytest.mark.parametrize("kind", ["decision_list", "group_tree", "partition"])
 def test_decision_list_scan_semantics_brute_force(kind):
     rng = np.random.default_rng(14)
     spec = inverted_leaf_spec(n_per_leaf=125, noise=0.3)
@@ -301,10 +298,6 @@ def test_decision_list_scan_semantics_brute_force(kind):
     assert ds.n == 1000
     predictor, oracle = _routed_fixture(kind, ds, rng)
     expected = [oracle(ds.row(i)) for i in range(ds.n)]
-    if any(p is None for p in expected):
-        with pytest.raises(RoutingError, match="a1"):
-            predictor.predict(ds)
-        return
     got = predictor.predict(ds)
     for i, p in enumerate(expected):
         assert got[i] == p.predict(ds)[i]
@@ -360,7 +353,7 @@ def test_prepend_scan_matches_loop_reference():
         assert [(e.group.id, e.source_id) for e in dlist.entries] == expected
         outstanding = [(g.id, source, float(value)) for g, source, _, value in loop_scan(
             ZERO_ONE.per_example(dlist, ds), ds, tree.nodes, candidates, ctx) if value > 0]
-        assert termination_scan(dlist, ds, tree, cache=cache) == outstanding
+        assert termination_scan(dlist, ds, cache=cache) == outstanding
 
 
 def test_prepend_determinism():
@@ -379,13 +372,22 @@ def test_prepend_determinism():
 # decoupled
 # ---------------------------------------------------------------------------
 
+class MustNotScore:
+    """A fallback stub that fails the test if any row is routed to it."""
+
+    def scores(self, ds):
+        raise AssertionError(f"fallback scored on {ds.n} rows")
+
+    predict = scores
+
+
 def test_decoupled_full_product_never_needs_fallback():
     spec = inverted_leaf_spec(n_per_leaf=20, noise=0.0)
     ds = make_synthetic(spec, seed=4)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     fitted = decoupled(ds, tree, CONSTANT)
-    predictor = PartitionPredictor(tree, fitted.per_leaf, None, CONSTANT)
-    assert len(predictor.predict(ds)) == ds.n  # no RoutingError raised
+    predictor = PartitionPredictor(tree, fitted.per_leaf, MustNotScore(), CONSTANT)
+    assert np.array_equal(predictor.predict(ds), fitted.predict(ds))
 
 
 def test_decoupled_single_leaf_equals_erm():
@@ -395,7 +397,7 @@ def test_decoupled_single_leaf_equals_erm():
     assert np.array_equal(predictor.predict(ds), erm(CONSTANT, ds).predict(ds))
 
 
-def test_decoupled_uncovered_rows_fallback_and_error():
+def test_decoupled_uncovered_rows_use_fallback():
     ds, full = two_leaf_setup()
     pruned = GroupTree([g for g in full.nodes if g.id != "grp=b"])
     routed = decoupled(ds, pruned, CONSTANT)
@@ -403,9 +405,6 @@ def test_decoupled_uncovered_rows_fallback_and_error():
         routed.predict(ds)[membership_vector(Group.from_conjuncts([("grp", "b")]), ds)],
         erm(CONSTANT, ds).predict(ds)[3:],
     )
-    strict = PartitionPredictor(pruned, routed.per_leaf, None, CONSTANT)
-    with pytest.raises(RoutingError, match="grp"):
-        strict.predict(ds)
 
 
 def test_decoupled_improves_each_leaf_on_planted_data():

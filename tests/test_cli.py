@@ -261,6 +261,61 @@ def test_synth_rejects_infinite_integer(tmp_path, capsys, key):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("value", [2.7, True, "3"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("field, code", [
+    ("count", 1), ("feature_dim", 1), ("trials", 2), ("seed", 2), ("max_depth", 2),
+    ("vc_dim", 2), ("feature", 2),
+])
+def test_integer_field_refuses_non_integers(tmp_path, monkeypatch, capsys, field, code, value):
+    """An integer field holding a fraction, a boolean or a string is refused
+    with a message naming it, not truncated or coerced: synth fields exit 1,
+    config fields 2, and a stored tree's split feature makes audit exit 2."""
+    monkeypatch.chdir(ROOT)
+    if field in ("count", "feature_dim"):
+        leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": 1}}
+        doc = {"attributes": {"grp": ["a"]}, "leaves": [leaf]}
+        (doc if field == "feature_dim" else leaf)[field] = value
+        argv = ["synth", "--spec", "{path}", "--out", str(tmp_path / "synth.csv")]
+    elif field == "feature":
+        doc = json.loads(
+            (ROOT / "fixtures/golden_bagged/mgl_tree.bagged5_depth3.model.json").read_text())
+        doc["nodes"][0]["predictor"]["trees"][0]["feature"] = value
+        argv = ["audit", "--model", "{path}", "--data", "demo/data.csv"]
+    else:
+        ds, csv_path = write_fixture(tmp_path)
+        doc = base_config(ds, csv_path)
+        if field == "max_depth":
+            doc["learners"] = [{"kind": "tree", "max_depth": value}]
+        elif field == "vc_dim":
+            doc["epsilon"] = {"kind": "vc", "vc_dim": value}
+        else:
+            doc["split"][field] = value
+        argv = ["validate-hierarchy", "--config", "{path}"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path) if a == "{path}" else a for a in argv]) == code
+    assert capsys.readouterr().err == f"error: {field} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "synth.csv").exists()
+
+
+@pytest.mark.parametrize("attributes, leaf_value", [
+    ([1, 2], 1), (["a", None], "a"), (["a"], 1),
+], ids=["number_categories", "null_category", "number_leaf_value"])
+def test_synth_rejects_non_string_categories(tmp_path, capsys, attributes, leaf_value):
+    """Category names and leaf values must be JSON strings; anything else is
+    a malformed spec (exit 2), refused before any CSV is written."""
+    leaf = {"attributes": {"grp": leaf_value}, "count": 3,
+            "rule": {"kind": "constant", "label": 1}}
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(json.dumps({"attributes": {"grp": attributes}, "leaves": [leaf]}))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+    bad = next(v for v in attributes + [leaf_value] if not isinstance(v, str))
+    assert capsys.readouterr().err == ("error: malformed synthetic spec: TypeError(\"categories "
+                                       f"of 'grp' must be strings, got {bad!r}\")\n")
+    assert not out_csv.exists()
+
+
 def linear_synth_spec(**rule):
     leaf = {"attributes": {"grp": "a"}, "count": 6,
             "rule": {"kind": "linear", "weights": [1.0, -1.0], **rule}}
@@ -451,6 +506,13 @@ def _break_model(doc, case):
         doc["hierarchy"]["nodes"].append([["a2", "u"]])
     elif case == "infinite_group_count":
         doc["epsilon"]["group_count"] = "1e400"
+    elif case == "no_hierarchy":
+        del doc["hierarchy"]
+    elif case in ("entry_outside_hierarchy", "entry_other_conjuncts"):
+        gid, conjuncts = ("a1=zz", [["a1", "zz"]]) if case == "entry_outside_hierarchy" \
+            else ("a1=p", [["a1", "q"]])
+        doc["entries"].append({"group": {"id": gid, "conjuncts": conjuncts},
+                               "source": "ALL", "predictor": doc["default"]})
     else:
         assert case == "nan_margin"
         doc["epsilon"]["value"] = float("nan")
@@ -468,6 +530,9 @@ def _break_model(doc, case):
     ("mgl_tree", "not_an_object", "model kind None is not auditable"),
     ("mgl_tree", "infinite_group_count", "group_count must be finite, got inf"),
     ("prepend", "infinite_group_count", "group_count must be finite, got inf"),
+    ("prepend", "no_hierarchy", "malformed model file: KeyError('hierarchy')"),
+    ("prepend", "entry_outside_hierarchy", "entry group 'a1=zz' is not in the model's hierarchy"),
+    ("prepend", "entry_other_conjuncts", "entry group 'a1=p' stores other conjuncts than its node"),
 ])
 def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))

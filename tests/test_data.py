@@ -13,6 +13,7 @@ from multigroup.data import (
     SchemaError,
     SplitSpec,
     SyntheticSpec,
+    json_int,
     load_csv,
     make_synthetic,
     schema_from_json,
@@ -244,3 +245,9 @@ def test_dataset_rejects_labels_other_than_zero_and_one(labels):
     for good in ([0, 1], [1.0, 0.0], [True, False]):
         columns["label"] = np.asarray(good)
         assert Dataset(ds.schema, columns).n == 2
+
+
+@pytest.mark.parametrize("value", [3, 3.0, 1e3, -2.0])
+def test_json_int_accepts_integral_numbers(value):
+    got = json_int(value, "count")
+    assert got == value and type(got) is int

@@ -260,10 +260,8 @@ def test_hierarchy_json_round_trip():
     schema = census_like_schema()
     tree = build_hierarchy(schema, ["race", "sex"])
     doc = hierarchy_to_json(tree)
-    rebuilt = hierarchy_from_json(doc, schema)
+    rebuilt = hierarchy_from_json(doc)
     assert [g.id for g in rebuilt.nodes] == [g.id for g in tree.nodes]
-    via_order = hierarchy_from_json({"attribute_order": ["race", "sex"]}, schema)
-    assert [g.id for g in via_order.nodes] == [g.id for g in tree.nodes]
 
 
 def test_validate_flags_identical_predicates():

@@ -61,9 +61,7 @@ def full_rows_route(ds, rules, default, method):
             free[rows] = False
             left -= len(rows)
     if left:
-        rows = np.flatnonzero(free)
-        assert default is not None, "the fixtures route every row"
-        fill(default, rows)
+        fill(default, np.flatnonzero(free))
     return out
 
 
