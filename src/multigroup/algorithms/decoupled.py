@@ -27,7 +27,7 @@ class PartitionPredictor:
         self.learner_spec = learner_spec
 
     def _rules(self, ds: Dataset):
-        rows = self.tree.rows(ds)
+        rows = self.tree.row_index(ds)
         return ((rows[self.tree.index(leaf.id)], self.per_leaf[leaf.id])
                 for leaf in self.leaves)
 
@@ -49,11 +49,11 @@ def decoupled(
     if cache is None:
         cache = PredictorCache(train)
     root_pred = cache.erm(spec)
-    rows = tree.rows(train)
+    rows = tree.row_index(train)
     per_leaf = {}
     for leaf in tree.leaves():
         if len(rows[tree.index(leaf.id)]):
-            per_leaf[leaf.id] = cache.group_erm(spec, leaf)
+            per_leaf[leaf.id] = cache.group_erm(spec, tree, leaf)
         else:
             per_leaf[leaf.id] = root_pred
     return PartitionPredictor(tree, per_leaf, root_pred, spec)

@@ -88,7 +88,7 @@ class GroupTreePredictor:
     def _rules(self, ds: Dataset):
         # deepest first, so the first containing node is the deepest one; the
         # root, which contains every row, is the default
-        pairs = zip(self.tree.rows(ds)[1:], (self.working[g.id] for g in self.tree.nodes[1:]))
+        pairs = zip(self.tree.row_index(ds)[1:], (self.working[g.id] for g in self.tree.nodes[1:]))
         return reversed(list(pairs))
 
     def scores(self, ds: Dataset) -> np.ndarray:
@@ -113,7 +113,7 @@ class _Pass:
         self.train, self.tree, self.spec, self.loss = train, tree, spec, loss
         self.eps = eps.with_context(group_count=len(tree), n_total=train.n)
         self.cache = cache if cache is not None else PredictorCache(train)
-        self.rows = tree.rows(train)
+        self.rows = tree.row_index(train)
         root_pred = self.cache.erm(spec)
         self.row_loss = loss.per_example(root_pred, train).copy()
         self.working = {tree.root.id: root_pred}
@@ -138,7 +138,7 @@ class _Pass:
         if n_g == 0:
             self.decision[g.id] = "inherited_empty"
             return TraceStep(g.id, 0, None, None, epsilon(self.eps, 0), None, "inherited_empty")
-        candidate = self.cache.group_erm(self.spec, g)
+        candidate = self.cache.group_erm(self.spec, self.tree, g)
         candidate_loss = self.loss.per_example(candidate, self.train.take(r))
         parent_risk = self.risk(i)
         candidate_risk = float(candidate_loss.sum() / n_g)
@@ -199,11 +199,11 @@ def excess_risk_report(
     tree_losses = predictor.loss.per_example(predictor, train)
     rows = []
     violations = []
-    for g, r in zip(tree.nodes, tree.rows(train)):
+    for g, r in zip(tree.nodes, tree.row_index(train)):
         n_g = len(r)
         if n_g == 0:
             continue
-        benchmark = cache.group_erm(predictor.learner_spec, g)
+        benchmark = cache.group_erm(predictor.learner_spec, tree, g)
         bench_risk = float(predictor.loss.per_example(benchmark, train.take(r)).sum() / n_g)
         tree_risk = float(tree_losses[r].sum() / n_g)
         margin = epsilon(eps, n_g)

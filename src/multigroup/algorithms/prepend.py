@@ -48,7 +48,7 @@ class DecisionList:
         return len(self.entries)
 
     def _rules(self, ds: Dataset):
-        rows = self.tree.rows(ds)
+        rows = self.tree.row_index(ds)
         return ((rows[self.tree.index(e.group.id)], e.predictor) for e in self.entries)
 
     def scores(self, ds: Dataset) -> np.ndarray:
@@ -75,7 +75,7 @@ class _CandidatePool:
 
     def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
                  loss: Loss, cache: PredictorCache):
-        observed = [(g, r) for g, r in zip(tree.nodes, tree.rows(train)) if len(r)]
+        observed = [(g, r) for g, r in zip(tree.nodes, tree.row_index(train)) if len(r)]
         self.groups = [g for g, _ in observed]
         self.rows = [r for _, r in observed]
         self.counts = [len(r) for r in self.rows]
@@ -83,7 +83,7 @@ class _CandidatePool:
         self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
         for g in sorted(self.groups, key=lambda g: g.id):
             if not g.is_root:
-                self.candidates.append((g.id, cache.group_erm(spec, g)))
+                self.candidates.append((g.id, cache.group_erm(spec, tree, g)))
         self.losses = [loss.per_example(p, train) for _, p in self.candidates]
         self.risks = np.array(
             [[losses[r].sum() / n_g for losses in self.losses]

@@ -25,6 +25,9 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
     only on that row. Each distinct predictor is then scored once, on
     exactly the rows routed to it (``ds.take(rows)``), so no full-length
     output is ever built for a predictor that answers only part of ``ds``.
+    Such a subset shares its parent's base, so a predictor that encodes
+    features reads its rows of the base's one encoding; the rule rows come
+    from the tree's row index of ``ds``, built once per dataset.
     """
     out = np.empty(ds.n, dtype=np.float64 if method == "scores" else np.int64)
     free = np.ones(ds.n, dtype=bool)

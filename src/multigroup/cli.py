@@ -78,8 +78,7 @@ def cmd_train(args) -> int:
         loss = loss_from_name(cfg.loss)
         encoder = FeatureEncoder(train.schema, cfg.include_group_attributes)
         cache = PredictorCache(train, encoder)
-        rows = tree.rows(train)
-        counts = {g.id: len(r) for g, r in zip(tree.nodes, rows)}
+        counts = {g.id: len(r) for g, r in zip(tree.nodes, tree.row_index(train))}
 
         for ls in cfg.learners:
             label = ls.label()
@@ -91,7 +90,7 @@ def cmd_train(args) -> int:
                     if method.save is not None:
                         path = os.path.join(out_dir, f"{name}.{label}.model.json")
                         method.save(path, fitted, train, tree, ls, cfg)
-                    risks_by_method[name] = group_risks(fitted, train, tree, rows, loss)
+                    risks_by_method[name] = group_risks(fitted, train, tree, loss)
 
             print(f"== learner {label}: per-group training risk ({cfg.loss})")
             _print_train_table(tree, risks_by_method, counts)
@@ -211,11 +210,14 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_csv(ds, args.out)
-    schema_path = args.schema_out or args.out + ".schema.json"
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_json(ds.schema), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        write_csv(ds, args.out)
+        with open(args.schema_out or args.out + ".schema.json", "w", encoding="utf-8") as fh:
+            json.dump(schema_to_json(ds.schema), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {ds.n} rows to {args.out}")
     return 0
 

@@ -203,10 +203,19 @@ def schema_to_json(schema: AttributeSchema) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable column store conforming to an AttributeSchema."""
+    """Immutable column store conforming to an AttributeSchema.
+
+    A dataset made by ``take`` remembers the dataset it was taken from (its
+    base) and the base rows it holds, so that a row-wise derivation such as
+    an encoded feature matrix is computed once on the base and sliced for
+    every subset (``from_base``).
+    """
 
     schema: AttributeSchema
     columns: Mapping[str, np.ndarray]
+    _base: "Dataset | None" = field(default=None, init=False, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         lengths = set()
@@ -243,23 +252,42 @@ class Dataset:
             raise SchemaError(f"column {name!r} is not numeric")
         return self.columns[name]
 
-    def value(self, name: str, i: int):
-        col = self.schema.column(name)
-        raw = self.columns[name][i]
-        if col.kind == CATEGORICAL:
-            return self.schema.categories[name][int(raw)]
-        if col.kind == LABEL:
-            return int(raw)
-        return float(raw)
-
-    def row(self, i: int) -> dict:
-        return {c.name: self.value(c.name, i) for c in self.schema.columns}
-
     def take(self, indices) -> "Dataset":
+        """The rows at ``indices`` (positions or a boolean mask), in that order.
+
+        A subset of a valid dataset is valid, so construction's checks are
+        not run again. The subset shares this dataset's base.
+        """
         idx = np.asarray(indices)
         if idx.dtype != bool:
             idx = idx.astype(np.int64)
-        return Dataset(self.schema, {name: arr[idx] for name, arr in self.columns.items()})
+        rows = np.flatnonzero(idx) if idx.dtype == bool else idx
+        sub = object.__new__(Dataset)  # without __init__, whose checks this skips
+        sub.__dict__.update(
+            schema=self.schema,
+            columns={name: arr[idx] for name, arr in self.columns.items()},
+            _base=self if self._base is None else self._base,
+            _rows=rows if self._rows is None else self._rows[rows],
+            _memo={},
+        )
+        return sub
+
+    def memo(self, key, compute):
+        """``compute(self)``, computed on the first call with ``key`` and kept
+        with this dataset. A key must name a function of the data alone, so
+        the kept value never goes stale; callers must not modify it."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
+
+    def from_base(self, key, compute) -> np.ndarray:
+        """This dataset's rows of ``compute(base)``, for a ``compute`` that
+        returns one row per row of its argument, each depending on that row
+        alone. The base's result is memoised under ``key``, so each base
+        computes it once for all its subsets."""
+        if self._base is None:
+            return self.memo(key, compute)
+        return self._base.memo(key, compute)[self._rows]
 
     def equals(self, other: "Dataset") -> bool:
         if self.schema.column_names() != other.schema.column_names():

@@ -14,6 +14,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,15 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
     """Mean of ``values`` and its standard error (sample std / sqrt(k)).
 
     ``(None, None)`` for no values; the standard error of one value is 0.0.
+    One value is its own mean in any order of summation, so that common
+    case (a one-trial run) skips numpy's per-call overhead.
     """
     k = len(values)
     if not k:
         return None, None
-    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k)) if k >= 2 else 0.0
+    if k == 1:
+        return float(values[0]), 0.0
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k))
 
 
 def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: int):
@@ -41,8 +46,7 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
     train, test = split(ds, SplitSpec(cfg.test_fraction, cfg.seed, trial))
     encoder = FeatureEncoder(ds.schema, cfg.include_group_attributes)
     cache = PredictorCache(train, encoder)
-    test_rows = tree.rows(test)
-    n_test = {g.id: len(r) for g, r in zip(tree.nodes, test_rows)}
+    n_test = {g.id: len(r) for g, r in zip(tree.nodes, tree.row_index(test))}
 
     errors: dict[tuple[str, str], dict[str, float | None]] = {}
     summaries: dict[tuple[str, str], dict] = {}
@@ -52,7 +56,7 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
             method = METHODS[name]
             with method_failure(name, label, trial):
                 fitted = method.fit(train, tree, ls, cfg, cache)
-                errors[(name, label)] = group_risks(fitted, test, tree, test_rows, ZERO_ONE)
+                errors[(name, label)] = group_risks(fitted, test, tree, ZERO_ONE)
                 if method.summary is not None:
                     summaries[(name, label)] = method.summary(fitted, train, cache)
     return trial, n_test, errors, summaries
@@ -70,14 +74,25 @@ class EvalReport:
     n_test: dict  # group_id -> [count per trial]
     trace_summaries: dict = field(default_factory=dict)
 
+    @cached_property
+    def _stats(self) -> dict[tuple[str, str, str], tuple]:
+        """(method, learner, group id) -> (mean error, its standard error,
+        trials present), computed once for every reader."""
+        out = {}
+        for (method, learner), series in self.raw.items():
+            for gid, errors in series.items():
+                values = [v for v in errors if v is not None]
+                out[(method, learner, gid)] = (*_mean_stderr(values), len(values))
+        return out
+
     def aggregate_rows(self) -> list[dict]:
+        # the counts are integers, so any order of summation is exact
+        mean_n = {gid: sum(counts) / len(counts) for gid, counts in self.n_test.items()}
         rows = []
         for method in self.methods:
             for learner in self.learners:
-                series = self.raw[(method, learner)]
                 for gid in self.group_ids:
-                    values = [v for v in series[gid] if v is not None]
-                    mean, stderr = _mean_stderr(values)
+                    mean, stderr, present = self._stats[(method, learner, gid)]
                     rows.append({
                         "method": method,
                         "learner": learner,
@@ -85,8 +100,8 @@ class EvalReport:
                         "depth": self.group_depths[gid],
                         "mean_error": mean,
                         "stderr": stderr,
-                        "mean_n_g": float(np.mean(self.n_test[gid])),
-                        "trials_present": len(values),
+                        "mean_n_g": mean_n[gid],
+                        "trials_present": present,
                     })
         return rows
 
@@ -123,7 +138,7 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def mean_error(self, method: str, learner: str, group_id: str) -> float | None:
-        return _mean_stderr([v for v in self.raw[(method, learner)][group_id] if v is not None])[0]
+        return self._stats[(method, learner, group_id)][0]
 
     def compare(self, method_a: str, method_b: str, learner: str | None = None) -> list[dict]:
         """Per-group deltas (a minus b), sorted by delta ascending."""

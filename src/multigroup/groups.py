@@ -187,6 +187,17 @@ class GroupTree:
             out.append(parent_rows[ds.codes(attr)[parent_rows] == code])
         return out
 
+    def row_index(self, ds: Dataset) -> list[np.ndarray]:
+        """rows(ds), computed once per dataset and kept with it, so every
+        fit, score and risk on ds reads one index. Read only."""
+        return ds.memo(self, self._frozen_rows)
+
+    def _frozen_rows(self, ds: Dataset) -> list[np.ndarray]:
+        out = self.rows(ds)
+        for r in out:
+            r.flags.writeable = False
+        return out
+
     def route(self, ds: Dataset) -> np.ndarray:
         """Index (into bfs order) of the deepest containing node per row."""
         assign = np.zeros(ds.n, dtype=np.int64)

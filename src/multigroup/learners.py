@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, json_int
-from .groups import Group, membership_vector
+from .groups import Group, GroupTree
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -98,7 +98,8 @@ class FeatureEncoder:
     """Schema-derived design matrix: one-hot categoricals plus raw numerics.
 
     The encoding depends only on the schema, so train and test splits that
-    share a schema encode consistently.
+    share a schema encode consistently. ``encode`` transforms a dataset's
+    base once per plan and hands each subset its rows of the result.
     """
 
     def __init__(self, schema: AttributeSchema, include_group_attributes: bool = True):
@@ -117,6 +118,8 @@ class FeatureEncoder:
             elif col.kind == NUMERIC:
                 self._plan.append((col.name, NUMERIC, -1))
                 self.feature_names.append(col.name)
+        # transform's output depends on the plan and the data alone
+        self._memo_key = ("encoded", tuple(self._plan))
 
     @property
     def width(self) -> int:
@@ -129,6 +132,17 @@ class FeatureEncoder:
                 X[:, j] = ds.codes(name) == k
             else:
                 X[:, j] = ds.numeric(name)
+        return X
+
+    def encode(self, ds: Dataset) -> np.ndarray:
+        """transform(ds), bit for bit, read from the one transform of ds's
+        base that every encoder with the same plan shares. Do not modify
+        the result: for a base it is the shared matrix itself."""
+        return ds.from_base(self._memo_key, self._transform_once)
+
+    def _transform_once(self, base: Dataset) -> np.ndarray:
+        X = self.transform(base)
+        X.flags.writeable = False
         return X
 
 
@@ -190,7 +204,7 @@ class LogisticPredictor:
         self.provenance = provenance
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        X = (self.encoder.transform(ds) - self.mean) / self.scale
+        X = (self.encoder.encode(ds) - self.mean) / self.scale
         return sigmoid(X @ self.weights + self.intercept)
 
     def predict(self, ds: Dataset) -> np.ndarray:
@@ -549,7 +563,7 @@ class DecisionTreePredictor:
         return self._flat.depth
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return _flat_scores(self._flat, self.encoder.transform(ds))
+        return _flat_scores(self._flat, self.encoder.encode(ds))
 
     def predict(self, ds: Dataset) -> np.ndarray:
         return _labels_from_scores(self.scores(ds))
@@ -582,7 +596,7 @@ class BaggedTreesPredictor:
         self._flat = forest._replace(value=(forest.value >= 0.5) * 1.0)  # a leaf's vote
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return _flat_scores(self._flat, self.encoder.transform(ds)) / len(self.trees)
+        return _flat_scores(self._flat, self.encoder.encode(ds)) / len(self.trees)
 
     def predict(self, ds: Dataset) -> np.ndarray:
         return _labels_from_scores(self.scores(ds))
@@ -649,7 +663,7 @@ def fit(
         # one-class data degenerates to a constant for every learner kind
         return ConstantPredictor(float(y.mean()), provenance)
 
-    X = encoder.transform(ds.take(mask))
+    X = encoder.encode(ds.take(mask))
     if spec.kind == "logistic":
         w, b, mean, scale = _fit_logistic(X, y, spec)
         return LogisticPredictor(w, b, mean, scale, encoder, provenance)
@@ -666,6 +680,9 @@ def fit(
     return BaggedTreesPredictor(trees, subsets, encoder, provenance)
 
 
+_ROOT_ONLY = GroupTree(())  # the hierarchy of one group, every row
+
+
 class PredictorCache:
     """One fitted predictor per (learner spec, group) on a fixed training set.
 
@@ -679,19 +696,23 @@ class PredictorCache:
         self.encoder = encoder if encoder is not None else FeatureEncoder(ds.schema)
         self._store: dict[tuple, object] = {}
 
-    def group_erm(self, spec: LearnerSpec, g: Group):
-        """The fit of spec on g's rows; EmptyGroupError if g has none."""
+    def group_erm(self, spec: LearnerSpec, tree: GroupTree, g: Group):
+        """The fit of spec on the rows of g, a node of tree, as
+        ``tree.row_index`` gives them; EmptyGroupError if g has none."""
         key = (spec, g.id)
         found = self._store.get(key)
         if found is None:
-            mask = membership_vector(g, self.ds)
-            if not mask.any():
+            rows = tree.row_index(self.ds)[tree.index(g.id)]
+            if not len(rows):
                 raise EmptyGroupError(f"empty group: {g.id}")
+            mask = np.zeros(self.ds.n, dtype=bool)
+            mask[rows] = True
             found = self._store[key] = fit(spec, self.ds, mask, self.encoder, tag=g.id)
         return found
 
     def erm(self, spec: LearnerSpec):
-        return self.group_erm(spec, Group("ALL", ()))
+        """The global fit, on every row: the same fit as any tree root's."""
+        return self.group_erm(spec, _ROOT_ONLY, _ROOT_ONLY.root)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _fit_group_erm(train, tree, spec, cfg, cache) -> dict:
     fits = {}
     for g in tree.nodes:
         try:
-            fits[g.id] = cache.group_erm(spec, g)
+            fits[g.id] = cache.group_erm(spec, tree, g)
         except EmptyGroupError:
             pass  # unobserved on train: no fit, so no risk either
     return fits
@@ -105,8 +105,8 @@ def method_failure(method: str, label: str, trial: int | None = None):
         raise MethodError(f"method {method!r} (learner {label}) failed{where}: {exc}") from exc
 
 
-def group_risks(fitted, ds, tree, rows, loss) -> dict[str, float | None]:
-    """Mean loss on each group's rows of ds (``rows`` from ``tree.rows(ds)``).
+def group_risks(fitted, ds, tree, loss) -> dict[str, float | None]:
+    """Mean loss on each group's rows of ds, as ``tree.row_index(ds)`` gives them.
 
     ``fitted`` is one predictor scored once on all of ds, or a dict of
     per-group fits (group_erm), each scored on its own group's rows only.
@@ -114,11 +114,11 @@ def group_risks(fitted, ds, tree, rows, loss) -> dict[str, float | None]:
     """
     shared = None if isinstance(fitted, dict) else loss.per_example(fitted, ds)
     out = {}
-    for r, g in zip(rows, tree.nodes):
+    for r, g in zip(tree.row_index(ds), tree.nodes):
         if not len(r) or (shared is None and g.id not in fitted):
             out[g.id] = None
         elif shared is not None:
-            out[g.id] = float(shared[r].mean())
+            out[g.id] = float(shared[r].sum() / len(r))  # the bits of .mean(), faster
         else:
-            out[g.id] = float(loss.per_example(fitted[g.id], ds.take(r)).mean())
+            out[g.id] = float(loss.per_example(fitted[g.id], ds.take(r)).sum() / len(r))
     return out

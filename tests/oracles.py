@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from multigroup.data import Dataset
+from multigroup.data import CATEGORICAL, LABEL, Dataset
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import FeatureEncoder, LearnerSpec, fit
 from multigroup.risk import Loss
@@ -39,6 +39,23 @@ def membership(g, ds: Dataset) -> np.ndarray:
     return mask
 
 
+def value(ds: Dataset, name: str, i: int):
+    """Row i's value of column name, decoded: a category name, a 0/1 label
+    or a float."""
+    col = ds.schema.column(name)
+    raw = ds.columns[name][i]
+    if col.kind == CATEGORICAL:
+        return ds.schema.categories[name][int(raw)]
+    if col.kind == LABEL:
+        return int(raw)
+    return float(raw)
+
+
+def row(ds: Dataset, i: int) -> dict:
+    """Row i as a dict of decoded values, one per column."""
+    return {c.name: value(ds, c.name, i) for c in ds.schema.columns}
+
+
 def contains_row(g: Group, row: Mapping[str, object]) -> bool:
     return all(row.get(attr) == cat for attr, cat in g.conjuncts)
 
@@ -55,6 +72,15 @@ def deepest_containing(tree: GroupTree, row: Mapping[str, object]) -> Group:
                 break
         if not advanced:
             return current
+
+
+def mean_stderr(values) -> tuple[float | None, float | None]:
+    """Mean of ``values`` and its standard error (sample std / sqrt(k)),
+    by numpy. ``(None, None)`` for no values; 0.0 error for one value."""
+    k = len(values)
+    if not k:
+        return None, None
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k)) if k >= 2 else 0.0
 
 
 def erm(spec: LearnerSpec, ds: Dataset, encoder: FeatureEncoder | None = None):

@@ -258,7 +258,7 @@ def inverted_leaf_protocol():
             return float((predictor.predict(test)[mask] != y).mean())
 
         errors["erm"].append(err(cache.erm(learner)))
-        errors["group_erm"].append(err(cache.group_erm(learner, target)))
+        errors["group_erm"].append(err(cache.group_erm(learner, tree, target)))
         dlist = prepend(train, tree, learner, eps, ZERO_ONE, cache=cache)
         errors["prepend"].append(err(dlist))
         errors["mgl_tree"].append(err(

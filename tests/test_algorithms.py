@@ -23,6 +23,7 @@ from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vect
 from multigroup.learners import LearnerSpec, PredictorCache
 from multigroup.risk import ZERO_ONE, loss_from_name
 
+import oracles
 from oracles import contains_row, deepest_containing, erm, group_risk
 from synthcases import (
     FixedPredictor,
@@ -68,7 +69,7 @@ def test_mgl_tree_hand_simulation_eps_two():
     assert predictor.predict(ds).tolist() == [1, 1, 1, 1]
     g_b = Group.from_conjuncts([("grp", "b")])
     cache = PredictorCache(ds)
-    own = cache.group_erm(CONSTANT, g_b)
+    own = cache.group_erm(CONSTANT, tree, g_b)
     assert group_risk(predictor, ds, g_b, ZERO_ONE).value == 1.0
     assert group_risk(predictor, ds, g_b, ZERO_ONE).value <= \
         group_risk(own, ds, g_b, ZERO_ONE).value + 2.0
@@ -177,7 +178,7 @@ def test_mgl_tree_risks_match_mask_reference(loss):
                 assert step.parent_risk is None and step.candidate_risk is None
                 continue
             parent_pred = predictor.working[tree.parent(g.id).id]
-            candidate = cache.group_erm(learner, g)
+            candidate = cache.group_erm(learner, tree, g)
             assert step.parent_risk == float(
                 loss.per_example(parent_pred, ds)[mask].sum() / step.n_g)
             assert step.candidate_risk == float(
@@ -193,7 +194,7 @@ def test_prepend_hand_simulation():
     cache = PredictorCache(ds)
     g_b = Group.from_conjuncts([("grp", "b")])
     global_fit = cache.erm(CONSTANT)
-    own_b = cache.group_erm(CONSTANT, g_b)
+    own_b = cache.group_erm(CONSTANT, tree, g_b)
     violation = group_risk(global_fit, ds, g_b, ZERO_ONE).value \
         - group_risk(own_b, ds, g_b, ZERO_ONE).value - 0.25
     assert violation == 0.75
@@ -297,7 +298,7 @@ def test_decision_list_scan_semantics_brute_force(kind):
     ds = make_synthetic(spec, seed=2)
     assert ds.n == 1000
     predictor, oracle = _routed_fixture(kind, ds, rng)
-    expected = [oracle(ds.row(i)) for i in range(ds.n)]
+    expected = [oracle(oracles.row(ds, i)) for i in range(ds.n)]
     got = predictor.predict(ds)
     for i, p in enumerate(expected):
         assert got[i] == p.predict(ds)[i]
@@ -331,7 +332,7 @@ def test_prepend_scan_matches_loop_reference():
         observed = sorted((g for g in tree.nodes if not g.is_root
                            and membership_vector(g, ds).any()), key=lambda g: g.id)
         fits = [("ALL", cache.erm(CONSTANT))] + \
-            [(g.id, cache.group_erm(CONSTANT, g)) for g in observed]
+            [(g.id, cache.group_erm(CONSTANT, tree, g)) for g in observed]
         candidates = [(source, ZERO_ONE.per_example(fit, ds)) for source, fit in fits]
         cap = 2 * len(tree)
         row_loss = candidates[0][1].copy()

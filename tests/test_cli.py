@@ -248,6 +248,18 @@ def test_synth_emits_loadable_csv(tmp_path):
     assert ds.n == 50
 
 
+@pytest.mark.parametrize("target", ["out", "schema-out"])
+def test_synth_unwritable_output_exits_2(tmp_path, capsys, target):
+    """A missing output directory is an I/O failure: exit 2, no traceback."""
+    paths = {"out": str(tmp_path / "x.csv"), "schema-out": str(tmp_path / "x.schema.json")}
+    paths[target] = str(tmp_path / "missing" / "x")
+    argv = ["synth", "--spec", str(ROOT / "fixtures" / "synth.json")]
+    assert main(argv + [f"--{k}={v}" for k, v in paths.items()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key", ["feature_dim", "count"])
 def test_synth_rejects_infinite_integer(tmp_path, capsys, key):
     leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": 1}}

@@ -20,9 +20,10 @@ from multigroup.data import (
     split,
     write_csv,
 )
-from multigroup.groups import Group, membership_vector
-from multigroup.learners import LearnerSpec, PredictorCache
+from multigroup.groups import Group, build_hierarchy, membership_vector
+from multigroup.learners import FeatureEncoder, LearnerSpec, PredictorCache
 
+import oracles
 from synthcases import opposite_separators_spec, two_leaf_constants
 
 
@@ -88,7 +89,7 @@ def test_load_csv_bins(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("age,label\n34.9,1\n35,0\n59.9,1\n60,0\n99,1\n")
     ds = load_csv(p, schema)
-    got = [ds.value("age", i) for i in range(ds.n)]
+    got = [oracles.value(ds, "age", i) for i in range(ds.n)]
     assert got == ["Ya", "Ma", "Ma", "Oa", "Oa"]
 
 
@@ -114,10 +115,10 @@ def test_split_sizes_and_partition():
     train, test = split(ds, SplitSpec(0.2, seed=1, trial_index=0))
     assert test.n == 2 and train.n == 8
     merged = sorted(
-        [tuple(train.row(i).items()) for i in range(train.n)]
-        + [tuple(test.row(i).items()) for i in range(test.n)]
+        [tuple(oracles.row(train, i).items()) for i in range(train.n)]
+        + [tuple(oracles.row(test, i).items()) for i in range(test.n)]
     )
-    original = sorted(tuple(ds.row(i).items()) for i in range(ds.n))
+    original = sorted(tuple(oracles.row(ds, i).items()) for i in range(ds.n))
     assert merged == original
 
 
@@ -155,6 +156,30 @@ def test_split_partition_property(seed, trial):
     assert test.n == round(0.25 * ds.n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_take_equals_a_validated_copy_and_slices_the_base_encoding(data):
+    """take skips construction's checks and reads its features from the
+    base's one encoding; both must match a freshly built, checked copy, also
+    for a take of a take and for a boolean mask."""
+    ds = make_synthetic(opposite_separators_spec(20, noise=0.2), seed=11)
+    rows = st.lists(st.integers(0, ds.n - 1), max_size=ds.n)
+    outer = np.array(data.draw(rows), dtype=np.int64)
+    first = ds.take(outer)
+    inner = data.draw(st.one_of(
+        st.lists(st.integers(0, max(first.n - 1, 0)), max_size=first.n if first.n else 0),
+        st.lists(st.booleans(), min_size=first.n, max_size=first.n)))
+    inner = np.array(inner, dtype=bool if inner and isinstance(inner[0], bool) else np.int64)
+    for encoder in (FeatureEncoder(ds.schema), FeatureEncoder(ds.schema, False)):
+        for sub, cols in ((first, {c: col[outer] for c, col in ds.columns.items()}),
+                          (first.take(inner),
+                           {c: col[outer][inner] for c, col in ds.columns.items()})):
+            fresh = Dataset(ds.schema, cols)
+            assert sub.equals(fresh)
+            got, want = encoder.encode(sub), encoder.transform(fresh)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_make_synthetic_noise_free_matches_rule():
     ds = two_leaf_constants()
     mask_a = membership_vector(Group.from_conjuncts([("grp", "a")]), ds)
@@ -189,11 +214,12 @@ def test_opposite_separators_favor_per_leaf_fits():
     ds = make_synthetic(opposite_separators_spec(2000), seed=21)
     spec = LearnerSpec("logistic", iterations=800)
     cache = PredictorCache(ds)
+    tree = build_hierarchy(ds.schema, ["grp"])
     global_fit = cache.erm(spec)
     for cat in ("a", "b"):
         g = Group.from_conjuncts([("grp", cat)])
         mask = membership_vector(g, ds)
-        local_fit = cache.group_erm(spec, g)
+        local_fit = cache.group_erm(spec, tree, g)
         y = ds.labels()[mask]
         global_err = float((global_fit.predict(ds)[mask] != y).mean())
         local_err = float((local_fit.predict(ds)[mask] != y).mean())

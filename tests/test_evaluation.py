@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigroup.bounds import EpsilonSpec
 from multigroup.data import SplitSpec, make_synthetic, split
-from multigroup.evaluation import ExperimentConfig, run_experiment
+from multigroup.evaluation import EvalReport, ExperimentConfig, _mean_stderr, run_experiment
 from multigroup.groups import Group, build_hierarchy, membership_vector
 from multigroup.learners import LearnerSpec
 
+from oracles import mean_stderr
 from synthcases import (
     INVERTED_LEAF_ID,
     inverted_leaf_spec,
@@ -212,3 +215,41 @@ def test_group_attributes_can_be_excluded_from_features():
     assert excluded.config["include_group_attributes"] is False
     # both runs complete with the full group set; per-group errors may differ
     assert included.group_ids == excluded.group_ids
+
+
+@pytest.mark.parametrize("values", [[], [0.25], [-0.0], [0.0, 1.0 / 3.0], [0.1] * 9])
+def test_mean_stderr_matches_numpy(values):
+    assert _mean_stderr(values) == mean_stderr(values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_report_statistics_match_numpy_oracle(data):
+    """Every figure the report derives from per-trial errors is bit-equal
+    to numpy's, for 1-12 trials with groups missing from some of them."""
+    trials = data.draw(st.integers(1, 12))
+    error = st.one_of(st.none(), st.floats(0.0, 1.0), st.integers(0, 40).map(lambda i: i / 41))
+    group_ids = ["ALL", "g=a", "g=b"]
+    methods, learners = ["erm", "mgl_tree"], ["constant"]
+    raw = {(m, l): {gid: data.draw(st.lists(error, min_size=trials, max_size=trials))
+                    for gid in group_ids}
+           for m in methods for l in learners}
+    n_test = {gid: data.draw(st.lists(st.integers(0, 10**6), min_size=trials, max_size=trials))
+              for gid in group_ids}
+    report = EvalReport(config={}, group_ids=group_ids, group_depths=dict.fromkeys(group_ids, 0),
+                        methods=methods, learners=learners, trials=trials, raw=raw,
+                        n_test=n_test)
+    worst = report.worst_group_errors()
+    for row in report.aggregate_rows():
+        series = raw[(row["method"], row["learner"])][row["group_id"]]
+        present = [v for v in series if v is not None]
+        mean, stderr = mean_stderr(present)
+        assert (row["mean_error"], row["stderr"]) == (mean, stderr)
+        assert row["trials_present"] == len(present)
+        assert row["mean_n_g"] == float(np.mean(n_test[row["group_id"]]))
+        assert report.mean_error(row["method"], row["learner"], row["group_id"]) == mean
+    for (m, l), value in worst.items():
+        means = [mean_stderr([v for v in raw[(m, l)][gid] if v is not None])[0]
+                 for gid in group_ids]
+        means = [x for x in means if x is not None]
+        assert value == (max(means) if means else None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multigroup.data import dataset_from_values, make_synthetic
-from multigroup.groups import Group, membership_vector
+from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vector
 from multigroup.learners import (
     ConstantPredictor,
     DecisionTreePredictor,
@@ -264,7 +264,8 @@ def test_group_erm_on_root_equals_erm():
     ds = make_synthetic(opposite_separators_spec(100, noise=0.1), seed=2)
     spec = LearnerSpec("logistic", iterations=300)
     a = erm(spec, ds)
-    b = PredictorCache(ds).group_erm(spec, Group("ALL", ()))
+    tree = GroupTree([])
+    b = PredictorCache(ds).group_erm(spec, tree, tree.root)
     assert np.array_equal(a.predict(ds), b.predict(ds))
 
 
@@ -272,7 +273,7 @@ def test_group_erm_single_example_constant():
     ds = two_leaf_constants()
     g = Group.from_conjuncts([("grp", "b")])
     for kind in ("constant", "logistic", "tree", "bagged_trees"):
-        predictor = PredictorCache(ds).group_erm(LearnerSpec(kind), g)
+        predictor = PredictorCache(ds).group_erm(LearnerSpec(kind), GroupTree([g]), g)
         mask = membership_vector(g, ds)
         assert predictor.predict(ds)[mask].tolist() == [0]
 
@@ -308,7 +309,9 @@ def test_predictor_cache_shares_fits():
     cache = PredictorCache(ds)
     spec = LearnerSpec("constant")
     g = Group.from_conjuncts([("grp", "a")])
-    assert cache.group_erm(spec, g) is cache.group_erm(spec, g)
+    tree = GroupTree([g])
+    assert cache.group_erm(spec, tree, g) is cache.group_erm(spec, tree, g)
+    assert cache.group_erm(spec, tree, tree.root) is cache.erm(spec)
     assert cache.erm(spec) is cache.erm(spec)
 
 
@@ -327,12 +330,13 @@ def test_per_leaf_logistic_beats_global_on_planted_data():
     ds = make_synthetic(opposite_separators_spec(2000), seed=17)
     spec = LearnerSpec("logistic", iterations=500)
     cache = PredictorCache(ds)
+    tree = build_hierarchy(ds.schema, ["grp"])
     global_fit = cache.erm(spec)
     for cat in ("a", "b"):
         g = Group.from_conjuncts([("grp", cat)])
         mask = membership_vector(g, ds)
         y = ds.labels()[mask]
-        local = cache.group_erm(spec, g)
+        local = cache.group_erm(spec, tree, g)
         assert float((local.predict(ds)[mask] != y).mean()) < \
             float((global_fit.predict(ds)[mask] != y).mean())
 

@@ -46,7 +46,7 @@ def test_group_risks_match_mask_oracle(kind):
         fits = {}
         for g in tree.nodes:
             try:
-                fits[g.id] = cache.group_erm(spec, g)
+                fits[g.id] = cache.group_erm(spec, tree, g)
             except EmptyGroupError:
                 pass
         # some observed groups have no fit in the dict form
@@ -55,11 +55,11 @@ def test_group_risks_match_mask_oracle(kind):
 
         for loss in (ZERO_ONE, CLIPPED_LOGISTIC):
             for fitted in shared:
-                got = group_risks(fitted, ds, tree, rows, loss)
+                got = group_risks(fitted, ds, tree, loss)
                 assert list(got) == [g.id for g in tree.nodes]
                 for g in tree.nodes:
                     assert _agrees(got[g.id], group_risk(fitted, ds, g, loss), loss), g.id
-            got = group_risks(fits, ds, tree, rows, loss)
+            got = group_risks(fits, ds, tree, loss)
             assert list(got) == [g.id for g in tree.nodes]
             for g, r in zip(tree.nodes, rows):
                 if g.id not in fits:

@@ -88,7 +88,7 @@ def full_rows_trace(train, tree, spec, eps, loss, cache):
             trace.append(TraceStep(g.id, 0, None, None, epsilon(eps, 0), None,
                                    "inherited_empty"))
             continue
-        candidate_loss = loss.per_example(cache.group_erm(spec, g), train)
+        candidate_loss = loss.per_example(cache.group_erm(spec, tree, g), train)
         parent_risk = float(row_loss[r].sum() / n_g)
         candidate_risk = float(candidate_loss[r].sum() / n_g)
         margin = epsilon(eps, n_g)
@@ -110,7 +110,7 @@ def full_rows_excess(predictor, train, cache):
         n_g = len(r)
         if n_g == 0:
             continue
-        benchmark = cache.group_erm(predictor.learner_spec, g)
+        benchmark = cache.group_erm(predictor.learner_spec, tree, g)
         bench_risk = float(predictor.loss.per_example(benchmark, train)[r].sum() / n_g)
         tree_risk = float(tree_losses[r].sum() / n_g)
         margin = epsilon(eps, n_g)

@@ -197,7 +197,7 @@ def test_census_bagged_group_fits_match_reference(monkeypatch, seed):
     cache = PredictorCache(ds, encoder)
     got, want = hashlib.sha256(), hashlib.sha256()
     for g in tree.nodes:
-        fitted = cache.group_erm(spec, g)
+        fitted = cache.group_erm(spec, tree, g)
         got.update(json.dumps(fitted.to_json()).encode())
         mask = membership_vector(g, ds)
         y = ds.labels()[mask].astype(np.float64)
@@ -314,7 +314,7 @@ class _IdentityEncoder:
     def __init__(self, width):
         self.width = width
 
-    def transform(self, X):
+    def encode(self, X):
         return X
 
 
