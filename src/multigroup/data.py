@@ -9,10 +9,12 @@ safe to share across concurrent workers.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping
 
 import numpy as np
 
@@ -300,61 +302,27 @@ class Dataset:
         return True
 
 
-def dataset_from_values(schema: AttributeSchema, values: Mapping[str, Sequence]) -> Dataset:
-    """Build a Dataset from per-column python values, encoding categoricals.
-
-    Categorical columns without declared categories get the sorted distinct
-    values observed; the returned dataset carries the completed schema.
-    """
-    inferred = {}
-    for name in schema.categorical_columns():
-        if name not in schema.categories or not schema.categories[name]:
-            inferred[name] = tuple(sorted({str(v) for v in values[name]}))
-    if inferred:
-        schema = schema.with_categories(inferred)
-
-    columns = {}
-    for col in schema.columns:
-        raw = values[col.name]
-        if col.kind == CATEGORICAL:
-            cats = schema.categories[col.name]
-            index = {c: i for i, c in enumerate(cats)}
-            try:
-                columns[col.name] = np.fromiter(
-                    (index[str(v)] for v in raw), dtype=np.int32, count=len(raw)
-                )
-            except KeyError as exc:
-                raise DataError(
-                    f"value {exc.args[0]!r} not among declared categories of column {col.name!r}"
-                ) from None
-        elif col.kind == LABEL:
-            arr = np.asarray(raw, dtype=np.float64)
-            if arr.size and not np.isin(arr, (0.0, 1.0)).all():
-                bad = int(np.flatnonzero(~np.isin(arr, (0.0, 1.0)))[0])
-                raise DataError(f"label must be 0 or 1 at data row {bad + 1}")
-            columns[col.name] = arr.astype(np.int64)
-        else:
-            columns[col.name] = np.asarray(raw, dtype=np.float64)
-    return Dataset(schema, columns)
-
-
-def _bin_value(value: float, bins: tuple[Bin, ...], column: str, rownum: int) -> str:
-    if math.isnan(value):
-        raise DataError(f"cannot bin NaN in column {column!r} at data row {rownum}")
-    for b in bins:
-        if b.upper is None or value < b.upper:
-            return b.name
-    raise DataError(f"value {value} outside bins of column {column!r} at data row {rownum}")
+# Records parsed per block. Larger blocks were slower and held more memory.
+_BLOCK_ROWS = 1000
 
 
 def load_csv(path, schema: AttributeSchema) -> Dataset:
     """Load a comma-separated, header-first, UTF-8 file against a schema.
 
-    Columns may appear in any order; extra columns are ignored. Categorical
-    columns with declared bins are parsed as numbers and discretized.
-    Numeric cells must be finite: nan and inf are rejected.
+    Columns may appear in any order; extra columns are ignored. A leading
+    byte-order mark is skipped. Categorical columns with declared bins are
+    parsed as numbers and discretized. Numeric cells must be finite: nan
+    and inf are rejected. Categorical columns without declared categories
+    get the sorted distinct values observed; the returned dataset carries
+    the completed schema.
+
+    Records are read in blocks and converted a column at a time. A bad
+    file raises the error a row-by-row read meets first: no header or a
+    missing column, then the first short row or unparsable cell, then no
+    data rows, then the first undeclared category (in column order), then
+    the first non-finite number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -365,50 +333,31 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             if col.name not in header:
                 raise SchemaError(f"missing column {col.name!r} in {path}")
             positions[col.name] = header.index(col.name)
-
-        width_needed = max(positions.values()) + 1
-        raw: dict[str, list] = {c.name: [] for c in schema.columns}
-        blank = []
-        for rownum, record in enumerate(reader, start=1):
-            if not record:
-                blank.append(rownum)
-                continue
-            if len(record) < width_needed:
-                raise DataError(
-                    f"data row {rownum} has {len(record)} fields, expected {width_needed}"
-                )
-            for col in schema.columns:
-                cell = record[positions[col.name]]
-                if col.kind == CATEGORICAL:
-                    if col.name in schema.bins:
-                        try:
-                            num = float(cell)
-                        except ValueError:
-                            raise DataError(
-                                f"non-numeric value {cell!r} in binned column {col.name!r}"
-                                f" at data row {rownum}"
-                            ) from None
-                        raw[col.name].append(_bin_value(num, schema.bins[col.name], col.name, rownum))
-                    else:
-                        raw[col.name].append(cell)
-                elif col.kind == LABEL:
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        val = -1.0
-                    if val not in (0.0, 1.0):
-                        raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
-                    raw[col.name].append(val)
-                else:
-                    try:
-                        raw[col.name].append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
-                        ) from None
-    if not raw[schema.label_column]:
+        # categorical columns get provisional codes in order of first sight
+        index = {name: {c: i for i, c in enumerate(schema.categories.get(name, ()))}
+                 for name in schema.categorical_columns()}
+        parts, blank = _read_blocks(reader, schema, positions, index)
+    if not parts[schema.label_column]:
         raise DataError(f"no data rows in {path}")
-    ds = dataset_from_values(schema, raw)
+
+    columns = {}
+    for name, arrays in parts.items():
+        columns[name] = np.concatenate(arrays)
+        arrays.clear()  # so that only one column is held twice at a time
+    inferred = {}
+    for name in schema.categorical_columns():
+        declared = schema.categories.get(name, ())
+        seen = list(index[name])
+        if not declared:
+            inferred[name] = tuple(sorted(seen))
+            rank = {c: i for i, c in enumerate(inferred[name])}
+            columns[name] = np.array([rank[c] for c in seen], dtype=np.int32)[columns[name]]
+        elif len(seen) > len(declared):
+            first = columns[name][np.flatnonzero(columns[name] >= len(declared))[0]]
+            raise DataError(
+                f"value {seen[first]!r} not among declared categories of column {name!r}"
+            )
+    ds = Dataset(schema.with_categories(inferred) if inferred else schema, columns)
     for col in schema.columns:
         if col.kind != NUMERIC:
             continue
@@ -417,7 +366,7 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             continue
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         rownum = i + 1
-        for b in blank:  # empty records count as data rows but hold no values
+        for b in blank:
             if b > rownum:
                 break
             rownum += 1
@@ -425,25 +374,129 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
     return ds
 
 
+def _read_blocks(reader, schema: AttributeSchema, positions: Mapping[str, int],
+                 index: Mapping[str, dict]) -> tuple[dict[str, list], list[int]]:
+    """Each column's arrays, one per block of records, and the numbers of
+    the empty records, which count as data rows but hold no values."""
+    width = max(positions.values()) + 1
+    parts: dict[str, list] = {c.name: [] for c in schema.columns}
+    blank = []
+    start = 1  # data row number of the block's first record
+    while True:
+        block = []
+        unread = None
+        try:
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as exc:  # raised after the rows before it
+            unread = exc
+        if not block and unread is None:
+            return parts, blank
+        empty = [] if all(block) else [start + i for i, r in enumerate(block) if not r]
+        blank += empty
+        if len(empty) < len(block):
+            try:
+                _convert_block([r for r in block if r] if empty else block,
+                               schema, positions, width, index, parts)
+            except ValueError:
+                _raise_row_error(block, start, schema, positions, width)
+                raise
+        if unread is not None:
+            raise unread
+        start += len(block)
+
+
+def _convert_block(rows: list, schema: AttributeSchema, positions: Mapping[str, int],
+                   width: int, index: Mapping[str, dict], parts: Mapping[str, list]) -> None:
+    """Append one block's column arrays to ``parts``. A short row, a cell
+    that does not parse, a label other than 0/1 or a NaN to bin raises
+    ValueError, naming no row; new categories get the next free codes."""
+    if min(map(len, rows)) < width:
+        raise ValueError("short row")
+    n = len(rows)
+    for col in schema.columns:
+        cells = map(itemgetter(positions[col.name]), rows)
+        bins = schema.bins.get(col.name)
+        if col.kind == CATEGORICAL and bins is None:
+            parts[col.name].append(_encode(list(cells), index[col.name]))
+            continue
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+        if col.kind == LABEL:
+            if not ((values == 0.0) | (values == 1.0)).all():
+                raise ValueError("label not 0 or 1")
+            parts[col.name].append(values.astype(np.int64))
+        elif bins is not None:
+            if np.isnan(values).any():
+                raise ValueError("NaN to bin")
+            edges = np.array([b.upper for b in bins[:-1]], dtype=np.float64)
+            names = tuple(str(b.name) for b in bins)
+            which = np.searchsorted(edges, values, side="right").tolist()
+            parts[col.name].append(_encode(list(map(names.__getitem__, which)), index[col.name]))
+        else:
+            parts[col.name].append(values)
+
+
+def _encode(cells: list, index: dict) -> np.ndarray:
+    """Codes of ``cells`` in ``index``, giving each value not yet in it the
+    next free code."""
+    try:
+        return np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
+    except KeyError:
+        for cell in cells:
+            index.setdefault(cell, len(index))
+        return np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
+
+
+def _raise_row_error(block: list, start: int, schema: AttributeSchema,
+                     positions: Mapping[str, int], width: int) -> None:
+    """Raise the DataError of the first bad row in ``block``, whose first
+    record is data row ``start``: a short row, then its cells in schema
+    column order."""
+    for rownum, record in enumerate(block, start=start):
+        if not record:
+            continue
+        if len(record) < width:
+            raise DataError(f"data row {rownum} has {len(record)} fields, expected {width}")
+        for col in schema.columns:
+            cell = record[positions[col.name]]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if col.kind == LABEL and value not in (0.0, 1.0):
+                raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
+            if col.kind == NUMERIC and value is None:
+                raise DataError(
+                    f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
+                )
+            if col.name in schema.bins:
+                if value is None:
+                    raise DataError(
+                        f"non-numeric value {cell!r} in binned column {col.name!r}"
+                        f" at data row {rownum}"
+                    )
+                if math.isnan(value):
+                    raise DataError(
+                        f"cannot bin NaN in column {col.name!r} at data row {rownum}"
+                    )
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write in the same dialect load_csv reads; round-trips exactly."""
+    names = ds.schema.column_names()
+    cells = []
+    for name in names:
+        kind = ds.schema.column(name).kind
+        arr = ds.columns[name]
+        if kind == CATEGORICAL:
+            cells.append(map(ds.schema.categories[name].__getitem__, arr.tolist()))
+        elif kind == LABEL:
+            cells.append(map(str, arr.astype(np.int64, copy=False).tolist()))
+        else:
+            cells.append(map(repr, arr.astype(np.float64, copy=False).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        names = ds.schema.column_names()
         writer.writerow(names)
-        cols = []
-        for name in names:
-            kind = ds.schema.column(name).kind
-            arr = ds.columns[name]
-            if kind == CATEGORICAL:
-                cats = ds.schema.categories[name]
-                cols.append([cats[int(v)] for v in arr])
-            elif kind == LABEL:
-                cols.append([str(int(v)) for v in arr])
-            else:
-                cols.append([repr(float(v)) for v in arr])
-        for i in range(ds.n):
-            writer.writerow([c[i] for c in cols])
+        writer.writerows(zip(*cells))
 
 
 @dataclass(frozen=True)
@@ -576,8 +629,7 @@ class SyntheticSpec:
 def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Sample a dataset whose per-leaf Bayes rule is the planted rule."""
     rng = np.random.default_rng(seed & _SEED_MASK)
-    schema = spec.schema()
-    attr_values: dict[str, list] = {a: [] for a in spec.attributes}
+    codes: dict[str, list] = {a: [] for a in spec.attributes}
     feats = []
     labels = []
     for leaf in spec.leaves:
@@ -589,13 +641,13 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         feats.append(features)
         labels.append(y)
         for attr, cat in leaf.attributes.items():
-            attr_values[attr].extend([cat] * leaf.count)
-    all_feats = np.concatenate(feats) if feats else np.zeros((0, spec.feature_dim))
-    values: dict[str, Sequence] = dict(attr_values)
+            codes[attr].append(np.full(leaf.count, spec.attributes[attr].index(cat), dtype=np.int32))
+    all_feats = np.concatenate(feats)
+    columns = {a: np.concatenate(c) for a, c in codes.items()}
     for j in range(spec.feature_dim):
-        values[f"x{j}"] = all_feats[:, j]
-    values["label"] = np.concatenate(labels)
-    return dataset_from_values(schema, values)
+        columns[f"x{j}"] = all_feats[:, j]
+    columns["label"] = np.concatenate(labels)
+    return Dataset(spec.schema(), columns)
 
 
 def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:

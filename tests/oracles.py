@@ -1,18 +1,22 @@
 """Reference implementations that the tests check the package against.
 
 Each one computes its result the plain way: one boolean mask per group, a
-root-to-leaf descent per row, one fit on every row. The package computes
-the same results faster or from less code, and the tests hold it to these.
+root-to-leaf descent per row, one fit on every row, a CSV parsed cell by
+cell. The package computes the same results faster or from less code, and
+the tests hold it to these.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from multigroup.data import CATEGORICAL, LABEL, Dataset
+from multigroup.data import CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, DataError, \
+    Dataset, SchemaError
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import FeatureEncoder, LearnerSpec, fit
 from multigroup.risk import Loss
@@ -157,3 +161,128 @@ def decompose_check(f, ds: Dataset, parts, loss: Loss) -> float:
         if not part.absent:
             rhs += (part.support / n_union) * part.value
     return abs(lhs - rhs)
+
+
+def dataset_from_values(schema: AttributeSchema, values: Mapping[str, Sequence]) -> Dataset:
+    """Build a Dataset from per-column python values, encoding categoricals.
+
+    Categorical columns without declared categories get the sorted distinct
+    values observed; the returned dataset carries the completed schema.
+    """
+    inferred = {}
+    for name in schema.categorical_columns():
+        if name not in schema.categories or not schema.categories[name]:
+            inferred[name] = tuple(sorted({str(v) for v in values[name]}))
+    if inferred:
+        schema = schema.with_categories(inferred)
+
+    columns = {}
+    for col in schema.columns:
+        raw = values[col.name]
+        if col.kind == CATEGORICAL:
+            cats = schema.categories[col.name]
+            index = {c: i for i, c in enumerate(cats)}
+            try:
+                columns[col.name] = np.fromiter(
+                    (index[str(v)] for v in raw), dtype=np.int32, count=len(raw)
+                )
+            except KeyError as exc:
+                raise DataError(
+                    f"value {exc.args[0]!r} not among declared categories of column {col.name!r}"
+                ) from None
+        elif col.kind == LABEL:
+            arr = np.asarray(raw, dtype=np.float64)
+            if arr.size and not np.isin(arr, (0.0, 1.0)).all():
+                bad = int(np.flatnonzero(~np.isin(arr, (0.0, 1.0)))[0])
+                raise DataError(f"label must be 0 or 1 at data row {bad + 1}")
+            columns[col.name] = arr.astype(np.int64)
+        else:
+            columns[col.name] = np.asarray(raw, dtype=np.float64)
+    return Dataset(schema, columns)
+
+
+def _bin_value(value: float, bins: tuple[Bin, ...], column: str, rownum: int) -> str:
+    if math.isnan(value):
+        raise DataError(f"cannot bin NaN in column {column!r} at data row {rownum}")
+    for b in bins:
+        if b.upper is None or value < b.upper:
+            return b.name
+    raise DataError(f"value {value} outside bins of column {column!r} at data row {rownum}")
+
+
+def load_csv(path, schema: AttributeSchema) -> Dataset:
+    """Load a comma-separated, header-first, UTF-8 file against a schema.
+
+    Columns may appear in any order; extra columns are ignored. Categorical
+    columns with declared bins are parsed as numbers and discretized.
+    Numeric cells must be finite: nan and inf are rejected.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"empty file: {path}") from None
+        positions = {}
+        for col in schema.columns:
+            if col.name not in header:
+                raise SchemaError(f"missing column {col.name!r} in {path}")
+            positions[col.name] = header.index(col.name)
+
+        width_needed = max(positions.values()) + 1
+        raw: dict[str, list] = {c.name: [] for c in schema.columns}
+        blank = []
+        for rownum, record in enumerate(reader, start=1):
+            if not record:
+                blank.append(rownum)
+                continue
+            if len(record) < width_needed:
+                raise DataError(
+                    f"data row {rownum} has {len(record)} fields, expected {width_needed}"
+                )
+            for col in schema.columns:
+                cell = record[positions[col.name]]
+                if col.kind == CATEGORICAL:
+                    if col.name in schema.bins:
+                        try:
+                            num = float(cell)
+                        except ValueError:
+                            raise DataError(
+                                f"non-numeric value {cell!r} in binned column {col.name!r}"
+                                f" at data row {rownum}"
+                            ) from None
+                        raw[col.name].append(_bin_value(num, schema.bins[col.name], col.name, rownum))
+                    else:
+                        raw[col.name].append(cell)
+                elif col.kind == LABEL:
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        val = -1.0
+                    if val not in (0.0, 1.0):
+                        raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
+                    raw[col.name].append(val)
+                else:
+                    try:
+                        raw[col.name].append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
+                        ) from None
+    if not raw[schema.label_column]:
+        raise DataError(f"no data rows in {path}")
+    ds = dataset_from_values(schema, raw)
+    for col in schema.columns:
+        if col.kind != NUMERIC:
+            continue
+        values = ds.numeric(col.name)
+        if np.isfinite(values.min()) and np.isfinite(values.max()):  # min and max keep a NaN
+            continue
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        rownum = i + 1
+        for b in blank:  # empty records count as data rows but hold no values
+            if b > rownum:
+                break
+            rownum += 1
+        raise DataError(f"non-finite value {values[i]} in column {col.name!r} at data row {rownum}")
+    return ds

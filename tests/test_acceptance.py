@@ -157,7 +157,7 @@ def test_criterion_3_degeneracy_equivalences():
 
 def test_criterion_4_risk_decomposition():
     from multigroup.risk import CLIPPED_LOGISTIC
-    from multigroup.data import dataset_from_values
+    from oracles import dataset_from_values
 
     schema = AttributeSchema(
         columns=(Column("x0", "numeric"), Column("label", "binary-label")),
@@ -308,7 +308,7 @@ def test_criterion_9_learner_sanity():
         worst = max(worst, float(rel.max()))
     assert worst < 1e-5
 
-    from multigroup.data import dataset_from_values
+    from oracles import dataset_from_values
 
     schema = AttributeSchema(
         columns=(Column("x0", "numeric"), Column("x1", "numeric"),

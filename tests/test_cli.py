@@ -7,8 +7,8 @@ import pytest
 
 from multigroup import cli
 from multigroup.cli import main
-from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, make_synthetic,
-                            schema_to_json, write_csv)
+from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, load_csv, make_synthetic,
+                            schema_from_json, schema_to_json, write_csv)
 from multigroup.modelio import stored_learner
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
@@ -242,8 +242,6 @@ def test_synth_emits_loadable_csv(tmp_path):
                  "--out", str(out_csv)]) == 0
     assert out_csv.exists()
     schema_doc = json.loads((tmp_path / "synth.csv.schema.json").read_text())
-    from multigroup.data import load_csv, schema_from_json
-
     ds = load_csv(out_csv, schema_from_json(schema_doc))
     assert ds.n == 50
 
@@ -744,6 +742,23 @@ def test_non_finite_feature_is_a_data_error(tmp_path, capsys, cell):
     model = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
     assert main(["audit", "--model", str(model), "--data", str(data)]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_csv_with_byte_order_mark_trains(tmp_path):
+    """A CSV saved with a UTF-8 byte-order mark, as spreadsheet programs
+    save it, loads to the same dataset as the plain file: a model trained
+    on it audits clean against the plain file's fingerprint."""
+    plain = ROOT / "demo" / "data.csv"
+    bom = tmp_path / "data.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    config = ROOT / "fixtures" / "run.json"
+    out = tmp_path / "models"
+    assert main(["train", "--config", str(config), "--set", f"dataset={bom}",
+                 "--set", 'learners=[{"kind": "constant"}]', "--out", str(out)]) == 0
+    schema = schema_from_json(json.loads(config.read_text())["schema"])
+    assert load_csv(bom, schema).equals(load_csv(plain, schema))
+    assert main(["audit", "--model", str(out / "mgl_tree.constant.model.json"),
+                 "--data", str(plain)]) == 0
 
 
 def test_set_overrides_apply(tmp_path):

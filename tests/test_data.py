@@ -1,8 +1,14 @@
+import csv
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigroup import data
 from multigroup.data import (
     AttributeSchema,
     Bin,
@@ -277,3 +283,152 @@ def test_dataset_rejects_labels_other_than_zero_and_one(labels):
 def test_json_int_accepts_integral_numbers(value):
     got = json_int(value, "count")
     assert got == value and type(got) is int
+
+
+# ---------------------------------------------------------------------------
+# The block-wise loader against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+_EDGE_BINS = (Bin("lo", 0.0), Bin("mid", 1.5), Bin("hi"))
+# cells a column of each kind usually holds, and cells any column may hold
+_USUAL = {
+    "g": ["a", "b", "c", "x,y"],
+    "h": ["-1", "0", "-0", "1.5", "1e3", "inf", "-inf"],
+    "x": ["0.25", "-3", "1e-3", " 2", "7_0"],
+    "y": ["0", "1", "1.0", " 1", "-0", "0e0"],
+}
+_ODD = ["", "2", "abc", 'q"t', "two\nlines", "1\r\n2", "a", "0.5"]
+_NON_FINITE = ["nan", "NaN", "inf", "-inf", "1e400"]
+
+
+@st.composite
+def csv_cases(draw):
+    """A schema and CSV text: quoted cells with commas, quotes and line
+    breaks, either line end, blank lines, short rows, extra and reordered
+    columns, binned columns, odd labels, declared and inferred categories
+    and non-finite numbers."""
+    binned = draw(st.booleans())
+    categories = {}
+    if draw(st.booleans()):
+        categories["g"] = draw(st.sampled_from([("a", "b"), ("b", "a", "c", "x,y")]))
+    if binned:
+        h_cats = draw(st.sampled_from([None, ("lo", "mid", "hi"), ("hi", "lo")]))
+        if h_cats:
+            categories["h"] = h_cats
+    elif draw(st.booleans()):
+        categories["h"] = ("0", "-1")
+    schema = AttributeSchema(
+        columns=(Column("g", "categorical"), Column("h", "categorical"),
+                 Column("x", "numeric"), Column("y", "binary-label")),
+        label_column="y",
+        categories=categories,
+        bins={"h": _EDGE_BINS} if binned else {},
+    )
+    header = draw(st.permutations(["g", "h", "x", "y", "junk"]))
+    if draw(st.integers(0, 19)) == 0:
+        header = header[:-1]  # may drop a needed column
+    cell = {}
+    for name in header:  # some columns also hold odd or non-finite cells
+        usual = st.sampled_from(_USUAL.get(name, ["z"]))
+        odd = st.one_of(usual, st.sampled_from(_ODD))
+        non_finite = st.one_of(usual, st.sampled_from(_NON_FINITE))
+        modes = [usual, non_finite, non_finite, odd] if name == "x" else \
+            [usual, usual, usual, odd, non_finite]
+        cell[name] = draw(st.sampled_from(modes))
+    record = st.tuples(*(cell[name] for name in header)).map(list)
+    # mostly full records, some short ones and some blank lines
+    row = st.tuples(st.integers(0, 11), record).map(
+        lambda kr: kr[1][:-1] if kr[0] == 0 else [] if kr[0] == 1 else kr[1])
+    rows = draw(st.lists(row, min_size=int(draw(st.integers(0, 9)) > 0), max_size=14))
+    rows = [[]] * draw(st.integers(0, 2)) + rows  # blank lines shift every later row number
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return schema, buf.getvalue()
+
+
+def _load_outcome(load, path, schema):
+    try:
+        return load(path, schema), None
+    except (DataError, SchemaError, csv.Error) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_load(path, schema):
+    got, got_error = _load_outcome(load_csv, path, schema)
+    want, want_error = _load_outcome(oracles.load_csv, path, schema)
+    assert got_error == want_error
+    if want is not None:
+        assert got.equals(want) and got.schema == want.schema
+        assert all(got.columns[c].dtype == want.columns[c].dtype for c in want.columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_cases(), block_rows=st.integers(1, 4))
+def test_load_csv_matches_row_by_row_oracle(tmp_path_factory, case, block_rows):
+    """Every file loads to the oracle's dataset and schema, or raises the
+    oracle's error; small blocks put blank lines, short rows and errors on
+    both sides of block boundaries."""
+    schema, text = case
+    path = tmp_path_factory.getbasetemp() / "oracle_case.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        _assert_same_load(path, schema)
+
+
+def test_later_parse_error_wins_over_earlier_category_error(tmp_path):
+    """An undeclared category in the first block and a bad number three
+    blocks later: reading row by row meets the bad number first, because
+    categories are checked after every row is read."""
+    schema = AttributeSchema(
+        columns=(Column("g", "categorical"), Column("x", "numeric"),
+                 Column("y", "binary-label")),
+        label_column="y",
+        categories={"g": ("a", "b")},
+    )
+    rows = [["a", "0.5", "1"]] * 3500
+    rows[7] = ["zz", "0.5", "1"]
+    p = tmp_path / "d.csv"
+    for bad_row, message in ((3204, "non-numeric value 'oops' in column 'x' at data row 3205"),
+                             (None, "value 'zz' not among declared categories of column 'g'")):
+        body = [list(r) for r in rows]
+        if bad_row is not None:
+            body[bad_row][1] = "oops"
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([["g", "x", "y"], *body, [], []])
+        p.write_text(text.getvalue())
+        with pytest.raises(DataError) as exc:
+            load_csv(p, schema)
+        assert str(exc.value) == message
+        _assert_same_load(p, schema)
+
+
+@pytest.mark.parametrize("label", ["2", "1"], ids=["bad_label_first", "reader_error"])
+def test_reader_error_comes_after_the_rows_before_it(tmp_path, label):
+    """csv's own errors, such as a field over its size limit, are raised
+    where a row-by-row read meets them: after a bad row earlier in the same
+    block."""
+    p = tmp_path / "d.csv"
+    p.write_text(f"race,sex,label\nR1,M,1\nR1,F,{label}\nR2,{'M' * 200_000},1\nR2,F,0\n")
+    _assert_same_load(p, small_schema())
+    with pytest.raises(DataError if label == "2" else csv.Error):
+        load_csv(p, small_schema())
+
+
+def test_load_csv_peak_memory_is_at_most_half_the_oracles(tmp_path):
+    """Reading in blocks holds no whole-file lists of cells."""
+    ds = make_synthetic(opposite_separators_spec(6500, noise=0.1), seed=4)
+    assert ds.n >= 12000
+    p = tmp_path / "d.csv"
+    write_csv(ds, p)
+    peaks = []
+    for load in (load_csv, oracles.load_csv):
+        tracemalloc.start()
+        try:
+            assert load(p, ds.schema).equals(ds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.5 * peaks[1], peaks
+

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from multigroup.data import AttributeSchema, Column, SchemaError, dataset_from_values
+from multigroup.data import AttributeSchema, Column, SchemaError
 from multigroup.groups import (
     Group,
     GroupTree,
@@ -17,7 +17,7 @@ from multigroup.groups import (
 )
 
 import oracles
-from oracles import contains_row, deepest_containing
+from oracles import contains_row, dataset_from_values, deepest_containing
 from synthcases import two_leaf_constants
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multigroup.data import dataset_from_values, make_synthetic
+from multigroup.data import make_synthetic
 from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vector
 from multigroup.learners import (
     ConstantPredictor,
@@ -21,7 +21,7 @@ from multigroup.learners import (
     sigmoid,
 )
 
-from oracles import erm
+from oracles import dataset_from_values, erm
 from synthcases import opposite_separators_spec, two_leaf_constants
 
 

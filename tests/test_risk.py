@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigroup.data import dataset_from_values
 from multigroup.groups import Group
 from multigroup.risk import CLIPPED_LOGISTIC, LOG_CLIP_CAP, ZERO_ONE, loss_from_name
 
-from oracles import IndexGroup, RiskValue, decompose_check, empirical_risk, group_risk
+from oracles import IndexGroup, RiskValue, dataset_from_values, decompose_check, empirical_risk, \
+    group_risk
 from synthcases import FixedPredictor, two_leaf_constants
 
 
