@@ -18,7 +18,7 @@ from ..bounds import EpsilonSpec, epsilon, uc_width
 from ..data import Dataset, float_from_json, float_to_json
 from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache
-from ..risk import Loss
+from ..risk import Loss, group_risks, mean
 from .routing import route
 
 
@@ -121,8 +121,7 @@ class _Pass:
 
     def risk(self, i: int) -> float:
         """The current tree's risk on node i (which must be observed)."""
-        r = self.rows[i]
-        return float(self.row_loss[r].sum() / len(r))
+        return mean(self.row_loss[self.rows[i]])
 
     def visit(self, i: int, follow) -> TraceStep:
         """Compare node i's restricted fit with its parent's working predictor.
@@ -141,7 +140,7 @@ class _Pass:
         candidate = self.cache.group_erm(self.spec, self.tree, g)
         candidate_loss = self.loss.per_example(candidate, self.train.take(r))
         parent_risk = self.risk(i)
-        candidate_risk = float(candidate_loss.sum() / n_g)
+        candidate_risk = mean(candidate_loss)
         margin = epsilon(self.eps, n_g)
         err = parent_risk - candidate_risk - margin
         step = TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err,
@@ -194,18 +193,17 @@ def excess_risk_report(
     """
     if cache is None:
         cache = PredictorCache(train)
-    tree = predictor.tree
+    tree, loss = predictor.tree, predictor.loss
     eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
-    tree_losses = predictor.loss.per_example(predictor, train)
+    tree_risks = group_risks(predictor, train, tree, loss)
+    bench_risks = group_risks(cache.group_fits(predictor.learner_spec, tree), train, tree, loss)
     rows = []
     violations = []
     for g, r in zip(tree.nodes, tree.row_index(train)):
         n_g = len(r)
         if n_g == 0:
             continue
-        benchmark = cache.group_erm(predictor.learner_spec, tree, g)
-        bench_risk = float(predictor.loss.per_example(benchmark, train.take(r)).sum() / n_g)
-        tree_risk = float(tree_losses[r].sum() / n_g)
+        tree_risk, bench_risk = tree_risks[g.id], bench_risks[g.id]
         margin = epsilon(eps, n_g)
         excess = tree_risk - bench_risk - margin
         row = {

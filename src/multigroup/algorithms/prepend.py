@@ -20,7 +20,7 @@ from ..bounds import EpsilonSpec, epsilon
 from ..data import Dataset
 from ..groups import Group, GroupTree
 from ..learners import LearnerSpec, PredictorCache
-from ..risk import Loss
+from ..risk import Loss, mean
 from .routing import route
 
 
@@ -78,16 +78,14 @@ class _CandidatePool:
         observed = [(g, r) for g, r in zip(tree.nodes, tree.row_index(train)) if len(r)]
         self.groups = [g for g, _ in observed]
         self.rows = [r for _, r in observed]
-        self.counts = [len(r) for r in self.rows]
-        self.margins = np.array([epsilon(eps, n_g) for n_g in self.counts])
+        self.margins = np.array([epsilon(eps, len(r)) for r in self.rows])
         self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
         for g in sorted(self.groups, key=lambda g: g.id):
             if not g.is_root:
                 self.candidates.append((g.id, cache.group_erm(spec, tree, g)))
         self.losses = [loss.per_example(p, train) for _, p in self.candidates]
         self.risks = np.array(
-            [[losses[r].sum() / n_g for losses in self.losses]
-             for r, n_g in zip(self.rows, self.counts)],
+            [[mean(losses[r]) for losses in self.losses] for r in self.rows],
         ).reshape(len(self.groups), len(self.candidates))
 
     def scan(self, row_loss: np.ndarray):
@@ -95,8 +93,7 @@ class _CandidatePool:
         candidate) pair under the per-row losses ``row_loss``, plus the
         (group, candidate) index of the first maximum, or None if no group
         is observed."""
-        list_risk = np.array([row_loss[r].sum() / n_g
-                              for r, n_g in zip(self.rows, self.counts)])
+        list_risk = np.array([mean(row_loss[r]) for r in self.rows])
         values = list_risk[:, None] - self.risks - self.margins[:, None]
         if not values.size:
             return values, None

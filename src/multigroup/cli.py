@@ -3,7 +3,8 @@
 Subcommands: validate-hierarchy, train, evaluate, audit, synth. Every
 command is driven by a JSON run-config (``--config``) with optional
 ``--set dotted.key=value`` overrides, and is deterministic under a fixed
-config. Exit codes: 0 success, 1 domain failure, 2 usage or I/O failure.
+config. Commands raise; ``main`` turns each error into one ``error: ...``
+line and its exit code, in one place (``_INPUT_ERRORS``).
 """
 
 from __future__ import annotations
@@ -15,31 +16,35 @@ import sys
 
 from .algorithms import excess_risk_report, monotonicity_audit, termination_scan
 from .config import ConfigError, load_run_config
-from .data import DataError, SchemaError, load_csv, make_synthetic, schema_from_json, \
-    schema_to_json, synthetic_spec_from_json, write_csv
+from .data import SchemaError, load_csv, make_synthetic, schema_from_json, schema_to_json, \
+    synthetic_spec_from_json, write_csv
 from .evaluation import run_experiment
 from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
-from .methods import METHODS, MethodError, group_risks, method_failure
-from .modelio import dataset_fingerprint, rebuild_decision_list, rebuild_tree_predictor
-from .risk import loss_from_name
+from .methods import METHODS, MethodError, method_failure
+from .modelio import ModelError, dataset_fingerprint, reading_model, rebuild_decision_list, \
+    rebuild_tree_predictor
+from .risk import group_risks, loss_from_name
+
+# Exit 2: an input file or document cannot be opened or parsed, or does not
+# fit the data's columns. Every other ValueError, and a MethodError, exits 1:
+# the inputs were read, and the data, the hierarchy or a method failed on
+# them. A UnicodeDecodeError here comes from a JSON input; load_csv raises
+# its own as a DataError.
+_INPUT_ERRORS = (ConfigError, SchemaError, ModelError, OSError, json.JSONDecodeError,
+                 UnicodeDecodeError)
 
 
 def cmd_validate_hierarchy(args) -> int:
+    cfg = load_run_config(args.config, args.set)
+    ds = load_csv(cfg.dataset_path, cfg.schema) if cfg.dataset_path else None
     try:
-        cfg = load_run_config(args.config, args.set)
-        ds = None
-        if cfg.dataset_path:
-            ds = load_csv(cfg.dataset_path, cfg.schema)
         tree = cfg.hierarchy(ds.schema if ds is not None else cfg.schema)
-        if ds is not None:
-            tree.rows(ds)  # a conjunct on an unknown category is a SchemaError
     except HierarchyError as exc:
         print(HierarchyVerdict(False, (exc.violation,)).describe())
         return 1
-    except (ConfigError, SchemaError, DataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if ds is not None:
+        tree.rows(ds)  # a conjunct on an unknown category is a SchemaError
     print("VALID")
     return 0
 
@@ -56,68 +61,48 @@ def _print_train_table(tree, risks_by_method, counts):
         print(f"{g.id:<40}{counts[g.id]:>8}" + cells)
 
 
-def cmd_train(args) -> int:
-    try:
-        cfg = load_run_config(args.config, args.set)
-        if not cfg.dataset_path:
-            raise ConfigError("train needs a dataset path in the config")
-        out_dir = args.out or cfg.output_dir
-        if not out_dir:
-            raise ConfigError("train needs an output directory (--out or output_dir)")
-        train = load_csv(cfg.dataset_path, cfg.schema)
-    except (ConfigError, SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+def _run_inputs(args, command: str):
+    """The run-config, its dataset and the output directory, which is
+    created once both have been read."""
+    cfg = load_run_config(args.config, args.set)
+    if not cfg.dataset_path:
+        raise ConfigError(f"{command} needs a dataset path in the config")
+    out_dir = args.out or cfg.output_dir
+    if not out_dir:
+        raise ConfigError(f"{command} needs an output directory (--out or output_dir)")
+    ds = load_csv(cfg.dataset_path, cfg.schema)
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        tree = cfg.hierarchy(train.schema)
-        loss = loss_from_name(cfg.loss)
-        encoder = FeatureEncoder(train.schema, cfg.include_group_attributes)
-        cache = PredictorCache(train, encoder)
-        counts = {g.id: len(r) for g, r in zip(tree.nodes, tree.row_index(train))}
+    return cfg, ds, out_dir
 
-        for ls in cfg.learners:
-            label = ls.label()
-            risks_by_method = {}
-            for name in cfg.methods:
-                method = METHODS[name]
-                with method_failure(name, label):
-                    fitted = method.fit(train, tree, ls, cfg, cache)
-                    if method.save is not None:
-                        path = os.path.join(out_dir, f"{name}.{label}.model.json")
-                        method.save(path, fitted, train, tree, ls, cfg)
-                    risks_by_method[name] = group_risks(fitted, train, tree, loss)
 
-            print(f"== learner {label}: per-group training risk ({cfg.loss})")
-            _print_train_table(tree, risks_by_method, counts)
-    except (MethodError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_train(args) -> int:
+    cfg, train, out_dir = _run_inputs(args, "train")
+    tree = cfg.hierarchy(train.schema)
+    loss = loss_from_name(cfg.loss)
+    encoder = FeatureEncoder(train.schema, cfg.include_group_attributes)
+    cache = PredictorCache(train, encoder)
+    counts = {g.id: len(r) for g, r in zip(tree.nodes, tree.row_index(train))}
+
+    for ls in cfg.learners:
+        label = ls.label()
+        risks_by_method = {}
+        for name in cfg.methods:
+            method = METHODS[name]
+            with method_failure(name, label):
+                fitted = method.fit(train, tree, ls, cfg, cache)
+                if method.save is not None:
+                    path = os.path.join(out_dir, f"{name}.{label}.model.json")
+                    method.save(path, fitted, train, tree, ls, cfg)
+                risks_by_method[name] = group_risks(fitted, train, tree, loss)
+
+        print(f"== learner {label}: per-group training risk ({cfg.loss})")
+        _print_train_table(tree, risks_by_method, counts)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        cfg = load_run_config(args.config, args.set)
-        if not cfg.dataset_path:
-            raise ConfigError("evaluate needs a dataset path in the config")
-        out_dir = args.out or cfg.output_dir
-        if not out_dir:
-            raise ConfigError("evaluate needs an output directory (--out or output_dir)")
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(cfg, jobs=args.jobs)
-    except (FileNotFoundError, MethodError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    os.makedirs(out_dir, exist_ok=True)
+    cfg, ds, out_dir = _run_inputs(args, "evaluate")
+    report = run_experiment(cfg, ds, jobs=args.jobs)
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv_text())
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -130,40 +115,30 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.model, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     kind = doc.get("model") if isinstance(doc, dict) else None
     rebuild = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list}.get(kind)
     if rebuild is None:
-        print(f"error: model kind {kind!r} is not auditable", file=sys.stderr)
-        return 2
-    try:
+        raise ModelError(f"model kind {kind!r} is not auditable")
+    with reading_model():
         predictor = rebuild(doc)
         train = load_csv(args.data, schema_from_json(doc["schema"]))
         if train.n != doc["n_train"] or dataset_fingerprint(train) != doc["dataset_fingerprint"]:
-            raise ValueError("dataset does not match the model's training data")
-    except (SchemaError, DataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError) as exc:
-        print(f"error: malformed model file: {exc!r}", file=sys.stderr)
-        return 2
+            raise ModelError("dataset does not match the model's training data")
+        cache = PredictorCache(train, FeatureEncoder(
+            train.schema, doc.get("include_group_attributes", True)))
+        # raises if the trace does not list the stored tree's nodes in order
+        verdict = None if kind == "prepend" else monotonicity_audit(
+            predictor.trace, train, predictor.tree, predictor.learner_spec,
+            predictor.eps_spec, predictor.loss, cache=cache)
 
-    cache = PredictorCache(train, FeatureEncoder(
-        train.schema, doc.get("include_group_attributes", True)))
     problems = 0
-    if kind == "mgl_tree":
-        try:
-            verdict = monotonicity_audit(predictor.trace, train, predictor.tree,
-                                         predictor.learner_spec, predictor.eps_spec,
-                                         predictor.loss, cache=cache)
-        except ValueError as exc:  # a trace that does not fit the stored tree
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if verdict is None:
+        for gid, source, value in termination_scan(predictor, train, cache=cache):
+            print(f"stopping-test violation: group {gid} candidate {source} value {value}")
+            problems += 1
+    else:
         if not verdict.ok:
             print(verdict.describe())
             problems += len(verdict.violations)
@@ -184,10 +159,6 @@ def cmd_audit(args) -> int:
         for row in violations:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")
             problems += 1
-    else:
-        for gid, source, value in termination_scan(predictor, train, cache=cache):
-            print(f"stopping-test violation: group {gid} candidate {source} value {value}")
-            problems += 1
 
     if problems:
         print(f"AUDIT FAILED: {problems} problem(s)")
@@ -197,27 +168,17 @@ def cmd_audit(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = synthetic_spec_from_json(json.load(fh))
-        ds = make_synthetic(spec, args.seed)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        spec = synthetic_spec_from_json(doc)
     except (KeyError, TypeError, AttributeError) as exc:  # a missing or wrong-typed field
-        print(f"error: malformed synthetic spec: {exc!r}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        write_csv(ds, args.out)
-        with open(args.schema_out or args.out + ".schema.json", "w", encoding="utf-8") as fh:
-            json.dump(schema_to_json(ds.schema), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"malformed synthetic spec: {exc!r}") from exc
+    ds = make_synthetic(spec, args.seed)
+    write_csv(ds, args.out)
+    with open(args.schema_out or args.out + ".schema.json", "w", encoding="utf-8") as fh:
+        json.dump(schema_to_json(ds.schema), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {ds.n} rows to {args.out}")
     return 0
 
@@ -263,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, MethodError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .risk import loss_from_name
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
+    """Malformed or inconsistent run configuration or synthetic spec."""
 
 
 _TOP_KEYS = {

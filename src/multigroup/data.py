@@ -174,6 +174,12 @@ def schema_from_json(doc: Mapping) -> AttributeSchema:
     for name, blist in (doc.get("bins") or {}).items():
         bins[name] = tuple(Bin(b["name"], b.get("upper")) for b in blist)
         categories.setdefault(name, tuple(b.name for b in bins[name]))
+    # cells are strings, so no cell could match a category of another type
+    named = [(col, "bin names", b.name) for col, blist in bins.items() for b in blist]
+    named += [(col, "categories", cat) for col, cats in categories.items() for cat in cats]
+    for col, what, value in named:
+        if not isinstance(value, str):
+            raise SchemaError(f"{what} of column {col!r} must be strings, got {value!r}")
     return AttributeSchema(
         columns=tuple(columns),
         label_column=doc["label"],
@@ -318,9 +324,10 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
 
     Records are read in blocks and converted a column at a time. A bad
     file raises the error a row-by-row read meets first: no header or a
-    missing column, then the first short row or unparsable cell, then no
-    data rows, then the first undeclared category (in column order), then
-    the first non-finite number.
+    missing column, then the first short, unreadable or unparsable row,
+    then no data rows, then the first undeclared category (in column
+    order), then the first non-finite number. Each of these is a
+    DataError, but a missing column is a SchemaError.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -328,6 +335,8 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read the header of {path}: {exc}") from exc
         positions = {}
         for col in schema.columns:
             if col.name not in header:
@@ -336,7 +345,7 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
         # categorical columns get provisional codes in order of first sight
         index = {name: {c: i for i, c in enumerate(schema.categories.get(name, ()))}
                  for name in schema.categorical_columns()}
-        parts, blank = _read_blocks(reader, schema, positions, index)
+        parts, blank = _read_blocks(reader, path, schema, positions, index)
     if not parts[schema.label_column]:
         raise DataError(f"no data rows in {path}")
 
@@ -374,10 +383,15 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
     return ds
 
 
-def _read_blocks(reader, schema: AttributeSchema, positions: Mapping[str, int],
+def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, int],
                  index: Mapping[str, dict]) -> tuple[dict[str, list], list[int]]:
     """Each column's arrays, one per block of records, and the numbers of
-    the empty records, which count as data rows but hold no values."""
+    the empty records, which count as data rows but hold no values.
+
+    A record the reader cannot read, such as one over csv's field size
+    limit, is a DataError naming its data row. A byte that is not UTF-8 is
+    named at the row being read when the decoder met it. Text is decoded in
+    chunks of 8 KiB, so that row may start up to a chunk before the byte."""
     width = max(positions.values()) + 1
     parts: dict[str, list] = {c.name: [] for c in schema.columns}
     blank = []
@@ -401,7 +415,8 @@ def _read_blocks(reader, schema: AttributeSchema, positions: Mapping[str, int],
                 _raise_row_error(block, start, schema, positions, width)
                 raise
         if unread is not None:
-            raise unread
+            raise DataError(f"cannot read data row {start + len(block)} of {path}: {unread}") \
+                from unread
         start += len(block)
 
 

@@ -19,11 +19,11 @@ from functools import cached_property
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, SplitSpec, load_csv, split
+from .data import Dataset, SplitSpec, split
 from .groups import GroupTree
 from .learners import FeatureEncoder, PredictorCache
-from .methods import METHODS, group_risks, method_failure
-from .risk import ZERO_ONE
+from .methods import METHODS, method_failure
+from .risk import ZERO_ONE, group_risks
 
 
 def _mean_stderr(values) -> tuple[float | None, float | None]:
@@ -174,12 +174,7 @@ class EvalReport:
         return out
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
-                   jobs: int = 1) -> EvalReport:
-    if dataset is None:
-        if cfg.dataset_path is None:
-            raise ValueError("config has no dataset path and no dataset was supplied")
-        dataset = load_csv(cfg.dataset_path, cfg.schema)
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset, jobs: int = 1) -> EvalReport:
     tree = cfg.hierarchy(dataset.schema)
 
     if jobs > 1:

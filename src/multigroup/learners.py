@@ -714,6 +714,12 @@ class PredictorCache:
         """The global fit, on every row: the same fit as any tree root's."""
         return self.group_erm(spec, _ROOT_ONLY, _ROOT_ONLY.root)
 
+    def group_fits(self, spec: LearnerSpec, tree: GroupTree) -> dict:
+        """The fit of spec on each node of tree that has rows, by node id;
+        a node without rows has no fit."""
+        rows = tree.row_index(self.ds)
+        return {g.id: self.group_erm(spec, tree, g) for g, r in zip(tree.nodes, rows) if len(r)}
+
 
 # ---------------------------------------------------------------------------
 # Predictor (de)serialization

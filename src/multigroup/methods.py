@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algorithms import PrependCapExceeded, decoupled, excess_risk_report, mgl_tree, prepend
-from .learners import EmptyGroupError
 from .modelio import save_list_model, save_partition_model, save_plain_model, save_tree_model
-from .risk import loss_from_name
+from .risk import group_risks, loss_from_name  # group_risks also stays importable from here
 
 
 class MethodError(RuntimeError):
@@ -33,16 +32,6 @@ class Method:
     save: Callable | None = None
     # (fitted, train, cache) -> per-trial summary dict for evaluate
     summary: Callable | None = None
-
-
-def _fit_group_erm(train, tree, spec, cfg, cache) -> dict:
-    fits = {}
-    for g in tree.nodes:
-        try:
-            fits[g.id] = cache.group_erm(spec, tree, g)
-        except EmptyGroupError:
-            pass  # unobserved on train: no fit, so no risk either
-    return fits
 
 
 def _save_tree(path, predictor, train, tree, spec, cfg) -> None:
@@ -72,7 +61,7 @@ METHODS: dict[str, Method] = {
         save=lambda path, p, train, tree, spec, cfg: save_plain_model(
             path, p, train, spec, cfg.include_group_attributes),
     ),
-    "group_erm": Method(fit=_fit_group_erm),
+    "group_erm": Method(fit=lambda train, tree, spec, cfg, cache: cache.group_fits(spec, tree)),
     "prepend": Method(
         fit=lambda train, tree, spec, cfg, cache: prepend(
             train, tree, spec, cfg.epsilon, loss_from_name(cfg.loss),
@@ -104,21 +93,3 @@ def method_failure(method: str, label: str, trial: int | None = None):
         where = "" if trial is None else f" in trial {trial}"
         raise MethodError(f"method {method!r} (learner {label}) failed{where}: {exc}") from exc
 
-
-def group_risks(fitted, ds, tree, loss) -> dict[str, float | None]:
-    """Mean loss on each group's rows of ds, as ``tree.row_index(ds)`` gives them.
-
-    ``fitted`` is one predictor scored once on all of ds, or a dict of
-    per-group fits (group_erm), each scored on its own group's rows only.
-    A group with no rows, or without a fit, gets None.
-    """
-    shared = None if isinstance(fitted, dict) else loss.per_example(fitted, ds)
-    out = {}
-    for r, g in zip(tree.row_index(ds), tree.nodes):
-        if not len(r) or (shared is None and g.id not in fitted):
-            out[g.id] = None
-        elif shared is not None:
-            out[g.id] = float(shared[r].sum() / len(r))  # the bits of .mean(), faster
-        else:
-            out[g.id] = float(loss.per_example(fitted[g.id], ds.take(r)).sum() / len(r))
-    return out

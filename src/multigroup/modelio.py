@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 from .algorithms import (
     DecisionList,
@@ -18,10 +19,31 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import Dataset, schema_from_json, schema_to_json
+from .data import DataError, Dataset, schema_from_json, schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, predictor_from_json
 from .risk import loss_from_name
+
+
+class ModelError(ValueError):
+    """A model file that cannot be rebuilt, or that does not fit the data it
+    is checked against."""
+
+
+@contextmanager
+def reading_model():
+    """Re-raise a failure to read a model document inside the block as a
+    ModelError: a missing key or a wrong-typed field as ``malformed model
+    file: KeyError('decision')``, any other ValueError with its own text. A
+    DataError, which only the data file can raise, passes through."""
+    try:
+        yield
+    except (DataError, ModelError):
+        raise
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ModelError(f"malformed model file: {exc!r}") from exc
+    except ValueError as exc:
+        raise ModelError(str(exc)) from exc
 
 
 def dataset_fingerprint(ds: Dataset) -> str:

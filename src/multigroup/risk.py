@@ -1,4 +1,4 @@
-"""Bounded per-example losses."""
+"""Bounded per-example losses, and their mean on each group of a hierarchy."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .groups import GroupTree
 
 LOG_CLIP_CAP = math.log(1e3)
 _P_FLOOR = 1e-12
@@ -46,3 +47,27 @@ def loss_from_name(name: str) -> Loss:
     if name == "clipped_logistic":
         return CLIPPED_LOGISTIC
     raise ValueError(f"unknown loss {name!r}")
+
+
+def mean(values: np.ndarray) -> float:
+    """The mean of a non-empty array: the bits of ``values.mean()``, faster."""
+    return float(values.sum() / len(values))
+
+
+def group_risks(fitted, ds: Dataset, tree: GroupTree, loss: Loss) -> dict[str, float | None]:
+    """Mean loss on each group's rows of ds, as ``tree.row_index(ds)`` gives them.
+
+    ``fitted`` is one predictor scored once on all of ds, or a dict of
+    per-group fits (group_erm), each scored on its own group's rows only.
+    A group with no rows, or without a fit, gets None.
+    """
+    shared = None if isinstance(fitted, dict) else loss.per_example(fitted, ds)
+    out = {}
+    for r, g in zip(tree.row_index(ds), tree.nodes):
+        if not len(r) or (shared is None and g.id not in fitted):
+            out[g.id] = None
+        elif shared is not None:
+            out[g.id] = mean(shared[r])
+        else:
+            out[g.id] = mean(loss.per_example(fitted[g.id], ds.take(r)))
+    return out

@@ -210,6 +210,21 @@ def _bin_value(value: float, bins: tuple[Bin, ...], column: str, rownum: int) ->
     raise DataError(f"value {value} outside bins of column {column!r} at data row {rownum}")
 
 
+def _records(reader, path):
+    """The reader's records; a record it cannot read is a DataError naming
+    its data row."""
+    rownum = 1
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read data row {rownum} of {path}: {exc}") from exc
+        yield record
+        rownum += 1
+
+
 def load_csv(path, schema: AttributeSchema) -> Dataset:
     """Load a comma-separated, header-first, UTF-8 file against a schema.
 
@@ -223,6 +238,8 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read the header of {path}: {exc}") from exc
         positions = {}
         for col in schema.columns:
             if col.name not in header:
@@ -232,7 +249,7 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
         width_needed = max(positions.values()) + 1
         raw: dict[str, list] = {c.name: [] for c in schema.columns}
         blank = []
-        for rownum, record in enumerate(reader, start=1):
+        for rownum, record in enumerate(_records(reader, path), start=1):
             if not record:
                 blank.append(rownum)
                 continue

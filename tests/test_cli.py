@@ -103,18 +103,20 @@ def test_validate_hierarchy_crossing_predicates(tmp_path, capsys):
      "group 'grp=zzz' tests unknown category 'zzz' of 'grp'"),
     ([[], [["x0", "a"]]], "group 'x0=a' tests non-categorical attribute 'x0'"),
 ], ids=["unknown_category", "numeric_attribute"])
-@pytest.mark.parametrize("command, code", [
-    (["validate-hierarchy"], 2), (["train", "--out", "out"], 1), (["evaluate", "--out", "out"], 1),
+@pytest.mark.parametrize("command", [
+    ["validate-hierarchy"], ["train", "--out", "out"], ["evaluate", "--out", "out"],
 ], ids=["validate", "train", "evaluate"])
 def test_bad_hierarchy_conjunct_is_reported(tmp_path, monkeypatch, capsys, nodes, message,
-                                            command, code):
+                                            command):
+    """A conjunct that does not fit the data's columns is a SchemaError:
+    exit 2 from every command."""
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
     del doc["attribute_order"]
     doc["hierarchy_nodes"] = nodes
     cfg = write_config(tmp_path, doc)
     monkeypatch.chdir(tmp_path)
-    assert main([command[0], "--config", str(cfg), *command[1:]]) == code
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -175,12 +177,22 @@ def test_validate_hierarchy_malformed_json(tmp_path):
                 "bins": {"grp": [{"name": "a", "upper": float("inf")}, {"name": "b"}]}}},
     {"include_group_attributes": "false"}, {"include_group_attributes": 0},
     {"include_group_attributes": None},
+    {"schema": {"columns": [{"name": "grp", "kind": "categorical", "categories": [1, 2]},
+                            {"name": "x0", "kind": "numeric"},
+                            {"name": "label", "kind": "binary-label"}],
+                "label": "label", "group_attributes": ["grp"]}},
+    {"schema": {"columns": [{"name": "grp", "kind": "categorical"},
+                            {"name": "x0", "kind": "numeric"},
+                            {"name": "label", "kind": "binary-label"}],
+                "label": "label", "group_attributes": ["grp"],
+                "bins": {"grp": [{"name": 1, "upper": 0.5}, {"name": "b"}]}}},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
         "nan_scale", "unknown_solver", "nan_tolerance", "nan_learning_rate",
         "infinite_depth", "infinite_trees", "nan_depth", "infinite_scale",
         "infinite_tolerance", "infinite_learning_rate", "infinite_trials", "infinite_seed",
         "infinite_vc_dim", "infinite_test_fraction", "infinite_bin_edge",
-        "groups_flag_string", "groups_flag_number", "groups_flag_null"])
+        "groups_flag_string", "groups_flag_number", "groups_flag_null",
+        "number_categories", "number_bin_name"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -665,10 +677,11 @@ def test_report_csv_round_trips_group_ids_with_commas(tmp_path):
     assert [row[header.index("group_id")] for row in rows] == ["ALL", "grp=a,b", 'grp=say "c"']
 
 
-def test_evaluate_missing_dataset_exits_one(tmp_path):
+def test_evaluate_missing_dataset_exits_two(tmp_path):
+    """A dataset that cannot be opened is an I/O failure, as it is for train."""
     ds, csv_path = write_fixture(tmp_path)
     cfg = write_config(tmp_path, base_config(ds, tmp_path / "gone.csv", methods=["erm"]))
-    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
 def test_audit_clean_model(tmp_path):
@@ -718,8 +731,7 @@ def test_audit_wrong_dataset_exits_two(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_feature_is_a_data_error(tmp_path, capsys, cell):
     """A non-finite numeric cell stops every command at load, naming the
-    column and the data row; train and evaluate exit 1 on a data error, as
-    they do for an empty file, and audit exits 2."""
+    column and the data row; a data error exits 1, as an empty file does."""
     lines = (ROOT / "demo" / "data.csv").read_text().splitlines()
     assert lines[0].split(",")[1] == "x0"
     fields = lines[2].split(",")
@@ -740,8 +752,82 @@ def test_non_finite_feature_is_a_data_error(tmp_path, capsys, cell):
     assert capsys.readouterr().err == message
     assert not out.exists()
     model = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
-    assert main(["audit", "--model", str(model), "--data", str(data)]) == 2
+    assert main(["audit", "--model", str(model), "--data", str(data)]) == 1
     assert capsys.readouterr().err == message
+
+
+# exit code of each planted fault: 1 when the data fails once read, 2 when
+# an input cannot be opened or parsed
+FAULT_CODES = {"long_cell": 1, "utf16_bytes": 1, "nan_cell": 1, "missing_dataset": 2,
+               "dataset_is_a_directory": 2, "non_utf8_json": 2, "out_is_a_file": 2}
+DATA_FAULTS = ["long_cell", "utf16_bytes", "nan_cell", "missing_dataset",
+               "dataset_is_a_directory"]
+DATA_COMMANDS = ["validate-hierarchy", "train", "evaluate", "audit"]
+
+
+def _faulty_argv(tmp_path, command, fault):
+    """argv of command on the demo inputs, with one fault planted."""
+    data = ROOT / "demo" / "data.csv"
+    config = ROOT / "fixtures" / "run.json"
+    model = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
+    out = tmp_path / "out"
+    text = data.read_text()
+    if fault in ("long_cell", "nan_cell"):
+        lines = text.splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "1" * 200_000 if fault == "long_cell" else "nan"
+        lines[2] = ",".join(fields)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+    elif fault == "utf16_bytes":
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xff\xfe" + text.encode())
+    elif fault == "missing_dataset":
+        data = tmp_path / "gone.csv"
+    elif fault == "dataset_is_a_directory":
+        data = tmp_path / "data.csv"
+        data.mkdir()
+    elif fault == "non_utf8_json":
+        source = {"audit": model, "synth": ROOT / "fixtures" / "synth.json"}.get(command, config)
+        config = model = tmp_path / "input.json"
+        config.write_bytes(b"\xff\xfe" + source.read_bytes())
+    else:
+        assert fault == "out_is_a_file"
+        out.write_text("a file\n")
+    if command == "audit":
+        return ["audit", "--model", str(model), "--data", str(data)]
+    if command == "synth":
+        return ["synth", "--spec", str(config), "--out", str(tmp_path / "synth.csv")]
+    argv = [command, "--config", str(config), "--set", f"dataset={data}",
+            "--set", "split.trials=1", "--set", 'learners=[{"kind": "constant"}]']
+    return argv if command == "validate-hierarchy" else argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command, fault", [
+    *[(c, f) for f in DATA_FAULTS for c in DATA_COMMANDS],
+    *[(c, "non_utf8_json") for c in DATA_COMMANDS + ["synth"]],
+    ("train", "out_is_a_file"), ("evaluate", "out_is_a_file"),
+])
+def test_fault_matrix_exits_with_one_error_line(tmp_path, monkeypatch, capsys, command, fault):
+    """Every command meets each input fault with its exit code from
+    ``cli.main`` and exactly one ``error:`` line, never a traceback, and
+    before any trial runs or any output is written."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("evaluate ran its trials")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    argv = _faulty_argv(tmp_path, command, fault)
+    capsys.readouterr()
+    code = main(argv)  # an exception escaping main fails the test here
+    out, err = capsys.readouterr()
+    assert code == FAULT_CODES[fault]
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert "VALID" not in out and "AUDIT" not in out
+    written = tmp_path / ("synth.csv" if command == "synth" else "out")
+    if fault == "out_is_a_file":
+        assert written.read_text() == "a file\n"
+    else:
+        assert not written.exists()
 
 
 def test_csv_with_byte_order_mark_trains(tmp_path):

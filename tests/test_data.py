@@ -351,7 +351,7 @@ def csv_cases(draw):
 def _load_outcome(load, path, schema):
     try:
         return load(path, schema), None
-    except (DataError, SchemaError, csv.Error) as exc:
+    except (DataError, SchemaError) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -407,13 +407,37 @@ def test_later_parse_error_wins_over_earlier_category_error(tmp_path):
 @pytest.mark.parametrize("label", ["2", "1"], ids=["bad_label_first", "reader_error"])
 def test_reader_error_comes_after_the_rows_before_it(tmp_path, label):
     """csv's own errors, such as a field over its size limit, are raised
-    where a row-by-row read meets them: after a bad row earlier in the same
-    block."""
+    where a row-by-row read meets them, after a bad row earlier in the same
+    block, as a DataError naming the file and the data row."""
     p = tmp_path / "d.csv"
     p.write_text(f"race,sex,label\nR1,M,1\nR1,F,{label}\nR2,{'M' * 200_000},1\nR2,F,0\n")
     _assert_same_load(p, small_schema())
-    with pytest.raises(DataError if label == "2" else csv.Error):
+    with pytest.raises(DataError) as exc:
         load_csv(p, small_schema())
+    assert str(exc.value) == ("label must be 0 or 1 at data row 2, got '2'" if label == "2" else
+                              f"cannot read data row 3 of {p}: field larger than field limit "
+                              "(131072)")
+
+
+@pytest.mark.parametrize("rows_before", [None, 3000], ids=["header", "data_row"])
+def test_undecodable_byte_is_a_data_error(tmp_path, rows_before):
+    """A byte that is not UTF-8 (here the UTF-16 byte-order mark ff fe) is a
+    DataError naming the file and the header or data row being read when
+    the decoder met it. Text is decoded in chunks, so that may be a row
+    before the one holding the byte, but never after it."""
+    head = b"" if rows_before is None else b"race,sex,label\n" + b"R1,M,1\n" * rows_before
+    p = tmp_path / "d.csv"
+    p.write_bytes(head + b"\xff\xfeR2,F,0\n")
+    _assert_same_load(p, small_schema())
+    with pytest.raises(DataError) as exc:
+        load_csv(p, small_schema())
+    where, detail = str(exc.value).split(f" of {p}: ")
+    assert detail.startswith("'utf-8' codec can't decode byte 0xff")
+    if rows_before is None:
+        assert where == "cannot read the header"
+    else:
+        assert where.startswith("cannot read data row ")
+        assert int(where.rsplit(" ", 1)[1]) <= rows_before + 1
 
 
 def test_load_csv_peak_memory_is_at_most_half_the_oracles(tmp_path):
