@@ -38,18 +38,11 @@ class PartitionPredictor:
         return route(ds, self._rules(ds), self.fallback, "predict")
 
 
-def decoupled(
-    train: Dataset,
-    tree: GroupTree,
-    spec: LearnerSpec,
-    cache: PredictorCache | None = None,
-) -> PartitionPredictor:
-    """Fit one predictor per observed leaf; empty leaves, and examples
-    outside every leaf, use the global fit."""
-    if cache is None:
-        cache = PredictorCache(train)
+def decoupled(cache: PredictorCache, tree: GroupTree, spec: LearnerSpec) -> PartitionPredictor:
+    """Fit one predictor per observed leaf of the cache's training set;
+    empty leaves, and examples outside every leaf, use the global fit."""
     root_pred = cache.erm(spec)
-    rows = tree.row_index(train)
+    rows = tree.row_index(cache.ds)
     per_leaf = {}
     for leaf in tree.leaves():
         if len(rows[tree.index(leaf.id)]):

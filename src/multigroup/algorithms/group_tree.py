@@ -21,6 +21,10 @@ from ..learners import LearnerSpec, PredictorCache
 from ..risk import Loss, group_risks, mean
 from .routing import route
 
+# Slack for float noise when a replayed or recomputed risk is compared with
+# a recorded one or with a margin.
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -108,14 +112,13 @@ class _Pass:
     predictor on them, in the same order.
     """
 
-    def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
-                 loss: Loss, cache: PredictorCache | None):
-        self.train, self.tree, self.spec, self.loss = train, tree, spec, loss
-        self.eps = eps.with_context(group_count=len(tree), n_total=train.n)
-        self.cache = cache if cache is not None else PredictorCache(train)
-        self.rows = tree.row_index(train)
-        root_pred = self.cache.erm(spec)
-        self.row_loss = loss.per_example(root_pred, train).copy()
+    def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
+                 eps: EpsilonSpec, loss: Loss):
+        self.cache, self.train, self.tree, self.spec, self.loss = cache, cache.ds, tree, spec, loss
+        self.eps = eps.with_context(group_count=len(tree), n_total=cache.ds.n)
+        self.rows = tree.row_index(cache.ds)
+        root_pred = cache.erm(spec)
+        self.row_loss = loss.per_example(root_pred, cache.ds).copy()
         self.working = {tree.root.id: root_pred}
         self.decision = {tree.root.id: "root"}
 
@@ -158,22 +161,21 @@ class _Pass:
 
 
 def mgl_tree(
-    train: Dataset,
+    cache: PredictorCache,
     tree: GroupTree,
     spec: LearnerSpec,
     eps: EpsilonSpec,
     loss: Loss,
-    cache: PredictorCache | None = None,
 ) -> GroupTreePredictor:
-    """Fit the group-tree predictor on the training set.
+    """Fit the group-tree predictor on the cache's training set.
 
     Comparisons are raw floating-point; a node updates exactly when
     parent_risk - candidate_risk - margin >= 0. Unobserved nodes inherit
     silently and are recorded in the trace.
     """
-    if train.n == 0:
+    if cache.ds.n == 0:
         raise ValueError("empty training set")
-    tree_pass = _Pass(train, tree, spec, eps, loss, cache)
+    tree_pass = _Pass(cache, tree, spec, eps, loss)
     trace = [tree_pass.visit(i, lambda step: step.decision == "updated")
              for i in range(1, len(tree))]
     return tree_pass.predictor(trace)
@@ -181,18 +183,16 @@ def mgl_tree(
 
 def excess_risk_report(
     predictor: GroupTreePredictor,
-    train: Dataset,
-    cache: PredictorCache | None = None,
-    tol: float = 1e-9,
+    cache: PredictorCache,
 ) -> tuple[list[dict], list[dict]]:
-    """Per-group excess of the fitted tree over the group-restricted fits.
+    """Per-group excess of the fitted tree over the group-restricted fits
+    on the cache's training set.
 
     Returns (rows, violations): one row per group with n_g >= 1 comparing
     the tree's training risk against the group fit's risk plus the margin;
-    rows whose excess exceeds tol are also returned as violations.
+    rows whose excess exceeds TOL are also returned as violations.
     """
-    if cache is None:
-        cache = PredictorCache(train)
+    train = cache.ds
     tree, loss = predictor.tree, predictor.loss
     eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
     tree_risks = group_risks(predictor, train, tree, loss)
@@ -216,7 +216,7 @@ def excess_risk_report(
             "excess": excess,
         }
         rows.append(row)
-        if excess > tol:
+        if excess > TOL:
             violations.append(row)
     return rows, violations
 
@@ -239,42 +239,33 @@ class AuditVerdict:
 
 def monotonicity_audit(
     trace: list[TraceStep],
-    train: Dataset,
+    cache: PredictorCache,
     tree: GroupTree,
     spec: LearnerSpec,
     eps: EpsilonSpec,
     loss: Loss,
-    cache: PredictorCache | None = None,
-    tol: float = 1e-9,
 ) -> AuditVerdict:
-    """Replay the breadth-first pass step by step, following the trace.
+    """Replay the breadth-first pass on the cache's training set, step by
+    step, following the trace.
 
     Checks two things: (a) each recorded decision agrees with the update
-    rule recomputed from the data, and (b) after every update the tree's
-    risk on every already-visited observed group still sits within that
-    group's margin of its group-restricted fit. An update only changes rows
-    inside the updated node, so risks of visited groups disjoint from it
-    are carried over unchanged rather than recomputed.
+    rule recomputed from the data, and (b) every observed group's risk under
+    the tree sits within that group's margin of its group-restricted fit
+    whenever that risk changes. An inherited node is checked at its visit:
+    its risk is its parent's working predictor's. An update changes only
+    rows inside the updated node, so afterwards only its ancestors' risks
+    are checked again; the node's own risk is its fit's, which is within any
+    margin >= 0, and so is the root's before the first update.
     """
     expected_ids = [g.id for g in tree.nodes if not g.is_root]
     if [t.group_id for t in trace] != expected_ids:
         raise ValueError("trace does not match the tree's breadth-first order")
-    tree_pass = _Pass(train, tree, spec, eps, loss, cache)
+    tree_pass = _Pass(cache, tree, spec, eps, loss)
 
     violations: list[tuple[int, str, str, str]] = []
-    # per visited observed node index: its group-restricted fit's risk and margin,
-    # and the current tree's risk on it
-    bench: dict[int, tuple[float, float]] = {}
-    current_risk: dict[int, float] = {}
-
-    n_root = len(tree_pass.rows[0])
-    if n_root > 0:
-        # before the first visit the tree is the root fit, so its risk is
-        # also the root's group-restricted benchmark
-        current_risk[0] = tree_pass.risk(0)
-        bench[0] = (current_risk[0], epsilon(tree_pass.eps, n_root))
-        if current_risk[0] > bench[0][0] + bench[0][1] + tol:
-            violations.append((0, tree.root.id, "margin", "root exceeds its margin"))
+    # per visited observed node index: its group-restricted fit's risk and
+    # margin; before the first visit the tree is the root fit
+    bench = {0: (tree_pass.risk(0), epsilon(tree_pass.eps, len(tree_pass.rows[0])))}
 
     for step, recorded in enumerate(trace, start=1):
         followed_update = recorded.decision == "updated"
@@ -292,7 +283,7 @@ def monotonicity_audit(
             continue
         err = replayed.err
         # equal infinities give nan here, which compares False as intended
-        if recorded.err is not None and abs(recorded.err - err) > tol:
+        if recorded.err is not None and abs(recorded.err - err) > TOL:
             violations.append(
                 (step, g.id, "rule", f"recorded err={recorded.err}, replay err={err}")
             )
@@ -305,20 +296,12 @@ def monotonicity_audit(
             )
 
         bench[step] = (replayed.candidate_risk, replayed.epsilon)
-        if followed_update:
-            # only the updated node and its ancestors see changed rows
-            current_risk[step] = tree_pass.risk(step)
-            for anc in tree.ancestors(g.id):
-                j = tree.index(anc.id)
-                if j in current_risk:
-                    current_risk[j] = tree_pass.risk(j)
-            for j, risk in current_risk.items():
-                bench_risk, margin = bench[j]
-                if risk > bench_risk + margin + tol:
-                    violations.append((step, tree.nodes[j].id, "margin",
-                                       f"risk {risk} exceeds {bench_risk} + {margin}"))
-        else:
-            current_risk[step] = replayed.parent_risk
+        for h in tree.ancestors(g.id) if followed_update else [g]:
+            j = tree.index(h.id)
+            risk, (bench_risk, margin) = tree_pass.risk(j), bench[j]
+            if risk > bench_risk + margin + TOL:
+                violations.append((step, h.id, "margin",
+                                   f"risk {risk} exceeds {bench_risk} + {margin}"))
 
     return AuditVerdict(ok=not violations, violations=tuple(violations),
                         replay=tree_pass.predictor(list(trace)))

@@ -73,8 +73,9 @@ class _CandidatePool:
     restricted fits in id order; none of their risks changes across rounds.
     """
 
-    def __init__(self, train: Dataset, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
-                 loss: Loss, cache: PredictorCache):
+    def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
+                 eps: EpsilonSpec, loss: Loss):
+        train = cache.ds
         observed = [(g, r) for g, r in zip(tree.nodes, tree.row_index(train)) if len(r)]
         self.groups = [g for g, _ in observed]
         self.rows = [r for _, r in observed]
@@ -101,15 +102,14 @@ class _CandidatePool:
 
 
 def prepend(
-    train: Dataset,
+    cache: PredictorCache,
     tree: GroupTree,
     spec: LearnerSpec,
     eps: EpsilonSpec,
     loss: Loss,
     cap: int | None = None,
-    cache: PredictorCache | None = None,
 ) -> DecisionList:
-    """Build the decision list on the training set.
+    """Build the decision list on the cache's training set.
 
     Unobserved groups of the tree are skipped. The default cap is 4x the
     number of groups.
@@ -118,11 +118,8 @@ def prepend(
         cap = 4 * len(tree)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    eps = eps.with_context(group_count=len(tree), n_total=train.n)
-    if cache is None:
-        cache = PredictorCache(train)
-
-    pool = _CandidatePool(train, tree, spec, eps, loss, cache)
+    eps = eps.with_context(group_count=len(tree), n_total=cache.ds.n)
+    pool = _CandidatePool(cache, tree, spec, eps, loss)
     entries: list[DecisionListEntry] = []
     current = DecisionList(tree, entries, pool.candidates[0][1], spec, eps, loss)
     row_loss = pool.losses[0].copy()
@@ -144,23 +141,17 @@ def prepend(
     return current
 
 
-def termination_scan(
-    dlist: DecisionList,
-    train: Dataset,
-    cache: PredictorCache | None = None,
-) -> list[tuple[str, str, float]]:
-    """Post-hoc check of the stopping condition.
+def termination_scan(dlist: DecisionList, cache: PredictorCache) -> list[tuple[str, str, float]]:
+    """Post-hoc check of the stopping condition on the cache's training set.
 
     Re-scans every (observed group of the list's tree, candidate) pair
     against the returned list and reports those whose violation value is
     still > 0; an empty result certifies termination.
     """
     tree = dlist.tree
-    eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=train.n)
-    if cache is None:
-        cache = PredictorCache(train)
-    row_loss = dlist.loss.per_example(dlist, train)
-    pool = _CandidatePool(train, tree, dlist.learner_spec, eps, dlist.loss, cache)
+    eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=cache.ds.n)
+    row_loss = dlist.loss.per_example(dlist, cache.ds)
+    pool = _CandidatePool(cache, tree, dlist.learner_spec, eps, dlist.loss)
     values, _ = pool.scan(row_loss)
     return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
             for gi, ci in zip(*np.nonzero(values > 0))]

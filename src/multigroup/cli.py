@@ -89,10 +89,10 @@ def cmd_train(args) -> int:
         for name in cfg.methods:
             method = METHODS[name]
             with method_failure(name, label):
-                fitted = method.fit(train, tree, ls, cfg, cache)
+                fitted = method.fit(cache, tree, ls, cfg)
                 if method.save is not None:
                     path = os.path.join(out_dir, f"{name}.{label}.model.json")
-                    method.save(path, fitted, train, tree, ls, cfg)
+                    method.save(path, fitted, cache, ls)
                 risks_by_method[name] = group_risks(fitted, train, tree, loss)
 
         print(f"== learner {label}: per-group training risk ({cfg.loss})")
@@ -130,12 +130,12 @@ def cmd_audit(args) -> int:
             train.schema, doc.get("include_group_attributes", True)))
         # raises if the trace does not list the stored tree's nodes in order
         verdict = None if kind == "prepend" else monotonicity_audit(
-            predictor.trace, train, predictor.tree, predictor.learner_spec,
-            predictor.eps_spec, predictor.loss, cache=cache)
+            predictor.trace, cache, predictor.tree, predictor.learner_spec,
+            predictor.eps_spec, predictor.loss)
 
     problems = 0
     if verdict is None:
-        for gid, source, value in termination_scan(predictor, train, cache=cache):
+        for gid, source, value in termination_scan(predictor, cache):
             print(f"stopping-test violation: group {gid} candidate {source} value {value}")
             problems += 1
     else:
@@ -155,7 +155,7 @@ def cmd_audit(args) -> int:
         if mismatches:
             print(f"stored predictor disagrees with replay on {mismatches} training rows")
             problems += 1
-        _, violations = excess_risk_report(predictor, train, cache=cache)
+        _, violations = excess_risk_report(predictor, cache)
         for row in violations:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")
             problems += 1

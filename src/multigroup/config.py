@@ -11,15 +11,11 @@ import json
 from dataclasses import dataclass
 
 from .bounds import EpsilonSpec
-from .data import check_keys, json_int, schema_from_json
+from .data import ConfigError, check_keys, json_int, schema_from_json
 from .groups import GroupTree, build_hierarchy, hierarchy_from_json
 from .learners import LearnerSpec
 from .methods import METHODS
 from .risk import loss_from_name
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration or synthetic spec."""
 
 
 _TOP_KEYS = {

@@ -9,6 +9,7 @@ safe to share across concurrent workers.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import numbers
@@ -32,6 +33,12 @@ class SchemaError(ValueError):
 
 class DataError(ValueError):
     """Malformed data file or value."""
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration or synthetic spec.
+    ``config`` re-exports it; it lives here so that the synthetic spec
+    reader can raise it too."""
 
 
 def check_keys(doc: Mapping, allowed: set, what: str, error=ValueError) -> None:
@@ -336,7 +343,7 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read the header of {path}: {exc}") from exc
+            raise _unreadable(path, exc, 0) from exc
         positions = {}
         for col in schema.columns:
             if col.name not in header:
@@ -389,9 +396,8 @@ def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, 
     the empty records, which count as data rows but hold no values.
 
     A record the reader cannot read, such as one over csv's field size
-    limit, is a DataError naming its data row. A byte that is not UTF-8 is
-    named at the row being read when the decoder met it. Text is decoded in
-    chunks of 8 KiB, so that row may start up to a chunk before the byte."""
+    limit or one holding a byte that is not UTF-8, is a DataError naming
+    its data row (see ``_unreadable``)."""
     width = max(positions.values()) + 1
     parts: dict[str, list] = {c.name: [] for c in schema.columns}
     blank = []
@@ -415,9 +421,34 @@ def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, 
                 _raise_row_error(block, start, schema, positions, width)
                 raise
         if unread is not None:
-            raise DataError(f"cannot read data row {start + len(block)} of {path}: {unread}") \
-                from unread
+            raise _unreadable(path, unread, start + len(block)) from unread
         start += len(block)
+
+
+def _unreadable(path, exc: Exception, row: int) -> DataError:
+    """A DataError naming the data row (0 for the header) that csv could not
+    read. For a byte that is not UTF-8, that is the row holding the file's
+    first such byte, and the message gives the byte's offset: the text
+    layer decodes ahead of the reader, so the row read when it failed may
+    lie thousands of rows earlier. The row is the last record csv reads from
+    the text before the byte plus one character, so that a record the byte
+    cuts short still counts. A csv error in that text comes first, and is
+    named instead."""
+    if isinstance(exc, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as first:
+            text, exc = raw[: first.start].decode("utf-8"), first
+        row = -1
+        try:
+            for row, _ in enumerate(csv.reader(io.StringIO(text + "_", newline=""))):
+                pass
+        except csv.Error as unread:
+            row, exc = row + 1, unread
+    where = "the header" if row == 0 else f"data row {row}"
+    return DataError(f"cannot read {where} of {path}: {exc}")
 
 
 def _convert_block(rows: list, schema: AttributeSchema, positions: Mapping[str, int],
@@ -666,7 +697,8 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 
 def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:
-    check_keys(doc, {"attributes", "leaves", "feature_dim", "noise"}, "synthetic spec")
+    check_keys(doc, {"attributes", "leaves", "feature_dim", "noise"}, "synthetic spec",
+               ConfigError)
     leaves = []
     for entry in doc["leaves"]:
         rule = entry["rule"]

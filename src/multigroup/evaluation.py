@@ -55,10 +55,10 @@ def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: in
         for name in cfg.methods:
             method = METHODS[name]
             with method_failure(name, label, trial):
-                fitted = method.fit(train, tree, ls, cfg, cache)
+                fitted = method.fit(cache, tree, ls, cfg)
                 errors[(name, label)] = group_risks(fitted, test, tree, ZERO_ONE)
                 if method.summary is not None:
-                    summaries[(name, label)] = method.summary(fitted, train, cache)
+                    summaries[(name, label)] = method.summary(fitted, cache)
     return trial, n_test, errors, summaries
 
 

@@ -26,25 +26,26 @@ class MethodError(RuntimeError):
 
 @dataclass(frozen=True)
 class Method:
-    # (train, tree, spec, cfg, cache) -> predictor, or {group id: fit} for group_erm
+    # (cache, tree, spec, cfg) -> predictor, or {group id: fit} for group_erm;
+    # the cache holds the training set and its encoder
     fit: Callable
-    # (path, fitted, train, tree, spec, cfg) -> None; None writes no model file
+    # (path, fitted, cache, spec) -> None; None writes no model file
     save: Callable | None = None
-    # (fitted, train, cache) -> per-trial summary dict for evaluate
+    # (fitted, cache) -> per-trial summary dict for evaluate
     summary: Callable | None = None
 
 
-def _save_tree(path, predictor, train, tree, spec, cfg) -> None:
-    save_tree_model(path, predictor, train, cfg.include_group_attributes)
+def _save_tree(path, predictor, cache, spec) -> None:
+    save_tree_model(path, predictor, cache)
     trace_path = path[: -len(".model.json")] + ".trace.jsonl"
     with open(trace_path, "w", encoding="utf-8") as fh:
         for step in predictor.trace:
             fh.write(json.dumps(step.to_json(), sort_keys=True) + "\n")
 
 
-def _tree_summary(predictor, train, cache) -> dict:
+def _tree_summary(predictor, cache) -> dict:
     decisions = [t.decision for t in predictor.trace]
-    _, violations = excess_risk_report(predictor, train, cache=cache)
+    _, violations = excess_risk_report(predictor, cache)
     return {
         "updated": decisions.count("updated"),
         "inherited": decisions.count("inherited"),
@@ -57,29 +58,25 @@ def _tree_summary(predictor, train, cache) -> dict:
 # that anything wrapping those names (such as a tracer) sees every call.
 METHODS: dict[str, Method] = {
     "erm": Method(
-        fit=lambda train, tree, spec, cfg, cache: cache.erm(spec),
-        save=lambda path, p, train, tree, spec, cfg: save_plain_model(
-            path, p, train, spec, cfg.include_group_attributes),
+        fit=lambda cache, tree, spec, cfg: cache.erm(spec),
+        save=lambda path, p, cache, spec: save_plain_model(path, p, cache, spec),
     ),
-    "group_erm": Method(fit=lambda train, tree, spec, cfg, cache: cache.group_fits(spec, tree)),
+    "group_erm": Method(fit=lambda cache, tree, spec, cfg: cache.group_fits(spec, tree)),
     "prepend": Method(
-        fit=lambda train, tree, spec, cfg, cache: prepend(
-            train, tree, spec, cfg.epsilon, loss_from_name(cfg.loss),
-            cap=cfg.prepend_cap, cache=cache),
-        save=lambda path, p, train, tree, spec, cfg: save_list_model(
-            path, p, train, cfg.include_group_attributes),
-        summary=lambda p, train, cache: {"list_length": len(p)},
+        fit=lambda cache, tree, spec, cfg: prepend(
+            cache, tree, spec, cfg.epsilon, loss_from_name(cfg.loss), cap=cfg.prepend_cap),
+        save=lambda path, p, cache, spec: save_list_model(path, p, cache),
+        summary=lambda p, cache: {"list_length": len(p)},
     ),
     "mgl_tree": Method(
-        fit=lambda train, tree, spec, cfg, cache: mgl_tree(
-            train, tree, spec, cfg.epsilon, loss_from_name(cfg.loss), cache=cache),
+        fit=lambda cache, tree, spec, cfg: mgl_tree(
+            cache, tree, spec, cfg.epsilon, loss_from_name(cfg.loss)),
         save=_save_tree,
         summary=_tree_summary,
     ),
     "decoupled": Method(
-        fit=lambda train, tree, spec, cfg, cache: decoupled(train, tree, spec, cache=cache),
-        save=lambda path, p, train, tree, spec, cfg: save_partition_model(
-            path, p, train, cfg.include_group_attributes),
+        fit=lambda cache, tree, spec, cfg: decoupled(cache, tree, spec),
+        save=lambda path, p, cache, spec: save_partition_model(path, p, cache),
     ),
 }
 

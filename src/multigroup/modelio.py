@@ -21,7 +21,7 @@ from .algorithms import (
 from .bounds import EpsilonSpec
 from .data import DataError, Dataset, schema_from_json, schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
-from .learners import FeatureEncoder, LearnerSpec, predictor_from_json
+from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
 
 
@@ -73,20 +73,19 @@ def stored_learner(doc: dict) -> LearnerSpec:
     return LearnerSpec.from_json(learner)
 
 
-def _common_header(model_kind: str, train: Dataset, spec: LearnerSpec,
-                   include_group_attributes: bool) -> dict:
+def _common_header(model_kind: str, cache: PredictorCache, spec: LearnerSpec) -> dict:
+    train = cache.ds
     return {
         "model": model_kind,
         "learner": spec.to_json(),
         "schema": schema_to_json(train.schema),
-        "include_group_attributes": include_group_attributes,
+        "include_group_attributes": cache.encoder.include_group_attributes,
         "n_train": train.n,
         "dataset_fingerprint": dataset_fingerprint(train),
     }
 
 
-def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
-                    include_group_attributes: bool = True) -> None:
+def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) -> None:
     tree = predictor.tree
     source = predictor.source()
     trace_by_id = {t.group_id: t for t in predictor.trace}
@@ -105,7 +104,7 @@ def save_tree_model(path, predictor: GroupTreePredictor, train: Dataset,
         if source[g.id] == g.id:  # only nodes that own a fit carry parameters
             entry["predictor"] = predictor.working[g.id].to_json()
         nodes.append(entry)
-    doc = _common_header("mgl_tree", train, predictor.learner_spec, include_group_attributes)
+    doc = _common_header("mgl_tree", cache, predictor.learner_spec)
     doc.update({
         "hierarchy": hierarchy_to_json(tree),
         "epsilon": predictor.eps_spec.to_json(),
@@ -145,9 +144,8 @@ def rebuild_tree_predictor(doc: dict) -> GroupTreePredictor:
     return GroupTreePredictor(tree, working, decision, trace, spec, eps, loss)
 
 
-def save_list_model(path, dlist: DecisionList, train: Dataset,
-                    include_group_attributes: bool = True) -> None:
-    doc = _common_header("prepend", train, dlist.learner_spec, include_group_attributes)
+def save_list_model(path, dlist: DecisionList, cache: PredictorCache) -> None:
+    doc = _common_header("prepend", cache, dlist.learner_spec)
     doc.update({
         "hierarchy": hierarchy_to_json(dlist.tree),
         "epsilon": dlist.eps_spec.to_json(),
@@ -189,9 +187,8 @@ def rebuild_decision_list(doc: dict) -> DecisionList:
     return DecisionList(tree, entries, default, spec, eps, loss)
 
 
-def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
-                         include_group_attributes: bool = True) -> None:
-    doc = _common_header("decoupled", train, predictor.learner_spec, include_group_attributes)
+def save_partition_model(path, predictor: PartitionPredictor, cache: PredictorCache) -> None:
+    doc = _common_header("decoupled", cache, predictor.learner_spec)
     doc.update({
         "fallback": "root",
         "leaves": [
@@ -207,8 +204,7 @@ def save_partition_model(path, predictor: PartitionPredictor, train: Dataset,
     _dump(doc, path)
 
 
-def save_plain_model(path, predictor, train: Dataset, spec: LearnerSpec,
-                     include_group_attributes: bool = True) -> None:
-    doc = _common_header("erm", train, spec, include_group_attributes)
+def save_plain_model(path, predictor, cache: PredictorCache, spec: LearnerSpec) -> None:
+    doc = _common_header("erm", cache, spec)
     doc["predictor"] = predictor.to_json()
     _dump(doc, path)

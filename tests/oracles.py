@@ -9,6 +9,7 @@ the tests hold it to these.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -210,6 +211,31 @@ def _bin_value(value: float, bins: tuple[Bin, ...], column: str, rownum: int) ->
     raise DataError(f"value {value} outside bins of column {column!r} at data row {rownum}")
 
 
+def _undecodable(path, exc):
+    """The DataError for a file that is not UTF-8: it names the record that
+    holds the first bad byte, or the first record csv cannot read before
+    it, counting the header as record 1."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as first:
+        text, exc = raw[: first.start].decode("utf-8"), first
+    reader = csv.reader(io.StringIO(text + "_", newline=""))
+    record = 0
+    while True:
+        try:
+            next(reader)
+        except StopIteration:
+            break
+        except csv.Error as unread:
+            record, exc = record + 1, unread
+            break
+        record += 1
+    where = "the header" if record == 1 else f"data row {record - 1}"
+    return DataError(f"cannot read {where} of {path}: {exc}")
+
+
 def _records(reader, path):
     """The reader's records; a record it cannot read is a DataError naming
     its data row."""
@@ -219,8 +245,10 @@ def _records(reader, path):
             record = next(reader)
         except StopIteration:
             return
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
             raise DataError(f"cannot read data row {rownum} of {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
         yield record
         rownum += 1
 
@@ -238,8 +266,10 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
             raise DataError(f"cannot read the header of {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
         positions = {}
         for col in schema.columns:
             if col.name not in header:

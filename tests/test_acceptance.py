@@ -80,8 +80,8 @@ def _run_margin_suite(learner: LearnerSpec):
         tree = build_hierarchy(ds.schema, list(spec.attributes))
         cache = PredictorCache(ds)
         for eps in _suite_epsilons(len(tree)):
-            predictor = mgl_tree(ds, tree, learner, eps, ZERO_ONE, cache=cache)
-            _, bad = excess_risk_report(predictor, ds, cache=cache, tol=1e-9)
+            predictor = mgl_tree(cache, tree, learner, eps, ZERO_ONE)
+            _, bad = excess_risk_report(predictor, cache)
             violations += len(bad)
             runs.append((ds, tree, cache, eps, predictor))
     return runs, violations, time.monotonic() - started
@@ -115,7 +115,7 @@ def test_criterion_2_monotone_replay(constant_suite, tree_suite):
                           (tree_suite[0], LearnerSpec("tree", max_depth=2))):
         for ds, tree, cache, eps, predictor in runs:
             verdict = monotonicity_audit(
-                predictor.trace, ds, tree, learner, eps, ZERO_ONE, cache=cache)
+                predictor.trace, cache, tree, learner, eps, ZERO_ONE)
             assert verdict.ok, verdict.describe()
             checked += 1
     print(f"\nPASS criterion 2: monotone replay clean on {checked} runs")
@@ -140,14 +140,14 @@ def test_criterion_3_degeneracy_equivalences():
             for leaf in spec.leaves))
         probes = make_synthetic(probes_spec, seed=int(rng.integers(1 << 30)))
 
-        inert = mgl_tree(ds, tree, constant,
-                         EpsilonSpec("constant", value=math.inf), ZERO_ONE, cache=cache)
+        inert = mgl_tree(cache, tree, constant,
+                         EpsilonSpec("constant", value=math.inf), ZERO_ONE)
         global_fit = cache.erm(constant)
         inf_mismatches += int((inert.predict(probes) != global_fit.predict(probes)).sum())
 
-        eager = mgl_tree(ds, tree, constant,
-                         EpsilonSpec("constant", value=0.0), ZERO_ONE, cache=cache)
-        part = decoupled(ds, tree, constant, cache=cache)
+        eager = mgl_tree(cache, tree, constant,
+                         EpsilonSpec("constant", value=0.0), ZERO_ONE)
+        part = decoupled(cache, tree, constant)
         zero_mismatches += int((eager.predict(ds) != part.predict(ds)).sum())
     assert inf_mismatches == 0
     assert zero_mismatches == 0
@@ -217,8 +217,8 @@ def test_criterion_6_opposite_separators():
         cache = PredictorCache(train)
         fits = {
             "erm": cache.erm(learner),
-            "decoupled": decoupled(train, tree, learner, cache=cache),
-            "mgl_tree": mgl_tree(train, tree, learner, eps, ZERO_ONE, cache=cache),
+            "decoupled": decoupled(cache, tree, learner),
+            "mgl_tree": mgl_tree(cache, tree, learner, eps, ZERO_ONE),
         }
         for name, predictor in fits.items():
             wrong = (predictor.predict(test) != test.labels()).astype(float)
@@ -259,11 +259,11 @@ def inverted_leaf_protocol():
 
         errors["erm"].append(err(cache.erm(learner)))
         errors["group_erm"].append(err(cache.group_erm(learner, tree, target)))
-        dlist = prepend(train, tree, learner, eps, ZERO_ONE, cache=cache)
+        dlist = prepend(cache, tree, learner, eps, ZERO_ONE)
         errors["prepend"].append(err(dlist))
         errors["mgl_tree"].append(err(
-            mgl_tree(train, tree, learner, eps, ZERO_ONE, cache=cache)))
-        scans.append((len(dlist), 4 * len(tree), termination_scan(dlist, train, cache=cache)))
+            mgl_tree(cache, tree, learner, eps, ZERO_ONE)))
+        scans.append((len(dlist), 4 * len(tree), termination_scan(dlist, cache)))
     return errors, scans
 
 

@@ -48,7 +48,7 @@ def two_leaf_setup():
 
 def test_mgl_tree_hand_simulation_eps_zero():
     ds, tree = two_leaf_setup()
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     decisions = {t.group_id: t.decision for t in predictor.trace}
     assert decisions == {"grp=a": "updated", "grp=b": "updated"}
     mask_a = membership_vector(Group.from_conjuncts([("grp", "a")]), ds)
@@ -63,7 +63,7 @@ def test_mgl_tree_hand_simulation_eps_zero():
 
 def test_mgl_tree_hand_simulation_eps_two():
     ds, tree = two_leaf_setup()
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(2.0), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(2.0), ZERO_ONE)
     decisions = {t.group_id: t.decision for t in predictor.trace}
     assert decisions == {"grp=a": "inherited", "grp=b": "inherited"}
     assert predictor.predict(ds).tolist() == [1, 1, 1, 1]
@@ -79,7 +79,7 @@ def test_mgl_tree_infinite_margin_equals_global_fit():
     spec = inverted_leaf_spec(n_per_leaf=125, noise=0.1)
     ds = make_synthetic(spec, seed=3)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
     assert all(t.decision.startswith("inherited") for t in predictor.trace)
     probes = make_synthetic(dataclasses.replace(spec, leaves=tuple(
         dataclasses.replace(leaf, count=max(1, 1000 // len(spec.leaves)))
@@ -93,8 +93,8 @@ def test_mgl_tree_zero_margin_equals_decoupled_on_train():
     ds = make_synthetic(spec, seed=5)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     cache = PredictorCache(ds)
-    tree_fit = mgl_tree(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cache=cache)
-    part_fit = decoupled(ds, tree, CONSTANT, cache=cache)
+    tree_fit = mgl_tree(cache, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    part_fit = decoupled(cache, tree, CONSTANT)
     assert np.array_equal(tree_fit.predict(ds), part_fit.predict(ds))
 
 
@@ -106,14 +106,14 @@ def test_mgl_tree_margin_guarantee_random_smoke():
         tree = build_hierarchy(ds.schema, list(spec.attributes))
         cache = PredictorCache(ds)
         for eps in (const_eps(0.0), const_eps(0.1), const_eps(math.inf)):
-            predictor = mgl_tree(ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
-            _, violations = excess_risk_report(predictor, ds, cache=cache)
+            predictor = mgl_tree(cache, tree, CONSTANT, eps, ZERO_ONE)
+            _, violations = excess_risk_report(predictor, cache)
             assert violations == []
 
 
 def test_mgl_tree_trace_records_every_nonroot_node():
     ds, tree = two_leaf_setup()
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(0.5), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.5), ZERO_ONE)
     assert [t.group_id for t in predictor.trace] == [g.id for g in tree.nodes if not g.is_root]
 
 
@@ -123,17 +123,17 @@ def test_mgl_tree_empty_nodes_inherit_silently():
     ds = make_synthetic(dataclasses.replace(
         spec, leaves=(empty_leaf,) + spec.leaves[1:]), seed=1)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     empties = [t for t in predictor.trace if t.decision == "inherited_empty"]
     assert len(empties) == 1 and empties[0].n_g == 0
-    _, violations = excess_risk_report(predictor, ds)
+    _, violations = excess_risk_report(predictor, PredictorCache(ds))
     assert violations == []
 
 
 def test_mgl_tree_rejects_bad_inputs():
     ds, tree = two_leaf_setup()
     with pytest.raises(ValueError, match="empty training"):
-        mgl_tree(ds.take([]), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+        mgl_tree(PredictorCache(ds.take([])), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     spec = inverted_leaf_spec(n_per_leaf=4, noise=0.0)
     rich = make_synthetic(spec, seed=0)
     with pytest.raises(ValueError, match="invalid hierarchy"):
@@ -142,7 +142,7 @@ def test_mgl_tree_rejects_bad_inputs():
             Group.from_conjuncts([("a1", "p")]),
             Group.from_conjuncts([("a2", "u")]),
         ])
-        mgl_tree(rich, crossing, CONSTANT, const_eps(0.0), ZERO_ONE)
+        mgl_tree(PredictorCache(rich), crossing, CONSTANT, const_eps(0.0), ZERO_ONE)
 
 
 def test_mgl_tree_determinism():
@@ -151,8 +151,8 @@ def test_mgl_tree_determinism():
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     learner = LearnerSpec("tree", max_depth=2)
     eps = EpsilonSpec("scaled", scale=1.0)
-    a = mgl_tree(ds, tree, learner, eps, ZERO_ONE)
-    b = mgl_tree(ds, tree, learner, eps, ZERO_ONE)
+    a = mgl_tree(PredictorCache(ds), tree, learner, eps, ZERO_ONE)
+    b = mgl_tree(PredictorCache(ds), tree, learner, eps, ZERO_ONE)
     assert [t.to_json() for t in a.trace] == [t.to_json() for t in b.trace]
     assert np.array_equal(a.predict(ds), b.predict(ds))
 
@@ -168,8 +168,7 @@ def test_mgl_tree_risks_match_mask_reference(loss):
         ds = make_synthetic(spec, seed=int(rng.integers(1 << 30)))
         tree = build_hierarchy(ds.schema, list(spec.attributes))
         cache = PredictorCache(ds)
-        predictor = mgl_tree(ds, tree, learner, EpsilonSpec("scaled", scale=1.0), loss,
-                             cache=cache)
+        predictor = mgl_tree(cache, tree, learner, EpsilonSpec("scaled", scale=1.0), loss)
         for step in predictor.trace:
             g = tree.node(step.group_id)
             mask = membership_vector(g, ds)
@@ -199,15 +198,15 @@ def test_prepend_hand_simulation():
         - group_risk(own_b, ds, g_b, ZERO_ONE).value - 0.25
     assert violation == 0.75
 
-    dlist = prepend(ds, tree, CONSTANT, const_eps(0.25), ZERO_ONE, cache=cache)
+    dlist = prepend(cache, tree, CONSTANT, const_eps(0.25), ZERO_ONE)
     assert [(e.group.id, e.source_id) for e in dlist.entries] == [("grp=b", "grp=b")]
     assert dlist.predict(ds).tolist() == [1, 1, 1, 0]
-    assert termination_scan(dlist, ds, cache=cache) == []
+    assert termination_scan(dlist, cache) == []
 
 
 def test_prepend_infinite_margin_returns_bare_default():
     ds, tree = two_leaf_setup()
-    dlist = prepend(ds, tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
+    dlist = prepend(PredictorCache(ds), tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
     assert len(dlist) == 0
     assert np.array_equal(dlist.predict(ds), erm(CONSTANT, ds).predict(ds))
 
@@ -226,18 +225,18 @@ def test_prepend_zero_margin_hits_cap_with_partial_payload():
     ), seed=0)
     tree = build_hierarchy(ds.schema, ["grp"])
     with pytest.raises(PrependCapExceeded, match="cap=1") as excinfo:
-        prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
+        prepend(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
     assert isinstance(excinfo.value.partial, DecisionList)
     assert len(excinfo.value.partial) == 1
-    assert len(prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=2)) == 2
+    assert len(prepend(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=2)) == 2
 
 
 def test_prepend_zero_margin_terminates():
     """A pair whose violation value is exactly 0 is not prepended again."""
     ds, tree = two_leaf_setup()
-    dlist = prepend(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
+    dlist = prepend(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE, cap=1)
     assert [(e.group.id, e.source_id) for e in dlist.entries] == [("grp=b", "grp=b")]
-    assert termination_scan(dlist, ds) == []
+    assert termination_scan(dlist, PredictorCache(ds)) == []
 
 
 def test_prepend_termination_scan_random_fixtures():
@@ -248,8 +247,8 @@ def test_prepend_termination_scan_random_fixtures():
         tree = build_hierarchy(ds.schema, list(spec.attributes))
         cache = PredictorCache(ds)
         eps = EpsilonSpec("scaled", scale=3.0)
-        dlist = prepend(ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
-        assert termination_scan(dlist, ds, cache=cache) == []
+        dlist = prepend(cache, tree, CONSTANT, eps, ZERO_ONE)
+        assert termination_scan(dlist, cache) == []
 
 
 def _routed_fixture(kind, ds, rng):
@@ -348,13 +347,13 @@ def test_prepend_scan_matches_loop_reference():
             mask = membership_vector(best[0], ds)
             row_loss[mask] = best[2][mask]
         try:
-            dlist = prepend(ds, tree, CONSTANT, eps, ZERO_ONE, cap=cap, cache=cache)
+            dlist = prepend(cache, tree, CONSTANT, eps, ZERO_ONE, cap=cap)
         except PrependCapExceeded as exc:
             dlist = exc.partial
         assert [(e.group.id, e.source_id) for e in dlist.entries] == expected
         outstanding = [(g.id, source, float(value)) for g, source, _, value in loop_scan(
             ZERO_ONE.per_example(dlist, ds), ds, tree.nodes, candidates, ctx) if value > 0]
-        assert termination_scan(dlist, ds, cache=cache) == outstanding
+        assert termination_scan(dlist, cache) == outstanding
 
 
 def test_prepend_determinism():
@@ -362,8 +361,8 @@ def test_prepend_determinism():
     ds = make_synthetic(spec, seed=6)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     eps = EpsilonSpec("scaled", scale=2.0)
-    a = prepend(ds, tree, CONSTANT, eps, ZERO_ONE)
-    b = prepend(ds, tree, CONSTANT, eps, ZERO_ONE)
+    a = prepend(PredictorCache(ds), tree, CONSTANT, eps, ZERO_ONE)
+    b = prepend(PredictorCache(ds), tree, CONSTANT, eps, ZERO_ONE)
     assert [(e.group.id, e.source_id) for e in a.entries] == \
         [(e.group.id, e.source_id) for e in b.entries]
     assert np.array_equal(a.predict(ds), b.predict(ds))
@@ -386,7 +385,7 @@ def test_decoupled_full_product_never_needs_fallback():
     spec = inverted_leaf_spec(n_per_leaf=20, noise=0.0)
     ds = make_synthetic(spec, seed=4)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
-    fitted = decoupled(ds, tree, CONSTANT)
+    fitted = decoupled(PredictorCache(ds), tree, CONSTANT)
     predictor = PartitionPredictor(tree, fitted.per_leaf, MustNotScore(), CONSTANT)
     assert np.array_equal(predictor.predict(ds), fitted.predict(ds))
 
@@ -394,14 +393,14 @@ def test_decoupled_full_product_never_needs_fallback():
 def test_decoupled_single_leaf_equals_erm():
     ds, _ = two_leaf_setup()
     tree = GroupTree([Group("ALL", ())])
-    predictor = decoupled(ds, tree, CONSTANT)
+    predictor = decoupled(PredictorCache(ds), tree, CONSTANT)
     assert np.array_equal(predictor.predict(ds), erm(CONSTANT, ds).predict(ds))
 
 
 def test_decoupled_uncovered_rows_use_fallback():
     ds, full = two_leaf_setup()
     pruned = GroupTree([g for g in full.nodes if g.id != "grp=b"])
-    routed = decoupled(ds, pruned, CONSTANT)
+    routed = decoupled(PredictorCache(ds), pruned, CONSTANT)
     assert np.array_equal(
         routed.predict(ds)[membership_vector(Group.from_conjuncts([("grp", "b")]), ds)],
         erm(CONSTANT, ds).predict(ds)[3:],
@@ -413,7 +412,7 @@ def test_decoupled_improves_each_leaf_on_planted_data():
     tree = build_hierarchy(ds.schema, ["grp"])
     spec = LearnerSpec("logistic", iterations=500)
     cache = PredictorCache(ds)
-    part = decoupled(ds, tree, spec, cache=cache)
+    part = decoupled(cache, tree, spec)
     global_fit = cache.erm(spec)
     for cat in ("a", "b"):
         mask = membership_vector(Group.from_conjuncts([("grp", cat)]), ds)
@@ -434,9 +433,9 @@ def test_audit_clean_on_fresh_runs():
         tree = build_hierarchy(ds.schema, list(spec.attributes))
         cache = PredictorCache(ds)
         for eps in (const_eps(0.0), EpsilonSpec("scaled", scale=2.0)):
-            predictor = mgl_tree(ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
+            predictor = mgl_tree(cache, tree, CONSTANT, eps, ZERO_ONE)
             verdict = monotonicity_audit(
-                predictor.trace, ds, tree, CONSTANT, eps, ZERO_ONE, cache=cache)
+                predictor.trace, cache, tree, CONSTANT, eps, ZERO_ONE)
             assert verdict.ok, verdict.describe()
             # following a clean trace rebuilds the fitted tree itself
             assert verdict.replay.decision == predictor.decision
@@ -448,26 +447,71 @@ def test_audit_flags_tampered_trace():
     spec = inverted_leaf_spec(n_per_leaf=50, noise=0.1)
     ds = make_synthetic(spec, seed=12)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(0.3), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.3), ZERO_ONE)
     trace = list(predictor.trace)
     flip_at = next(i for i, t in enumerate(trace) if t.decision == "inherited")
     trace[flip_at] = dataclasses.replace(trace[flip_at], decision="updated")
-    verdict = monotonicity_audit(trace, ds, tree, CONSTANT, const_eps(0.3), ZERO_ONE)
+    verdict = monotonicity_audit(trace, PredictorCache(ds), tree, CONSTANT, const_eps(0.3),
+                                 ZERO_ONE)
     assert not verdict.ok
     assert any(kind == "rule" and group == trace[flip_at].group_id
                for _, group, kind, _ in verdict.violations)
 
 
+def test_audit_margin_checks_inherited_node_after_last_update():
+    """A node forced to inherit after the last update still has its risk
+    checked against its margin, at its own visit."""
+    spec = inverted_leaf_spec(n_per_leaf=40, noise=0.3)
+    ds = make_synthetic(spec, seed=2)
+    tree = build_hierarchy(ds.schema, list(spec.attributes))
+    cache = PredictorCache(ds)
+    predictor = mgl_tree(cache, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    trace = list(predictor.trace)
+    last = max(i for i, t in enumerate(trace) if t.decision == "updated")
+    assert last == len(trace) - 1
+    assert trace[last].group_id == "a1=q&a2=v&a3=t" and trace[last].err == pytest.approx(0.45)
+    trace[last] = dataclasses.replace(trace[last], decision="inherited")
+    verdict = monotonicity_audit(trace, cache, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    assert [(step, group, kind) for step, group, kind, _ in verdict.violations] == [
+        (last + 1, "a1=q&a2=v&a3=t", "rule"),
+        (last + 1, "a1=q&a2=v&a3=t", "margin"),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_reports_each_margin_violation_once(seed):
+    """Forcing a leaf with a positive err to inherit breaks its margin once:
+    later updates elsewhere do not change its risk, so it is not reported
+    again."""
+    spec = random_hierarchical_spec(np.random.default_rng(seed))
+    ds = make_synthetic(spec, seed=seed)
+    tree = build_hierarchy(ds.schema, list(spec.attributes))
+    cache = PredictorCache(ds)
+    predictor = mgl_tree(cache, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    trace = list(predictor.trace)
+    parents = {tree.parent(g.id).id for g in tree.nodes[1:]}
+    forced = next(i for i, t in enumerate(trace)
+                  if t.err is not None and t.err > 0 and t.group_id not in parents)
+    assert any(t.decision == "updated" for t in trace[forced + 1:])
+    trace[forced] = dataclasses.replace(trace[forced], decision="inherited")
+    verdict = monotonicity_audit(trace, cache, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    assert [(step, group, kind) for step, group, kind, _ in verdict.violations] == [
+        (forced + 1, trace[forced].group_id, "rule"),
+        (forced + 1, trace[forced].group_id, "margin"),
+    ]
+
+
 def test_audit_rejects_mismatched_trace():
     ds, tree = two_leaf_setup()
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     with pytest.raises(ValueError, match="breadth-first"):
-        monotonicity_audit(predictor.trace[:1], ds, tree, CONSTANT, const_eps(0.0), ZERO_ONE)
+        monotonicity_audit(predictor.trace[:1], PredictorCache(ds), tree, CONSTANT,
+                           const_eps(0.0), ZERO_ONE)
 
 
 def test_working_predictors_share_identity_when_inherited():
     ds, tree = two_leaf_setup()
-    predictor = mgl_tree(ds, tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
     root_pred = predictor.working["ALL"]
     assert predictor.working["grp=a"] is root_pred
     assert predictor.working["grp=b"] is root_pred
@@ -477,13 +521,14 @@ def test_working_predictors_share_identity_when_inherited():
 def test_excess_report_carries_uc_width_for_closed_form_margins():
     ds, tree = two_leaf_setup()
     eps = EpsilonSpec("finite_h", delta=0.05, h_size=4)
-    predictor = mgl_tree(ds, tree, CONSTANT, eps, ZERO_ONE)
-    rows, _ = excess_risk_report(predictor, ds)
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, eps, ZERO_ONE)
+    rows, _ = excess_risk_report(predictor, PredictorCache(ds))
     for row in rows:
         assert row["uc_width"] is not None
         assert row["epsilon"] == 2.0 * row["uc_width"]
     rows_const, _ = excess_risk_report(
-        mgl_tree(ds, tree, CONSTANT, const_eps(0.1), ZERO_ONE), ds)
+        mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.1), ZERO_ONE),
+        PredictorCache(ds))
     assert all(r["uc_width"] is None for r in rows_const)
 
 
@@ -495,14 +540,14 @@ def test_mgl_tree_with_clipped_logistic_training_loss():
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     cache = PredictorCache(ds)
     learner = LearnerSpec("logistic", iterations=200)
-    predictor = mgl_tree(ds, tree, learner, EpsilonSpec("scaled", scale=1.0),
-                         CLIPPED_LOGISTIC, cache=cache)
+    predictor = mgl_tree(cache, tree, learner, EpsilonSpec("scaled", scale=1.0),
+                         CLIPPED_LOGISTIC)
     assert predictor.loss is CLIPPED_LOGISTIC
-    _, violations = excess_risk_report(predictor, ds, cache=cache)
+    _, violations = excess_risk_report(predictor, cache)
     assert violations == []
-    verdict = monotonicity_audit(predictor.trace, ds, tree, learner,
+    verdict = monotonicity_audit(predictor.trace, cache, tree, learner,
                                  EpsilonSpec("scaled", scale=1.0),
-                                 CLIPPED_LOGISTIC, cache=cache)
+                                 CLIPPED_LOGISTIC)
     assert verdict.ok, verdict.describe()
 
 
@@ -511,8 +556,10 @@ def test_mgl_tree_with_bagged_trees_learner():
     ds = make_synthetic(spec, seed=29)
     tree = build_hierarchy(ds.schema, list(spec.attributes))
     learner = LearnerSpec("bagged_trees", n_trees=5, max_depth=2)
-    predictor = mgl_tree(ds, tree, learner, EpsilonSpec("scaled", scale=2.0), ZERO_ONE)
-    _, violations = excess_risk_report(predictor, ds)
+    predictor = mgl_tree(PredictorCache(ds), tree, learner, EpsilonSpec("scaled", scale=2.0),
+                         ZERO_ONE)
+    _, violations = excess_risk_report(predictor, PredictorCache(ds))
     assert violations == []
-    again = mgl_tree(ds, tree, learner, EpsilonSpec("scaled", scale=2.0), ZERO_ONE)
+    again = mgl_tree(PredictorCache(ds), tree, learner, EpsilonSpec("scaled", scale=2.0),
+                     ZERO_ONE)
     assert np.array_equal(predictor.predict(ds), again.predict(ds))

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from multigroup import cli
+from multigroup import cli, learners
 from multigroup.cli import main
 from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, load_csv, make_synthetic,
                             schema_from_json, schema_to_json, write_csv)
@@ -759,7 +759,8 @@ def test_non_finite_feature_is_a_data_error(tmp_path, capsys, cell):
 # exit code of each planted fault: 1 when the data fails once read, 2 when
 # an input cannot be opened or parsed
 FAULT_CODES = {"long_cell": 1, "utf16_bytes": 1, "nan_cell": 1, "missing_dataset": 2,
-               "dataset_is_a_directory": 2, "non_utf8_json": 2, "out_is_a_file": 2}
+               "dataset_is_a_directory": 2, "non_utf8_json": 2, "out_is_a_file": 2,
+               "unknown_spec_key": 2}
 DATA_FAULTS = ["long_cell", "utf16_bytes", "nan_cell", "missing_dataset",
                "dataset_is_a_directory"]
 DATA_COMMANDS = ["validate-hierarchy", "train", "evaluate", "audit"]
@@ -791,6 +792,10 @@ def _faulty_argv(tmp_path, command, fault):
         source = {"audit": model, "synth": ROOT / "fixtures" / "synth.json"}.get(command, config)
         config = model = tmp_path / "input.json"
         config.write_bytes(b"\xff\xfe" + source.read_bytes())
+    elif fault == "unknown_spec_key":
+        config = tmp_path / "input.json"
+        config.write_text(json.dumps(
+            {**json.loads((ROOT / "fixtures" / "synth.json").read_text()), "zzz": 1}))
     else:
         assert fault == "out_is_a_file"
         out.write_text("a file\n")
@@ -807,6 +812,7 @@ def _faulty_argv(tmp_path, command, fault):
     *[(c, f) for f in DATA_FAULTS for c in DATA_COMMANDS],
     *[(c, "non_utf8_json") for c in DATA_COMMANDS + ["synth"]],
     ("train", "out_is_a_file"), ("evaluate", "out_is_a_file"),
+    ("synth", "unknown_spec_key"),
 ])
 def test_fault_matrix_exits_with_one_error_line(tmp_path, monkeypatch, capsys, command, fault):
     """Every command meets each input fault with its exit code from
@@ -1001,3 +1007,40 @@ def test_bagged_trees_train_matches_golden(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["audit", "--model", str(golden / name), "--data", "demo/data.csv"]) == 0
         assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+def test_each_op_trains_and_audits_in_one_training_context(tmp_path, monkeypatch, capsys):
+    """train, audit and a one-trial evaluate each build exactly one
+    PredictorCache. With group attributes left out of the features, every
+    mgl_tree and prepend model records that, and audits clean: the audit
+    compares against fits made without them, as training did."""
+    count_caches = [0]
+    init = learners.PredictorCache.__init__
+
+    def counted(self, *args, **kwargs):
+        count_caches[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(learners.PredictorCache, "__init__", counted)
+    monkeypatch.chdir(ROOT)
+    models = tmp_path / "models"
+    flag_off = ["--set", "include_group_attributes=false"]
+    assert main(["train", "--config", "fixtures/run.json", *flag_off,
+                 "--out", str(models)]) == 0
+    assert count_caches[0] == 1
+    audited = sorted(p for p in models.glob("*.model.json")
+                     if p.name.startswith(("mgl_tree.", "prepend.")))
+    assert [p.name for p in audited] == [
+        "mgl_tree.logistic.model.json", "mgl_tree.tree_depth2.model.json",
+        "prepend.logistic.model.json", "prepend.tree_depth2.model.json"]
+    for path in audited:
+        assert json.loads(path.read_text())["include_group_attributes"] is False
+        count_caches[0] = 0
+        capsys.readouterr()
+        assert main(["audit", "--model", str(path), "--data", "demo/data.csv"]) == 0
+        assert capsys.readouterr().out == "AUDIT CLEAN\n", path.name
+        assert count_caches[0] == 1
+    count_caches[0] = 0
+    assert main(["evaluate", "--config", "fixtures/run.json", *flag_off,
+                 "--set", "split.trials=1", "--out", str(tmp_path / "report")]) == 0
+    assert count_caches[0] == 1

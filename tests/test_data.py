@@ -419,25 +419,33 @@ def test_reader_error_comes_after_the_rows_before_it(tmp_path, label):
                               "(131072)")
 
 
-@pytest.mark.parametrize("rows_before", [None, 3000], ids=["header", "data_row"])
-def test_undecodable_byte_is_a_data_error(tmp_path, rows_before):
+_HEADER = b"race,sex,label\n"
+_BAD = b"\xff\xfeR2,F,0\n"
+CODEC = "'utf-8' codec can't decode byte 0xff in position {offset}:"
+
+
+@pytest.mark.parametrize("head, where, detail", [
+    (b"", "the header", CODEC),
+    (_HEADER + b"R1,M,1\n", "data row 2", CODEC),
+    (_HEADER + b"R1,M,1\n" * 3000, "data row 3001", CODEC),
+    (_HEADER + b"R1,M,1\n" * 2500 + b'"R1\nR2",', "data row 2501", CODEC),
+    (_HEADER + b"R1,M,1\n" * 2500 + b"R1,M," + b"1" * 200_000 + b"\n", "data row 2501",
+     "field larger than field limit"),
+], ids=["header", "second_row", "data_row", "quoted_field", "csv_error_first"])
+def test_undecodable_byte_is_a_data_error(tmp_path, head, where, detail):
     """A byte that is not UTF-8 (here the UTF-16 byte-order mark ff fe) is a
-    DataError naming the file and the header or data row being read when
-    the decoder met it. Text is decoded in chunks, so that may be a row
-    before the one holding the byte, but never after it."""
-    head = b"" if rows_before is None else b"race,sex,label\n" + b"R1,M,1\n" * rows_before
+    DataError naming the file, the header or data row that holds it, and the
+    byte's offset in the file. Text is decoded ahead of the reader in
+    chunks, so the row being read when the decoder met the byte can be an
+    earlier one, or the header of a short file. A record csv cannot read
+    before the byte is the error a row-by-row read meets first."""
     p = tmp_path / "d.csv"
-    p.write_bytes(head + b"\xff\xfeR2,F,0\n")
+    p.write_bytes(head + _BAD)
     _assert_same_load(p, small_schema())
     with pytest.raises(DataError) as exc:
         load_csv(p, small_schema())
-    where, detail = str(exc.value).split(f" of {p}: ")
-    assert detail.startswith("'utf-8' codec can't decode byte 0xff")
-    if rows_before is None:
-        assert where == "cannot read the header"
-    else:
-        assert where.startswith("cannot read data row ")
-        assert int(where.rsplit(" ", 1)[1]) <= rows_before + 1
+    detail = detail.format(offset=len(head))
+    assert str(exc.value).startswith(f"cannot read {where} of {p}: {detail}")
 
 
 def test_load_csv_peak_memory_is_at_most_half_the_oracles(tmp_path):

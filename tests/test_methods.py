@@ -51,7 +51,7 @@ def test_group_risks_match_mask_oracle(kind):
                 pass
         # some observed groups have no fit in the dict form
         fits = {gid: f for gid, f in fits.items() if gid == "ALL" or rng.random() < 0.7}
-        shared = [cache.erm(spec), decoupled(ds, tree, spec, cache=cache)]
+        shared = [cache.erm(spec), decoupled(cache, tree, spec)]
 
         for loss in (ZERO_ONE, CLIPPED_LOGISTIC):
             for fitted in shared:

@@ -163,10 +163,10 @@ def test_routed_predictors_match_full_rows_reference(kind, seed, full_rows):
     # partition's fallback answers part of the data too
     pruned = GroupTree(tree.nodes[:-1])
     predictors = [
-        mgl_tree(train, tree, spec, EPS, ZERO_ONE, cache=cache),
-        prepend(train, tree, spec, EPS, ZERO_ONE, cache=cache),
-        decoupled(train, tree, spec, cache=cache),
-        decoupled(train, pruned, spec, cache=cache),
+        mgl_tree(cache, tree, spec, EPS, ZERO_ONE),
+        prepend(cache, tree, spec, EPS, ZERO_ONE),
+        decoupled(cache, tree, spec),
+        decoupled(cache, pruned, spec),
     ]
     cases = [(p, ds, method) for p in predictors for ds in (train, test)
              for method in ("scores", "predict")]
@@ -185,8 +185,8 @@ def test_mgl_tree_trace_and_excess_rows_match_full_rows_reference(kind, loss, fu
     train, _, tree = _fixture(11)
     spec = LEARNERS[kind]
     cache = PredictorCache(train)
-    predictor = mgl_tree(train, tree, spec, EPS, loss, cache=cache)
-    rows, _ = excess_risk_report(predictor, train, cache=cache)
+    predictor = mgl_tree(cache, tree, spec, EPS, loss)
+    rows, _ = excess_risk_report(predictor, cache)
     _assert_same_steps(kind, predictor.trace,
                        full_rows_trace(train, tree, spec, EPS, loss, cache))
     full_rows()
