@@ -103,10 +103,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, ds, out_dir = _run_inputs(args, "evaluate")
     report = run_experiment(cfg, ds, jobs=args.jobs)
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json_text())
+    # both texts first: a report that cannot be encoded leaves neither file
+    texts = {"report.csv": report.to_csv_text(), "report.json": report.to_json_text()}
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     print("worst-group mean test error:")
     for (method, learner), value in sorted(report.worst_group_errors().items()):
         shown = "-" if value is None else f"{value:.4f}"

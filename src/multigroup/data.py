@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -64,6 +65,15 @@ def json_int(value, key: str) -> int:
 def float_to_json(x: float | None):
     """JSON has no infinities: write them as the strings "inf" and "-inf"."""
     return "inf" if x == math.inf else "-inf" if x == -math.inf else x
+
+
+def json_text(doc) -> str:
+    """``doc`` as one line of compact, key-sorted, strict JSON, newline
+    included: the one layout of every model file, report and trace line the
+    package writes, so that one document always has the same bytes. A NaN
+    or an infinity raises ValueError; write infinities with
+    ``float_to_json``."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def float_from_json(x):
@@ -223,7 +233,8 @@ class Dataset:
     A dataset made by ``take`` remembers the dataset it was taken from (its
     base) and the base rows it holds, so that a row-wise derivation such as
     an encoded feature matrix is computed once on the base and sliced for
-    every subset (``from_base``).
+    every subset (``from_base``). Its columns are those base rows of the
+    base's columns, each copied on its first read (``_TakenColumns``).
     """
 
     schema: AttributeSchema
@@ -252,6 +263,8 @@ class Dataset:
 
     @property
     def n(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
         return len(self.columns[self.schema.label_column])
 
     def labels(self) -> np.ndarray:
@@ -271,18 +284,23 @@ class Dataset:
         """The rows at ``indices`` (positions or a boolean mask), in that order.
 
         A subset of a valid dataset is valid, so construction's checks are
-        not run again. The subset shares this dataset's base.
+        not run again. The subset shares this dataset's base, and no column
+        is copied until it is read.
         """
+        if self._base is None:
+            base, positions = self, self.memo(_positions, _positions)
+        else:
+            base, positions = self._base, self._rows
         idx = np.asarray(indices)
         if idx.dtype != bool:
-            idx = idx.astype(np.int64)
-        rows = np.flatnonzero(idx) if idx.dtype == bool else idx
+            idx = idx.astype(np.int64, copy=False)
+        rows = positions[idx]  # a copy, whose shape and range numpy checks
         sub = object.__new__(Dataset)  # without __init__, whose checks this skips
         sub.__dict__.update(
             schema=self.schema,
-            columns={name: arr[idx] for name, arr in self.columns.items()},
-            _base=self if self._base is None else self._base,
-            _rows=rows if self._rows is None else self._rows[rows],
+            columns=_TakenColumns(base.columns, rows),
+            _base=base,
+            _rows=rows,
             _memo={},
         )
         return sub
@@ -315,6 +333,40 @@ class Dataset:
         return True
 
 
+def _positions(ds: Dataset) -> np.ndarray:
+    """0, 1, ..., n - 1: a base's rows, which ``take`` indexes."""
+    positions = np.arange(ds.n)
+    positions.flags.writeable = False
+    return positions
+
+
+class _TakenColumns(Mapping):
+    """The columns of a subset: each base column at the subset's base rows,
+    indexed on its first read and kept. Most subsets are scored or have
+    their loss taken, which reads the labels at most, so the other columns
+    are never copied."""
+
+    def __init__(self, base: Mapping[str, np.ndarray], rows: np.ndarray):
+        self._base = base
+        self._rows = rows
+        self._taken: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        arr = self._taken.get(name)
+        if arr is None:
+            arr = self._taken[name] = self._base[name][self._rows]
+        return arr
+
+    def __contains__(self, name) -> bool:
+        return name in self._base
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+
 # Records parsed per block. Larger blocks were slower and held more memory.
 _BLOCK_ROWS = 1000
 
@@ -336,23 +388,11 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
     order), then the first non-finite number. Each of these is a
     DataError, but a missing column is a SchemaError.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _unreadable(path, exc, 0) from exc
-        positions = {}
-        for col in schema.columns:
-            if col.name not in header:
-                raise SchemaError(f"missing column {col.name!r} in {path}")
-            positions[col.name] = header.index(col.name)
-        # categorical columns get provisional codes in order of first sight
-        index = {name: {c: i for i, c in enumerate(schema.categories.get(name, ()))}
-                 for name in schema.categorical_columns()}
-        parts, blank = _read_blocks(reader, path, schema, positions, index)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            parts, index, blank = _read_records(csv.reader(fh), path, schema)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, schema, exc) from exc
     if not parts[schema.label_column]:
         raise DataError(f"no data rows in {path}")
 
@@ -390,14 +430,36 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
     return ds
 
 
+def _read_records(records, path, schema: AttributeSchema):
+    """Check the header, then read the data records in blocks: each
+    column's arrays, one per block, the categories seen in each categorical
+    column, with their provisional codes in order of first sight, and the
+    numbers of the empty records. A byte that is not UTF-8 is not handled
+    here: its UnicodeDecodeError passes through."""
+    try:
+        header = next(records)
+    except StopIteration:
+        raise DataError(f"empty file: {path}") from None
+    except csv.Error as exc:
+        raise _unreadable(path, exc, 0) from exc
+    positions = {}
+    for col in schema.columns:
+        if col.name not in header:
+            raise SchemaError(f"missing column {col.name!r} in {path}")
+        positions[col.name] = header.index(col.name)
+    index = {name: {c: i for i, c in enumerate(schema.categories.get(name, ()))}
+             for name in schema.categorical_columns()}
+    parts, blank = _read_blocks(records, path, schema, positions, index)
+    return parts, index, blank
+
+
 def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, int],
                  index: Mapping[str, dict]) -> tuple[dict[str, list], list[int]]:
     """Each column's arrays, one per block of records, and the numbers of
     the empty records, which count as data rows but hold no values.
 
     A record the reader cannot read, such as one over csv's field size
-    limit or one holding a byte that is not UTF-8, is a DataError naming
-    its data row (see ``_unreadable``)."""
+    limit, is a DataError naming its data row (see ``_unreadable``)."""
     width = max(positions.values()) + 1
     parts: dict[str, list] = {c.name: [] for c in schema.columns}
     blank = []
@@ -407,7 +469,7 @@ def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, 
         unread = None
         try:
             block.extend(itertools.islice(reader, _BLOCK_ROWS))
-        except (csv.Error, UnicodeDecodeError) as exc:  # raised after the rows before it
+        except csv.Error as exc:  # raised after the rows before it
             unread = exc
         if not block and unread is None:
             return parts, blank
@@ -426,29 +488,38 @@ def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, 
 
 
 def _unreadable(path, exc: Exception, row: int) -> DataError:
-    """A DataError naming the data row (0 for the header) that csv could not
-    read. For a byte that is not UTF-8, that is the row holding the file's
-    first such byte, and the message gives the byte's offset: the text
-    layer decodes ahead of the reader, so the row read when it failed may
-    lie thousands of rows earlier. The row is the last record csv reads from
-    the text before the byte plus one character, so that a record the byte
-    cuts short still counts. A csv error in that text comes first, and is
-    named instead."""
-    if isinstance(exc, UnicodeDecodeError):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as first:
-            text, exc = raw[: first.start].decode("utf-8"), first
-        row = -1
-        try:
-            for row, _ in enumerate(csv.reader(io.StringIO(text + "_", newline=""))):
-                pass
-        except csv.Error as unread:
-            row, exc = row + 1, unread
+    """A DataError naming the data row (0 for the header) that could not be read."""
     where = "the header" if row == 0 else f"data row {row}"
     return DataError(f"cannot read {where} of {path}: {exc}")
+
+
+def _undecodable(path, schema: AttributeSchema, exc: UnicodeDecodeError) -> DataError:
+    """The error a row-by-row read meets in a file holding a byte that is
+    not UTF-8. The text layer decodes ahead of the reader, so the rows just
+    before the file's first such byte may not have been read when it
+    failed. They are read here, from the text before that byte: its header
+    and the rows it holds in full are checked as in any load, and their
+    first error (or a csv error in that text) comes first. Otherwise the
+    DataError names the row holding the byte and gives the byte's offset.
+    That row is the last record csv reads from the text before the byte
+    plus one character, so that a record the byte cuts short still counts."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as first:
+        text, exc = raw[: first.start].decode("utf-8"), first
+    text = text.removeprefix("\ufeff") + "_"  # as the utf-8-sig reader sees it
+    row = -1
+    try:
+        for row, _ in enumerate(csv.reader(io.StringIO(text, newline=""))):
+            pass
+    except csv.Error as unread:
+        row, exc = row + 1, unread
+    if row > 0:  # the header and the rows before the byte's or csv error's row
+        _read_records(itertools.islice(csv.reader(io.StringIO(text, newline="")), row),
+                      path, schema)
+    return _unreadable(path, exc, row)
 
 
 def _convert_block(rows: list, schema: AttributeSchema, positions: Mapping[str, int],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, SplitSpec, split
+from .data import Dataset, SplitSpec, json_text, split
 from .groups import GroupTree
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, method_failure
@@ -135,7 +134,7 @@ class EvalReport:
                 for (m, l, t), summary in sorted(self.trace_summaries.items())
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text(doc)
 
     def mean_error(self, method: str, learner: str, group_id: str) -> float | None:
         return self._stats[(method, learner, group_id)][0]

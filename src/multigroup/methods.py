@@ -10,12 +10,12 @@ entries through ``method_failure`` and measure them with ``group_risks``.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 from .algorithms import PrependCapExceeded, decoupled, excess_risk_report, mgl_tree, prepend
+from .data import json_text
 from .modelio import save_list_model, save_partition_model, save_plain_model, save_tree_model
 from .risk import group_risks, loss_from_name  # group_risks also stays importable from here
 
@@ -37,10 +37,9 @@ class Method:
 
 def _save_tree(path, predictor, cache, spec) -> None:
     save_tree_model(path, predictor, cache)
-    trace_path = path[: -len(".model.json")] + ".trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        for step in predictor.trace:
-            fh.write(json.dumps(step.to_json(), sort_keys=True) + "\n")
+    text = "".join(json_text(step.to_json()) for step in predictor.trace)
+    with open(path[: -len(".model.json")] + ".trace.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _tree_summary(predictor, cache) -> dict:

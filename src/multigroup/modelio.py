@@ -8,7 +8,6 @@ later against the exact dataset that produced it.
 from __future__ import annotations
 
 import hashlib
-import json
 from contextlib import contextmanager
 
 from .algorithms import (
@@ -19,7 +18,7 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import DataError, Dataset, schema_from_json, schema_to_json
+from .data import DataError, Dataset, json_text, schema_from_json, schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
@@ -47,6 +46,11 @@ def reading_model():
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
+    """SHA-256 of the dataset's size and columns, hashed once per dataset."""
+    return ds.memo(_sha256, _sha256)
+
+
+def _sha256(ds: Dataset) -> str:
     digest = hashlib.sha256()
     digest.update(str(ds.n).encode())
     for name in ds.schema.column_names():
@@ -58,9 +62,11 @@ def dataset_fingerprint(ds: Dataset) -> str:
 
 
 def _dump(doc: dict, path) -> None:
+    """Write ``doc`` as ``json_text``; a document that cannot be encoded
+    raises before the file is opened, so it leaves no file."""
+    text = json_text(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def stored_learner(doc: dict) -> LearnerSpec:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -211,10 +212,11 @@ def _bin_value(value: float, bins: tuple[Bin, ...], column: str, rownum: int) ->
     raise DataError(f"value {value} outside bins of column {column!r} at data row {rownum}")
 
 
-def _undecodable(path, exc):
+def _undecodable(path, schema, exc):
     """The DataError for a file that is not UTF-8: it names the record that
     holds the first bad byte, or the first record csv cannot read before
-    it, counting the header as record 1."""
+    it, counting the header as record 1. The header and the records before
+    that one are checked first, row by row, and their first error wins."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -232,6 +234,9 @@ def _undecodable(path, exc):
             record, exc = record + 1, unread
             break
         record += 1
+    if record > 1:
+        _read_rows(itertools.islice(csv.reader(io.StringIO(text + "_", newline="")), record - 1),
+                   path, schema)
     where = "the header" if record == 1 else f"data row {record - 1}"
     return DataError(f"cannot read {where} of {path}: {exc}")
 
@@ -247,10 +252,66 @@ def _records(reader, path):
             return
         except csv.Error as exc:
             raise DataError(f"cannot read data row {rownum} of {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from exc
         yield record
         rownum += 1
+
+
+def _read_rows(reader, path, schema: AttributeSchema):
+    """The header check and the row-by-row read: each column's raw values
+    and the numbers of the empty records."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty file: {path}") from None
+    except csv.Error as exc:
+        raise DataError(f"cannot read the header of {path}: {exc}") from exc
+    positions = {}
+    for col in schema.columns:
+        if col.name not in header:
+            raise SchemaError(f"missing column {col.name!r} in {path}")
+        positions[col.name] = header.index(col.name)
+
+    width_needed = max(positions.values()) + 1
+    raw: dict[str, list] = {c.name: [] for c in schema.columns}
+    blank = []
+    for rownum, record in enumerate(_records(reader, path), start=1):
+        if not record:
+            blank.append(rownum)
+            continue
+        if len(record) < width_needed:
+            raise DataError(
+                f"data row {rownum} has {len(record)} fields, expected {width_needed}"
+            )
+        for col in schema.columns:
+            cell = record[positions[col.name]]
+            if col.kind == CATEGORICAL:
+                if col.name in schema.bins:
+                    try:
+                        num = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"non-numeric value {cell!r} in binned column {col.name!r}"
+                            f" at data row {rownum}"
+                        ) from None
+                    raw[col.name].append(_bin_value(num, schema.bins[col.name], col.name, rownum))
+                else:
+                    raw[col.name].append(cell)
+            elif col.kind == LABEL:
+                try:
+                    val = float(cell)
+                except ValueError:
+                    val = -1.0
+                if val not in (0.0, 1.0):
+                    raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
+                raw[col.name].append(val)
+            else:
+                try:
+                    raw[col.name].append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
+                    ) from None
+    return raw, blank
 
 
 def load_csv(path, schema: AttributeSchema) -> Dataset:
@@ -260,62 +321,11 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
     columns with declared bins are parsed as numbers and discretized.
     Numeric cells must be finite: nan and inf are rejected.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        except csv.Error as exc:
-            raise DataError(f"cannot read the header of {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from exc
-        positions = {}
-        for col in schema.columns:
-            if col.name not in header:
-                raise SchemaError(f"missing column {col.name!r} in {path}")
-            positions[col.name] = header.index(col.name)
-
-        width_needed = max(positions.values()) + 1
-        raw: dict[str, list] = {c.name: [] for c in schema.columns}
-        blank = []
-        for rownum, record in enumerate(_records(reader, path), start=1):
-            if not record:
-                blank.append(rownum)
-                continue
-            if len(record) < width_needed:
-                raise DataError(
-                    f"data row {rownum} has {len(record)} fields, expected {width_needed}"
-                )
-            for col in schema.columns:
-                cell = record[positions[col.name]]
-                if col.kind == CATEGORICAL:
-                    if col.name in schema.bins:
-                        try:
-                            num = float(cell)
-                        except ValueError:
-                            raise DataError(
-                                f"non-numeric value {cell!r} in binned column {col.name!r}"
-                                f" at data row {rownum}"
-                            ) from None
-                        raw[col.name].append(_bin_value(num, schema.bins[col.name], col.name, rownum))
-                    else:
-                        raw[col.name].append(cell)
-                elif col.kind == LABEL:
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        val = -1.0
-                    if val not in (0.0, 1.0):
-                        raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
-                    raw[col.name].append(val)
-                else:
-                    try:
-                        raw[col.name].append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
-                        ) from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw, blank = _read_rows(csv.reader(fh), path, schema)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, schema, exc) from exc
     if not raw[schema.label_column]:
         raise DataError(f"no data rows in {path}")
     ds = dataset_from_values(schema, raw)

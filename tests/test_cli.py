@@ -7,8 +7,8 @@ import pytest
 
 from multigroup import cli, learners
 from multigroup.cli import main
-from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, load_csv, make_synthetic,
-                            schema_from_json, schema_to_json, write_csv)
+from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, json_text, load_csv,
+                            make_synthetic, schema_from_json, schema_to_json, write_csv)
 from multigroup.modelio import stored_learner
 
 from synthcases import inverted_leaf_spec, two_leaf_constants
@@ -985,6 +985,66 @@ def test_readme_commands_regenerate_demo(tmp_path, monkeypatch):
     assert files(tmp_path / "demo") == files(golden)
     for name in files(golden):
         assert (tmp_path / "demo" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_evaluate_in_two_processes_reproduces_demo_report(tmp_path, monkeypatch):
+    """The README runs evaluate with --jobs 2: trials fitted in worker
+    processes give demo/report byte for byte."""
+    shutil.copytree(ROOT / "fixtures", tmp_path / "fixtures")
+    (tmp_path / "demo").mkdir()
+    shutil.copy(ROOT / "demo" / "data.csv", tmp_path / "demo" / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["evaluate", "--config", "fixtures/run.json", "--out", "demo/report",
+                 "--jobs", "2"]) == 0
+    for name in ("report.csv", "report.json"):
+        golden = ROOT / "demo" / "report" / name
+        assert (tmp_path / "demo" / "report" / name).read_bytes() == golden.read_bytes(), name
+
+
+def test_written_json_files_are_canonical():
+    """Every model file, trace and report in demo/ and fixtures/golden_bagged/
+    is one json_text document per line: re-encoding what each line parses to
+    gives back its bytes. The schema that synth writes is left out: it is
+    indented for people to read and edit."""
+    tops = (ROOT / "demo", ROOT / "fixtures" / "golden_bagged")
+    paths = [p for top in tops for p in sorted(top.rglob("*"))
+             if p.suffix in (".json", ".jsonl") and not p.name.endswith(".schema.json")]
+    assert len(paths) == 16
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if path.suffix == ".json":
+            assert len(lines) == 1, path
+        for line in lines:
+            assert line == json_text(json.loads(line)), path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_text_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        json_text({"score": [0.5, value]})
+
+
+def test_non_finite_model_value_exits_one_and_leaves_no_model_file(tmp_path, monkeypatch,
+                                                                   capsys):
+    """A model document holding a NaN is refused before its file is opened."""
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"]))
+    to_json = learners.ConstantPredictor.to_json
+
+    def nan_for_one_group(self):
+        doc = to_json(self)
+        if self.provenance.endswith("@grp=b"):
+            doc["score"] = float("nan")
+        return doc
+
+    monkeypatch.setattr(learners.ConstantPredictor, "to_json", nan_for_one_group)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: method 'mgl_tree' (learner constant) failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_bagged_trees_train_matches_golden(tmp_path, monkeypatch, capsys):

@@ -26,11 +26,14 @@ from multigroup.data import (
     split,
     write_csv,
 )
+from multigroup.algorithms import mgl_tree
+from multigroup.bounds import EpsilonSpec
 from multigroup.groups import Group, build_hierarchy, membership_vector
 from multigroup.learners import FeatureEncoder, LearnerSpec, PredictorCache
+from multigroup.risk import ZERO_ONE, group_risks
 
 import oracles
-from synthcases import opposite_separators_spec, two_leaf_constants
+from synthcases import inverted_leaf_spec, opposite_separators_spec, two_leaf_constants
 
 
 def small_schema():
@@ -184,6 +187,95 @@ def test_take_equals_a_validated_copy_and_slices_the_base_encoding(data):
             assert sub.equals(fresh)
             got, want = encoder.encode(sub), encoder.transform(fresh)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class _ReadLog(dict):
+    """A column dict that logs the name of every column read from it."""
+
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def _selections(n):
+    rng = np.random.default_rng(5)
+    mask = rng.random(n) < 0.4
+    return {
+        "mask": mask,
+        "sorted": np.flatnonzero(mask),
+        "unsorted": rng.permutation(n)[: n // 3],
+        "repeated": rng.integers(0, n, 2 * n),
+        "empty": np.array([], dtype=np.int64),
+        "empty_list": [],
+        "all_false": np.zeros(n, dtype=bool),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_selections(1)))
+@pytest.mark.parametrize("nested", [False, True], ids=["take", "take_of_take"])
+def test_take_reads_each_column_as_an_eager_copy_would(kind, nested):
+    """A subset's columns, row count and encoding equal the eager copy
+    ``{name: arr[idx]}``, whatever the selection; a take of a take indexes
+    the base at the composed rows. Each column is indexed once, when first
+    read."""
+    ds = make_synthetic(opposite_separators_spec(40, noise=0.2), seed=3)
+    outer = np.random.default_rng(1).permutation(ds.n)[:50] if nested else None
+    parent = ds.take(outer) if nested else ds
+    want_parent = {c: a[outer] for c, a in ds.columns.items()} if nested else ds.columns
+    idx = _selections(parent.n)[kind]
+    sub = parent.take(idx)
+    sel = np.asarray(idx) if len(idx) else np.array([], dtype=np.int64)
+    want = {c: a[sel] for c, a in want_parent.items()}
+    assert sub.n == len(want["label"])
+    assert sorted(sub.columns) == sorted(want) and len(sub.columns) == len(want)
+    for name, arr in want.items():
+        got = sub.columns[name]
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+        assert sub.columns[name] is got  # kept after the first read
+    encoder = FeatureEncoder(ds.schema)
+    fresh = Dataset(ds.schema, want)
+    assert encoder.encode(sub).tobytes() == encoder.transform(fresh).tobytes()
+    assert sub.equals(fresh)
+
+
+def test_take_checks_its_selection_when_taken():
+    """A mask of the wrong length or a position out of range raises at
+    ``take``, not at the first read of a column."""
+    ds = make_synthetic(opposite_separators_spec(5), seed=3)
+    sub = ds.take([0, 2, 4])
+    for parent in (ds, sub):
+        for bad in (np.ones(parent.n + 1, dtype=bool), [parent.n], [-parent.n - 1]):
+            with pytest.raises(IndexError):
+                parent.take(bad)
+    assert sub.take([-1]).columns["x0"].tolist() == ds.columns["x0"][[4]].tolist()
+
+
+def test_scoring_a_constant_predictor_over_subsets_reads_only_labels():
+    """Routing a constant-learner predictor over a subset, and its
+    per-example loss and per-group risks there, copy no feature or group
+    column: the scores need only the row count, and the loss the labels."""
+    ds = make_synthetic(inverted_leaf_spec(n_per_leaf=30, noise=0.1), seed=2)
+    log = _ReadLog(ds.columns)
+    base = Dataset(ds.schema, log)
+    tree = build_hierarchy(ds.schema, ("a1", "a2", "a3"))
+    predictor = mgl_tree(PredictorCache(base), tree, LearnerSpec("constant"),
+                         EpsilonSpec("constant", value=0.0), ZERO_ONE)
+    rows = np.random.default_rng(4).permutation(base.n)[:150]
+    sub = base.take(rows)
+    tree.row_index(sub)  # routing reads the group columns once per dataset
+    log.read.clear()
+    scores = predictor.scores(sub)
+    loss = ZERO_ONE.per_example(predictor, sub)
+    risks = group_risks(predictor, sub, tree, ZERO_ONE)
+    assert log.read == {"label"}
+    fresh = Dataset(ds.schema, {c: a[rows] for c, a in ds.columns.items()})
+    assert scores.tobytes() == predictor.scores(fresh).tobytes()
+    assert loss.tobytes() == ZERO_ONE.per_example(predictor, fresh).tobytes()
+    assert risks == group_risks(predictor, fresh, tree, ZERO_ONE)
 
 
 def test_make_synthetic_noise_free_matches_rule():
@@ -424,28 +516,35 @@ _BAD = b"\xff\xfeR2,F,0\n"
 CODEC = "'utf-8' codec can't decode byte 0xff in position {offset}:"
 
 
-@pytest.mark.parametrize("head, where, detail", [
-    (b"", "the header", CODEC),
-    (_HEADER + b"R1,M,1\n", "data row 2", CODEC),
-    (_HEADER + b"R1,M,1\n" * 3000, "data row 3001", CODEC),
-    (_HEADER + b"R1,M,1\n" * 2500 + b'"R1\nR2",', "data row 2501", CODEC),
-    (_HEADER + b"R1,M,1\n" * 2500 + b"R1,M," + b"1" * 200_000 + b"\n", "data row 2501",
-     "field larger than field limit"),
-], ids=["header", "second_row", "data_row", "quoted_field", "csv_error_first"])
-def test_undecodable_byte_is_a_data_error(tmp_path, head, where, detail):
+@pytest.mark.parametrize("head, error, message", [
+    (b"", DataError, "cannot read the header of {p}: " + CODEC),
+    (_HEADER + b"R1,M,1\n", DataError, "cannot read data row 2 of {p}: " + CODEC),
+    (_HEADER + b"R1,M,1\n" * 3000, DataError, "cannot read data row 3001 of {p}: " + CODEC),
+    (_HEADER + b"R1,M,1\n" * 2500 + b'"R1\nR2",', DataError,
+     "cannot read data row 2501 of {p}: " + CODEC),
+    (_HEADER + b"R1,M,1\n" * 2500 + b"R1,M," + b"1" * 200_000 + b"\n", DataError,
+     "cannot read data row 2501 of {p}: field larger than field limit"),
+    (_HEADER + b"R1,M,1\n" * 2998 + b"R1,M\nR1,M,1\n", DataError,
+     "data row 2999 has 2 fields, expected 3"),
+    (b"race,label\nR1,1\n", SchemaError, "missing column 'sex' in {p}"),
+], ids=["header", "second_row", "data_row", "quoted_field", "csv_error_first",
+        "short_row_first", "missing_column_first"])
+def test_undecodable_byte_is_a_data_error(tmp_path, head, error, message):
     """A byte that is not UTF-8 (here the UTF-16 byte-order mark ff fe) is a
     DataError naming the file, the header or data row that holds it, and the
     byte's offset in the file. Text is decoded ahead of the reader in
     chunks, so the row being read when the decoder met the byte can be an
-    earlier one, or the header of a short file. A record csv cannot read
-    before the byte is the error a row-by-row read meets first."""
+    earlier one, or the header of a short file. Every error a row-by-row
+    read meets before the byte comes first: a record csv cannot read, a
+    short row in the chunk that failed to decode, or a header that lacks a
+    schema column (a SchemaError)."""
     p = tmp_path / "d.csv"
     p.write_bytes(head + _BAD)
     _assert_same_load(p, small_schema())
-    with pytest.raises(DataError) as exc:
+    with pytest.raises(error) as exc:
         load_csv(p, small_schema())
-    detail = detail.format(offset=len(head))
-    assert str(exc.value).startswith(f"cannot read {where} of {p}: {detail}")
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(message.format(p=p, offset=len(head)))
 
 
 def test_load_csv_peak_memory_is_at_most_half_the_oracles(tmp_path):
