@@ -71,9 +71,35 @@ def json_text(doc) -> str:
     """``doc`` as one line of compact, key-sorted, strict JSON, newline
     included: the one layout of every model file, report and trace line the
     package writes, so that one document always has the same bytes. A NaN
-    or an infinity raises ValueError; write infinities with
+    or an infinity raises ValueError naming the key path of the first one,
+    such as ``nodes[2].predictor.score``; write infinities with
     ``float_to_json``."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:
+        found = _non_finite(doc, "")
+        if found is None:
+            raise
+        path, value = found
+        raise ValueError(f"{path or 'the document'} is {value!r}, which JSON cannot hold") from exc
+
+
+def _non_finite(doc, path: str):
+    """(key path, value) of the first NaN or infinity in doc, in the order
+    json_text writes it, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (path, doc)
+    if isinstance(doc, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(doc.items())]
+    elif isinstance(doc, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(doc)]
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found is not None:
+            return found
+    return None
 
 
 def float_from_json(x):

@@ -314,149 +314,216 @@ def _pass_trees(n: int) -> int:
 
 def _entropy(p: np.ndarray) -> np.ndarray:
     """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
-    p = np.clip(p, 0.0, 1.0)
+    return _entropy_in_range(np.clip(p, 0.0, 1.0))
+
+
+_TINY = np.nextafter(0.0, 1.0)  # the least positive float: p = 0 alone is raised to it
+
+
+def _entropy_in_range(p: np.ndarray) -> np.ndarray:
+    """_entropy of p in [0, 1], in two new buffers.
+
+    0 log 0 is read as 0 * log(_TINY), a zero of either sign, and
+    subtracting it from 0.0 gives +0.0, so p = 0 and p = 1 give +0.0.
+    """
     q = 1.0 - p
-    log_p = np.log(np.where(p > 0, p, 1.0))
-    log_q = np.log(np.where(q > 0, q, 1.0))
-    return (0.0 - p * log_p) - q * log_q  # 0.0 - x keeps a zero term at +0.0
+    q_log_q = np.maximum(q, _TINY)
+    np.log(q_log_q, out=q_log_q)
+    q_log_q *= q
+    out = np.maximum(p, _TINY, out=q)
+    np.log(out, out=out)
+    out *= p
+    np.subtract(0.0, out, out=out)  # 0.0 - x keeps a zero term at +0.0
+    out -= q_log_q
+    return out
 
 
-def _presort(XT: np.ndarray) -> np.ndarray:
-    """Order of each row of XT (one feature per row), ascending.
+def _presort(XT: np.ndarray, rows=None) -> np.ndarray:
+    """Order of each row of XT (one feature per row), or of the given rows
+    of it, ascending.
 
     Ties may come in any order: a split reads class counts only at the
     boundaries between distinct values, and those do not depend on it.
     """
-    order = np.empty(XT.shape, dtype=np.int32 if XT.shape[1] < 2**31 else np.intp)
-    for j, column in enumerate(XT):
-        order[j] = np.argsort(column)
+    rows = range(len(XT)) if rows is None else rows
+    order = np.empty((len(rows), XT.shape[1]), dtype=np.int32 if XT.shape[1] < 2**31 else np.intp)
+    for j, row in enumerate(rows):
+        order[j] = np.argsort(XT[row])
     return order
 
 
-def _best_splits(X, y, order, starts, sizes, pos):
+def _best_splits(X, wy, order, starts, lengths, sizes, pos):
     """Best (feature, threshold) of each node of one forest level, by
     entropy reduction.
 
     The level's nodes are contiguous segments of order's columns (start,
-    size, positives), and row c of a segment lists its sample ids sorted by
-    feature c, which is X[c]; ids index the columns of X and y. The
-    candidate thresholds are the boundaries between distinct sorted values
-    inside a node. Features are scanned in index order and thresholds in
-    ascending order, so ties resolve to the lowest feature index and lowest
-    threshold. Rows of order are scored a block at a time, as many per
-    block as keep it within _SPLIT_BLOCK values, and read X with 1-D take
-    on flat indices.
+    length), and row c of a segment lists its sample ids sorted by feature
+    c, which is X[c]; ids index the columns of X and wy. wy holds each id's
+    weight, how often a bootstrap drew it, as its real part and its
+    weighted label as its imaginary part, so one cumulative sum counts
+    both. A node's size and positives are its weights and weighted labels
+    in total. Both are integers, so every count below is exact and equals
+    the count of a sample that repeats each id as often as drawn.
+    The candidate thresholds are the boundaries between distinct sorted
+    values inside a node. Features are scanned in index order and
+    thresholds in ascending order, so ties resolve to the lowest feature
+    index and lowest threshold. Rows of order are scored a block at a time,
+    as many per block as keep it within _SPLIT_BLOCK values, and read X
+    with 1-D take on flat indices.
 
     Returns per node: the gain (-inf if no feature has two distinct
     values), the feature, the last position left of the cut, the threshold
-    (the midpoint of the values either side of the cut) and the positives
-    left of it.
+    (the midpoint of the values either side of the cut), and the size and
+    positives left of it.
     """
     k, m = order.shape
     count = len(starts)
+    sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
     step = _block_rows(k, m)
-    # Per position of a block's rows laid end to end: its node, the count
+    # Per position of a block's rows laid end to end: its node, the ids
     # left of a cut after it, and whether a cut after it is inside its node.
-    node_of = np.tile(np.repeat(np.arange(count), sizes), step)
-    n_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, sizes), step)
-    inside = np.tile(n_left_at[:m] < np.repeat(sizes, sizes), step)[:-1]
+    node_of = np.tile(np.repeat(np.arange(count), lengths), step)
+    ids_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, lengths), step)
+    inside = np.tile(ids_left_at[:m] < np.repeat(lengths, lengths), step)[:-1]
     row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
-    parent = _entropy(pos / sizes)
+    parent = _entropy_in_range(pos / sizes)
     gain = np.full(count, -np.inf)
     feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
-    lo, hi, pos_left = np.zeros(count), np.zeros(count), np.zeros(count)
-    cum = np.zeros(step * m + 1)  # cum[f] = positives before flat position f
+    lo, hi = np.zeros(count), np.zeros(count)
+    size_left, pos_left = np.zeros(count), np.zeros(count)
+    cum = np.zeros(step * m + 1, dtype=np.complex128)  # cum[f] = wy before flat position f
+    cum_w, cum_yw = cum.real, cum.imag
     for c0 in range(0, k, step):
         ids = order[c0:c0 + step]
-        width = ids.size
+        rows, width = len(ids), ids.size
         values = X.take(ids + row_at[c0:c0 + step]).ravel()
-        np.cumsum(y.take(ids), out=cum[1:width + 1])  # rows end to end
+        np.cumsum(wy.take(ids), out=cum[1:width + 1])  # rows end to end
         f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
         if f.size == 0:
             continue
         s = node_of[f]
-        n = sizes[s]
-        n_left = n_left_at[f]
-        p_left = cum[f + 1] - cum[f + 1 - n_left]
-        n_right = n - n_left
-        p_right = pos[s] - p_left
-        gains = parent[s] - (n_left * _entropy(p_left / n_left)
-                             + n_right * _entropy(p_right / n_right)) / n
-        top = np.full(count, -np.inf)
-        np.maximum.at(top, s, gains)
+        gains = _cut_gains(*_left_of(f, ids_left_at, cum_w, cum_yw), s, sizes, pos, parent)
+        # The cuts run by row, then by node: the best gain of each (row,
+        # node) segment of them, then of each node, and the first cut that
+        # reaches it, in the first segment that does.
+        seg_lo = np.searchsorted(f, (np.arange(rows)[:, None] * m + starts).ravel())
+        cut_in = seg_lo < np.append(seg_lo[1:], f.size)
+        seg_top = np.full(rows * count, -np.inf)
+        seg_top[cut_in] = np.maximum.reduceat(gains, seg_lo[cut_in])
+        seg_top = seg_top.reshape(rows, count)
+        top = seg_top.max(axis=0)
+        won = np.flatnonzero(top > gain)
+        if won.size == 0:
+            continue
         hit = np.flatnonzero(gains == top[s])
-        won, first = np.unique(s[hit], return_index=True)  # each node's first maximum
-        k_won = hit[first]
-        better = top[won] > gain[won]
-        won, k_won = won[better], k_won[better]
+        first_row = np.argmax(seg_top[:, won] == top[won], axis=0)
+        k_won = hit[np.searchsorted(hit, seg_lo[first_row * count + won])]
         gain[won] = top[won]
         f = f[k_won]
         feature[won] = c0 + f // m
         at[won] = f % m
         lo[won] = values[f]
         hi[won] = values[f + 1]
-        pos_left[won] = p_left[k_won]
+        size_left[won], pos_left[won] = _left_of(f, ids_left_at, cum_w, cum_yw)
     threshold = lo + (hi - lo) / 2.0
     rounded_up = threshold >= hi  # midpoint rounded up onto the right value
     threshold[rounded_up] = lo[rounded_up]
-    return gain, feature, at, threshold, pos_left
+    return gain, feature, at, threshold, size_left, pos_left
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
+def _left_of(f, ids_left_at, cum_w, cum_yw):
+    """The weight and the weighted positives left of a cut after each flat
+    position f, from the start of f's segment."""
+    after = f + 1
+    first = after - ids_left_at[f]  # flat position where f's segment starts
+    n_left = cum_w[after]
+    n_left -= cum_w[first]
+    p_left = cum_yw[after]
+    p_left -= cum_yw[first]
+    return n_left, p_left
+
+
+def _cut_gains(n_left, p_left, s, sizes, pos, parent):
+    """The entropy reduction of cuts in nodes s with the given size and
+    positives left of them, computed in place in a few buffers: the
+    level's largest arrays, so the fewer the better."""
+    n_right = sizes[s]
+    n_right -= n_left
+    p_right = pos[s]
+    p_right -= p_left
+    p_left /= n_left  # the fractions of positives
+    p_right /= n_right
+    gains = _entropy_in_range(p_left)
+    gains *= n_left
+    h_right = _entropy_in_range(p_right)
+    h_right *= n_right
+    gains += h_right
+    gains /= sizes[s]
+    return np.subtract(parent[s], gains, out=gains)
+
+
+def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray, lengths,
                max_depth: int) -> list[dict]:
     """Grow a forest of depth-bounded trees by greedy entropy reduction, all
     its trees a level at a time; returns their roots.
 
     order holds the trees' samples side by side, one segment of the given
-    size per tree, as (features, samples) ids of the columns of X and y:
-    row c of a segment is sorted by feature c, which is X[c], and a
-    bootstrap sample repeats ids. A node is a segment and its cuts lie
-    inside it, so trees never mix. A split keeps each side's ids in the
-    order they had, so no node sorts: the nodes of the next level are
-    again sorted segments of one array. A node is a leaf at max_depth, when
-    its labels agree, or when no split gains more than _MIN_GAIN.
+    length per tree, as (features, samples) ids of the columns of X, y and
+    w: row c of a segment is sorted by feature c, which is X[c]. An id
+    appears once in a segment and stands for w[id] > 0 copies of its row,
+    its bootstrap count. A node is a segment and its cuts lie inside it, so
+    trees never mix. A split keeps each side's ids in the order they had,
+    so no node sorts: the nodes of the next level are again sorted segments
+    of one array. A node is a leaf at max_depth, when its labels agree, or
+    when no split gains more than _MIN_GAIN. order has at least one row.
     """
     k, m = order.shape
-    sizes = np.asarray(sizes)
-    pos = np.add.reduceat(y.take(order[0]), np.cumsum(sizes) - sizes)
-    roots = [{} for _ in sizes]
+    lengths = np.asarray(lengths)
+    wy = w + 1j * (y * w)
+    starts = np.cumsum(lengths) - lengths
+    total = np.add.reduceat(wy.take(order[0]), starts)
+    sizes, pos = total.real, total.imag
+    roots = [{} for _ in lengths]
     nodes = roots
     for depth in range(max_depth):
-        starts = np.cumsum(sizes) - sizes
-        gain, feature, at, threshold, pos_left = _best_splits(
-            X, y, order, starts, sizes, pos)
+        gain, feature, at, threshold, size_left, pos_left = _best_splits(
+            X, wy, order, starts, lengths, sizes, pos)
         side = np.zeros(len(y), dtype=np.int8)  # 1, 2: goes to a left, right node to split
         grow = ([], [])
         for s, node in enumerate(nodes):
             if not gain[s] > _MIN_GAIN:
                 node["score"] = float(pos[s] / sizes[s])
                 continue
-            start, cut, end = int(starts[s]), int(at[s]) + 1, int(starts[s] + sizes[s])
+            start, cut, end = int(starts[s]), int(at[s]) + 1, int(starts[s] + lengths[s])
             node["feature"] = int(feature[s])
             node["threshold"] = float(threshold[s])
-            sides = ((cut - start, float(pos_left[s]), start, cut),
-                     (end - cut, float(pos[s] - pos_left[s]), cut, end))
-            for b, (size, p, first, last) in enumerate(sides):
+            sides = ((cut - start, float(size_left[s]), float(pos_left[s]), start, cut),
+                     (end - cut, float(sizes[s] - size_left[s]), float(pos[s] - pos_left[s]),
+                      cut, end))
+            for b, (length, size, p, first, last) in enumerate(sides):
                 child = node["left" if b == 0 else "right"] = {}
                 if depth + 1 < max_depth and 0.0 < p < size:
                     side[order[feature[s], first:last]] = b + 1
-                    grow[b].append((child, size, p))
+                    grow[b].append((child, length, size, p))
                 else:
                     child["score"] = p / size
         children = grow[0] + grow[1]
         if not children:
             break
-        nodes = [child for child, _, _ in children]
-        sizes = np.array([size for _, size, _ in children])
-        pos = np.array([p for _, _, p in children])
-        left = sum(size for _, size, _ in grow[0])
-        parted = np.empty((k, sizes.sum()), dtype=order.dtype)
+        nodes = [child for child, _, _, _ in children]
+        lengths = np.array([length for _, length, _, _ in children])
+        sizes = np.array([size for _, _, size, _ in children])
+        pos = np.array([p for _, _, _, p in children])
+        starts = np.cumsum(lengths) - lengths
+        left = sum(length for _, length, _, _ in grow[0])
+        parted = np.empty((k, lengths.sum()), dtype=order.dtype)
         step = _block_rows(k, m)
         for c0 in range(0, k, step):
             block = order[c0:c0 + step]
             to = side.take(block).ravel()
             parted[c0:c0 + step, :left] = np.compress(to == 1, block).reshape(len(block), -1)
             parted[c0:c0 + step, left:] = np.compress(to == 2, block).reshape(len(block), -1)
+        del block  # a view that would keep this level's order alive through the next
         order, m = parted, parted.shape[1]
     return roots
 
@@ -610,18 +677,81 @@ class BaggedTreesPredictor:
         }
 
 
+def _varying(XT: np.ndarray):
+    """The rows of XT that are not constant, the one kind of feature a tree
+    can cut, as (their indices in XT, their presort). The presort has one
+    row, np.arange, when no row varies."""
+    features = np.flatnonzero(XT.max(axis=1) > XT.min(axis=1))
+    if not len(features):
+        return features, np.arange(XT.shape[1])[None, :]
+    return features, _presort(XT, features)
+
+
+def _grow_pass(XT, features, order, y, copies, rows, max_depth: int) -> list[dict]:
+    """Trees grown side by side as one forest (_grow_tree): tree t draws
+    row i of y copies[t, i] times and searches XT's rows features[rows[:,
+    t]], which order presorts, so a split's feature is an index into
+    rows[:, t]. An entry len(features) of rows is a row of zeros, which has
+    no cut; it pads a tree with fewer features to search than the others.
+
+    The forest's ids number the drawn (tree, row) pairs, tree by tree and
+    in row order within a tree, so its arrays hold drawn rows only. Row c
+    of the sample holds each tree's ids sorted by its c-th feature.
+    """
+    count, n = copies.shape
+    drawn = copies.ravel() > 0
+    pairs = np.flatnonzero(drawn)  # id -> t * n + i
+    lengths = np.count_nonzero(copies, axis=1)
+    ends = np.cumsum(lengths)
+    pad = rows == len(features)
+    X = np.zeros((len(rows), len(pairs)))
+    for c, t in zip(*np.nonzero(~pad)):
+        lo, hi = ends[t] - lengths[t], ends[t]
+        XT[features[rows[c, t]]].take(pairs[lo:hi] - t * n, out=X[c, lo:hi])
+    slot = np.cumsum(drawn) - 1  # (t * n + i) -> id
+    shift = (np.arange(count) * n)[:, None]
+    sample = np.empty(X.shape, dtype=order.dtype)
+    for c, row in enumerate(np.where(pad, 0, rows)):  # any order suits a row of zeros
+        ids = (order[row] + shift).ravel()
+        sample[c] = slot.take(ids[drawn.take(ids)])
+    return _grow_tree(X, y.take(pairs % n), copies.take(pairs).astype(np.float64), sample,
+                      lengths, max_depth)
+
+
+def _relabel(node: dict, names) -> dict:
+    """node, with the feature f of each split in its tree read as names[f]."""
+    if "feature" in node:
+        node["feature"] = int(names[node["feature"]])
+        _relabel(node["left"], names)
+        _relabel(node["right"], names)
+    return node
+
+
+def _fit_tree(XT: np.ndarray, y: np.ndarray, max_depth: int) -> dict:
+    """One tree on every column of XT, each once, that splits on the row
+    indices of XT. XT itself is searched, not a copy, when every row varies."""
+    features, order = _varying(XT)
+    if not len(features):
+        return {"score": float(y.sum() / len(y))}
+    X = XT if len(features) == len(XT) else XT[features]
+    [root] = _grow_tree(X, y, np.ones(len(y)), order, [len(y)], max_depth)
+    return _relabel(root, features)
+
+
 def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     """Trees on bootstrap samples of XT's columns and feature subsets, drawn
     per tree from default_rng([seed, tree index]), grown _pass_trees(n) at a
-    time as one forest.
+    time as one forest (_grow_pass).
 
-    A pass lays its trees side by side: tree t's bootstrap ids are shifted
-    by t * n, row c of the pass's features holds each tree's c-th lowest
-    feature of its subset, and the labels repeat once per tree.
+    A tree searches only the features of its subset that vary on XT, in
+    subset order, and its splits are then relabelled with their positions
+    in the subset.
     """
     d, n = XT.shape
     k = max(1, int(round(spec.feature_fraction * d)))
-    order = _presort(XT)
+    features, order = _varying(XT)
+    row_of = np.full(d, len(features))  # each feature's index in features; a constant one's pads
+    row_of[features] = np.arange(len(features))
     trees, subsets = [], []
     per_pass = _pass_trees(n)
     for t0 in range(0, spec.n_trees, per_pass):
@@ -631,14 +761,12 @@ def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
             rng = np.random.default_rng([spec.seed & _SEED_MASK, t0 + t])
             copies[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
             subsets.append(np.sort(rng.choice(d, size=k, replace=False)))
-        columns = np.array(subsets[t0:]).T  # (k, count)
-        shift = (np.arange(count) * n)[:, None]
-        sample = np.empty((k, count * n), dtype=order.dtype)
-        for c in range(k):
-            ids = order[columns[c]] + shift
-            sample[c] = np.repeat(ids.ravel(), copies.take(ids).ravel())  # as often as drawn
-        X = XT[columns].reshape(k, count * n)
-        trees += _grow_tree(X, np.tile(y, count), sample, np.full(count, n), spec.max_depth)
+        # row_of rises with the feature, so sorting keeps the varying in subset order
+        rows = np.sort(row_of[np.array(subsets[t0:])], axis=1).T  # (k, count)
+        rows = rows[:max(1, int((rows < len(features)).sum(axis=0).max()))]
+        roots = _grow_pass(XT, features, order, y, copies, rows, spec.max_depth)
+        trees += [_relabel(root, np.flatnonzero(row_of[subset] < len(features)))
+                  for root, subset in zip(roots, subsets[t0:])]
     return trees, subsets
 
 
@@ -674,8 +802,7 @@ def fit(
         name = encoder.feature_names[int(np.argmin(finite))]
         raise ValueError(f"feature {name!r} has a non-finite value; trees split finite values only")
     if spec.kind == "tree":
-        [root] = _grow_tree(XT, y, _presort(XT), [len(y)], spec.max_depth)
-        return DecisionTreePredictor(root, encoder, provenance)
+        return DecisionTreePredictor(_fit_tree(XT, y, spec.max_depth), encoder, provenance)
     trees, subsets = _fit_bagged(XT, y, spec)
     return BaggedTreesPredictor(trees, subsets, encoder, provenance)
 
@@ -705,9 +832,8 @@ class PredictorCache:
             rows = tree.row_index(self.ds)[tree.index(g.id)]
             if not len(rows):
                 raise EmptyGroupError(f"empty group: {g.id}")
-            mask = np.zeros(self.ds.n, dtype=bool)
-            mask[rows] = True
-            found = self._store[key] = fit(spec, self.ds, mask, self.encoder, tag=g.id)
+            found = self._store[key] = fit(spec, self.ds.take(rows), np.ones(len(rows), dtype=bool),
+                                           self.encoder, tag=g.id)
         return found
 
     def erm(self, spec: LearnerSpec):

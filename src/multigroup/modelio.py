@@ -63,8 +63,12 @@ def _sha256(ds: Dataset) -> str:
 
 def _dump(doc: dict, path) -> None:
     """Write ``doc`` as ``json_text``; a document that cannot be encoded
-    raises before the file is opened, so it leaves no file."""
-    text = json_text(doc)
+    raises ValueError naming the file before the file is opened, so it
+    leaves no file."""
+    try:
+        text = json_text(doc)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

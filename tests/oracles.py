@@ -20,7 +20,8 @@ import numpy as np
 from multigroup.data import CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, DataError, \
     Dataset, SchemaError
 from multigroup.groups import Group, GroupTree, membership_vector
-from multigroup.learners import FeatureEncoder, LearnerSpec, fit
+from multigroup.learners import _MIN_GAIN, _SEED_MASK, FeatureEncoder, LearnerSpec, _block_rows, \
+    _entropy, _pass_trees, _presort, fit
 from multigroup.risk import Loss
 
 
@@ -343,3 +344,166 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             rownum += 1
         raise DataError(f"non-finite value {values[i]} in column {col.name!r} at data row {rownum}")
     return ds
+
+
+# Tree growth on bootstrap samples that repeat each drawn id as often as
+# drawn, searching every feature of a tree's subset, constant or not.
+
+def best_splits(X, y, order, starts, sizes, pos):
+    """Best (feature, threshold) of each node of one forest level, by
+    entropy reduction.
+
+    The level's nodes are contiguous segments of order's columns (start,
+    size, positives), and row c of a segment lists its sample ids sorted by
+    feature c, which is X[c]; ids index the columns of X and y. The
+    candidate thresholds are the boundaries between distinct sorted values
+    inside a node. Features are scanned in index order and thresholds in
+    ascending order, so ties resolve to the lowest feature index and lowest
+    threshold. Rows of order are scored a block at a time, as many per
+    block as keep it within _SPLIT_BLOCK values, and read X with 1-D take
+    on flat indices.
+
+    Returns per node: the gain (-inf if no feature has two distinct
+    values), the feature, the last position left of the cut, the threshold
+    (the midpoint of the values either side of the cut) and the positives
+    left of it.
+    """
+    k, m = order.shape
+    count = len(starts)
+    step = _block_rows(k, m)
+    # Per position of a block's rows laid end to end: its node, the count
+    # left of a cut after it, and whether a cut after it is inside its node.
+    node_of = np.tile(np.repeat(np.arange(count), sizes), step)
+    n_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, sizes), step)
+    inside = np.tile(n_left_at[:m] < np.repeat(sizes, sizes), step)[:-1]
+    row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
+    parent = _entropy(pos / sizes)
+    gain = np.full(count, -np.inf)
+    feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+    lo, hi, pos_left = np.zeros(count), np.zeros(count), np.zeros(count)
+    cum = np.zeros(step * m + 1)  # cum[f] = positives before flat position f
+    for c0 in range(0, k, step):
+        ids = order[c0:c0 + step]
+        width = ids.size
+        values = X.take(ids + row_at[c0:c0 + step]).ravel()
+        np.cumsum(y.take(ids), out=cum[1:width + 1])  # rows end to end
+        f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
+        if f.size == 0:
+            continue
+        s = node_of[f]
+        n = sizes[s]
+        n_left = n_left_at[f]
+        p_left = cum[f + 1] - cum[f + 1 - n_left]
+        n_right = n - n_left
+        p_right = pos[s] - p_left
+        gains = parent[s] - (n_left * _entropy(p_left / n_left)
+                             + n_right * _entropy(p_right / n_right)) / n
+        top = np.full(count, -np.inf)
+        np.maximum.at(top, s, gains)
+        hit = np.flatnonzero(gains == top[s])
+        won, first = np.unique(s[hit], return_index=True)  # each node's first maximum
+        k_won = hit[first]
+        better = top[won] > gain[won]
+        won, k_won = won[better], k_won[better]
+        gain[won] = top[won]
+        f = f[k_won]
+        feature[won] = c0 + f // m
+        at[won] = f % m
+        lo[won] = values[f]
+        hi[won] = values[f + 1]
+        pos_left[won] = p_left[k_won]
+    threshold = lo + (hi - lo) / 2.0
+    rounded_up = threshold >= hi  # midpoint rounded up onto the right value
+    threshold[rounded_up] = lo[rounded_up]
+    return gain, feature, at, threshold, pos_left
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
+               max_depth: int) -> list[dict]:
+    """Grow a forest of depth-bounded trees by greedy entropy reduction, all
+    its trees a level at a time; returns their roots.
+
+    order holds the trees' samples side by side, one segment of the given
+    size per tree, as (features, samples) ids of the columns of X and y:
+    row c of a segment is sorted by feature c, which is X[c], and a
+    bootstrap sample repeats ids. A node is a segment and its cuts lie
+    inside it, so trees never mix. A split keeps each side's ids in the
+    order they had, so no node sorts: the nodes of the next level are
+    again sorted segments of one array. A node is a leaf at max_depth, when
+    its labels agree, or when no split gains more than _MIN_GAIN.
+    """
+    k, m = order.shape
+    sizes = np.asarray(sizes)
+    pos = np.add.reduceat(y.take(order[0]), np.cumsum(sizes) - sizes)
+    roots = [{} for _ in sizes]
+    nodes = roots
+    for depth in range(max_depth):
+        starts = np.cumsum(sizes) - sizes
+        gain, feature, at, threshold, pos_left = best_splits(
+            X, y, order, starts, sizes, pos)
+        side = np.zeros(len(y), dtype=np.int8)  # 1, 2: goes to a left, right node to split
+        grow = ([], [])
+        for s, node in enumerate(nodes):
+            if not gain[s] > _MIN_GAIN:
+                node["score"] = float(pos[s] / sizes[s])
+                continue
+            start, cut, end = int(starts[s]), int(at[s]) + 1, int(starts[s] + sizes[s])
+            node["feature"] = int(feature[s])
+            node["threshold"] = float(threshold[s])
+            sides = ((cut - start, float(pos_left[s]), start, cut),
+                     (end - cut, float(pos[s] - pos_left[s]), cut, end))
+            for b, (size, p, first, last) in enumerate(sides):
+                child = node["left" if b == 0 else "right"] = {}
+                if depth + 1 < max_depth and 0.0 < p < size:
+                    side[order[feature[s], first:last]] = b + 1
+                    grow[b].append((child, size, p))
+                else:
+                    child["score"] = p / size
+        children = grow[0] + grow[1]
+        if not children:
+            break
+        nodes = [child for child, _, _ in children]
+        sizes = np.array([size for _, size, _ in children])
+        pos = np.array([p for _, _, p in children])
+        left = sum(size for _, size, _ in grow[0])
+        parted = np.empty((k, sizes.sum()), dtype=order.dtype)
+        step = _block_rows(k, m)
+        for c0 in range(0, k, step):
+            block = order[c0:c0 + step]
+            to = side.take(block).ravel()
+            parted[c0:c0 + step, :left] = np.compress(to == 1, block).reshape(len(block), -1)
+            parted[c0:c0 + step, left:] = np.compress(to == 2, block).reshape(len(block), -1)
+        order, m = parted, parted.shape[1]
+    return roots
+
+
+def fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+    """Trees on bootstrap samples of XT's columns and feature subsets, drawn
+    per tree from default_rng([seed, tree index]), grown _pass_trees(n) at a
+    time as one forest.
+
+    A pass lays its trees side by side: tree t's bootstrap ids are shifted
+    by t * n, row c of the pass's features holds each tree's c-th lowest
+    feature of its subset, and the labels repeat once per tree.
+    """
+    d, n = XT.shape
+    k = max(1, int(round(spec.feature_fraction * d)))
+    order = _presort(XT)
+    trees, subsets = [], []
+    per_pass = _pass_trees(n)
+    for t0 in range(0, spec.n_trees, per_pass):
+        count = min(per_pass, spec.n_trees - t0)
+        copies = np.empty((count, n), dtype=np.intp)
+        for t in range(count):
+            rng = np.random.default_rng([spec.seed & _SEED_MASK, t0 + t])
+            copies[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            subsets.append(np.sort(rng.choice(d, size=k, replace=False)))
+        columns = np.array(subsets[t0:]).T  # (k, count)
+        shift = (np.arange(count) * n)[:, None]
+        sample = np.empty((k, count * n), dtype=order.dtype)
+        for c in range(k):
+            ids = order[columns[c]] + shift
+            sample[c] = np.repeat(ids.ravel(), copies.take(ids).ravel())  # as often as drawn
+        X = XT[columns].reshape(k, count * n)
+        trees += grow_tree(X, np.tile(y, count), sample, np.full(count, n), spec.max_depth)
+    return trees, subsets

@@ -1020,13 +1020,19 @@ def test_written_json_files_are_canonical():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_json_text_refuses_non_finite_numbers(value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^score\[1\] is {value!r}, "):
         json_text({"score": [0.5, value]})
+    doc = {"b": [{"x": value}], "a": {"z": 1.0, "y": value}}  # written in key order
+    with pytest.raises(ValueError, match=rf"^a\.y is {value!r}, "):
+        json_text(doc)
+    with pytest.raises(ValueError, match=rf"^the document is {value!r}, "):
+        json_text(value)
 
 
 def test_non_finite_model_value_exits_one_and_leaves_no_model_file(tmp_path, monkeypatch,
                                                                    capsys):
-    """A model document holding a NaN is refused before its file is opened."""
+    """A model document holding a NaN is refused before its file is opened,
+    with a message that names the file and the NaN's key path."""
     ds, csv_path = write_fixture(tmp_path)
     cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"]))
     to_json = learners.ConstantPredictor.to_json
@@ -1042,8 +1048,9 @@ def test_non_finite_model_value_exits_one_and_leaves_no_model_file(tmp_path, mon
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: method 'mgl_tree' (learner constant) failed: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    model = out_dir / "mgl_tree.constant.model.json"
+    assert err == (f"error: method 'mgl_tree' (learner constant) failed: cannot write {model}: "
+                   "nodes[2].predictor.score is nan, which JSON cannot hold\n")
     assert list(out_dir.iterdir()) == []
 
 

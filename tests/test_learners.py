@@ -416,8 +416,8 @@ def level_best_splits(nodes):
     order = np.concatenate([_presort(X.T.copy()) + start
                             for (X, _), start in zip(nodes, starts)], axis=1)
     pos = np.array([y.sum() for _, y in nodes])
-    gain, feature, _, threshold, _ = _best_splits(
-        XT, y, order, starts, sizes, pos)
+    gain, feature, _, threshold, _, _ = _best_splits(
+        XT, np.ones(len(y)) + 1j * y, order, starts, sizes, sizes, pos)
     return [(int(f), float(t)) if g > _MIN_GAIN else None
             for g, f, t in zip(gain, feature, threshold)]
 

@@ -167,7 +167,7 @@ def test_trees_match_per_node_reference():
         XT = np.ascontiguousarray(X.T)
         if trial % 3 == 0:
             want = reference_grow_tree(X, y, 0, max_depth)
-            [got] = _grow_tree(XT, y, _presort(XT), [n], max_depth)
+            [got] = _grow_tree(XT, y, np.ones(n), _presort(XT), [n], max_depth)
             assert json.dumps(got) == json.dumps(want), trial
             splits += "feature" in want
         else:
