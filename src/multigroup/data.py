@@ -348,16 +348,6 @@ class Dataset:
             return self.memo(key, compute)
         return self._base.memo(key, compute)[self._rows]
 
-    def equals(self, other: "Dataset") -> bool:
-        if self.schema.column_names() != other.schema.column_names():
-            return False
-        if self.schema.categories != other.schema.categories:
-            return False
-        for name in self.schema.column_names():
-            if not np.array_equal(self.columns[name], other.columns[name]):
-                return False
-        return True
-
 
 def _positions(ds: Dataset) -> np.ndarray:
     """0, 1, ..., n - 1: a base's rows, which ``take`` indexes."""
@@ -503,10 +493,15 @@ def _read_blocks(reader, path, schema: AttributeSchema, positions: Mapping[str, 
         blank += empty
         if len(empty) < len(block):
             try:
-                _convert_block([r for r in block if r] if empty else block,
+                _convert_block([r for r in block if r] if empty else block, start,
                                schema, positions, width, index, parts)
             except ValueError:
-                _raise_row_error(block, start, schema, positions, width)
+                # again a record at a time, into throwaway parts: the first bad
+                # record raises the DataError that names its row
+                for rownum, record in enumerate(block, start=start):
+                    if record:
+                        _convert_block([record], rownum, schema, positions, width, index,
+                                       {name: [] for name in parts})
                 raise
         if unread is not None:
             raise _unreadable(path, unread, start + len(block)) from unread
@@ -548,32 +543,51 @@ def _undecodable(path, schema: AttributeSchema, exc: UnicodeDecodeError) -> Data
     return _unreadable(path, exc, row)
 
 
-def _convert_block(rows: list, schema: AttributeSchema, positions: Mapping[str, int],
-                   width: int, index: Mapping[str, dict], parts: Mapping[str, list]) -> None:
-    """Append one block's column arrays to ``parts``. A short row, a cell
-    that does not parse, a label other than 0/1 or a NaN to bin raises
-    ValueError, naming no row; new categories get the next free codes."""
-    if min(map(len, rows)) < width:
-        raise ValueError("short row")
+def _convert_block(rows: list, start: int, schema: AttributeSchema,
+                   positions: Mapping[str, int], width: int, index: Mapping[str, dict],
+                   parts: Mapping[str, list]) -> None:
+    """Append the column arrays of ``rows`` to ``parts``; new categories get
+    the next free codes. A short row, a cell that does not parse, a label
+    other than 0/1 or a NaN to bin raises. For one record, which is data row
+    ``start``, that is the DataError naming the row and its first bad cell
+    in schema column order; for more, a ValueError naming neither."""
     n = len(rows)
+
+    def bad(message: str, name: str = ""):
+        if n > 1:
+            raise ValueError("bad record in block")
+        record = rows[0]
+        raise DataError(message.format(row=start, fields=len(record), width=width, col=name,
+                                       cell=record[positions[name]] if name else None))
+
+    if min(map(len, rows)) < width:
+        bad("data row {row} has {fields} fields, expected {width}")
     for col in schema.columns:
         cells = map(itemgetter(positions[col.name]), rows)
         bins = schema.bins.get(col.name)
         if col.kind == CATEGORICAL and bins is None:
             parts[col.name].append(_encode(list(cells), index[col.name]))
             continue
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+        except ValueError:
+            values = None
         if col.kind == LABEL:
-            if not ((values == 0.0) | (values == 1.0)).all():
-                raise ValueError("label not 0 or 1")
+            if values is None or not ((values == 0.0) | (values == 1.0)).all():
+                bad("label must be 0 or 1 at data row {row}, got {cell!r}", col.name)
             parts[col.name].append(values.astype(np.int64))
         elif bins is not None:
+            if values is None:
+                bad("non-numeric value {cell!r} in binned column {col!r} at data row {row}",
+                    col.name)
             if np.isnan(values).any():
-                raise ValueError("NaN to bin")
+                bad("cannot bin NaN in column {col!r} at data row {row}", col.name)
             edges = np.array([b.upper for b in bins[:-1]], dtype=np.float64)
             names = tuple(str(b.name) for b in bins)
             which = np.searchsorted(edges, values, side="right").tolist()
             parts[col.name].append(_encode(list(map(names.__getitem__, which)), index[col.name]))
+        elif values is None:
+            bad("non-numeric value {cell!r} in column {col!r} at data row {row}", col.name)
         else:
             parts[col.name].append(values)
 
@@ -587,40 +601,6 @@ def _encode(cells: list, index: dict) -> np.ndarray:
         for cell in cells:
             index.setdefault(cell, len(index))
         return np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
-
-
-def _raise_row_error(block: list, start: int, schema: AttributeSchema,
-                     positions: Mapping[str, int], width: int) -> None:
-    """Raise the DataError of the first bad row in ``block``, whose first
-    record is data row ``start``: a short row, then its cells in schema
-    column order."""
-    for rownum, record in enumerate(block, start=start):
-        if not record:
-            continue
-        if len(record) < width:
-            raise DataError(f"data row {rownum} has {len(record)} fields, expected {width}")
-        for col in schema.columns:
-            cell = record[positions[col.name]]
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if col.kind == LABEL and value not in (0.0, 1.0):
-                raise DataError(f"label must be 0 or 1 at data row {rownum}, got {cell!r}")
-            if col.kind == NUMERIC and value is None:
-                raise DataError(
-                    f"non-numeric value {cell!r} in column {col.name!r} at data row {rownum}"
-                )
-            if col.name in schema.bins:
-                if value is None:
-                    raise DataError(
-                        f"non-numeric value {cell!r} in binned column {col.name!r}"
-                        f" at data row {rownum}"
-                    )
-                if math.isnan(value):
-                    raise DataError(
-                        f"cannot bin NaN in column {col.name!r} at data row {rownum}"
-                    )
 
 
 def write_csv(ds: Dataset, path) -> None:

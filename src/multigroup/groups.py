@@ -144,9 +144,6 @@ class GroupTree:
         pid = self._parent.get(group_id)
         return self._by_id[pid] if pid is not None else None
 
-    def children(self, group_id: str) -> tuple[Group, ...]:
-        return tuple(self._by_id[k] for k in self._children[group_id])
-
     def depth(self, group_id: str) -> int:
         """Each child adds one conjunct its parent lacks, so depth is their count."""
         return len(frozenset(self._by_id[group_id].conjuncts))

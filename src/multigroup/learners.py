@@ -146,11 +146,15 @@ class FeatureEncoder:
         return X
 
 
-def _labels_from_scores(scores: np.ndarray) -> np.ndarray:
-    return (scores >= 0.5).astype(np.int64)
+class _Predictor:
+    """A fitted learner: each class has its own ``scores``, and a score of at
+    least 0.5 predicts 1 (a tie predicts 1)."""
+
+    def predict(self, ds: Dataset) -> np.ndarray:
+        return (self.scores(ds) >= 0.5).astype(np.int64)
 
 
-class ConstantPredictor:
+class ConstantPredictor(_Predictor):
     """Predicts the training majority label everywhere; score = label mean."""
 
     kind = "constant"
@@ -161,9 +165,6 @@ class ConstantPredictor:
 
     def scores(self, ds: Dataset) -> np.ndarray:
         return np.full(ds.n, self.score_value)
-
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return _labels_from_scores(self.scores(ds))
 
     def to_json(self) -> dict:
         return {"type": "constant", "score": self.score_value, "provenance": self.provenance}
@@ -189,7 +190,7 @@ def logistic_gradient(
     return X.T @ resid / len(y), float(np.mean(resid))
 
 
-class LogisticPredictor:
+class LogisticPredictor(_Predictor):
     """Linear model on standardized features, fit by Newton/IRLS or
     full-batch gradient descent (``LearnerSpec.solver``)."""
 
@@ -206,9 +207,6 @@ class LogisticPredictor:
     def scores(self, ds: Dataset) -> np.ndarray:
         X = (self.encoder.encode(ds) - self.mean) / self.scale
         return sigmoid(X @ self.weights + self.intercept)
-
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return _labels_from_scores(self.scores(ds))
 
     def to_json(self) -> dict:
         return {
@@ -312,16 +310,11 @@ def _pass_trees(n: int) -> int:
     return max(1, _SPLIT_BLOCK // n)
 
 
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
-    return _entropy_in_range(np.clip(p, 0.0, 1.0))
-
-
 _TINY = np.nextafter(0.0, 1.0)  # the least positive float: p = 0 alone is raised to it
 
 
 def _entropy_in_range(p: np.ndarray) -> np.ndarray:
-    """_entropy of p in [0, 1], in two new buffers.
+    """Binary entropy in nats of p in [0, 1], in two new buffers.
 
     0 log 0 is read as 0 * log(_TINY), a zero of either sign, and
     subtracting it from 0.0 gives +0.0, so p = 0 and p = 1 give +0.0.
@@ -615,7 +608,7 @@ def _flat_scores(forest: _FlatTree, X: np.ndarray) -> np.ndarray:
     return out
 
 
-class DecisionTreePredictor:
+class DecisionTreePredictor(_Predictor):
     """Depth-bounded binary tree grown by greedy entropy reduction."""
 
     kind = "tree"
@@ -632,14 +625,11 @@ class DecisionTreePredictor:
     def scores(self, ds: Dataset) -> np.ndarray:
         return _flat_scores(self._flat, self.encoder.encode(ds))
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return _labels_from_scores(self.scores(ds))
-
     def to_json(self) -> dict:
         return {"type": "tree", "root": self.root, "provenance": self.provenance}
 
 
-class BaggedTreesPredictor:
+class BaggedTreesPredictor(_Predictor):
     """Majority vote over trees fit on bootstrap resamples with feature subsets."""
 
     kind = "bagged_trees"
@@ -664,9 +654,6 @@ class BaggedTreesPredictor:
 
     def scores(self, ds: Dataset) -> np.ndarray:
         return _flat_scores(self._flat, self.encoder.encode(ds)) / len(self.trees)
-
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return _labels_from_scores(self.scores(ds))
 
     def to_json(self) -> dict:
         return {
@@ -748,7 +735,7 @@ def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     in the subset.
     """
     d, n = XT.shape
-    k = max(1, int(round(spec.feature_fraction * d)))
+    k = min(d, max(1, int(round(spec.feature_fraction * d))))  # 0 only without features
     features, order = _varying(XT)
     row_of = np.full(d, len(features))  # each feature's index in features; a constant one's pads
     row_of[features] = np.arange(len(features))
@@ -761,8 +748,10 @@ def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
             rng = np.random.default_rng([spec.seed & _SEED_MASK, t0 + t])
             copies[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
             subsets.append(np.sort(rng.choice(d, size=k, replace=False)))
-        # row_of rises with the feature, so sorting keeps the varying in subset order
-        rows = np.sort(row_of[np.array(subsets[t0:])], axis=1).T  # (k, count)
+        # row_of rises with the feature, so sorting keeps the varying in subset order;
+        # a tree without features searches one row of zeros, and grows a leaf
+        rows = np.full((max(k, 1), count), len(features))
+        rows[:k] = np.sort(row_of[np.array(subsets[t0:])], axis=1).T
         rows = rows[:max(1, int((rows < len(features)).sum(axis=0).max()))]
         roots = _grow_pass(XT, features, order, y, copies, rows, spec.max_depth)
         trees += [_relabel(root, np.flatnonzero(row_of[subset] < len(features)))

@@ -98,19 +98,14 @@ def _common_header(model_kind: str, cache: PredictorCache, spec: LearnerSpec) ->
 def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) -> None:
     tree = predictor.tree
     source = predictor.source()
-    trace_by_id = {t.group_id: t for t in predictor.trace}
     nodes = []
-    for g in tree.nodes:
+    for g in tree.nodes:  # the steps that decided them are stored once, in "trace"
         entry = {
             "id": g.id,
             "depth": tree.depth(g.id),
             "decision": predictor.decision[g.id],
             "source": source[g.id],
         }
-        step = trace_by_id.get(g.id)
-        if step is not None:
-            entry.update({k: v for k, v in step.to_json().items()
-                          if k not in ("group_id", "decision")})
         if source[g.id] == g.id:  # only nodes that own a fit carry parameters
             entry["predictor"] = predictor.working[g.id].to_json()
         nodes.append(entry)

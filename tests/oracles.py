@@ -21,7 +21,7 @@ from multigroup.data import CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, D
     Dataset, SchemaError
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _MIN_GAIN, _SEED_MASK, FeatureEncoder, LearnerSpec, _block_rows, \
-    _entropy, _pass_trees, _presort, fit
+    _entropy_in_range, _pass_trees, _presort, fit
 from multigroup.risk import Loss
 
 
@@ -63,6 +63,21 @@ def row(ds: Dataset, i: int) -> dict:
     return {c.name: value(ds, c.name, i) for c in ds.schema.columns}
 
 
+def dataset_equals(ds: Dataset, other: Dataset) -> bool:
+    if ds.schema.column_names() != other.schema.column_names():
+        return False
+    if ds.schema.categories != other.schema.categories:
+        return False
+    for name in ds.schema.column_names():
+        if not np.array_equal(ds.columns[name], other.columns[name]):
+            return False
+    return True
+
+
+def children(tree: GroupTree, group_id: str) -> tuple[Group, ...]:
+    return tuple(tree._by_id[k] for k in tree._children[group_id])
+
+
 def contains_row(g: Group, row: Mapping[str, object]) -> bool:
     return all(row.get(attr) == cat for attr, cat in g.conjuncts)
 
@@ -72,7 +87,7 @@ def deepest_containing(tree: GroupTree, row: Mapping[str, object]) -> Group:
     current = tree.root
     while True:
         advanced = False
-        for child in tree.children(current.id):
+        for child in children(tree, current.id):
             if contains_row(child, row):
                 current = child
                 advanced = True
@@ -349,6 +364,11 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
 # Tree growth on bootstrap samples that repeat each drawn id as often as
 # drawn, searching every feature of a tree's subset, constant or not.
 
+def entropy(p: np.ndarray) -> np.ndarray:
+    """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
+    return _entropy_in_range(np.clip(p, 0.0, 1.0))
+
+
 def best_splits(X, y, order, starts, sizes, pos):
     """Best (feature, threshold) of each node of one forest level, by
     entropy reduction.
@@ -377,7 +397,7 @@ def best_splits(X, y, order, starts, sizes, pos):
     n_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, sizes), step)
     inside = np.tile(n_left_at[:m] < np.repeat(sizes, sizes), step)[:-1]
     row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
-    parent = _entropy(pos / sizes)
+    parent = entropy(pos / sizes)
     gain = np.full(count, -np.inf)
     feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
     lo, hi, pos_left = np.zeros(count), np.zeros(count), np.zeros(count)
@@ -396,8 +416,8 @@ def best_splits(X, y, order, starts, sizes, pos):
         p_left = cum[f + 1] - cum[f + 1 - n_left]
         n_right = n - n_left
         p_right = pos[s] - p_left
-        gains = parent[s] - (n_left * _entropy(p_left / n_left)
-                             + n_right * _entropy(p_right / n_right)) / n
+        gains = parent[s] - (n_left * entropy(p_left / n_left)
+                             + n_right * entropy(p_right / n_right)) / n
         top = np.full(count, -np.inf)
         np.maximum.at(top, s, gains)
         hit = np.flatnonzero(gains == top[s])

@@ -11,6 +11,7 @@ from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, json_text, 
                             make_synthetic, schema_from_json, schema_to_json, write_csv)
 from multigroup.modelio import stored_learner
 
+import oracles
 from synthcases import inverted_leaf_spec, two_leaf_constants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -848,7 +849,7 @@ def test_csv_with_byte_order_mark_trains(tmp_path):
     assert main(["train", "--config", str(config), "--set", f"dataset={bom}",
                  "--set", 'learners=[{"kind": "constant"}]', "--out", str(out)]) == 0
     schema = schema_from_json(json.loads(config.read_text())["schema"])
-    assert load_csv(bom, schema).equals(load_csv(plain, schema))
+    assert oracles.dataset_equals(load_csv(bom, schema), load_csv(plain, schema))
     assert main(["audit", "--model", str(out / "mgl_tree.constant.model.json"),
                  "--data", str(plain)]) == 0
 
@@ -1074,6 +1075,37 @@ def test_bagged_trees_train_matches_golden(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["audit", "--model", str(golden / name), "--data", "demo/data.csv"]) == 0
         assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+def test_bagged_trees_without_encoded_features_train_and_audit(tmp_path, capsys):
+    """With group attributes left out of the features and no other column
+    but the label, each bagged tree is one leaf: train writes the models
+    and audit finds them clean."""
+    csv_path = tmp_path / "data.csv"
+    labels = {"a": [1, 0, 0, 0, 1, 0, 0, 0], "b": [1, 1, 0, 1, 1, 1, 1, 0]}
+    csv_path.write_text("grp,label\n" + "".join(f"{g},{y}\n" for g, ys in labels.items()
+                                                for y in ys * 3))
+    doc = {
+        "dataset": str(csv_path),
+        "schema": {"columns": [{"name": "grp", "kind": "categorical"},
+                               {"name": "label", "kind": "binary-label"}],
+                   "label": "label", "group_attributes": ["grp"]},
+        "attribute_order": ["grp"],
+        "include_group_attributes": False,
+        "learners": [{"kind": "bagged_trees", "n_trees": 3, "max_depth": 2}],
+        "epsilon": {"kind": "scaled", "scale": 1.0},
+        "methods": ["mgl_tree"],
+    }
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out_dir)]) == 0
+    model = out_dir / "mgl_tree.bagged3_depth2.model.json"
+    leaves = json.loads(model.read_text())["nodes"][0]["predictor"]
+    assert leaves["feature_subsets"] == [[], [], []]
+    assert all(set(tree) == {"score"} for tree in leaves["trees"])
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model), "--data", str(csv_path)]) == 0
+    assert capsys.readouterr().out == "AUDIT CLEAN\n"
 
 
 def test_each_op_trains_and_audits_in_one_training_context(tmp_path, monkeypatch, capsys):

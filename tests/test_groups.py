@@ -17,7 +17,7 @@ from multigroup.groups import (
 )
 
 import oracles
-from oracles import contains_row, dataset_from_values, deepest_containing
+from oracles import children, contains_row, dataset_from_values, deepest_containing
 from synthcases import two_leaf_constants
 
 
@@ -170,7 +170,7 @@ def test_bfs_order_parents_first_and_sorted():
     again = build_hierarchy(census_like_schema(), ["race", "sex", "age"])
     assert [g.id for g in tree.nodes] == [g.id for g in again.nodes]
     for g in tree.nodes:
-        kids = [k.id for k in tree.children(g.id)]
+        kids = [k.id for k in children(tree, g.id)]
         assert kids == sorted(kids)
 
 
@@ -179,7 +179,7 @@ def test_same_depth_masks_partition_parent():
     tree = build_hierarchy(schema, ["race", "sex", "age"])
     ds = product_dataset(schema)
     for g in tree.nodes:
-        kids = tree.children(g.id)
+        kids = children(tree, g.id)
         if not kids:
             continue
         parent_mask = membership_vector(g, ds)

@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from multigroup.learners import (
+    _SEED_MASK,
     _SPLIT_BLOCK,
     LearnerSpec,
     _best_splits,
@@ -169,3 +170,20 @@ def test_weighted_level_matches_repeated_level():
         assert np.array_equal(size_left[split], (want[2] + 1 - repeated_starts)[split]), trial
         for s in np.flatnonzero(split):  # the cut's position agrees with its count
             assert w[order[feature[s], starts[s]:at[s] + 1]].sum() == size_left[s], trial
+
+
+@pytest.mark.parametrize("n_trees", [1, 5])
+def test_bag_of_a_design_without_features_is_one_leaf_per_tree(n_trees):
+    """With no encoded feature (group attributes left out, every other
+    column a group attribute) each tree is one leaf with an empty feature
+    subset, scoring its bootstrap sample's label mean."""
+    n = 9
+    y = np.array([1, 0, 0, 1, 1, 0, 1, 1, 0], dtype=np.float64)
+    spec = LearnerSpec("bagged_trees", max_depth=3, n_trees=n_trees, seed=4)
+    trees, subsets = _fit_bagged(np.zeros((0, n)), y, spec)
+    want = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([spec.seed & _SEED_MASK, t])
+        want.append({"score": float(np.bincount(rng.integers(0, n, size=n), minlength=n) @ y / n)})
+    assert trees == want
+    assert [s.tolist() for s in subsets] == [[]] * n_trees

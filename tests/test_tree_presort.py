@@ -32,7 +32,6 @@ from multigroup.learners import (
     BaggedTreesPredictor,
     FeatureEncoder,
     LearnerSpec,
-    _entropy,
     _fit_bagged,
     _flat_scores,
     _flatten,
@@ -43,13 +42,15 @@ from multigroup.learners import (
     PredictorCache,
 )
 
+from oracles import entropy
+
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def reference_best_split(X, y):
     """Per-node split search: sorts the node's features a block at a time."""
     n, d = X.shape
-    parent = float(_entropy(np.array([y.mean()]))[0])
+    parent = float(entropy(np.array([y.mean()]))[0])
     step = max(1, _SPLIT_BLOCK // n)
     best = None  # (gain, feature, threshold)
     for start in range(0, d, step):
@@ -64,8 +65,8 @@ def reference_best_split(X, y):
         pos_left = cum_pos[at, feature]
         n_right = n - n_left
         pos_right = cum_pos[-1, feature] - pos_left
-        h_left = _entropy(pos_left / n_left)
-        h_right = _entropy(pos_right / n_right)
+        h_left = entropy(pos_left / n_left)
+        h_right = entropy(pos_right / n_right)
         gains = parent - (n_left * h_left + n_right * h_right) / n
         k = int(np.argmax(gains))  # first maximum
         gain = float(gains[k])
