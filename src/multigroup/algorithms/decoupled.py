@@ -22,14 +22,14 @@ class PartitionPredictor:
     def __init__(self, tree: GroupTree, per_leaf: dict, fallback, learner_spec: LearnerSpec):
         self.tree = tree
         self.leaves = tree.leaves()
-        self.per_leaf = per_leaf  # leaf id -> predictor
-        self.fallback = fallback  # the global fit, for rows outside every leaf
+        self.per_leaf = per_leaf  # observed leaf id -> predictor
+        self.fallback = fallback  # the global fit, for rows of no observed leaf
         self.learner_spec = learner_spec
 
     def _rules(self, ds: Dataset):
         rows = self.tree.row_index(ds)
         return ((rows[self.tree.index(leaf.id)], self.per_leaf[leaf.id])
-                for leaf in self.leaves)
+                for leaf in self.leaves if leaf.id in self.per_leaf)
 
     def scores(self, ds: Dataset) -> np.ndarray:
         return route(ds, self._rules(ds), self.fallback, "scores")
@@ -43,10 +43,6 @@ def decoupled(cache: PredictorCache, tree: GroupTree, spec: LearnerSpec) -> Part
     empty leaves, and examples outside every leaf, use the global fit."""
     root_pred = cache.erm(spec)
     rows = tree.row_index(cache.ds)
-    per_leaf = {}
-    for leaf in tree.leaves():
-        if len(rows[tree.index(leaf.id)]):
-            per_leaf[leaf.id] = cache.group_erm(spec, tree, leaf)
-        else:
-            per_leaf[leaf.id] = root_pred
+    per_leaf = {leaf.id: cache.group_erm(spec, tree, leaf)
+                for leaf in tree.leaves() if len(rows[tree.index(leaf.id)])}
     return PartitionPredictor(tree, per_leaf, root_pred, spec)

@@ -3,8 +3,9 @@
 Walks the group hierarchy top-down and gives each node a working predictor:
 either the group-restricted fit for that node, when it beats the parent's
 working predictor on the node's rows by at least the node's margin, or the
-parent's working predictor otherwise. Evaluation routes an example to the
-deepest containing node and applies that node's working predictor.
+parent's working predictor otherwise. The fitted tree keeps each fit once,
+on the node that took it, and answers an example with the fit of the
+deepest containing node that took one.
 """
 
 from __future__ import annotations
@@ -63,43 +64,39 @@ class TraceStep:
 
 
 class GroupTreePredictor:
-    """Hierarchy nodes annotated with working predictors.
+    """Hierarchy nodes annotated with the fits that answer them.
 
-    ``working`` maps node id to the predictor applied to rows routed there;
-    inherited nodes share their parent's predictor object. ``source`` maps
-    each node to the id of the group whose restricted fit it ends up using.
+    ``fits`` maps the root and each node that took its own group-restricted
+    fit to that fit, and holds nothing else. ``source`` maps every node to
+    the id of the node whose fit answers the rows routed to it: the node
+    itself, or the nearest ancestor that owns a fit.
     """
 
-    def __init__(self, tree: GroupTree, working: dict, decision: dict, trace: list[TraceStep],
-                 learner_spec: LearnerSpec, eps_spec: EpsilonSpec, loss: Loss):
+    def __init__(self, tree: GroupTree, fits: dict, source: dict[str, str], decision: dict,
+                 trace: list[TraceStep], learner_spec: LearnerSpec, eps_spec: EpsilonSpec,
+                 loss: Loss):
         self.tree = tree
-        self.working = working
+        self.fits = fits
+        self.source = source
         self.decision = decision
         self.trace = trace
         self.learner_spec = learner_spec
         self.eps_spec = eps_spec
         self.loss = loss
 
-    def source(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for g in self.tree.nodes:  # parents precede children
-            if g.is_root or self.decision[g.id] == "updated":
-                out[g.id] = g.id
-            else:
-                out[g.id] = out[self.tree.parent(g.id).id]
-        return out
-
     def _rules(self, ds: Dataset):
-        # deepest first, so the first containing node is the deepest one; the
-        # root, which contains every row, is the default
-        pairs = zip(self.tree.row_index(ds)[1:], (self.working[g.id] for g in self.tree.nodes[1:]))
-        return reversed(list(pairs))
+        # the non-root nodes that own a fit, deepest first: the first that
+        # contains a row is the nearest owning ancestor of the row's deepest
+        # node; the root, which contains every row, is the default
+        rows = self.tree.row_index(ds)
+        return reversed([(rows[i], self.fits[g.id]) for i, g in enumerate(self.tree.nodes)
+                         if i and g.id in self.fits])
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.working[self.tree.root.id], "scores")
+        return route(ds, self._rules(ds), self.fits[self.tree.root.id], "scores")
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.working[self.tree.root.id], "predict")
+        return route(ds, self._rules(ds), self.fits[self.tree.root.id], "predict")
 
 
 class _Pass:
@@ -108,8 +105,8 @@ class _Pass:
     ``row_loss`` holds the per-row loss of the tree decided so far. Siblings
     are disjoint (GroupTree rejects any other tree), so a node's rows lie in
     no visited node deeper than its parent, and before node i is visited
-    ``row_loss[rows[i]]`` are exactly the losses of the parent's working
-    predictor on them, in the same order.
+    ``row_loss[rows[i]]`` are exactly the losses of the fit that answers
+    the parent on them, in the same order.
     """
 
     def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
@@ -119,7 +116,8 @@ class _Pass:
         self.rows = tree.row_index(cache.ds)
         root_pred = cache.erm(spec)
         self.row_loss = loss.per_example(root_pred, cache.ds).copy()
-        self.working = {tree.root.id: root_pred}
+        self.fits = {tree.root.id: root_pred}
+        self.source = {tree.root.id: tree.root.id}
         self.decision = {tree.root.id: "root"}
 
     def risk(self, i: int) -> float:
@@ -127,14 +125,14 @@ class _Pass:
         return mean(self.row_loss[self.rows[i]])
 
     def visit(self, i: int, follow) -> TraceStep:
-        """Compare node i's restricted fit with its parent's working predictor.
+        """Compare node i's restricted fit with the fit that answers its parent.
 
         Returns the step with the update rule's decision. Node i takes the
         fit only when ``follow(step)`` is true; an unobserved node always
         inherits, without asking.
         """
         g = self.tree.nodes[i]
-        self.working[g.id] = self.working[self.tree.parent(g.id).id]
+        self.source[g.id] = self.source[self.tree.parent(g.id).id]
         r = self.rows[i]
         n_g = len(r)
         if n_g == 0:
@@ -150,13 +148,14 @@ class _Pass:
                          "updated" if err >= 0 else "inherited")
         followed = follow(step)
         if followed:
-            self.working[g.id] = candidate
+            self.fits[g.id] = candidate
+            self.source[g.id] = g.id
             self.row_loss[r] = candidate_loss
         self.decision[g.id] = "updated" if followed else "inherited"
         return step
 
     def predictor(self, trace: list[TraceStep]) -> GroupTreePredictor:
-        return GroupTreePredictor(self.tree, self.working, self.decision, trace,
+        return GroupTreePredictor(self.tree, self.fits, self.source, self.decision, trace,
                                   self.spec, self.eps, self.loss)
 
 

@@ -16,14 +16,14 @@ import sys
 
 from .algorithms import excess_risk_report, monotonicity_audit, termination_scan
 from .config import ConfigError, load_run_config
-from .data import SchemaError, load_csv, make_synthetic, schema_from_json, schema_to_json, \
+from .data import SchemaError, load_csv, make_synthetic, schema_to_json, \
     synthetic_spec_from_json, write_csv
 from .evaluation import run_experiment
 from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, MethodError, method_failure
 from .modelio import ModelError, dataset_fingerprint, reading_model, rebuild_decision_list, \
-    rebuild_tree_predictor
+    rebuild_tree_predictor, stored_header
 from .risk import group_risks, loss_from_name
 
 # Exit 2: an input file or document cannot be opened or parsed, or does not
@@ -119,16 +119,17 @@ def cmd_audit(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = doc.get("model") if isinstance(doc, dict) else None
-    rebuild = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list}.get(kind)
+    rebuilds = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list}
+    rebuild = rebuilds.get(kind) if isinstance(kind, str) else None
     if rebuild is None:
         raise ModelError(f"model kind {kind!r} is not auditable")
     with reading_model():
-        predictor = rebuild(doc)
-        train = load_csv(args.data, schema_from_json(doc["schema"]))
+        header = stored_header(doc)
+        predictor = rebuild(doc, header)
+        train = load_csv(args.data, header.schema)
         if train.n != doc["n_train"] or dataset_fingerprint(train) != doc["dataset_fingerprint"]:
             raise ModelError("dataset does not match the model's training data")
-        cache = PredictorCache(train, FeatureEncoder(
-            train.schema, doc.get("include_group_attributes", True)))
+        cache = PredictorCache(train, header.encoder)
         # raises if the trace does not list the stored tree's nodes in order
         verdict = None if kind == "prepend" else monotonicity_audit(
             predictor.trace, cache, predictor.tree, predictor.learner_spec,
@@ -144,11 +145,10 @@ def cmd_audit(args) -> int:
             print(verdict.describe())
             problems += len(verdict.violations)
         replay = verdict.replay
-        replay_source = replay.source()
         for entry in doc["nodes"]:
             gid = entry["id"]
             for key, replayed in (("decision", replay.decision.get(gid)),
-                                  ("source", replay_source.get(gid))):
+                                  ("source", replay.source.get(gid))):
                 if entry[key] != replayed:
                     print(f"node {gid}: stored {key} {entry[key]!r}, replay {replayed!r}")
                     problems += 1

@@ -162,6 +162,8 @@ class ConstantPredictor(_Predictor):
     def __init__(self, score_value: float, provenance: str = ""):
         self.score_value = float(score_value)
         self.provenance = provenance
+        if not 0.0 <= self.score_value <= 1.0:
+            raise ValueError(f"a constant score must be in [0, 1], got {self.score_value!r}")
 
     def scores(self, ds: Dataset) -> np.ndarray:
         return np.full(ds.n, self.score_value)
@@ -203,6 +205,14 @@ class LogisticPredictor(_Predictor):
         self.scale = np.asarray(scale, dtype=np.float64)
         self.encoder = encoder
         self.provenance = provenance
+        for name in ("weights", "mean", "scale"):
+            values = getattr(self, name)
+            if values.shape != (encoder.width,) or not np.isfinite(values).all():
+                raise ValueError(f"logistic {name} must be {encoder.width} finite numbers")
+        if not (self.scale > 0.0).all():
+            raise ValueError("logistic scale must be > 0")
+        if not np.isfinite(self.intercept):
+            raise ValueError(f"logistic intercept must be finite, got {self.intercept!r}")
 
     def scores(self, ds: Dataset) -> np.ndarray:
         X = (self.encoder.encode(ds) - self.mean) / self.scale
@@ -542,8 +552,8 @@ def _out_of_range(values: np.ndarray, bound: int):
 
 def _flatten(root: dict, columns=None) -> _FlatTree:
     """One tree as a forest of one. columns maps the tree's feature indices
-    to columns of X; a split on a feature outside columns raises
-    ValueError."""
+    to columns of X; a split on a feature outside columns, a threshold that
+    is not finite or a leaf score outside [0, 1] raises ValueError."""
     nodes, depths = [root], [0]
     feature, threshold, child, value = [], [], [], []
     for i, node in enumerate(nodes):
@@ -559,6 +569,12 @@ def _flatten(root: dict, columns=None) -> _FlatTree:
             threshold.append(0.0)
             child += [i, i]
             value.append(float(node["score"]))
+    bad = next((t for t in threshold if not np.isfinite(t)), None)
+    if bad is not None:
+        raise ValueError(f"a tree splits at threshold {bad}, which is not finite")
+    bad = next((v for v in value if not 0.0 <= v <= 1.0), None)
+    if bad is not None:
+        raise ValueError(f"a tree leaf score must be in [0, 1], got {bad}")
     feature, child = np.array(feature, dtype=np.intp), np.array(child, dtype=np.intp)
     if columns is not None:
         columns = np.asarray(columns, dtype=np.intp)

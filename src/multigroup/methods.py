@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algorithms import PrependCapExceeded, decoupled, excess_risk_report, mgl_tree, prepend
-from .data import json_text
 from .modelio import save_list_model, save_partition_model, save_plain_model, save_tree_model
 from .risk import group_risks, loss_from_name  # group_risks also stays importable from here
 
@@ -33,13 +32,6 @@ class Method:
     save: Callable | None = None
     # (fitted, cache) -> per-trial summary dict for evaluate
     summary: Callable | None = None
-
-
-def _save_tree(path, predictor, cache, spec) -> None:
-    save_tree_model(path, predictor, cache)
-    text = "".join(json_text(step.to_json()) for step in predictor.trace)
-    with open(path[: -len(".model.json")] + ".trace.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _tree_summary(predictor, cache) -> dict:
@@ -70,7 +62,7 @@ METHODS: dict[str, Method] = {
     "mgl_tree": Method(
         fit=lambda cache, tree, spec, cfg: mgl_tree(
             cache, tree, spec, cfg.epsilon, loss_from_name(cfg.loss)),
-        save=_save_tree,
+        save=lambda path, p, cache, spec: save_tree_model(path, p, cache),
         summary=_tree_summary,
     ),
     "decoupled": Method(

@@ -8,6 +8,7 @@ later against the exact dataset that produced it.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from contextlib import contextmanager
 
 from .algorithms import (
@@ -95,19 +96,37 @@ def _common_header(model_kind: str, cache: PredictorCache, spec: LearnerSpec) ->
     }
 
 
+# What an auditable model file stores besides its predictor: see stored_header.
+ModelHeader = namedtuple("ModelHeader", "schema tree encoder learner epsilon loss")
+
+
+def stored_header(doc: dict) -> ModelHeader:
+    """The header of an mgl_tree or prepend model file. A file without
+    ``include_group_attributes`` was written when the encoder always kept
+    the group attributes; any value but a JSON boolean raises ValueError."""
+    schema = schema_from_json(doc["schema"])
+    tree = hierarchy_from_json(doc["hierarchy"])
+    flag = doc.get("include_group_attributes", True)
+    if not isinstance(flag, bool):
+        raise ValueError(f"include_group_attributes must be true or false, got {flag!r}")
+    return ModelHeader(schema, tree, FeatureEncoder(schema, flag), stored_learner(doc),
+                       EpsilonSpec.from_json(doc["epsilon"]), loss_from_name(doc["loss"]))
+
+
 def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) -> None:
+    """Write the model file, and its trace as JSON lines at the same path
+    with ``.model.json`` replaced by ``.trace.jsonl``."""
     tree = predictor.tree
-    source = predictor.source()
     nodes = []
     for g in tree.nodes:  # the steps that decided them are stored once, in "trace"
         entry = {
             "id": g.id,
             "depth": tree.depth(g.id),
             "decision": predictor.decision[g.id],
-            "source": source[g.id],
+            "source": predictor.source[g.id],
         }
-        if source[g.id] == g.id:  # only nodes that own a fit carry parameters
-            entry["predictor"] = predictor.working[g.id].to_json()
+        if g.id in predictor.fits:  # only nodes that own a fit carry parameters
+            entry["predictor"] = predictor.fits[g.id].to_json()
         nodes.append(entry)
     doc = _common_header("mgl_tree", cache, predictor.learner_spec)
     doc.update({
@@ -118,35 +137,31 @@ def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) 
         "trace": [t.to_json() for t in predictor.trace],
     })
     _dump(doc, path)
+    with open(str(path).removesuffix(".model.json") + ".trace.jsonl", "w",
+              encoding="utf-8") as fh:
+        fh.write("".join(json_text(step) for step in doc["trace"]))
 
 
-def rebuild_tree_predictor(doc: dict) -> GroupTreePredictor:
-    """Reconstruct the predictor stored in a tree model file. Callers check
-    the file's ``n_train`` and ``dataset_fingerprint`` against the data
-    before trusting it."""
-    schema = schema_from_json(doc["schema"])
-    tree = hierarchy_from_json(doc["hierarchy"])
-    encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
-    spec = stored_learner(doc)
-    eps = EpsilonSpec.from_json(doc["epsilon"])
-    loss = loss_from_name(doc["loss"])
-
-    owned: dict[str, object] = {}
-    source: dict[str, str] = {}
-    decision: dict[str, str] = {}
+def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor:
+    """Reconstruct the predictor stored in a tree model file whose header is
+    ``header``. Every stored predictor is parsed; only the nodes that are
+    their own source keep theirs. Callers check the file's ``n_train`` and
+    ``dataset_fingerprint`` against the data before trusting it."""
+    fits, source, decision = {}, {}, {}
     for entry in doc["nodes"]:
-        source[entry["id"]] = entry["source"]
-        decision[entry["id"]] = entry["decision"]
+        gid = entry["id"]
+        source[gid], decision[gid] = entry["source"], entry["decision"]
         if "predictor" in entry:
-            owned[entry["id"]] = predictor_from_json(entry["predictor"], encoder)
-    working = {}
-    for g in tree.nodes:
-        src = source[g.id]
-        if src not in owned:
-            raise ValueError(f"model file lacks the predictor for source {src!r}")
-        working[g.id] = owned[src]
+            fit = predictor_from_json(entry["predictor"], header.encoder)
+            if source[gid] == gid:
+                fits[gid] = fit
+    tree = header.tree
+    for owner in (tree.root.id, *(source[g.id] for g in tree.nodes)):
+        if owner not in fits:
+            raise ValueError(f"model file lacks the predictor for source {owner!r}")
     trace = [TraceStep.from_json(t) for t in doc["trace"]]
-    return GroupTreePredictor(tree, working, decision, trace, spec, eps, loss)
+    return GroupTreePredictor(tree, fits, source, decision, trace, header.learner,
+                              header.epsilon, header.loss)
 
 
 def save_list_model(path, dlist: DecisionList, cache: PredictorCache) -> None:
@@ -168,15 +183,11 @@ def save_list_model(path, dlist: DecisionList, cache: PredictorCache) -> None:
     _dump(doc, path)
 
 
-def rebuild_decision_list(doc: dict) -> DecisionList:
-    """Reconstruct the list stored in a prepend model file. Each entry must
-    name a node of the stored hierarchy and repeat that node's conjuncts."""
-    schema = schema_from_json(doc["schema"])
-    tree = hierarchy_from_json(doc["hierarchy"])
-    encoder = FeatureEncoder(schema, doc.get("include_group_attributes", True))
-    spec = stored_learner(doc)
-    eps = EpsilonSpec.from_json(doc["epsilon"])
-    loss = loss_from_name(doc["loss"])
+def rebuild_decision_list(doc: dict, header: ModelHeader) -> DecisionList:
+    """Reconstruct the list stored in a prepend model file whose header is
+    ``header``. Each entry must name a node of the stored hierarchy and
+    repeat that node's conjuncts."""
+    tree, encoder = header.tree, header.encoder
     entries = []
     for e in doc["entries"]:
         gid = e["group"]["id"]
@@ -189,7 +200,7 @@ def rebuild_decision_list(doc: dict) -> DecisionList:
         entries.append(DecisionListEntry(group, predictor_from_json(e["predictor"], encoder),
                                          e["source"]))
     default = predictor_from_json(doc["default"], encoder)
-    return DecisionList(tree, entries, default, spec, eps, loss)
+    return DecisionList(tree, entries, default, header.learner, header.epsilon, header.loss)
 
 
 def save_partition_model(path, predictor: PartitionPredictor, cache: PredictorCache) -> None:
@@ -200,7 +211,7 @@ def save_partition_model(path, predictor: PartitionPredictor, cache: PredictorCa
             {
                 "id": leaf.id,
                 "conjuncts": [list(c) for c in leaf.conjuncts],
-                "predictor": predictor.per_leaf[leaf.id].to_json(),
+                "predictor": predictor.per_leaf.get(leaf.id, predictor.fallback).to_json(),
             }
             for leaf in predictor.leaves
         ],

@@ -176,7 +176,7 @@ def test_mgl_tree_risks_match_mask_reference(loss):
             if not step.n_g:
                 assert step.parent_risk is None and step.candidate_risk is None
                 continue
-            parent_pred = predictor.working[tree.parent(g.id).id]
+            parent_pred = predictor.fits[predictor.source[tree.parent(g.id).id]]
             candidate = cache.group_erm(learner, tree, g)
             assert step.parent_risk == float(
                 loss.per_example(parent_pred, ds)[mask].sum() / step.n_g)
@@ -275,11 +275,12 @@ def _routed_fixture(kind, ds, rng):
         # depth 1 and some at depth 2
         tree = GroupTree([g for g in tree.nodes if not g.id.startswith(("a1=q", "a1=p&a2=v"))
                           and g.id != "a1=p&a2=u&a3=s"])
-        working = {g.id: stub() for g in tree.nodes}
+        fits = {g.id: stub() for g in tree.nodes}
+        source = {g.id: g.id for g in tree.nodes}
         decision = {g.id: "root" if g.is_root else "updated" for g in tree.nodes}
-        predictor = GroupTreePredictor(tree, working, decision, [], CONSTANT,
+        predictor = GroupTreePredictor(tree, fits, source, decision, [], CONSTANT,
                                        const_eps(0.0), ZERO_ONE)
-        return predictor, lambda row: working[deepest_containing(tree, row).id]
+        return predictor, lambda row: fits[deepest_containing(tree, row).id]
     tree = GroupTree([g for g in tree.nodes if g.id != "a1=p&a2=u&a3=t"])
     leaves = tree.leaves()
     per_leaf = {leaf.id: stub() for leaf in leaves}
@@ -407,6 +408,15 @@ def test_decoupled_uncovered_rows_use_fallback():
     )
 
 
+def test_decoupled_empty_leaf_has_no_fit_and_reaches_fallback():
+    ds, tree = two_leaf_setup()
+    in_a = membership_vector(Group.from_conjuncts([("grp", "a")]), ds)
+    cache = PredictorCache(ds.take(np.flatnonzero(in_a)))
+    routed = decoupled(cache, tree, CONSTANT)
+    assert list(routed.per_leaf) == ["grp=a"]
+    assert np.array_equal(routed.predict(ds)[~in_a], cache.erm(CONSTANT).predict(ds)[~in_a])
+
+
 def test_decoupled_improves_each_leaf_on_planted_data():
     ds = make_synthetic(opposite_separators_spec(2000, noise=0.0), seed=31)
     tree = build_hierarchy(ds.schema, ["grp"])
@@ -439,7 +449,8 @@ def test_audit_clean_on_fresh_runs():
             assert verdict.ok, verdict.describe()
             # following a clean trace rebuilds the fitted tree itself
             assert verdict.replay.decision == predictor.decision
-            assert verdict.replay.working == predictor.working
+            assert verdict.replay.fits == predictor.fits
+            assert verdict.replay.source == predictor.source
             assert verdict.replay.trace == predictor.trace
 
 
@@ -512,10 +523,48 @@ def test_audit_rejects_mismatched_trace():
 def test_working_predictors_share_identity_when_inherited():
     ds, tree = two_leaf_setup()
     predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(math.inf), ZERO_ONE)
-    root_pred = predictor.working["ALL"]
-    assert predictor.working["grp=a"] is root_pred
-    assert predictor.working["grp=b"] is root_pred
-    assert predictor.source() == {"ALL": "ALL", "grp=a": "ALL", "grp=b": "ALL"}
+    assert predictor.fits == {"ALL": predictor.fits["ALL"]}
+    assert predictor.source == {"ALL": "ALL", "grp=a": "ALL", "grp=b": "ALL"}
+
+
+class CountingFit:
+    """Wraps a fit and records the row count of every call to it."""
+
+    def __init__(self, fit, calls):
+        self.fit, self.calls = fit, calls
+
+    def predict(self, ds):
+        self.calls.append((self, ds.n))
+        return self.fit.predict(ds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fitted_tree_holds_one_fit_per_owning_node(seed):
+    """The fitted tree keeps the fits of the root and the updated nodes and
+    nothing else, every node's source is its nearest owning node, and one
+    routed predict scores only those fits, each at most once."""
+    spec = random_hierarchical_spec(np.random.default_rng(seed))
+    ds = make_synthetic(spec, seed=seed)
+    tree = build_hierarchy(ds.schema, list(spec.attributes))
+    predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.02), ZERO_ONE)
+    updated = [t.group_id for t in predictor.trace if t.decision == "updated"]
+    assert updated and len(updated) < len(predictor.trace)
+    assert sorted(predictor.fits) == sorted([tree.root.id] + updated)
+    for g in tree.nodes:
+        owner = g.id if g.id in predictor.fits else predictor.source[tree.parent(g.id).id]
+        assert predictor.source[g.id] == owner
+
+    calls = []
+    counted = GroupTreePredictor(
+        tree, {gid: CountingFit(fit, calls) for gid, fit in predictor.fits.items()},
+        predictor.source, predictor.decision, predictor.trace, CONSTANT, const_eps(0.02),
+        ZERO_ONE)
+    assert len(list(counted._rules(ds))) == len(updated)
+    assert np.array_equal(counted.predict(ds), predictor.predict(ds))
+    called = [fit for fit, _ in calls]
+    assert len(set(map(id, called))) == len(called)
+    assert all(any(fit is f for f in counted.fits.values()) for fit in called)
+    assert sum(n for _, n in calls) == ds.n
 
 
 def test_excess_report_carries_uc_width_for_closed_form_margins():

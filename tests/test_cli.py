@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import pathlib
 import shutil
 
@@ -519,7 +520,11 @@ def _break_model(doc, case):
     """Edit a model file over the hierarchy ALL, a1=p, a1=q so that it cannot be rebuilt."""
     if case == "not_an_object":
         return [doc]
-    if case == "trace_without_decision":
+    if case == "kind_a_list":
+        doc["model"] = [doc["model"]]
+    elif case == "group_attributes_a_string":
+        doc["include_group_attributes"] = "no"
+    elif case == "trace_without_decision":
         del doc["trace"][0]["decision"]
     elif case == "nodes_missing_a_node":
         doc["nodes"].pop()
@@ -536,9 +541,10 @@ def _break_model(doc, case):
             else ("a1=p", [["a1", "q"]])
         doc["entries"].append({"group": {"id": gid, "conjuncts": conjuncts},
                                "source": "ALL", "predictor": doc["default"]})
-    else:
-        assert case == "nan_margin"
+    elif case == "nan_margin":
         doc["epsilon"]["value"] = float("nan")
+    else:
+        assert case == "as_written"
     return doc
 
 
@@ -551,6 +557,13 @@ def _break_model(doc, case):
     ("prepend", "crossing_hierarchy", f"invalid hierarchy: {CROSSING}"),
     ("mgl_tree", "nan_margin", "constant kind needs a value >= 0"),
     ("mgl_tree", "not_an_object", "model kind None is not auditable"),
+    ("mgl_tree", "kind_a_list", "model kind ['mgl_tree'] is not auditable"),
+    ("erm", "as_written", "model kind 'erm' is not auditable"),
+    ("decoupled", "as_written", "model kind 'decoupled' is not auditable"),
+    ("mgl_tree", "group_attributes_a_string",
+     "include_group_attributes must be true or false, got 'no'"),
+    ("prepend", "group_attributes_a_string",
+     "include_group_attributes must be true or false, got 'no'"),
     ("mgl_tree", "infinite_group_count", "group_count must be finite, got inf"),
     ("prepend", "infinite_group_count", "group_count must be finite, got inf"),
     ("prepend", "no_hierarchy", "malformed model file: KeyError('hierarchy')"),
@@ -588,6 +601,10 @@ def _break_tree_model(predictor, case):
         predictor["root"]["feature"] = 50
     elif case == "tree_split_feature_infinite":
         predictor["root"]["feature"] = "1e400"
+    elif case == "tree_nan_threshold":
+        predictor["root"]["threshold"] = math.nan
+    elif case == "tree_nan_leaf_score":
+        predictor["root"]["left"]["left"]["score"] = math.nan
     else:
         assert case == "tree_split_feature_negative"
         predictor["root"]["feature"] = -1
@@ -601,6 +618,8 @@ def _break_tree_model(predictor, case):
     ("tree", "tree_split_feature_50", "a tree splits on feature 50, outside its 4 features"),
     ("tree", "tree_split_feature_negative", "a tree splits on feature -1, outside its 4 features"),
     ("tree", "tree_split_feature_infinite", "feature must be finite, got inf"),
+    ("tree", "tree_nan_threshold", "a tree splits at threshold nan, which is not finite"),
+    ("tree", "tree_nan_leaf_score", "a tree leaf score must be in [0, 1], got nan"),
 ])
 def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learner, case,
                                             message):
@@ -619,6 +638,47 @@ def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learn
     _break_tree_model(doc["nodes"][0]["predictor"], case)
     broken = tmp_path / "broken.model.json"
     broken.write_text(dumps_1e400(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(broken), "--data", "demo/data.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _break_fit(doc, case):
+    """Give one stored fit of a demo model a parameter no fit can have; the
+    tree cases are in _break_tree_model."""
+    nodes = {n["id"]: n for n in doc.get("nodes", ())}
+    if case == "weight_dropped":
+        nodes["grp=a"]["predictor"]["weights"].pop()
+    elif case == "nan_weights":
+        nodes["ALL"]["predictor"]["weights"] = [math.nan] * 4
+    elif case == "nan_intercept":
+        nodes["ALL"]["predictor"]["intercept"] = math.nan
+    elif case == "zero_scale":
+        nodes["grp=b"]["predictor"]["scale"][2] = 0.0
+    elif case == "nan_default_weights":
+        doc["default"]["weights"] = [math.nan] * 4
+    else:
+        assert case == "constant_score_7.5"
+        nodes["ALL"]["predictor"] = {"type": "constant", "score": 7.5}
+
+
+@pytest.mark.parametrize("model, case, message", [
+    ("mgl_tree.logistic", "weight_dropped", "logistic weights must be 4 finite numbers"),
+    ("mgl_tree.logistic", "nan_weights", "logistic weights must be 4 finite numbers"),
+    ("mgl_tree.logistic", "nan_intercept", "logistic intercept must be finite, got nan"),
+    ("mgl_tree.logistic", "zero_scale", "logistic scale must be > 0"),
+    ("prepend.logistic", "nan_default_weights", "logistic weights must be 4 finite numbers"),
+    ("mgl_tree.logistic", "constant_score_7.5", "a constant score must be in [0, 1], got 7.5"),
+])
+def test_audit_rejects_impossible_fit_parameters(tmp_path, monkeypatch, capsys, model, case,
+                                                 message):
+    """A stored fit with a parameter that no fit can have is refused when
+    the model is rebuilt, even when the fit answers no training row."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "demo" / "models" / f"{model}.model.json").read_text())
+    _break_fit(doc, case)
+    broken = tmp_path / "broken.model.json"
+    broken.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["audit", "--model", str(broken), "--data", "demo/data.csv"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
