@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data import Dataset
 from ..groups import GroupTree
-from ..learners import LearnerSpec, PredictorCache
+from ..learners import LearnerSpec, PredictorCache, _Predictor
 from .routing import route
 
 
@@ -32,10 +32,9 @@ class PartitionPredictor:
                 for leaf in self.leaves if leaf.id in self.per_leaf)
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.fallback, "scores")
+        return route(ds, self._rules(ds), self.fallback)
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.fallback, "predict")
+    predict = _Predictor.predict  # in the class's own namespace, where bench/tracing.py wraps it
 
 
 def decoupled(cache: PredictorCache, tree: GroupTree, spec: LearnerSpec) -> PartitionPredictor:

@@ -18,7 +18,7 @@ import numpy as np
 from ..bounds import EpsilonSpec, epsilon, uc_width
 from ..data import Dataset, float_from_json, float_to_json
 from ..groups import GroupTree
-from ..learners import LearnerSpec, PredictorCache
+from ..learners import LearnerSpec, PredictorCache, _Predictor
 from ..risk import Loss, group_risks, mean
 from .routing import route
 
@@ -93,10 +93,9 @@ class GroupTreePredictor:
                          if i and g.id in self.fits])
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.fits[self.tree.root.id], "scores")
+        return route(ds, self._rules(ds), self.fits[self.tree.root.id])
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return route(ds, self._rules(ds), self.fits[self.tree.root.id], "predict")
+    predict = _Predictor.predict  # in the class's own namespace, where bench/tracing.py wraps it
 
 
 class _Pass:
@@ -274,24 +273,16 @@ def monotonicity_audit(
             violations.append(
                 (step, g.id, "rule", f"recorded n_g={recorded.n_g}, data has {replayed.n_g}")
             )
-        if replayed.n_g == 0:
-            if recorded.decision != "inherited_empty":
-                violations.append(
-                    (step, g.id, "rule", f"empty group recorded as {recorded.decision!r}")
-                )
-            continue
         err = replayed.err
+        if recorded.decision != replayed.decision:
+            violations.append((step, g.id, "rule", f"decision {recorded.decision!r}, the rule "
+                                                   f"gives {replayed.decision!r} (err={err})"))
+        if replayed.n_g == 0:
+            continue
         # equal infinities give nan here, which compares False as intended
         if recorded.err is not None and abs(recorded.err - err) > TOL:
             violations.append(
                 (step, g.id, "rule", f"recorded err={recorded.err}, replay err={err}")
-            )
-        if recorded.decision not in ("updated", "inherited"):
-            violations.append((step, g.id, "rule", f"bad decision {recorded.decision!r}"))
-        elif recorded.decision != replayed.decision:
-            violations.append(
-                (step, g.id, "rule",
-                 f"decision {recorded.decision!r} disagrees with err={err}")
             )
 
         bench[step] = (replayed.candidate_risk, replayed.epsilon)

@@ -4,7 +4,8 @@ Every composite predictor in this package is an ordered list of
 (group, predictor) rules over the nodes of one GroupTree, plus a default: a
 row goes to the first rule whose group contains it, and rows no rule
 contains go to the default. A rule gives its group as the indices of the
-rows it contains.
+rows it contains. The router returns scores; a composite's labels are the
+learners' one label rule (``learners._Predictor.predict``) on them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from ..data import Dataset
 
 
-def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
-    """Apply ``method`` ("scores" or "predict") of the first matching rule.
+def route(ds: Dataset, rules, default) -> np.ndarray:
+    """The scores of the first matching rule's predictor, per row of ``ds``.
 
     ``rules`` yields (row indices, predictor) pairs and may be lazy: it is
     read only until every row is routed. ``default`` answers the rows
@@ -29,7 +30,7 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
     features reads its rows of the base's one encoding; the rule rows come
     from the tree's row index of ``ds``, built once per dataset.
     """
-    out = np.empty(ds.n, dtype=np.float64 if method == "scores" else np.int64)
+    out = np.empty(ds.n)
     free = np.ones(ds.n, dtype=bool)
     left = ds.n
     routed: dict[int, tuple[object, list[np.ndarray]]] = {}
@@ -49,5 +50,5 @@ def route(ds: Dataset, rules, default, method: str) -> np.ndarray:
         claim(default, np.flatnonzero(free))
     for predictor, parts in routed.values():
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out[rows] = getattr(predictor, method)(ds.take(rows))
+        out[rows] = predictor.scores(ds.take(rows))
     return out

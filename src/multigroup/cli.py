@@ -140,6 +140,23 @@ def cmd_audit(args) -> int:
         for gid, source, value in termination_scan(predictor, cache):
             print(f"stopping-test violation: group {gid} candidate {source} value {value}")
             problems += 1
+        # termination_scan fitted every source with training rows, so these
+        # refits are cache hits
+        tree, spec = predictor.tree, predictor.learner_spec
+        rows = tree.row_index(train)
+        stored = [("default", "ALL", predictor.default)]
+        stored += [(f"entry {i} (group {e.group.id})", e.source_id, e.predictor)
+                   for i, e in enumerate(predictor.entries)]
+        for name, source, fit in stored:
+            if not len(rows[tree.index(source)]):
+                print(f"{name}: source {source} has no training rows")
+                problems += 1
+                continue
+            refit = cache.erm(spec) if source == "ALL" else \
+                cache.group_erm(spec, tree, tree.node(source))
+            if fit.to_json() != refit.to_json():
+                print(f"{name}: stored fit differs from the refit of source {source}")
+                problems += 1
     else:
         if not verdict.ok:
             print(verdict.describe())
@@ -152,6 +169,10 @@ def cmd_audit(args) -> int:
                 if entry[key] != replayed:
                     print(f"node {gid}: stored {key} {entry[key]!r}, replay {replayed!r}")
                     problems += 1
+            stored, refit = predictor.fits.get(gid), replay.fits.get(gid)
+            if stored is not None and refit is not None and stored.to_json() != refit.to_json():
+                print(f"node {gid}: stored fit differs from its refit")
+                problems += 1
         mismatches = int((predictor.predict(train) != replay.predict(train)).sum())
         if mismatches:
             print(f"stored predictor disagrees with replay on {mismatches} training rows")

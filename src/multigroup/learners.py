@@ -13,10 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, json_int
+from .data import _SEED_MASK, CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, \
+    json_int
 from .groups import Group, GroupTree
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class EmptyGroupError(ValueError):
@@ -731,13 +730,12 @@ def _relabel(node: dict, names) -> dict:
 
 
 def _fit_tree(XT: np.ndarray, y: np.ndarray, max_depth: int) -> dict:
-    """One tree on every column of XT, each once, that splits on the row
-    indices of XT. XT itself is searched, not a copy, when every row varies."""
+    """One tree that splits on the row indices of XT: a forest of one
+    (_grow_pass) that draws each column once and searches the rows that vary."""
     features, order = _varying(XT)
-    if not len(features):
-        return {"score": float(y.sum() / len(y))}
-    X = XT if len(features) == len(XT) else XT[features]
-    [root] = _grow_tree(X, y, np.ones(len(y)), order, [len(y)], max_depth)
+    rows = np.arange(max(1, len(features)))[:, None]
+    [root] = _grow_pass(XT, features, order, y, np.ones((1, len(y)), dtype=np.intp), rows,
+                        max_depth)
     return _relabel(root, features)
 
 

@@ -185,16 +185,22 @@ def save_list_model(path, dlist: DecisionList, cache: PredictorCache) -> None:
 
 def rebuild_decision_list(doc: dict, header: ModelHeader) -> DecisionList:
     """Reconstruct the list stored in a prepend model file whose header is
-    ``header``. Each entry must name a node of the stored hierarchy and
-    repeat that node's conjuncts."""
+    ``header``. Each entry's group and source must name nodes of the stored
+    hierarchy, whose root is "ALL", and its group must repeat that node's
+    conjuncts."""
     tree, encoder = header.tree, header.encoder
+
+    def node(role, gid):
+        try:
+            return tree.node(gid)
+        except KeyError:
+            raise ValueError(f"entry {role} {gid!r} is not in the model's hierarchy") from None
+
     entries = []
     for e in doc["entries"]:
         gid = e["group"]["id"]
-        try:
-            group = tree.node(gid)
-        except KeyError:
-            raise ValueError(f"entry group {gid!r} is not in the model's hierarchy") from None
+        group = node("group", gid)
+        node("source", e["source"])
         if tuple(map(tuple, e["group"]["conjuncts"])) != group.conjuncts:
             raise ValueError(f"entry group {gid!r} stores other conjuncts than its node")
         entries.append(DecisionListEntry(group, predictor_from_json(e["predictor"], encoder),

@@ -533,9 +533,9 @@ class CountingFit:
     def __init__(self, fit, calls):
         self.fit, self.calls = fit, calls
 
-    def predict(self, ds):
+    def scores(self, ds):
         self.calls.append((self, ds.n))
-        return self.fit.predict(ds)
+        return self.fit.scores(ds)
 
 
 @pytest.mark.parametrize("seed", range(4))

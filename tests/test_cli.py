@@ -7,10 +7,12 @@ import shutil
 import pytest
 
 from multigroup import cli, learners
+from multigroup.algorithms import monotonicity_audit
 from multigroup.cli import main
 from multigroup.data import (LeafRule, SyntheticLeaf, SyntheticSpec, json_text, load_csv,
                             make_synthetic, schema_from_json, schema_to_json, write_csv)
-from multigroup.modelio import stored_learner
+from multigroup.learners import PredictorCache
+from multigroup.modelio import rebuild_tree_predictor, stored_header, stored_learner
 
 import oracles
 from synthcases import inverted_leaf_spec, two_leaf_constants
@@ -682,6 +684,119 @@ def test_audit_rejects_impossible_fit_parameters(tmp_path, monkeypatch, capsys, 
     capsys.readouterr()
     assert main(["audit", "--model", str(broken), "--data", "demo/data.csv"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# grp=a has 6 rows labelled 1, grp=b 4 labelled 0, and grp=c none
+EMPTY_C = SyntheticSpec(
+    attributes={"grp": ("a", "b", "c")},
+    leaves=(SyntheticLeaf({"grp": "a"}, LeafRule("constant", label=1), 6),
+            SyntheticLeaf({"grp": "b"}, LeafRule("constant", label=0), 4)),
+    feature_dim=1,
+)
+
+
+@pytest.mark.parametrize("group, decision, rule", [
+    ("grp=c", "updated", "'inherited_empty' (err=None)"),  # an empty node
+    ("grp=b", "inherited_empty", "'updated' (err=1.0)"),
+    ("grp=b", "root", "'updated' (err=1.0)"),
+    ("grp=b", "split", "'updated' (err=1.0)"),
+    ("grp=b", "inherited", "'updated' (err=1.0)"),  # the decision flipped
+])
+def test_audit_flags_a_wrong_trace_decision_once(tmp_path, capsys, group, decision, rule):
+    """A recorded decision the update rule does not give is one rule
+    violation at its step, whatever the decision is, and fails the audit."""
+    ds, csv_path = write_fixture(tmp_path, EMPTY_C)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"]))
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / "mgl_tree.constant.model.json"
+    doc = json.loads(model_path.read_text())
+    assert [t["decision"] for t in doc["trace"]] == ["updated", "updated", "inherited_empty"]
+    step = next(i for i, t in enumerate(doc["trace"], start=1) if t["group_id"] == group)
+    doc["trace"][step - 1]["decision"] = decision
+    model_path.write_text(json.dumps(doc))
+
+    header = stored_header(doc)
+    predictor = rebuild_tree_predictor(doc, header)
+    cache = PredictorCache(load_csv(csv_path, header.schema), header.encoder)
+    verdict = monotonicity_audit(predictor.trace, cache, header.tree, header.learner,
+                                 header.epsilon, header.loss)
+    assert [v for v in verdict.violations if v[2] == "rule"] == [
+        (step, group, "rule", f"decision {decision!r}, the rule gives {rule}")]
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 1
+    assert "AUDIT FAILED" in capsys.readouterr().out
+
+
+def _tamper_fit(doc, case):
+    """Give a demo or golden model a well-formed stored fit that is not its
+    refit, or a prepend entry a source outside the hierarchy."""
+    if case == "root_weights_negated":  # both leaves own fits, so ALL answers no training row
+        fit = doc["nodes"][0]["predictor"]
+        fit["weights"] = [-w for w in fit["weights"]]
+        fit["intercept"] = -fit["intercept"]
+    elif case == "root_leaf_score_moved":  # within [0, 1] and on the same side of 0.5
+        leaf = doc["nodes"][0]["predictor"]["trees"][0]
+        while "score" not in leaf:
+            leaf = leaf["left"]
+        assert leaf["score"] != 0.5
+        leaf["score"] = (leaf["score"] + 0.5) / 2.0
+    elif case == "entry_predictors_swapped":
+        first, second = doc["entries"]
+        first["predictor"], second["predictor"] = second["predictor"], first["predictor"]
+    elif case == "default_an_entry_fit":  # the entries answer every training row
+        doc["default"] = doc["entries"][0]["predictor"]
+    else:
+        assert case == "unknown_source"
+        doc["entries"][0]["source"] = "grp=zz"
+
+
+@pytest.mark.parametrize("model, case, code, line", [
+    ("demo/models/mgl_tree.logistic", "root_weights_negated", 1,
+     "node ALL: stored fit differs from its refit"),
+    ("fixtures/golden_bagged/mgl_tree.bagged5_depth3", "root_leaf_score_moved", 1,
+     "node ALL: stored fit differs from its refit"),
+    ("demo/models/prepend.logistic", "entry_predictors_swapped", 1,
+     "entry 0 (group grp=b): stored fit differs from the refit of source grp=b"),
+    ("demo/models/prepend.logistic", "default_an_entry_fit", 1,
+     "default: stored fit differs from the refit of source ALL"),
+    ("demo/models/prepend.logistic", "unknown_source", 2,
+     "error: entry source 'grp=zz' is not in the model's hierarchy"),
+])
+def test_audit_compares_each_stored_fit_with_its_refit(tmp_path, monkeypatch, capsys, model,
+                                                       case, code, line):
+    """A stored fit must equal the fit the audit makes again, including a
+    fit that answers no training row, and a prepend source must name a node."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / f"{model}.model.json").read_text())
+    _tamper_fit(doc, case)
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == code
+    out, err = capsys.readouterr()
+    assert line in (out if code == 1 else err).splitlines()
+
+
+def test_audit_reports_a_prepend_source_without_training_rows(tmp_path, capsys):
+    """An entry whose source is a node with no training rows has no refit:
+    one audit problem, not a traceback."""
+    ds, csv_path = write_fixture(tmp_path, EMPTY_C)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["prepend"]))
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / "prepend.constant.model.json"
+    doc = json.loads(model_path.read_text())
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 0
+    doc["entries"][0]["source"] = "grp=c"
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 1
+    group = doc["entries"][0]["group"]["id"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"entry 0 (group {group}): source grp=c has no training rows",
+        "AUDIT FAILED: 1 problem(s)",
+    ]
 
 
 def test_train_empty_dataset_exits_one(tmp_path):

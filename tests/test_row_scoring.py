@@ -38,10 +38,10 @@ LEARNERS = {
 EPS = EpsilonSpec("scaled", scale=0.2)
 
 
-def full_rows_route(ds, rules, default, method):
+def full_rows_route(ds, rules, default):
     """Reference router: each distinct predictor is scored once on the
     whole dataset and the routed rows are read from that full array."""
-    out = np.empty(ds.n, dtype=np.float64 if method == "scores" else np.int64)
+    out = np.empty(ds.n)
     free = np.ones(ds.n, dtype=bool)
     left = ds.n
     values = {}
@@ -49,7 +49,7 @@ def full_rows_route(ds, rules, default, method):
     def fill(predictor, rows):
         key = id(predictor)
         if key not in values:
-            values[key] = getattr(predictor, method)(ds)
+            values[key] = predictor.scores(ds)
         out[rows] = values[key][rows]
 
     for rows, predictor in rules:
