@@ -23,7 +23,7 @@ from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, MethodError, method_failure
 from .modelio import ModelError, dataset_fingerprint, reading_model, rebuild_decision_list, \
-    rebuild_tree_predictor, stored_header
+    rebuild_plain_predictor, rebuild_tree_predictor, stored_header
 from .risk import group_risks, loss_from_name
 
 # Exit 2: an input file or document cannot be opened or parsed, or does not
@@ -119,7 +119,8 @@ def cmd_audit(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = doc.get("model") if isinstance(doc, dict) else None
-    rebuilds = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list}
+    rebuilds = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list,
+                "erm": rebuild_plain_predictor}
     rebuild = rebuilds.get(kind) if isinstance(kind, str) else None
     if rebuild is None:
         raise ModelError(f"model kind {kind!r} is not auditable")
@@ -131,12 +132,16 @@ def cmd_audit(args) -> int:
             raise ModelError("dataset does not match the model's training data")
         cache = PredictorCache(train, header.encoder)
         # raises if the trace does not list the stored tree's nodes in order
-        verdict = None if kind == "prepend" else monotonicity_audit(
+        verdict = monotonicity_audit(
             predictor.trace, cache, predictor.tree, predictor.learner_spec,
-            predictor.eps_spec, predictor.loss)
+            predictor.eps_spec, predictor.loss) if kind == "mgl_tree" else None
 
     problems = 0
-    if verdict is None:
+    if kind == "erm":
+        if predictor.to_json() != cache.erm(header.learner).to_json():
+            print("stored fit differs from its refit on the training data")
+            problems += 1
+    elif kind == "prepend":
         for gid, source, value in termination_scan(predictor, cache):
             print(f"stopping-test violation: group {gid} candidate {source} value {value}")
             problems += 1

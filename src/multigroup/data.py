@@ -603,23 +603,45 @@ def _encode(cells: list, index: dict) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
 
 
+# Rows converted and written per block by write_csv. Larger blocks held more
+# memory and were no faster.
+_WRITE_ROWS = 1024
+
+
 def write_csv(ds: Dataset, path) -> None:
-    """Write in the same dialect load_csv reads; round-trips exactly."""
-    names = ds.schema.column_names()
-    cells = []
-    for name in names:
-        kind = ds.schema.column(name).kind
-        arr = ds.columns[name]
-        if kind == CATEGORICAL:
-            cells.append(map(ds.schema.categories[name].__getitem__, arr.tolist()))
-        elif kind == LABEL:
-            cells.append(map(str, arr.astype(np.int64, copy=False).tolist()))
+    """Write in the same dialect load_csv reads; round-trips exactly.
+
+    The bytes are those ``csv.writer`` writes row by row. Each category is
+    quoted once, and the columns are converted, joined and written one
+    block of rows at a time, so memory stays flat in the row count."""
+    # (values, the text of one value) per column: a category's or label's
+    # text is looked up, and float.__repr__ spells repr's text faster than
+    # the builtin repr
+    columns = []
+    for col in ds.schema.columns:
+        arr = ds.columns[col.name]
+        if col.kind == CATEGORICAL:
+            fields = list(map(_csv_field, ds.schema.categories[col.name]))
+            columns.append((arr, fields.__getitem__))
+        elif col.kind == LABEL:
+            columns.append((arr.astype(np.int64, copy=False), ("0", "1").__getitem__))
         else:
-            cells.append(map(repr, arr.astype(np.float64, copy=False).tolist()))
+            columns.append((arr.astype(np.float64, copy=False), float.__repr__))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*cells))
+        # csv.writer writes the header: it quotes a lone empty field, which
+        # only a row of one field can hold. A data row of one field holds a
+        # label, which is never empty.
+        csv.writer(fh).writerow(ds.schema.column_names())
+        for lo in range(0, ds.n, _WRITE_ROWS):
+            cells = [map(text, arr[lo:lo + _WRITE_ROWS].tolist()) for arr, text in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]  # without the empty field and "\r\n"
 
 
 @dataclass(frozen=True)
@@ -752,7 +774,6 @@ class SyntheticSpec:
 def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Sample a dataset whose per-leaf Bayes rule is the planted rule."""
     rng = np.random.default_rng(seed & _SEED_MASK)
-    codes: dict[str, list] = {a: [] for a in spec.attributes}
     feats = []
     labels = []
     for leaf in spec.leaves:
@@ -763,10 +784,13 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
             y = np.where(flips, 1 - y, y)
         feats.append(features)
         labels.append(y)
-        for attr, cat in leaf.attributes.items():
-            codes[attr].append(np.full(leaf.count, spec.attributes[attr].index(cat), dtype=np.int32))
     all_feats = np.concatenate(feats)
-    columns = {a: np.concatenate(c) for a, c in codes.items()}
+    counts = [leaf.count for leaf in spec.leaves]
+    columns = {
+        a: np.repeat(np.array([cats.index(leaf.attributes[a]) for leaf in spec.leaves],
+                              dtype=np.int32), counts)
+        for a, cats in spec.attributes.items()
+    }
     for j in range(spec.feature_dim):
         columns[f"x{j}"] = all_feats[:, j]
     columns["label"] = np.concatenate(labels)

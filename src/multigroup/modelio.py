@@ -101,15 +101,19 @@ ModelHeader = namedtuple("ModelHeader", "schema tree encoder learner epsilon los
 
 
 def stored_header(doc: dict) -> ModelHeader:
-    """The header of an mgl_tree or prepend model file. A file without
+    """The header of an mgl_tree, prepend or erm model file. An erm file
+    stores no hierarchy, epsilon or loss; they read as None. A file without
     ``include_group_attributes`` was written when the encoder always kept
     the group attributes; any value but a JSON boolean raises ValueError."""
     schema = schema_from_json(doc["schema"])
-    tree = hierarchy_from_json(doc["hierarchy"])
+    tree = None if doc["model"] == "erm" else hierarchy_from_json(doc["hierarchy"])
     flag = doc.get("include_group_attributes", True)
     if not isinstance(flag, bool):
         raise ValueError(f"include_group_attributes must be true or false, got {flag!r}")
-    return ModelHeader(schema, tree, FeatureEncoder(schema, flag), stored_learner(doc),
+    encoder = FeatureEncoder(schema, flag)
+    if tree is None:
+        return ModelHeader(schema, None, encoder, stored_learner(doc), None, None)
+    return ModelHeader(schema, tree, encoder, stored_learner(doc),
                        EpsilonSpec.from_json(doc["epsilon"]), loss_from_name(doc["loss"]))
 
 
@@ -144,21 +148,27 @@ def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) 
 
 def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor:
     """Reconstruct the predictor stored in a tree model file whose header is
-    ``header``. Every stored predictor is parsed; only the nodes that are
-    their own source keep theirs. Callers check the file's ``n_train`` and
-    ``dataset_fingerprint`` against the data before trusting it."""
-    fits, source, decision = {}, {}, {}
+    ``header``. The nodes that are their own source hold their fits; a
+    predictor stored on any other node must be a copy of its source's, as
+    files written before fits were stored once hold. Callers check the
+    file's ``n_train`` and ``dataset_fingerprint`` against the data before
+    trusting it."""
+    fits, source, decision, stored = {}, {}, {}, {}
     for entry in doc["nodes"]:
         gid = entry["id"]
         source[gid], decision[gid] = entry["source"], entry["decision"]
         if "predictor" in entry:
-            fit = predictor_from_json(entry["predictor"], header.encoder)
+            stored[gid] = entry["predictor"]
             if source[gid] == gid:
-                fits[gid] = fit
+                fits[gid] = predictor_from_json(entry["predictor"], header.encoder)
     tree = header.tree
     for owner in (tree.root.id, *(source[g.id] for g in tree.nodes)):
         if owner not in fits:
             raise ValueError(f"model file lacks the predictor for source {owner!r}")
+    for gid, fit_doc in stored.items():
+        if fit_doc != stored.get(source[gid]):
+            raise ValueError(f"node {gid!r} stores a predictor that differs from its source "
+                             f"{source[gid]!r}'s")
     trace = [TraceStep.from_json(t) for t in doc["trace"]]
     return GroupTreePredictor(tree, fits, source, decision, trace, header.learner,
                               header.epsilon, header.loss)
@@ -230,3 +240,8 @@ def save_plain_model(path, predictor, cache: PredictorCache, spec: LearnerSpec) 
     doc = _common_header("erm", cache, spec)
     doc["predictor"] = predictor.to_json()
     _dump(doc, path)
+
+
+def rebuild_plain_predictor(doc: dict, header: ModelHeader):
+    """The fit stored in an erm model file whose header is ``header``."""
+    return predictor_from_json(doc["predictor"], header.encoder)

@@ -2,8 +2,9 @@
 
 Each one computes its result the plain way: one boolean mask per group, a
 root-to-leaf descent per row, one fit on every row, a CSV parsed cell by
-cell. The package computes the same results faster or from less code, and
-the tests hold it to these.
+cell and written row by row, one leaf's group codes at a time. The package
+computes the same results faster or from less code, and the tests hold it
+to these.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from multigroup.data import CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, DataError, \
-    Dataset, SchemaError
+from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, \
+    DataError, Dataset, SchemaError, SyntheticSpec
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _MIN_GAIN, _SEED_MASK, FeatureEncoder, LearnerSpec, _block_rows, \
     _entropy_in_range, _pass_trees, _presort, fit
@@ -359,6 +360,49 @@ def load_csv(path, schema: AttributeSchema) -> Dataset:
             rownum += 1
         raise DataError(f"non-finite value {values[i]} in column {col.name!r} at data row {rownum}")
     return ds
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """Write in the same dialect load_csv reads; round-trips exactly."""
+    names = ds.schema.column_names()
+    cells = []
+    for name in names:
+        kind = ds.schema.column(name).kind
+        arr = ds.columns[name]
+        if kind == CATEGORICAL:
+            cells.append(map(ds.schema.categories[name].__getitem__, arr.tolist()))
+        elif kind == LABEL:
+            cells.append(map(str, arr.astype(np.int64, copy=False).tolist()))
+        else:
+            cells.append(map(repr, arr.astype(np.float64, copy=False).tolist()))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(zip(*cells))
+
+
+def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
+    """Sample a dataset whose per-leaf Bayes rule is the planted rule."""
+    rng = np.random.default_rng(seed & _SEED_MASK)
+    codes: dict[str, list] = {a: [] for a in spec.attributes}
+    feats = []
+    labels = []
+    for leaf in spec.leaves:
+        features = rng.standard_normal((leaf.count, spec.feature_dim))
+        y = leaf.rule.apply(features)
+        if spec.noise > 0 and leaf.count:
+            flips = rng.random(leaf.count) < spec.noise
+            y = np.where(flips, 1 - y, y)
+        feats.append(features)
+        labels.append(y)
+        for attr, cat in leaf.attributes.items():
+            codes[attr].append(np.full(leaf.count, spec.attributes[attr].index(cat), dtype=np.int32))
+    all_feats = np.concatenate(feats)
+    columns = {a: np.concatenate(c) for a, c in codes.items()}
+    for j in range(spec.feature_dim):
+        columns[f"x{j}"] = all_feats[:, j]
+    columns["label"] = np.concatenate(labels)
+    return Dataset(spec.schema(), columns)
 
 
 # Tree growth on bootstrap samples that repeat each drawn id as often as

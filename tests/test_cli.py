@@ -560,7 +560,8 @@ def _break_model(doc, case):
     ("mgl_tree", "nan_margin", "constant kind needs a value >= 0"),
     ("mgl_tree", "not_an_object", "model kind None is not auditable"),
     ("mgl_tree", "kind_a_list", "model kind ['mgl_tree'] is not auditable"),
-    ("erm", "as_written", "model kind 'erm' is not auditable"),
+    ("erm", "group_attributes_a_string",
+     "include_group_attributes must be true or false, got 'no'"),
     ("decoupled", "as_written", "model kind 'decoupled' is not auditable"),
     ("mgl_tree", "group_attributes_a_string",
      "include_group_attributes must be true or false, got 'no'"),
@@ -746,6 +747,8 @@ def _tamper_fit(doc, case):
         first["predictor"], second["predictor"] = second["predictor"], first["predictor"]
     elif case == "default_an_entry_fit":  # the entries answer every training row
         doc["default"] = doc["entries"][0]["predictor"]
+    elif case == "erm_weight_changed":
+        doc["predictor"]["weights"][0] += 0.25
     else:
         assert case == "unknown_source"
         doc["entries"][0]["source"] = "grp=zz"
@@ -762,6 +765,8 @@ def _tamper_fit(doc, case):
      "default: stored fit differs from the refit of source ALL"),
     ("demo/models/prepend.logistic", "unknown_source", 2,
      "error: entry source 'grp=zz' is not in the model's hierarchy"),
+    ("demo/models/erm.logistic", "erm_weight_changed", 1,
+     "stored fit differs from its refit on the training data"),
 ])
 def test_audit_compares_each_stored_fit_with_its_refit(tmp_path, monkeypatch, capsys, model,
                                                        case, code, line):
@@ -797,6 +802,43 @@ def test_audit_reports_a_prepend_source_without_training_rows(tmp_path, capsys):
         f"entry 0 (group {group}): source grp=c has no training rows",
         "AUDIT FAILED: 1 problem(s)",
     ]
+
+
+@pytest.mark.parametrize("copy, code, err", [
+    (False, 2, "error: node 'grp=c' stores a predictor that differs from its source 'ALL''s\n"),
+    (True, 0, ""),
+])
+def test_audit_checks_a_predictor_stored_on_a_node_with_another_source(tmp_path, capsys, copy,
+                                                                       code, err):
+    """The writer stores a fit only on the node that owns it. A predictor
+    on another node must be a copy of its source's, as older files hold;
+    any other is refused, not dropped unchecked."""
+    ds, csv_path = write_fixture(tmp_path, EMPTY_C)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"]))
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / "mgl_tree.constant.model.json"
+    doc = json.loads(model_path.read_text())
+    root, node = doc["nodes"][0], doc["nodes"][-1]
+    assert (node["id"], node["source"], "predictor" in node) == ("grp=c", "ALL", False)
+    node["predictor"] = dict(root["predictor"]) if copy else {"type": "constant", "score": 0.123}
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == code
+    out, got_err = capsys.readouterr()
+    assert got_err == err
+    assert out == ("AUDIT CLEAN\n" if code == 0 else "")
+
+
+@pytest.mark.parametrize("model", ["demo/models/erm.logistic", "demo/models/erm.tree_depth2",
+                                   "fixtures/golden_bagged/erm.bagged5_depth3"])
+def test_erm_model_audits_clean(monkeypatch, capsys, model):
+    """An erm file stores one fit on the whole training set and no
+    hierarchy; its audit checks the data and refits that fit."""
+    monkeypatch.chdir(ROOT)
+    capsys.readouterr()
+    assert main(["audit", "--model", f"{model}.model.json", "--data", "demo/data.csv"]) == 0
+    assert capsys.readouterr().out == "AUDIT CLEAN\n"
 
 
 def test_train_empty_dataset_exits_one(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import io
+import pathlib
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from multigroup.data import (
     LeafRule,
     SchemaError,
     SplitSpec,
+    SyntheticLeaf,
     SyntheticSpec,
     json_int,
     load_csv,
@@ -567,3 +569,125 @@ def test_load_csv_peak_memory_is_at_most_half_the_oracles(tmp_path):
             tracemalloc.stop()
     assert peaks[0] <= 0.5 * peaks[1], peaks
 
+
+
+# Texts that csv quotes, or that a hand-made quoting would get wrong.
+AWKWARD_TEXTS = ("plain", "a,b", 'say "hi"', "cr\rhere", "nl\nhere", "\r\n", " lead",
+                 "naïve ✓ 中", "", '"', ",")
+FINITE_CELLS = (-0.0, 5e-324, 2.2250738585072014e-309, 1e308, -1e308, 0.1, 1.0, -123.25)
+NON_FINITE_CELLS = (float("nan"), float("inf"), float("-inf"))
+
+
+def awkward_dataset(n: int, numbers=FINITE_CELLS) -> Dataset:
+    """n rows whose names, categories and numbers csv has to quote or spell out."""
+    schema = AttributeSchema(
+        columns=(Column('grp, "x"', "categorical"), Column(" x\r\n", "numeric"),
+                 Column("", "categorical"), Column("naïve", "binary-label")),
+        label_column="naïve",
+        group_attributes=('grp, "x"', ""),
+        categories={'grp, "x"': AWKWARD_TEXTS, "": ("", "b")},
+    )
+    rows = np.arange(n)
+    return Dataset(schema, {
+        'grp, "x"': (rows % len(AWKWARD_TEXTS)).astype(np.int32),
+        " x\r\n": np.array(numbers, dtype=np.float64)[rows % len(numbers)],
+        "": (rows % 2 == 0).astype(np.int32),
+        "naïve": (rows // 3 % 2).astype(np.int64),
+    })
+
+
+def label_only_dataset(name: str, n: int) -> Dataset:
+    schema = AttributeSchema(columns=(Column(name, "binary-label"),), label_column=name)
+    return Dataset(schema, {name: (np.arange(n) % 3 == 0).astype(np.int64)})
+
+
+def assert_writes_oracle_bytes(ds: Dataset, tmp_path) -> None:
+    write_csv(ds, tmp_path / "got.csv")
+    oracles.write_csv(ds, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    numbers = [ds.columns[c.name] for c in ds.schema.columns if c.kind == "numeric"]
+    if ds.n and all(np.isfinite(x).all() for x in numbers):  # what load_csv reads back
+        again = load_csv(tmp_path / "got.csv", ds.schema)
+        assert oracles.dataset_equals(again, ds) and again.schema == ds.schema
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2048, 2049])
+@pytest.mark.parametrize("numbers", [FINITE_CELLS, FINITE_CELLS + NON_FINITE_CELLS],
+                         ids=["finite", "non_finite"])
+def test_write_csv_matches_row_by_row_oracle(tmp_path, n, numbers):
+    assert_writes_oracle_bytes(awkward_dataset(n, numbers), tmp_path)
+
+
+@pytest.mark.parametrize("name", ["label", "", '"', "a,b", "nl\nhere"])
+@pytest.mark.parametrize("n", [0, 1, 1025])
+def test_write_csv_matches_oracle_on_a_label_only_schema(tmp_path, name, n):
+    assert_writes_oracle_bytes(label_only_dataset(name, n), tmp_path)
+
+
+def test_write_csv_of_a_subset_matches_oracle(tmp_path):
+    ds = awkward_dataset(3000)
+    assert_writes_oracle_bytes(ds.take(np.arange(2999, 0, -2)), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cats=st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True),
+       numbers=st.lists(st.floats(), min_size=1, max_size=9),
+       n=st.integers(0, 40))
+def test_write_csv_matches_oracle_on_drawn_text_and_numbers(tmp_path_factory, cats, numbers,
+                                                           n):
+    schema = AttributeSchema(
+        columns=(Column("g", "categorical"), Column("x", "numeric"),
+                 Column("label", "binary-label")),
+        label_column="label", group_attributes=("g",), categories={"g": tuple(cats)},
+    )
+    rows = np.arange(n)
+    ds = Dataset(schema, {"g": (rows % len(cats)).astype(np.int32),
+                          "x": np.array(numbers)[rows % len(numbers)],
+                          "label": rows % 2})
+    assert_writes_oracle_bytes(ds, tmp_path_factory.mktemp("csv"))
+
+
+def test_write_csv_peak_memory_is_flat_in_the_row_count(tmp_path, monkeypatch):
+    """Blocks of rows are converted and written in turn: no whole-column
+    lists of cells are held, as the row-by-row oracle holds them."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+    import workloads
+
+    ds = make_synthetic(workloads.WORKLOADS["deep_constant"].spec(), 1)
+    assert ds.n == 49994
+    tracemalloc.start()
+    try:
+        write_csv(ds, tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, peak
+
+
+def synthetic_leaf_spec(draw_counts, n_attributes: int, rng) -> SyntheticSpec:
+    attributes = {f"a{k}": tuple(f"c{k}{j}" for j in range(3)) for k in range(n_attributes)}
+    leaves = []
+    for i, count in enumerate(draw_counts):
+        rule = LeafRule("constant", label=i % 2) if i % 3 else \
+            LeafRule("linear", weights=(1.0, -0.5), bias=0.25)
+        # the leaf's attributes in reverse order, so that the column order
+        # cannot come from the leaves
+        chosen = {a: cats[int(rng.integers(len(cats)))]
+                  for a, cats in reversed(attributes.items())}
+        leaves.append(SyntheticLeaf(chosen, rule, count))
+    return SyntheticSpec(attributes=attributes, leaves=tuple(leaves), feature_dim=2,
+                         noise=0.2)
+
+
+@pytest.mark.parametrize("counts", [[5], [0], [0, 7, 0, 3], [4, 0, 0], [1] * 30,
+                                    [200, 0, 13, 1, 0, 64]])
+@pytest.mark.parametrize("n_attributes", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5])
+def test_make_synthetic_matches_per_leaf_oracle(counts, n_attributes, seed):
+    spec = synthetic_leaf_spec(counts, n_attributes, np.random.default_rng(len(counts)))
+    got, want = make_synthetic(spec, seed), oracles.make_synthetic(spec, seed)
+    assert got.schema == want.schema
+    assert list(got.columns) == list(want.columns)
+    for name in want.columns:
+        assert got.columns[name].dtype == want.columns[name].dtype, name
+        assert got.columns[name].tobytes() == want.columns[name].tobytes(), name
