@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .data import check_keys, float_from_json, float_to_json, json_int
+from .data import check_keys, float_from_json, float_to_json, json_float, json_int
 
 KINDS = ("finite_h", "vc", "constant", "scaled")
 
@@ -81,6 +81,9 @@ class EpsilonSpec:
         for key in ("h_size", "vc_dim", "group_count", "n_total"):
             if doc.get(key) is not None:
                 doc[key] = json_int(doc[key], key)
+        for key in ("delta", "scale", "value"):
+            if doc.get(key) is not None:
+                doc[key] = json_float(doc[key], key)
         return EpsilonSpec(**doc)
 
 

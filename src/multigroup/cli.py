@@ -101,6 +101,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, ds, out_dir = _run_inputs(args, "evaluate")
     report = run_experiment(cfg, ds, jobs=args.jobs)
     # both texts first: a report that cannot be encoded leaves neither file

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .bounds import EpsilonSpec
-from .data import ConfigError, check_keys, json_int, schema_from_json
+from .data import ConfigError, check_keys, json_float, json_int, schema_from_json
 from .groups import GroupTree, build_hierarchy, hierarchy_from_json
 from .learners import LearnerSpec
 from .methods import METHODS
@@ -130,7 +130,7 @@ def parse_run_config(doc: dict) -> ExperimentConfig:
             epsilon=EpsilonSpec.from_json(doc["epsilon"]),
             loss=doc.get("loss", "zero_one"),
             trials=json_int(split_doc.get("trials", 10), "trials"),
-            test_fraction=float(split_doc.get("test_fraction", 0.2)),
+            test_fraction=json_float(split_doc.get("test_fraction", 0.2), "test_fraction"),
             seed=json_int(split_doc.get("seed", 0), "seed"),
             methods=tuple(doc.get("methods", METHODS)),
             include_group_attributes=doc.get("include_group_attributes", True),

@@ -62,6 +62,16 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def json_float(value, key: str):
+    """A real-valued field read from JSON: a number such as ``0.5``, ``1``
+    or ``1e-9``, returned as given. Anything else (``true``, ``"0.5"``,
+    ``[1]``) raises ValueError naming ``key``; range checks are the
+    caller's."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def float_to_json(x: float | None):
     """JSON has no infinities: write them as the strings "inf" and "-inf"."""
     return "inf" if x == math.inf else "-inf" if x == -math.inf else x

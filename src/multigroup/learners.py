@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import _SEED_MASK, CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, \
-    json_int
+    json_float, json_int
 from .groups import Group, GroupTree
 
 
@@ -90,6 +90,9 @@ class LearnerSpec:
         for key in ("max_depth", "iterations", "n_trees", "seed"):
             if key in doc:
                 doc[key] = json_int(doc[key], key)
+        for key in ("learning_rate", "tolerance", "feature_fraction"):
+            if key in doc:
+                doc[key] = json_float(doc[key], key)
         return LearnerSpec(**doc)
 
 
@@ -174,14 +177,19 @@ class ConstantPredictor(_Predictor):
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) without overflow: exp is only taken of -|z|."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+
+
+def _mean_log_loss(z: np.ndarray, flips: np.ndarray) -> float:
+    """Mean logistic loss of margins z, where flips = 1 - 2y is -1 at a
+    positive label and 1 at a negative one."""
+    return float(np.mean(np.logaddexp(0.0, flips * z)))
 
 
 def logistic_loss(weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss, computed via logaddexp for stability."""
-    z = X @ weights + intercept
-    signs = 2.0 * y - 1.0
-    return float(np.mean(np.logaddexp(0.0, -signs * z)))
+    return _mean_log_loss(X @ weights + intercept, 1.0 - 2.0 * y)
 
 def logistic_gradient(
     weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray
@@ -193,7 +201,12 @@ def logistic_gradient(
 
 class LogisticPredictor(_Predictor):
     """Linear model on standardized features, fit by Newton/IRLS or
-    full-batch gradient descent (``LearnerSpec.solver``)."""
+    full-batch gradient descent (``LearnerSpec.solver``).
+
+    It scores raw encoded rows with the standardization folded into the
+    weights, ``x @ (weights / scale) + intercept - mean @ (weights / scale)``,
+    which agrees with the standardized margin up to rounding.
+    """
 
     kind = "logistic"
 
@@ -212,10 +225,15 @@ class LogisticPredictor(_Predictor):
             raise ValueError("logistic scale must be > 0")
         if not np.isfinite(self.intercept):
             raise ValueError(f"logistic intercept must be finite, got {self.intercept!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self._folded = self.weights / self.scale
+            self._offset = float(self.intercept - self.mean @ self._folded)
+        if not (np.isfinite(self._folded).all() and np.isfinite(self._offset)):
+            raise ValueError(f"logistic fit {provenance!r}: weights / scale or "
+                             "intercept - mean @ (weights / scale) is not finite")
 
     def scores(self, ds: Dataset) -> np.ndarray:
-        X = (self.encoder.encode(ds) - self.mean) / self.scale
-        return sigmoid(X @ self.weights + self.intercept)
+        return sigmoid(self.encoder.encode(ds) @ self._folded + self._offset)
 
     def to_json(self) -> dict:
         return {
@@ -260,28 +278,32 @@ def _newton(X: np.ndarray, mean: np.ndarray, scale: np.ndarray, y: np.ndarray,
     A = np.ones((n, d + 1))
     np.subtract(X, mean, out=A[:, :d])
     A[:, :d] /= scale
+    flips = 1.0 - 2.0 * y
+    ridge = _RIDGE * np.eye(d + 1)
     theta = np.zeros(d + 1)
-    loss = logistic_loss(theta, 0.0, A, y)
+    z = np.zeros(n)  # A @ theta, the margins of theta; an accepted trial's are kept
+    loss = _mean_log_loss(z, flips)
     for _ in range(spec.iterations):
-        p = sigmoid(A @ theta)
+        p = sigmoid(z)
         grad = A.T @ (p - y) / n
         if float(np.sqrt(np.dot(grad, grad))) < spec.tolerance:
             break
         weight = p * (1.0 - p) / n
-        hessian = _RIDGE * np.eye(d + 1)
+        hessian = ridge.copy()
         for lo in range(0, n, _BLOCK):
             block = A[lo:lo + _BLOCK]
             hessian += (block.T * weight[lo:lo + _BLOCK]) @ block
         step = np.linalg.solve(hessian, grad)
         for _ in range(_MAX_HALVINGS):
             trial = theta - step
-            trial_loss = logistic_loss(trial, 0.0, A, y)
+            trial_z = A @ trial
+            trial_loss = _mean_log_loss(trial_z, flips)
             if trial_loss <= loss:
                 break
             step = step / 2.0
         if not trial_loss < loss:
             break
-        theta, loss = trial, trial_loss
+        theta, z, loss = trial, trial_z, trial_loss
     return theta[:d], float(theta[d])
 
 

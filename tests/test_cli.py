@@ -239,6 +239,63 @@ def test_infinite_integer_field_is_reported(tmp_path, capsys, key, setting, comm
     assert capsys.readouterr().err == f"error: {key} must be finite, got {sign}inf\n"
 
 
+# Each real-valued field, as a --set override that puts {} in it
+REAL_FIELDS = {
+    "learning_rate": 'learners=[{{"kind":"logistic","solver":"gd","learning_rate":{}}}]',
+    "tolerance": 'learners=[{{"kind":"logistic","tolerance":{}}}]',
+    "feature_fraction": 'learners=[{{"kind":"bagged_trees","feature_fraction":{}}}]',
+    "delta": 'epsilon={{"kind":"vc","vc_dim":2,"delta":{}}}',
+    "scale": 'epsilon={{"kind":"scaled","scale":{}}}',
+    "value": 'epsilon={{"kind":"constant","value":{}}}',
+    "test_fraction": "split.test_fraction={}",
+}
+
+
+@pytest.mark.parametrize("literal, shown", [("true", "True"), ('"2"', "'2'"), ("[1]", "[1]")],
+                         ids=["bool", "string", "list"])
+@pytest.mark.parametrize("key", list(REAL_FIELDS))
+def test_real_valued_field_must_be_a_json_number(tmp_path, capsys, key, literal, shown):
+    """A boolean, a string or a list in a real-valued field exits 2 with a
+    message naming the field; before, true read as 1.0 and "2" as 2.0."""
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    argv = ["--config", str(cfg), "--set", REAL_FIELDS[key].format(literal)]
+    assert main(["validate-hierarchy"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {key} must be a number, got {shown}\n"
+    assert main(["train", "--out", str(tmp_path / "out")] + argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, literal", [("learning_rate", "1"), ("tolerance", "0"),
+                                          ("feature_fraction", "1"), ("scale", "2"),
+                                          ("value", "1")])
+def test_real_valued_field_accepts_an_integer(tmp_path, key, literal):
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    assert main(["validate-hierarchy", "--config", str(cfg), "--set",
+                 REAL_FIELDS[key].format(literal)]) == 0
+
+
+def test_audit_refuses_a_stored_learner_with_a_boolean_tolerance(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "demo" / "models" / "mgl_tree.logistic.model.json").read_text())
+    doc["learner"]["tolerance"] = True
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    assert main(["audit", "--model", str(model_path), "--data", "demo/data.csv"]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be a number, got True\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_jobs_must_be_at_least_one(tmp_path, capsys, jobs):
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_synth_emits_loadable_csv(tmp_path):
     spec_doc = {
         "attributes": {"grp": ["a", "b"]},
@@ -660,6 +717,8 @@ def _break_fit(doc, case):
         nodes["grp=b"]["predictor"]["scale"][2] = 0.0
     elif case == "nan_default_weights":
         doc["default"]["weights"] = [math.nan] * 4
+    elif case == "subnormal_scale":  # weights / scale overflows
+        nodes["ALL"]["predictor"]["scale"][0] = 1e-320
     else:
         assert case == "constant_score_7.5"
         nodes["ALL"]["predictor"] = {"type": "constant", "score": 7.5}
@@ -671,6 +730,8 @@ def _break_fit(doc, case):
     ("mgl_tree.logistic", "nan_intercept", "logistic intercept must be finite, got nan"),
     ("mgl_tree.logistic", "zero_scale", "logistic scale must be > 0"),
     ("prepend.logistic", "nan_default_weights", "logistic weights must be 4 finite numbers"),
+    ("mgl_tree.logistic", "subnormal_scale", "logistic fit 'logistic@ALL': weights / scale or "
+     "intercept - mean @ (weights / scale) is not finite"),
     ("mgl_tree.logistic", "constant_score_7.5", "a constant score must be in [0, 1], got 7.5"),
 ])
 def test_audit_rejects_impossible_fit_parameters(tmp_path, monkeypatch, capsys, model, case,

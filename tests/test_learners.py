@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigroup.data import make_synthetic
 from multigroup.groups import Group, GroupTree, build_hierarchy, membership_vector
@@ -112,10 +114,21 @@ def test_sigmoid_bit_identical_to_masked_reference():
                       1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0])
     for z in (edges, rng.normal(size=1000), rng.normal(scale=50.0, size=1000),
               rng.uniform(-800.0, 800.0, size=1000), np.empty(0)):
-        got, want = sigmoid(z), masked_sigmoid(z)
-        assert np.array_equal(got, want, equal_nan=True)
-        numbers = ~np.isnan(want)  # a NaN's sign bit carries no value
-        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+        assert_sigmoid_matches_masked_reference(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+def test_sigmoid_bit_identical_to_masked_reference_on_any_floats(values):
+    assert_sigmoid_matches_masked_reference(np.array(values, dtype=np.float64))
+
+
+def assert_sigmoid_matches_masked_reference(z):
+    got, want = sigmoid(z), masked_sigmoid(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)  # a NaN's sign bit carries no value
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
 
 def standardized_fit(X, y, spec):
