@@ -19,7 +19,7 @@ from ..bounds import EpsilonSpec, epsilon, uc_width
 from ..data import Dataset, float_from_json, float_to_json
 from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache, _Predictor
-from ..risk import Loss, group_risks, mean
+from ..risk import Loss, group_risks
 from .routing import route
 
 # Slack for float noise when a replayed or recomputed risk is compared with
@@ -106,6 +106,11 @@ class _Pass:
     no visited node deeper than its parent, and before node i is visited
     ``row_loss[rows[i]]`` are exactly the losses of the fit that answers
     the parent on them, in the same order.
+
+    ``sums[i]`` is the tree's loss sum on the rows of visited observed node
+    i: summed from the rows the visit gathers, then moved by each update
+    below i. Zero-one losses sum to integers, so these equal a fresh
+    gather's sum bit for bit; other losses may differ from it by rounding.
     """
 
     def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
@@ -115,13 +120,14 @@ class _Pass:
         self.rows = tree.row_index(cache.ds)
         root_pred = cache.erm(spec)
         self.row_loss = loss.per_example(root_pred, cache.ds).copy()
+        self.sums = [self.row_loss.sum()] + [None] * (len(tree) - 1)
         self.fits = {tree.root.id: root_pred}
         self.source = {tree.root.id: tree.root.id}
         self.decision = {tree.root.id: "root"}
 
     def risk(self, i: int) -> float:
-        """The current tree's risk on node i (which must be observed)."""
-        return mean(self.row_loss[self.rows[i]])
+        """The current tree's risk on visited observed node i."""
+        return float(self.sums[i] / len(self.rows[i]))
 
     def visit(self, i: int, follow) -> TraceStep:
         """Compare node i's restricted fit with the fit that answers its parent.
@@ -139,17 +145,21 @@ class _Pass:
             return TraceStep(g.id, 0, None, None, epsilon(self.eps, 0), None, "inherited_empty")
         candidate = self.cache.group_erm(self.spec, self.tree, g)
         candidate_loss = self.loss.per_example(candidate, self.train.take(r))
-        parent_risk = self.risk(i)
-        candidate_risk = mean(candidate_loss)
+        parent_sum, candidate_sum = self.row_loss[r].sum(), candidate_loss.sum()
+        parent_risk, candidate_risk = float(parent_sum / n_g), float(candidate_sum / n_g)
         margin = epsilon(self.eps, n_g)
         err = parent_risk - candidate_risk - margin
         step = TraceStep(g.id, n_g, parent_risk, candidate_risk, margin, err,
                          "updated" if err >= 0 else "inherited")
         followed = follow(step)
+        self.sums[i] = parent_sum
         if followed:
             self.fits[g.id] = candidate
             self.source[g.id] = g.id
             self.row_loss[r] = candidate_loss
+            self.sums[i] = candidate_sum
+            for h in self.tree.ancestors(g.id):
+                self.sums[self.tree.index(h.id)] += candidate_sum - parent_sum
         self.decision[g.id] = "updated" if followed else "inherited"
         return step
 
@@ -182,6 +192,7 @@ def mgl_tree(
 def excess_risk_report(
     predictor: GroupTreePredictor,
     cache: PredictorCache,
+    bench: dict[str, float] | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Per-group excess of the fitted tree over the group-restricted fits
     on the cache's training set.
@@ -189,12 +200,17 @@ def excess_risk_report(
     Returns (rows, violations): one row per group with n_g >= 1 comparing
     the tree's training risk against the group fit's risk plus the margin;
     rows whose excess exceeds TOL are also returned as violations.
+    ``bench`` gives each observed non-root node's group-fit risk when the
+    caller already has it: the candidate risks of a pass on this training
+    set. Without it every group fit is scored here; the root's always is.
     """
     train = cache.ds
-    tree, loss = predictor.tree, predictor.loss
+    tree, loss, spec = predictor.tree, predictor.loss, predictor.learner_spec
     eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
     tree_risks = group_risks(predictor, train, tree, loss)
-    bench_risks = group_risks(cache.group_fits(predictor.learner_spec, tree), train, tree, loss)
+    fits = cache.group_fits(spec, tree) if bench is None else \
+        {tree.root.id: cache.group_erm(spec, tree, tree.root)}
+    bench_risks = {**group_risks(fits, train, tree, loss), **(bench or {})}
     rows = []
     violations = []
     for g, r in zip(tree.nodes, tree.row_index(train)):
@@ -225,6 +241,8 @@ class AuditVerdict:
     violations: tuple[tuple[int, str, str, str], ...] = ()  # (step, group, kind, detail)
     # the tree rebuilt from the data by following the recorded decisions
     replay: GroupTreePredictor | None = field(default=None, compare=False)
+    # the replay's candidate risk of each observed non-root node, by id
+    candidate_risks: dict[str, float] = field(default_factory=dict, compare=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -253,7 +271,9 @@ def monotonicity_audit(
     its risk is its parent's working predictor's. An update changes only
     rows inside the updated node, so afterwards only its ancestors' risks
     are checked again; the node's own risk is its fit's, which is within any
-    margin >= 0, and so is the root's before the first update.
+    margin >= 0, and so is the root's before the first update. Those risks
+    come from the pass's running loss sums, so an update costs one step per
+    ancestor, not a gather of the ancestors' rows.
     """
     expected_ids = [g.id for g in tree.nodes if not g.is_root]
     if [t.group_id for t in trace] != expected_ids:
@@ -294,4 +314,6 @@ def monotonicity_audit(
                                    f"risk {risk} exceeds {bench_risk} + {margin}"))
 
     return AuditVerdict(ok=not violations, violations=tuple(violations),
-                        replay=tree_pass.predictor(list(trace)))
+                        replay=tree_pass.predictor(list(trace)),
+                        candidate_risks={tree.nodes[j].id: risk for j, (risk, _) in bench.items()
+                                         if j})

@@ -20,7 +20,7 @@ from ..bounds import EpsilonSpec, epsilon
 from ..data import Dataset
 from ..groups import Group, GroupTree
 from ..learners import LearnerSpec, PredictorCache, _Predictor
-from ..risk import Loss, mean
+from ..risk import Loss
 from .routing import route
 
 
@@ -66,38 +66,87 @@ class PrependCapExceeded(RuntimeError):
 
 
 class _CandidatePool:
-    """Observed groups, the candidate fits, and each candidate's risk per group.
+    """Observed groups, the candidate fits, and each candidate's loss sum
+    on every atom and risk on every observed group.
 
-    Candidates are the global fit followed by the observed non-root groups'
-    restricted fits in id order; none of their risks changes across rounds.
+    An atom holds the rows whose deepest containing node is the same, so
+    atoms are indexed by node and a group's rows are the atoms of its
+    subtree. Candidates are the global fit followed by the observed
+    non-root groups' restricted fits in id order; none of their risks
+    changes across rounds. Each candidate is scored once on every row and
+    kept only as its loss sums by atom.
     """
 
     def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
                  eps: EpsilonSpec, loss: Loss):
         train = cache.ds
-        observed = [(g, r) for g, r in zip(tree.nodes, tree.row_index(train)) if len(r)]
-        self.groups = [g for g, _ in observed]
-        self.rows = [r for _, r in observed]
-        self.margins = np.array([epsilon(eps, len(r)) for r in self.rows])
+        rows = tree.row_index(train)
+        self.atom = np.zeros(train.n, dtype=np.intp)  # each row's deepest containing node
+        for i, r in enumerate(rows[1:], start=1):
+            self.atom[r] = i
+        parent = np.array([tree.index(tree.parent(g.id).id) for g in tree.nodes[1:]], dtype=np.intp)
+        depth = np.array([tree.depth(g.id) for g in tree.nodes[1:]])
+        # breadth-first order keeps each depth's nodes, and each run of
+        # siblings, contiguous: per depth, deepest first, the depth's first
+        # and end node, where its sibling runs start, and their parents
+        self.levels = []
+        for d in np.unique(depth)[::-1]:
+            lo, hi = np.searchsorted(depth, [d, d + 1])
+            level = parent[lo:hi]
+            starts = np.flatnonzero(np.r_[True, level[1:] != level[:-1]])
+            self.levels.append((lo + 1, hi + 1, starts, level[starts]))
+        self.subtree = [[i] for i in range(len(tree))]  # each node and its descendants
+        for i, g in enumerate(tree.nodes):
+            for h in tree.ancestors(g.id):
+                self.subtree[tree.index(h.id)].append(i)
+
+        self.observed = [i for i, r in enumerate(rows) if len(r)]
+        self.groups = [tree.nodes[i] for i in self.observed]
+        self.sizes = np.array([len(rows[i]) for i in self.observed], dtype=np.int64)
+        self.margins = np.array([epsilon(eps, n) for n in self.sizes.tolist()])
         self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
         for g in sorted(self.groups, key=lambda g: g.id):
             if not g.is_root:
                 self.candidates.append((g.id, cache.group_erm(spec, tree, g)))
-        self.losses = [loss.per_example(p, train) for _, p in self.candidates]
-        self.risks = np.array(
-            [[mean(losses[r]) for losses in self.losses] for r in self.rows],
-        ).reshape(len(self.groups), len(self.candidates))
+        self.atom_sums = np.empty((len(self.candidates), len(tree)))
+        self.risks = np.empty((len(self.groups), len(self.candidates)))
+        for c, (_, predictor) in enumerate(self.candidates):
+            self.atom_sums[c] = self.by_atom(loss.per_example(predictor, train))
+            self.risks[:, c] = self.group_risks(self.atom_sums[c])
+        self.min_risks = self.risks.min(axis=1)
 
-    def scan(self, row_loss: np.ndarray):
+    def by_atom(self, row_loss: np.ndarray) -> np.ndarray:
+        """Per-row losses on the training set, summed by atom."""
+        return np.bincount(self.atom, weights=row_loss, minlength=len(self.subtree))
+
+    def group_risks(self, atom_sums: np.ndarray) -> np.ndarray:
+        """Each observed group's risk, from loss sums by atom added up the
+        tree one depth at a time. Equal atom sums on a group's subtree give
+        that group equal bits, whatever the other atoms hold."""
+        out = atom_sums.copy()
+        for lo, hi, starts, parents in self.levels:
+            out[parents] += np.add.reduceat(out[lo:hi], starts)
+        return out[self.observed] / self.sizes
+
+    def values(self, list_atoms: np.ndarray) -> np.ndarray:
         """Violation value list_risk - cand_risk - margin of every (group,
-        candidate) pair under the per-row losses ``row_loss``, plus the
-        (group, candidate) index of the first maximum, or None if no group
-        is observed."""
-        list_risk = np.array([mean(row_loss[r]) for r in self.rows])
-        values = list_risk[:, None] - self.risks - self.margins[:, None]
-        if not values.size:
-            return values, None
-        return values, np.unravel_index(int(np.argmax(values)), values.shape)
+        candidate) pair, for a list with loss sums ``list_atoms`` by atom."""
+        list_risk = self.group_risks(list_atoms)
+        return list_risk[:, None] - self.risks - self.margins[:, None]
+
+    def scan(self, list_atoms: np.ndarray):
+        """The first maximum of ``values(list_atoms)`` in row-major order, as
+        (value, (group, candidate) index), or (None, None) if no group is
+        observed. Rounding is monotone, so a group's largest value is at its
+        smallest candidate risk: a round reads each group once and then the
+        candidates of one group."""
+        if not self.groups:
+            return None, None
+        list_risk = self.group_risks(list_atoms)
+        top = (list_risk - self.min_risks) - self.margins
+        gi = int(np.argmax(top))
+        row = (list_risk[gi] - self.risks[gi]) - self.margins[gi]
+        return top[gi], (gi, int(np.argmax(row == top[gi])))
 
 
 def prepend(
@@ -121,19 +170,20 @@ def prepend(
     pool = _CandidatePool(cache, tree, spec, eps, loss)
     entries: list[DecisionListEntry] = []
     current = DecisionList(tree, entries, pool.candidates[0][1], spec, eps, loss)
-    row_loss = pool.losses[0].copy()
+    list_atoms = pool.atom_sums[0].copy()  # the list's loss sum on each atom
 
     for rounds in range(cap + 1):
-        values, best = pool.scan(row_loss)
-        if best is None or values[best] <= 0:
+        value, best = pool.scan(list_atoms)
+        if best is None or value <= 0:
             return current
         if rounds == cap:  # a violation is still outstanding
             raise PrependCapExceeded(cap, current)
         gi, ci = best
         source_id, predictor = pool.candidates[ci]
         entries.insert(0, DecisionListEntry(pool.groups[gi], predictor, source_id))
-        r = pool.rows[gi]
-        row_loss[r] = pool.losses[ci][r]
+        # the new entry answers every atom of its group
+        atoms = pool.subtree[pool.observed[gi]]
+        list_atoms[atoms] = pool.atom_sums[ci, atoms]
 
 
 def termination_scan(dlist: DecisionList, cache: PredictorCache) -> list[tuple[str, str, float]]:
@@ -145,8 +195,7 @@ def termination_scan(dlist: DecisionList, cache: PredictorCache) -> list[tuple[s
     """
     tree = dlist.tree
     eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=cache.ds.n)
-    row_loss = dlist.loss.per_example(dlist, cache.ds)
     pool = _CandidatePool(cache, tree, dlist.learner_spec, eps, dlist.loss)
-    values, _ = pool.scan(row_loss)
+    values = pool.values(pool.by_atom(dlist.loss.per_example(dlist, cache.ds)))
     return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
             for gi, ci in zip(*np.nonzero(values > 0))]

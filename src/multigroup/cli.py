@@ -184,7 +184,7 @@ def cmd_audit(args) -> int:
         if mismatches:
             print(f"stored predictor disagrees with replay on {mismatches} training rows")
             problems += 1
-        _, violations = excess_risk_report(predictor, cache)
+        _, violations = excess_risk_report(predictor, cache, verdict.candidate_risks)
         for row in violations:
             print(f"margin violation on {row['group_id']}: excess {row['excess']}")
             problems += 1

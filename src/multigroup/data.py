@@ -703,8 +703,9 @@ class LeafRule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.label not in (0, 1):
-                raise ValueError("constant rule needs label 0 or 1")
+            if isinstance(self.label, bool) or not isinstance(self.label, numbers.Integral) \
+                    or self.label not in (0, 1):
+                raise ValueError(f"label must be the integer 0 or 1, got {self.label!r}")
         elif self.kind == "linear":
             if not self.weights:
                 raise ValueError("linear rule needs weights")
@@ -829,5 +830,5 @@ def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:
         attributes={a: tuple(c) for a, c in doc["attributes"].items()},
         leaves=tuple(leaves),
         feature_dim=json_int(doc.get("feature_dim", 2), "feature_dim"),
-        noise=float(doc.get("noise", 0.0)),
+        noise=json_float(doc.get("noise", 0.0), "noise"),
     )

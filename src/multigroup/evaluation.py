@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -176,8 +175,12 @@ class EvalReport:
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset, jobs: int = 1) -> EvalReport:
     tree = cfg.hierarchy(dataset.schema)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, cfg.trials)
+    if workers > 1:
+        # imported here: multiprocessing costs every other run memory and time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(
                 _trial_errors,
                 [cfg] * cfg.trials, [dataset] * cfg.trials, [tree] * cfg.trials,

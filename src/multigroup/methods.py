@@ -36,7 +36,9 @@ class Method:
 
 def _tree_summary(predictor, cache) -> dict:
     decisions = [t.decision for t in predictor.trace]
-    _, violations = excess_risk_report(predictor, cache)
+    # the pass scored every observed node's group fit on this training set
+    bench = {t.group_id: t.candidate_risk for t in predictor.trace if t.n_g}
+    _, violations = excess_risk_report(predictor, cache, bench)
     return {
         "updated": decisions.count("updated"),
         "inherited": decisions.count("inherited"),

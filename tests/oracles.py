@@ -3,7 +3,9 @@
 Each one computes its result the plain way: one boolean mask per group, a
 root-to-leaf descent per row, one fit on every row, a CSV parsed cell by
 cell and written row by row, one leaf's group codes at a time, a logistic
-score of standardized rows, a Newton step that recomputes every product. The package
+score of standardized rows, a Newton step that recomputes every product,
+a group's risk under a changing predictor gathered from all of the group's
+rows. The package
 computes the same results faster or from less code, and the tests hold it
 to these.
 """
@@ -19,13 +21,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from multigroup.algorithms import AuditVerdict, DecisionList, DecisionListEntry, \
+    PrependCapExceeded, TraceStep
+from multigroup.algorithms.group_tree import TOL, _Pass
+from multigroup.bounds import EpsilonSpec, epsilon
 from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, \
     DataError, Dataset, SchemaError, SyntheticSpec
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
-    FeatureEncoder, LearnerSpec, _block_rows, _entropy_in_range, _pass_trees, _presort, fit, \
-    logistic_loss, sigmoid
-from multigroup.risk import Loss
+    FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _entropy_in_range, _pass_trees, \
+    _presort, fit, logistic_loss, sigmoid
+from multigroup.risk import Loss, mean
 
 
 @dataclass(frozen=True)
@@ -625,3 +631,111 @@ def newton(X: np.ndarray, mean: np.ndarray, scale: np.ndarray, y: np.ndarray,
             break
         theta, loss = trial, trial_loss
     return theta[:d], float(theta[d])
+
+
+# The prepend scan and the audit replay over row gathers: every candidate
+# keeps its full-length loss vector, and a group's risk under the list or
+# the tree is read from a gather of all of the group's rows.
+
+class CandidatePool:
+    """Observed groups, the candidate fits, and each candidate's risk per group."""
+
+    def __init__(self, cache: PredictorCache, tree: GroupTree, spec: LearnerSpec,
+                 eps: EpsilonSpec, loss: Loss):
+        train = cache.ds
+        observed = [(g, r) for g, r in zip(tree.nodes, tree.row_index(train)) if len(r)]
+        self.groups = [g for g, _ in observed]
+        self.rows = [r for _, r in observed]
+        self.margins = np.array([epsilon(eps, len(r)) for r in self.rows])
+        self.candidates: list[tuple[str, object]] = [("ALL", cache.erm(spec))]
+        for g in sorted(self.groups, key=lambda g: g.id):
+            if not g.is_root:
+                self.candidates.append((g.id, cache.group_erm(spec, tree, g)))
+        self.losses = [loss.per_example(p, train) for _, p in self.candidates]
+        self.risks = np.array(
+            [[mean(losses[r]) for losses in self.losses] for r in self.rows],
+        ).reshape(len(self.groups), len(self.candidates))
+
+    def scan(self, row_loss: np.ndarray):
+        """Every (group, candidate) violation value under the per-row losses
+        ``row_loss``, and the index of the first maximum (None if no group
+        is observed)."""
+        list_risk = np.array([mean(row_loss[r]) for r in self.rows])
+        values = list_risk[:, None] - self.risks - self.margins[:, None]
+        if not values.size:
+            return values, None
+        return values, np.unravel_index(int(np.argmax(values)), values.shape)
+
+
+def prepend(cache: PredictorCache, tree: GroupTree, spec: LearnerSpec, eps: EpsilonSpec,
+            loss: Loss, cap: int | None = None) -> DecisionList:
+    """multigroup's prepend, each round scanning the full values matrix."""
+    if cap is None:
+        cap = 4 * len(tree)
+    eps = eps.with_context(group_count=len(tree), n_total=cache.ds.n)
+    pool = CandidatePool(cache, tree, spec, eps, loss)
+    entries: list[DecisionListEntry] = []
+    current = DecisionList(tree, entries, pool.candidates[0][1], spec, eps, loss)
+    row_loss = pool.losses[0].copy()
+    for rounds in range(cap + 1):
+        values, best = pool.scan(row_loss)
+        if best is None or values[best] <= 0:
+            return current
+        if rounds == cap:
+            raise PrependCapExceeded(cap, current)
+        gi, ci = best
+        source_id, predictor = pool.candidates[ci]
+        entries.insert(0, DecisionListEntry(pool.groups[gi], predictor, source_id))
+        r = pool.rows[gi]
+        row_loss[r] = pool.losses[ci][r]
+
+
+def termination_scan(dlist: DecisionList, cache: PredictorCache) -> list[tuple[str, str, float]]:
+    tree = dlist.tree
+    eps = dlist.eps_spec.with_context(group_count=len(tree), n_total=cache.ds.n)
+    row_loss = dlist.loss.per_example(dlist, cache.ds)
+    pool = CandidatePool(cache, tree, dlist.learner_spec, eps, dlist.loss)
+    values, _ = pool.scan(row_loss)
+    return [(pool.groups[gi].id, pool.candidates[ci][0], float(values[gi, ci]))
+            for gi, ci in zip(*np.nonzero(values > 0))]
+
+
+def monotonicity_audit(trace: list[TraceStep], cache: PredictorCache, tree: GroupTree,
+                       spec: LearnerSpec, eps: EpsilonSpec, loss: Loss) -> AuditVerdict:
+    """multigroup's audit replay, gathering every checked node's rows from
+    the pass's per-row losses after each step."""
+    expected_ids = [g.id for g in tree.nodes if not g.is_root]
+    if [t.group_id for t in trace] != expected_ids:
+        raise ValueError("trace does not match the tree's breadth-first order")
+    tree_pass = _Pass(cache, tree, spec, eps, loss)
+
+    def risk(j):
+        return mean(tree_pass.row_loss[tree_pass.rows[j]])
+
+    violations = []
+    bench = {0: (risk(0), epsilon(tree_pass.eps, len(tree_pass.rows[0])))}
+    for step, recorded in enumerate(trace, start=1):
+        followed_update = recorded.decision == "updated"
+        replayed = tree_pass.visit(step, lambda _: followed_update)
+        g = tree.nodes[step]
+        if replayed.n_g != recorded.n_g:
+            violations.append(
+                (step, g.id, "rule", f"recorded n_g={recorded.n_g}, data has {replayed.n_g}"))
+        err = replayed.err
+        if recorded.decision != replayed.decision:
+            violations.append((step, g.id, "rule", f"decision {recorded.decision!r}, the rule "
+                                                   f"gives {replayed.decision!r} (err={err})"))
+        if replayed.n_g == 0:
+            continue
+        if recorded.err is not None and abs(recorded.err - err) > TOL:
+            violations.append(
+                (step, g.id, "rule", f"recorded err={recorded.err}, replay err={err}"))
+        bench[step] = (replayed.candidate_risk, replayed.epsilon)
+        for h in tree.ancestors(g.id) if followed_update else [g]:
+            j = tree.index(h.id)
+            r, (bench_risk, margin) = risk(j), bench[j]
+            if r > bench_risk + margin + TOL:
+                violations.append((step, h.id, "margin",
+                                   f"risk {r} exceeds {bench_risk} + {margin}"))
+    return AuditVerdict(ok=not violations, violations=tuple(violations),
+                        replay=tree_pass.predictor(list(trace)))

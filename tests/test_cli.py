@@ -1,8 +1,12 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -296,6 +300,34 @@ def test_evaluate_jobs_must_be_at_least_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    code = "import sys, multigroup.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"
+
+
+def test_evaluate_with_more_jobs_than_trials_builds_no_pool(tmp_path, monkeypatch):
+    """One trial runs inline whatever --jobs says, and writes the report
+    that --jobs 1 writes."""
+    ds, csv_path = write_fixture(tmp_path)
+    doc = base_config(ds, csv_path)
+    doc["split"]["trials"] = 1
+    cfg = write_config(tmp_path, doc)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "one"),
+                 "--jobs", "1"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "four"),
+                 "--jobs", "4"]) == 0
+    for name in ("report.csv", "report.json"):
+        assert (tmp_path / "four" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_synth_emits_loadable_csv(tmp_path):
     spec_doc = {
         "attributes": {"grp": ["a", "b"]},
@@ -396,6 +428,29 @@ def test_synth_rejects_non_string_categories(tmp_path, capsys, attributes, leaf_
     bad = next(v for v in attributes + [leaf_value] if not isinstance(v, str))
     assert capsys.readouterr().err == ("error: malformed synthetic spec: TypeError(\"categories "
                                        f"of 'grp' must be strings, got {bad!r}\")\n")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("value", ["0.3", True, [0.1]], ids=["string", "bool", "list"])
+def test_synth_noise_must_be_a_json_number(tmp_path, capsys, value):
+    doc = json.loads((ROOT / "fixtures" / "synth.json").read_text())
+    doc["noise"] = value
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(json.dumps(doc))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().err == f"error: noise must be a number, got {value!r}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("label", [True, 1.0, "1", 2], ids=["bool", "float", "string", "two"])
+def test_synth_constant_label_must_be_the_integer_0_or_1(tmp_path, capsys, label):
+    leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": label}}
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(json.dumps({"attributes": {"grp": ["a"]}, "leaves": [leaf]}))
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().err == f"error: label must be the integer 0 or 1, got {label!r}\n"
     assert not out_csv.exists()
 
 
