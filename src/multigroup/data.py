@@ -53,6 +53,8 @@ def json_int(value, key: str) -> int:
     """An integer field read from JSON: an integral number such as ``3``,
     ``3.0`` or ``1e3``. Anything else (``2.7``, ``true``, ``"3"``, an
     infinity) raises ValueError naming ``key``."""
+    if type(value) is int:  # the common case, first
+        return value
     if isinstance(value, float) and math.isinf(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     if isinstance(value, float) and value.is_integer():
@@ -67,6 +69,8 @@ def json_float(value, key: str):
     or ``1e-9``, returned as given. Anything else (``true``, ``"0.5"``,
     ``[1]``) raises ValueError naming ``key``; range checks are the
     caller's."""
+    if type(value) is float:  # the common case, first
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return value

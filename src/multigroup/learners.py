@@ -343,6 +343,22 @@ def _pass_trees(n: int) -> int:
 
 _TINY = np.nextafter(0.0, 1.0)  # the least positive float: p = 0 alone is raised to it
 
+# The heaviest node, in bootstrap weight N, whose split search skips cuts
+# inside runs of same-label samples (_best_splits). Moving mass of one label
+# across a cut changes the children's weighted entropy E by a concave
+# function whose second derivative is at most -1/N^2 in a mixed node, so a
+# cut between two such samples, each of weight >= 1, has E at least 1/(2N^2)
+# above the better of the cuts at its run's ends: a gain lower by at least
+# 1/(2N^3) >= 2^-43 here. _cut_gains computes a gain to within 20 units of
+# 2^-53: one rounding of p moves the entropy by at most ln(N) < 10 of them,
+# and numpy's log, the products, sums and the division add under 10 more
+# (random cuts of up to 2^14 samples measured under 9 in all). Two computed
+# gains are then ordered as the exact ones whenever these differ by 2^-47,
+# a sixteenth of the gap, so no skipped cut is, or ties, the first maximum.
+# In a one-class node every gain is 0, and a node's first cut is never
+# skipped.
+_CONCAVE_WEIGHT = 1 << 14
+
 
 def _entropy_in_range(p: np.ndarray) -> np.ndarray:
     """Binary entropy in nats of p in [0, 1], in two new buffers.
@@ -391,7 +407,11 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
     The candidate thresholds are the boundaries between distinct sorted
     values inside a node. Features are scanned in index order and
     thresholds in ascending order, so ties resolve to the lowest feature
-    index and lowest threshold. Rows of order are scored a block at a time,
+    index and lowest threshold. In a node of weight at most _CONCAVE_WEIGHT
+    a cut is not scored when the cuts either side of it are candidates too
+    and the two samples between them have the same label: it scores below
+    one of those (Fayyad and Irani 1992), so the first maximum is the same
+    as over every candidate. Rows of order are scored a block at a time,
     as many per block as keep it within _SPLIT_BLOCK values, and read X
     with 1-D take on flat indices.
 
@@ -405,10 +425,12 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
     sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
     step = _block_rows(k, m)
     # Per position of a block's rows laid end to end: its node, the ids
-    # left of a cut after it, and whether a cut after it is inside its node.
+    # left of a cut after it, whether a cut after it is inside its node,
+    # and whether its node may skip cuts inside runs.
     node_of = np.tile(np.repeat(np.arange(count), lengths), step)
     ids_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, lengths), step)
     inside = np.tile(ids_left_at[:m] < np.repeat(lengths, lengths), step)[:-1]
+    light = np.tile(np.repeat(sizes <= _CONCAVE_WEIGHT, lengths), step)
     row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
     parent = _entropy_in_range(pos / sizes)
     gain = np.full(count, -np.inf)
@@ -421,8 +443,16 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
         ids = order[c0:c0 + step]
         rows, width = len(ids), ids.size
         values = X.take(ids + row_at[c0:c0 + step]).ravel()
-        np.cumsum(wy.take(ids), out=cum[1:width + 1])  # rows end to end
-        f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
+        drawn = wy.take(ids).ravel()
+        np.cumsum(drawn, out=cum[1:width + 1])  # rows end to end
+        cut = (values[:-1] < values[1:]) & inside[:width - 1]
+        if width > 3:  # cut f + 1 is inside a run when cuts f and f + 2 are candidates
+            label = drawn.imag > 0
+            inner = cut[:-2] & cut[2:]
+            inner &= label[1:-2] == label[2:-1]
+            inner &= light[1:width - 2]
+            cut[1:-1] &= ~inner
+        f = np.flatnonzero(cut)
         if f.size == 0:
             continue
         s = node_of[f]
@@ -571,54 +601,74 @@ def _out_of_range(values: np.ndarray, bound: int):
     return int(bad[0]) if bad.size else None
 
 
-def _flatten(root: dict, columns=None) -> _FlatTree:
-    """One tree as a forest of one. columns maps the tree's feature indices
-    to columns of X; a split on a feature outside columns, a threshold that
-    is not finite or a leaf score outside [0, 1] raises ValueError."""
-    nodes, depths = [root], [0]
+def _flat_forest(roots, subsets) -> _FlatTree:
+    """The trees as one node table, built in one pass over their nodes.
+    subsets[t] maps tree t's feature indices to columns of X.
+
+    A split's feature must be an integer and its threshold and a leaf's
+    score numbers; a tree that breaks this raises as it is read. Then, in
+    each tree, a threshold that is not finite, a leaf score outside [0, 1]
+    and a split on a feature outside its subset raise ValueError, in that
+    order, the first faulty tree's fault first, before a later tree's
+    unreadable field.
+    """
+    first, depth = [], 0
     feature, threshold, child, value = [], [], [], []
-    for i, node in enumerate(nodes):
-        if "feature" in node:
-            feature.append(json_int(node["feature"], "feature"))
-            threshold.append(float(node["threshold"]))
-            child += [len(nodes) + 1, len(nodes)]
-            value.append(0.0)
-            nodes += [node["left"], node["right"]]
-            depths += [depths[i] + 1] * 2
-        else:
-            feature.append(0)
-            threshold.append(0.0)
-            child += [i, i]
-            value.append(float(node["score"]))
-    bad = next((t for t in threshold if not np.isfinite(t)), None)
-    if bad is not None:
-        raise ValueError(f"a tree splits at threshold {bad}, which is not finite")
-    bad = next((v for v in value if not 0.0 <= v <= 1.0), None)
-    if bad is not None:
-        raise ValueError(f"a tree leaf score must be in [0, 1], got {bad}")
-    feature, child = np.array(feature, dtype=np.intp), np.array(child, dtype=np.intp)
-    if columns is not None:
-        columns = np.asarray(columns, dtype=np.intp)
-        split = child[1::2] != np.arange(len(nodes))
-        bad = _out_of_range(feature[split], len(columns))
-        if bad is not None:
-            raise ValueError(f"a tree splits on feature {bad}, outside its {len(columns)} features")
-        feature[split] = columns[feature[split]]
-    return _FlatTree(feature, np.array(threshold), child, np.array(value),
-                     np.zeros(1, dtype=np.intp), max(depths))
-
-
-def _forest(trees: list[_FlatTree]) -> _FlatTree:
-    """The trees as one node table, each tree's node ids shifted past the
-    nodes of the trees before it."""
-    shift = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
-    return _FlatTree(
-        np.concatenate([tree.feature for tree in trees]),
-        np.concatenate([tree.threshold for tree in trees]),
-        np.concatenate([tree.child + s for tree, s in zip(trees, shift)]),
-        np.concatenate([tree.value for tree in trees]),
-        np.concatenate([tree.roots + s for tree, s in zip(trees, shift)]),
-        max(tree.depth for tree in trees))
+    unreadable = None
+    for root in roots:
+        first.append(len(value))
+        level, below = [root], 0
+        ids = len(value) + 1  # the ids handed out so far, in breadth-first order
+        try:
+            while level:
+                deeper = []
+                for node in level:
+                    if "feature" in node:
+                        feature.append(json_int(node["feature"], "feature"))
+                        threshold.append(float(json_float(node["threshold"], "threshold")))
+                        child += (ids + 1, ids)
+                        ids += 2
+                        value.append(0.0)
+                        deeper += (node["left"], node["right"])
+                    else:
+                        i = len(value)
+                        feature.append(0)
+                        threshold.append(0.0)
+                        child += (i, i)
+                        value.append(float(json_float(node["score"], "score")))
+                level, below = deeper, below + bool(deeper)
+        except (KeyError, TypeError, ValueError) as exc:
+            unreadable, count = exc, first.pop()  # check the trees read in full first
+            break
+        depth = max(depth, below)
+    else:
+        count = len(value)
+    feature = np.array(feature[:count], dtype=np.intp)
+    threshold = np.array(threshold[:count])
+    child = np.array(child[:2 * count], dtype=np.intp)
+    value = np.array(value[:count])
+    first = np.array(first, dtype=np.intp)
+    tree_of = np.searchsorted(first, np.arange(count), side="right") - 1
+    widths = np.array([len(subset) for subset in subsets[:len(first)]], dtype=np.intp)
+    split = child[1::2] != np.arange(count)
+    bad_threshold = ~np.isfinite(threshold)
+    bad_value = ~((0.0 <= value) & (value <= 1.0))
+    bad_feature = split & ((feature < 0) | (feature >= widths[tree_of]))
+    faulty = bad_threshold | bad_value | bad_feature
+    if faulty.any():
+        t = tree_of[np.argmax(faulty)]
+        in_tree = tree_of == t
+        if (bad := bad_threshold & in_tree).any():
+            raise ValueError(f"a tree splits at threshold {threshold[bad][0]}, which is not finite")
+        if (bad := bad_value & in_tree).any():
+            raise ValueError(f"a tree leaf score must be in [0, 1], got {value[bad][0]}")
+        bad = feature[bad_feature & in_tree][0]
+        raise ValueError(f"a tree splits on feature {bad}, outside its {widths[t]} features")
+    if unreadable is not None:
+        raise unreadable
+    feature[split] = np.concatenate(subsets).astype(np.intp)[
+        (np.cumsum(widths) - widths)[tree_of[split]] + feature[split]]
+    return _FlatTree(feature, threshold, child, value, first, depth)
 
 
 def _flat_scores(forest: _FlatTree, X: np.ndarray) -> np.ndarray:
@@ -654,7 +704,7 @@ class DecisionTreePredictor(_Predictor):
         self.root = root
         self.encoder = encoder
         self.provenance = provenance
-        self._flat = _flatten(root, np.arange(encoder.width))
+        self._flat = _flat_forest([root], [np.arange(encoder.width)])
 
     def depth(self) -> int:
         return self._flat.depth
@@ -685,8 +735,7 @@ class BaggedTreesPredictor(_Predictor):
             if bad is not None:
                 raise ValueError(f"feature subset index {bad} is outside the "
                                  f"{encoder.width} encoded features")
-        forest = _forest([_flatten(root, subset)
-                          for root, subset in zip(trees, self.feature_subsets)])
+        forest = _flat_forest(trees, self.feature_subsets)
         self._flat = forest._replace(value=(forest.value >= 0.5) * 1.0)  # a leaf's vote
 
     def scores(self, ds: Dataset) -> np.ndarray:
@@ -876,19 +925,32 @@ class PredictorCache:
 # Predictor (de)serialization
 # ---------------------------------------------------------------------------
 
+_PREDICTOR_KEYS = {
+    "constant": {"score"},
+    "logistic": {"weights", "intercept", "mean", "scale"},
+    "tree": {"root"},
+    "bagged_trees": {"trees", "feature_subsets"},
+}
+
+
 def predictor_from_json(doc: dict, encoder: FeatureEncoder):
+    """The predictor a ``to_json`` document describes. A key that no
+    predictor of its type writes, or a parameter that is not a JSON number
+    (an integer for a feature index), raises ValueError naming it."""
     ptype = doc["type"]
+    if ptype not in tuple(_PREDICTOR_KEYS):  # compares, so a list reads as unknown too
+        raise ValueError(f"unknown predictor type {ptype!r}")
+    check_keys(doc, _PREDICTOR_KEYS[ptype] | {"type", "provenance"}, "predictor")
+    provenance = doc.get("provenance", "")
     if ptype == "constant":
-        return ConstantPredictor(doc["score"], doc.get("provenance", ""))
+        return ConstantPredictor(json_float(doc["score"], "score"), provenance)
     if ptype == "logistic":
-        return LogisticPredictor(
-            doc["weights"], doc["intercept"], doc["mean"], doc["scale"],
-            encoder, doc.get("provenance", ""),
-        )
+        numbers = {key: [json_float(v, key) for v in doc[key]]
+                   for key in ("weights", "mean", "scale")}
+        return LogisticPredictor(numbers["weights"], json_float(doc["intercept"], "intercept"),
+                                 numbers["mean"], numbers["scale"], encoder, provenance)
     if ptype == "tree":
-        return DecisionTreePredictor(doc["root"], encoder, doc.get("provenance", ""))
-    if ptype == "bagged_trees":
-        return BaggedTreesPredictor(
-            doc["trees"], doc["feature_subsets"], encoder, doc.get("provenance", ""),
-        )
-    raise ValueError(f"unknown predictor type {ptype!r}")
+        return DecisionTreePredictor(doc["root"], encoder, provenance)
+    subsets = [[json_int(v, "feature_subsets") for v in subset]
+               for subset in doc["feature_subsets"]]
+    return BaggedTreesPredictor(doc["trees"], subsets, encoder, provenance)

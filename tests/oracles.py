@@ -5,7 +5,8 @@ root-to-leaf descent per row, one fit on every row, a CSV parsed cell by
 cell and written row by row, one leaf's group codes at a time, a logistic
 score of standardized rows, a Newton step that recomputes every product,
 a group's risk under a changing predictor gathered from all of the group's
-rows. The package
+rows, a split search that scores every cut, a bag's node table built one
+tree at a time. The package
 computes the same results faster or from less code, and the tests hold it
 to these.
 """
@@ -26,11 +27,11 @@ from multigroup.algorithms import AuditVerdict, DecisionList, DecisionListEntry,
 from multigroup.algorithms.group_tree import TOL, _Pass
 from multigroup.bounds import EpsilonSpec, epsilon
 from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, \
-    DataError, Dataset, SchemaError, SyntheticSpec
+    DataError, Dataset, SchemaError, SyntheticSpec, json_int
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
-    FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _entropy_in_range, _pass_trees, \
-    _presort, fit, logistic_loss, sigmoid
+    FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _cut_gains, _entropy_in_range, \
+    _FlatTree, _left_of, _out_of_range, _pass_trees, _presort, fit, logistic_loss, sigmoid
 from multigroup.risk import Loss, mean
 
 
@@ -579,6 +580,138 @@ def fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
         X = XT[columns].reshape(k, count * n)
         trees += grow_tree(X, np.tile(y, count), sample, np.full(count, n), spec.max_depth)
     return trees, subsets
+
+
+# The split search over every cut between distinct values, and a bag's node
+# table built one tree at a time and then joined.
+
+def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
+    """Best (feature, threshold) of each node of one forest level, by
+    entropy reduction.
+
+    The level's nodes are contiguous segments of order's columns (start,
+    length), and row c of a segment lists its sample ids sorted by feature
+    c, which is X[c]; ids index the columns of X and wy. wy holds each id's
+    weight, how often a bootstrap drew it, as its real part and its
+    weighted label as its imaginary part, so one cumulative sum counts
+    both. A node's size and positives are its weights and weighted labels
+    in total. Both are integers, so every count below is exact and equals
+    the count of a sample that repeats each id as often as drawn.
+    The candidate thresholds are the boundaries between distinct sorted
+    values inside a node. Features are scanned in index order and
+    thresholds in ascending order, so ties resolve to the lowest feature
+    index and lowest threshold. Rows of order are scored a block at a time,
+    as many per block as keep it within _SPLIT_BLOCK values, and read X
+    with 1-D take on flat indices.
+
+    Returns per node: the gain (-inf if no feature has two distinct
+    values), the feature, the last position left of the cut, the threshold
+    (the midpoint of the values either side of the cut), and the size and
+    positives left of it.
+    """
+    k, m = order.shape
+    count = len(starts)
+    sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
+    step = _block_rows(k, m)
+    # Per position of a block's rows laid end to end: its node, the ids
+    # left of a cut after it, and whether a cut after it is inside its node.
+    node_of = np.tile(np.repeat(np.arange(count), lengths), step)
+    ids_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, lengths), step)
+    inside = np.tile(ids_left_at[:m] < np.repeat(lengths, lengths), step)[:-1]
+    row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
+    parent = _entropy_in_range(pos / sizes)
+    gain = np.full(count, -np.inf)
+    feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+    lo, hi = np.zeros(count), np.zeros(count)
+    size_left, pos_left = np.zeros(count), np.zeros(count)
+    cum = np.zeros(step * m + 1, dtype=np.complex128)  # cum[f] = wy before flat position f
+    cum_w, cum_yw = cum.real, cum.imag
+    for c0 in range(0, k, step):
+        ids = order[c0:c0 + step]
+        rows, width = len(ids), ids.size
+        values = X.take(ids + row_at[c0:c0 + step]).ravel()
+        np.cumsum(wy.take(ids), out=cum[1:width + 1])  # rows end to end
+        f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
+        if f.size == 0:
+            continue
+        s = node_of[f]
+        gains = _cut_gains(*_left_of(f, ids_left_at, cum_w, cum_yw), s, sizes, pos, parent)
+        # The cuts run by row, then by node: the best gain of each (row,
+        # node) segment of them, then of each node, and the first cut that
+        # reaches it, in the first segment that does.
+        seg_lo = np.searchsorted(f, (np.arange(rows)[:, None] * m + starts).ravel())
+        cut_in = seg_lo < np.append(seg_lo[1:], f.size)
+        seg_top = np.full(rows * count, -np.inf)
+        seg_top[cut_in] = np.maximum.reduceat(gains, seg_lo[cut_in])
+        seg_top = seg_top.reshape(rows, count)
+        top = seg_top.max(axis=0)
+        won = np.flatnonzero(top > gain)
+        if won.size == 0:
+            continue
+        hit = np.flatnonzero(gains == top[s])
+        first_row = np.argmax(seg_top[:, won] == top[won], axis=0)
+        k_won = hit[np.searchsorted(hit, seg_lo[first_row * count + won])]
+        gain[won] = top[won]
+        f = f[k_won]
+        feature[won] = c0 + f // m
+        at[won] = f % m
+        lo[won] = values[f]
+        hi[won] = values[f + 1]
+        size_left[won], pos_left[won] = _left_of(f, ids_left_at, cum_w, cum_yw)
+    threshold = lo + (hi - lo) / 2.0
+    rounded_up = threshold >= hi  # midpoint rounded up onto the right value
+    threshold[rounded_up] = lo[rounded_up]
+    return gain, feature, at, threshold, size_left, pos_left
+
+
+def flatten(root: dict, columns=None) -> _FlatTree:
+    """One tree as a forest of one. columns maps the tree's feature indices
+    to columns of X; a split on a feature outside columns, a threshold that
+    is not finite or a leaf score outside [0, 1] raises ValueError."""
+    nodes, depths = [root], [0]
+    feature, threshold, child, value = [], [], [], []
+    for i, node in enumerate(nodes):
+        if "feature" in node:
+            feature.append(json_int(node["feature"], "feature"))
+            threshold.append(float(node["threshold"]))
+            child += [len(nodes) + 1, len(nodes)]
+            value.append(0.0)
+            nodes += [node["left"], node["right"]]
+            depths += [depths[i] + 1] * 2
+        else:
+            feature.append(0)
+            threshold.append(0.0)
+            child += [i, i]
+            value.append(float(node["score"]))
+    bad = next((t for t in threshold if not np.isfinite(t)), None)
+    if bad is not None:
+        raise ValueError(f"a tree splits at threshold {bad}, which is not finite")
+    bad = next((v for v in value if not 0.0 <= v <= 1.0), None)
+    if bad is not None:
+        raise ValueError(f"a tree leaf score must be in [0, 1], got {bad}")
+    feature, child = np.array(feature, dtype=np.intp), np.array(child, dtype=np.intp)
+    if columns is not None:
+        columns = np.asarray(columns, dtype=np.intp)
+        split = child[1::2] != np.arange(len(nodes))
+        bad = _out_of_range(feature[split], len(columns))
+        if bad is not None:
+            raise ValueError(f"a tree splits on feature {bad}, outside its {len(columns)} features")
+        feature[split] = columns[feature[split]]
+    return _FlatTree(feature, np.array(threshold), child, np.array(value),
+                     np.zeros(1, dtype=np.intp), max(depths))
+
+
+def forest(trees: list[_FlatTree]) -> _FlatTree:
+    """The trees as one node table, each tree's node ids shifted past the
+    nodes of the trees before it."""
+    shift = np.cumsum([0] + [len(tree.value) for tree in trees[:-1]])
+    return _FlatTree(
+        np.concatenate([tree.feature for tree in trees]),
+        np.concatenate([tree.threshold for tree in trees]),
+        np.concatenate([tree.child + s for tree, s in zip(trees, shift)]),
+        np.concatenate([tree.value for tree in trees]),
+        np.concatenate([tree.roots + s for tree, s in zip(trees, shift)]),
+        max(tree.depth for tree in trees))
 
 
 # Logistic fits the standardized way: every score standardizes a copy of its

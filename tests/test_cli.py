@@ -720,6 +720,11 @@ def _break_tree_model(predictor, case):
         predictor["root"]["threshold"] = math.nan
     elif case == "tree_nan_leaf_score":
         predictor["root"]["left"]["left"]["score"] = math.nan
+    elif case == "subset_entries_fraction_and_string":
+        predictor["feature_subsets"][0] = [1.7, "3"]
+    elif case == "bagged_threshold_a_string":
+        split = predictor["trees"][0]["right"]
+        split["threshold"] = str(split["threshold"])
     else:
         assert case == "tree_split_feature_negative"
         predictor["root"]["feature"] = -1
@@ -735,11 +740,14 @@ def _break_tree_model(predictor, case):
     ("tree", "tree_split_feature_infinite", "feature must be finite, got inf"),
     ("tree", "tree_nan_threshold", "a tree splits at threshold nan, which is not finite"),
     ("tree", "tree_nan_leaf_score", "a tree leaf score must be in [0, 1], got nan"),
+    ("bagged", "subset_entries_fraction_and_string", "feature_subsets must be an integer, got 1.7"),
+    ("bagged", "bagged_threshold_a_string", "threshold must be a number, got '1.985005055364894'"),
 ])
 def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learner, case,
                                             message):
     """A tree or bag whose splits or feature subsets do not fit the encoded
-    features is refused when the model is rebuilt, before any scoring."""
+    features, or are not JSON numbers, is refused when the model is
+    rebuilt, before any scoring."""
     monkeypatch.chdir(ROOT)
     if learner == "bagged":
         model_path = ROOT / "fixtures" / "golden_bagged" / "mgl_tree.bagged5_depth3.model.json"
@@ -759,8 +767,8 @@ def test_audit_rejects_malformed_tree_model(tmp_path, monkeypatch, capsys, learn
 
 
 def _break_fit(doc, case):
-    """Give one stored fit of a demo model a parameter no fit can have; the
-    tree cases are in _break_tree_model."""
+    """Give one stored fit of a demo model a parameter no fit can have, or
+    one a fit never writes; the tree cases are in _break_tree_model."""
     nodes = {n["id"]: n for n in doc.get("nodes", ())}
     if case == "weight_dropped":
         nodes["grp=a"]["predictor"]["weights"].pop()
@@ -774,6 +782,14 @@ def _break_fit(doc, case):
         doc["default"]["weights"] = [math.nan] * 4
     elif case == "subnormal_scale":  # weights / scale overflows
         nodes["ALL"]["predictor"]["scale"][0] = 1e-320
+    elif case == "weight_a_string":  # the string of the stored number
+        weights = nodes["ALL"]["predictor"]["weights"]
+        weights[0] = str(weights[0])
+    elif case == "intercept_a_string":
+        predictor = nodes["ALL"]["predictor"]
+        predictor["intercept"] = str(predictor["intercept"])
+    elif case == "unknown_key":
+        nodes["ALL"]["predictor"]["bogus"] = 1
     else:
         assert case == "constant_score_7.5"
         nodes["ALL"]["predictor"] = {"type": "constant", "score": 7.5}
@@ -788,11 +804,17 @@ def _break_fit(doc, case):
     ("mgl_tree.logistic", "subnormal_scale", "logistic fit 'logistic@ALL': weights / scale or "
      "intercept - mean @ (weights / scale) is not finite"),
     ("mgl_tree.logistic", "constant_score_7.5", "a constant score must be in [0, 1], got 7.5"),
+    ("mgl_tree.logistic", "weight_a_string", "weights must be a number, got '0.03251287996104201'"),
+    ("mgl_tree.logistic", "intercept_a_string",
+     "intercept must be a number, got '0.08415332436325353'"),
+    ("mgl_tree.logistic", "unknown_key", "unknown predictor keys: ['bogus']"),
 ])
 def test_audit_rejects_impossible_fit_parameters(tmp_path, monkeypatch, capsys, model, case,
                                                  message):
     """A stored fit with a parameter that no fit can have is refused when
-    the model is rebuilt, even when the fit answers no training row."""
+    the model is rebuilt, even when the fit answers no training row. So is
+    one a fit never writes, such as a number written as a string, or an
+    extra key, though it would score as its refit does."""
     monkeypatch.chdir(ROOT)
     doc = json.loads((ROOT / "demo" / "models" / f"{model}.model.json").read_text())
     _break_fit(doc, case)

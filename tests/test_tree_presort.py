@@ -34,15 +34,13 @@ from multigroup.learners import (
     LearnerSpec,
     _fit_bagged,
     _flat_scores,
-    _flatten,
-    _forest,
     _grow_tree,
     _pass_trees,
     _presort,
     PredictorCache,
 )
 
-from oracles import entropy
+from oracles import entropy, flatten as _flatten, forest as _forest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
