@@ -26,6 +26,7 @@ LABEL = "binary-label"
 _KINDS = (CATEGORICAL, NUMERIC, LABEL)
 
 _SEED_MASK = (1 << 64) - 1
+_INT64 = 1 << 63
 
 
 class SchemaError(ValueError):
@@ -49,31 +50,45 @@ def check_keys(doc: Mapping, allowed: set, what: str, error=ValueError) -> None:
         raise error(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def json_int(value, key: str) -> int:
+def json_int(value, key: str, int64: bool = False) -> int:
     """An integer field read from JSON: an integral number such as ``3``,
     ``3.0`` or ``1e3``. Anything else (``2.7``, ``true``, ``"3"``, an
-    infinity) raises ValueError naming ``key``."""
-    if type(value) is int:  # the common case, first
-        return value
-    if isinstance(value, float) and math.isinf(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    infinity), or with ``int64`` a value outside [-2^63, 2^63), raises
+    ValueError naming ``key``."""
+    if type(value) is not int:  # the common case skips this
+        if isinstance(value, float) and math.isinf(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if int64 and not -_INT64 <= value < _INT64:
+        raise ValueError(f"{key} must be an integer that fits in 64 bits, got {_digits(value)}")
     return value
 
 
 def json_float(value, key: str):
     """A real-valued field read from JSON: a number such as ``0.5``, ``1``
     or ``1e-9``, returned as given. Anything else (``true``, ``"0.5"``,
-    ``[1]``) raises ValueError naming ``key``; range checks are the
-    caller's."""
+    ``[1]``, an integer too large for a float) raises ValueError naming
+    ``key``; range checks are the caller's."""
     if type(value) is float:  # the common case, first
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{key} must be a number a float can hold, "
+                             f"got {_digits(value)}") from None
     return value
+
+
+def _digits(value: int) -> str:
+    """An integer as written, or its length when it is too long to show."""
+    text = str(value)
+    return text if len(text) <= 24 else f"an integer of {len(text.lstrip('-'))} digits"
 
 
 def float_to_json(x: float | None):

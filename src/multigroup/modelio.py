@@ -77,7 +77,9 @@ def _dump(doc: dict, path) -> None:
 def stored_learner(doc: dict) -> LearnerSpec:
     """The learner spec of a model file. Logistic models written before
     ``LearnerSpec.solver`` existed were fit by gradient descent, so a stored
-    logistic learner without a solver reads as ``"gd"``."""
+    logistic learner without a solver reads as ``"gd"``. A stored solver is
+    read as written: a ``"newton"`` file refits without the margin stop of
+    ``"newton_margin"``, the default for new fits."""
     learner = dict(doc["learner"])
     if learner.get("kind") == "logistic":
         learner.setdefault("solver", "gd")

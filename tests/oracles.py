@@ -30,8 +30,9 @@ from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSc
     DataError, Dataset, SchemaError, SyntheticSpec, json_int
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
-    FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _cut_gains, _entropy_in_range, \
-    _FlatTree, _left_of, _out_of_range, _pass_trees, _presort, fit, logistic_loss, sigmoid
+    _SEPARATED_MARGIN, FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _cut_gains, \
+    _entropy_in_range, _FlatTree, _left_of, _out_of_range, _pass_trees, _presort, fit, \
+    logistic_loss, sigmoid
 from multigroup.risk import Loss, mean
 
 
@@ -735,7 +736,8 @@ def newton(X: np.ndarray, mean: np.ndarray, scale: np.ndarray, y: np.ndarray,
     Each step solves (H + ridge*I) step = gradient and halves the step until
     the loss does not increase. Stops when the gradient norm is below
     ``spec.tolerance``, when no halving lowers the loss, or after
-    ``spec.iterations`` steps.
+    ``spec.iterations`` steps; under ``"newton_margin"`` also before a step
+    where every row's margin on its label's side is >= _SEPARATED_MARGIN.
     """
     n, d = X.shape
     A = np.ones((n, d + 1))
@@ -744,7 +746,11 @@ def newton(X: np.ndarray, mean: np.ndarray, scale: np.ndarray, y: np.ndarray,
     theta = np.zeros(d + 1)
     loss = logistic_loss(theta, 0.0, A, y)
     for _ in range(spec.iterations):
-        p = sigmoid(A @ theta)
+        margins = A @ theta
+        if spec.solver == "newton_margin" and \
+                np.where(y == 1, margins, -margins).min() >= _SEPARATED_MARGIN:
+            break
+        p = sigmoid(margins)
         grad = A.T @ (p - y) / n
         if float(np.sqrt(np.dot(grad, grad))) < spec.tolerance:
             break

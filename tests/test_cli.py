@@ -825,6 +825,48 @@ def test_audit_rejects_impossible_fit_parameters(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("field, message", [
+    ("weights", "a number a float can hold"),
+    ("threshold", "a number a float can hold"),
+    ("feature_subsets", "an integer that fits in 64 bits"),
+    ("feature", "an integer that fits in 64 bits"),
+    ("learning_rate", "a number a float can hold"),
+    ("scale", "a number a float can hold"),
+    ("tolerance", "a number a float can hold"),
+])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, monkeypatch, capsys, field, message):
+    """A JSON integer of 401 digits, in a stored fit or in a run-config
+    field, exits 2 naming the field, not with an OverflowError traceback,
+    and is not written back into a model file."""
+    monkeypatch.chdir(ROOT)
+    huge = 10 ** 400
+    out = tmp_path / "out"
+    if field in REAL_FIELDS:
+        ds, csv_path = write_fixture(tmp_path)
+        cfg = write_config(tmp_path, base_config(ds, csv_path))
+        argv = ["train", "--config", str(cfg), "--out", str(out),
+                "--set", REAL_FIELDS[field].format(huge)]
+    else:
+        model = "demo/models/mgl_tree.logistic" if field == "weights" \
+            else "fixtures/golden_bagged/mgl_tree.bagged5_depth3"
+        doc = json.loads((ROOT / f"{model}.model.json").read_text())
+        predictor = doc["nodes"][0]["predictor"]
+        if field == "weights":
+            predictor["weights"][0] = huge
+        elif field == "feature_subsets":
+            predictor["feature_subsets"][0][0] = huge
+        else:  # the split at the root of the bag's first tree
+            predictor["trees"][0][field] = huge
+        broken = tmp_path / "broken.model.json"
+        broken.write_text(json.dumps(doc))
+        argv = ["audit", "--model", str(broken), "--data", "demo/data.csv"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {field} must be {message}, got an integer of 401 digits\n"
+    assert not out.exists()
+
+
 # grp=a has 6 rows labelled 1, grp=b 4 labelled 0, and grp=c none
 EMPTY_C = SyntheticSpec(
     attributes={"grp": ("a", "b", "c")},
@@ -1310,7 +1352,7 @@ def test_legacy_gradient_descent_model_audits_clean(tmp_path, capsys):
 def test_new_logistic_model_records_newton(tmp_path, capsys):
     ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=20, noise=0.1))
     cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"],
-                                             learners=[{"kind": "logistic"}]))
+                                             learners=[{"kind": "logistic", "solver": "newton"}]))
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     model = out / "mgl_tree.logistic.model.json"
@@ -1320,6 +1362,63 @@ def test_new_logistic_model_records_newton(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", "--model", str(model), "--data", str(csv_path)]) == 0
     assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+@pytest.mark.parametrize("model, solver", [
+    ("fixtures/newton/mgl_tree.logistic", "newton"),
+    ("fixtures/newton/prepend.logistic", "newton"),
+    ("fixtures/newton/erm.logistic", "newton"),
+    ("fixtures/legacy_gd/mgl_tree.logistic", "gd"),
+])
+def test_model_files_of_every_solver_audit_clean(capsys, model, solver):
+    """fixtures/newton holds demo/models' auditable logistic files as they
+    were trained when "newton" was the default; each file refits with the
+    rule it records."""
+    path = ROOT / f"{model}.model.json"
+    assert stored_learner(json.loads(path.read_text())).solver == solver
+    capsys.readouterr()
+    assert main(["audit", "--model", str(path), "--data", str(ROOT / "demo" / "data.csv")]) == 0
+    assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+def _separable_erm_model(tmp_path):
+    """An erm logistic file trained with the default solver on two groups
+    that share one planted separator, without noise: separable rows."""
+    w = (1.0, -0.7)
+    spec = SyntheticSpec(
+        attributes={"grp": ("a", "b")},
+        leaves=tuple(SyntheticLeaf({"grp": c}, LeafRule("linear", weights=w), 20) for c in "ab"),
+        feature_dim=2)
+    ds, csv_path = write_fixture(tmp_path, spec)
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["erm"],
+                                             learners=[{"kind": "logistic"}]))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "erm.logistic.model.json", csv_path
+
+
+@pytest.mark.parametrize("edit, code, out", [
+    (None, 0, "AUDIT CLEAN\n"),
+    ("weight", 1, "stored fit differs from its refit on the training data\n"
+                  "AUDIT FAILED: 1 problem(s)\n"),
+    ("newton", 1, "stored fit differs from its refit on the training data\n"
+                  "AUDIT FAILED: 1 problem(s)\n"),
+    ("lbfgs", 2, ""),
+])
+def test_margin_rule_is_recorded_and_enforced(tmp_path, capsys, edit, code, out):
+    """A "newton_margin" fit of separable rows stops before the "newton"
+    fit would, so its file audits clean only under the rule it records."""
+    model, csv_path = _separable_erm_model(tmp_path)
+    doc = json.loads(model.read_text())
+    assert doc["learner"]["solver"] == "newton_margin"
+    if edit == "weight":
+        doc["predictor"]["weights"][2] *= 1.5
+    elif edit is not None:
+        doc["learner"]["solver"] = edit
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model), "--data", str(csv_path)]) == code
+    assert capsys.readouterr() == (out, "error: unknown logistic solver 'lbfgs'\n" if code == 2
+                                   else "")
 
 
 def test_readme_commands_regenerate_demo(tmp_path, monkeypatch):

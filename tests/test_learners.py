@@ -170,7 +170,7 @@ def test_newton_separable_data_stops_with_finite_weights(monkeypatch):
     X = X[np.abs(X @ np.array([1.0, -2.0])) > 0.3]
     y = (X @ np.array([1.0, -2.0]) > 0).astype(np.int64)
     solves = count_solves(monkeypatch)
-    spec = LearnerSpec("logistic")
+    spec = LearnerSpec("logistic", solver="newton")
     predictor, _ = standardized_fit(X, y, spec)
     assert np.isfinite(predictor.weights).all() and np.isfinite(predictor.intercept)
     assert (predictor.predict(numeric_dataset(X, y)) == y).all()
@@ -181,22 +181,24 @@ def test_newton_constant_column_and_two_row_group():
     rng = np.random.default_rng(4)
     X = np.column_stack([rng.normal(size=50), np.full(50, 3.0)])
     y = (X[:, 0] + rng.normal(scale=0.5, size=50) > 0).astype(np.int64)
-    predictor, _ = standardized_fit(X, y, LearnerSpec("logistic"))
+    spec = LearnerSpec("logistic", solver="newton")
+    predictor, _ = standardized_fit(X, y, spec)
     assert np.isfinite(predictor.weights).all()
     assert predictor.weights[1] == 0.0  # the constant column standardizes to 0
     ds = numeric_dataset(X, y)
     mask = np.zeros(50, dtype=bool)
     mask[[np.argmax(y), np.argmin(y)]] = True
-    pair = fit(LearnerSpec("logistic"), ds, mask)
+    pair = fit(spec, ds, mask)
     assert np.isfinite(pair.weights).all() and np.isfinite(pair.intercept)
     assert (pair.predict(ds)[mask] == y[mask]).all()
 
 
 def test_solver_is_recorded_and_validated():
-    assert LearnerSpec("logistic").solver == "newton"
-    assert LearnerSpec("logistic").to_json()["solver"] == "newton"
-    spec = LearnerSpec("logistic", solver="gd")
-    assert LearnerSpec.from_json(spec.to_json()) == spec
+    assert LearnerSpec("logistic").solver == "newton_margin"
+    assert LearnerSpec("logistic").to_json()["solver"] == "newton_margin"
+    for solver in ("newton_margin", "newton", "gd"):
+        spec = LearnerSpec("logistic", solver=solver)
+        assert LearnerSpec.from_json(spec.to_json()) == spec
     assert "solver" not in LearnerSpec("tree").to_json()
     with pytest.raises(ValueError, match="unknown logistic solver 'lbfgs'"):
         LearnerSpec("logistic", solver="lbfgs")

@@ -15,13 +15,15 @@ a quarter of that plus 4 eps, and labels agree wherever the reference's
 its rounding.
 
 ``learners._newton`` reuses each accepted step's margins and builds its
-ridge once; ``oracles.newton`` recomputes both every step. Every fit must
-be byte-identical, with the same number of linear solves.
+ridge once; ``oracles.newton`` recomputes both every step. Under both
+Newton rules, ``"newton"`` and ``"newton_margin"``, every fit must be
+byte-identical, with the same number of linear solves.
 """
 
 import hashlib
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from test_learners import count_solves, numeric_dataset
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 EPS = np.finfo(np.float64).eps
 SPEC = LearnerSpec("logistic")
+NEWTON_SPECS = [replace(SPEC, solver=solver) for solver in ("newton", "newton_margin")]
 
 
 def fit_both(fitter):
@@ -111,9 +114,10 @@ def mixed_dataset(rng, n: int, kinds: list[str]):
        kinds=st.lists(st.sampled_from(["categorical", "numeric"]), min_size=1, max_size=6))
 def test_newton_fits_and_folded_scores_match_the_standardized_reference(seed, n, kinds):
     ds = mixed_dataset(np.random.default_rng(seed), n, kinds)
-    predictor = assert_same_fit(lambda: fit(SPEC, ds, np.ones(ds.n, dtype=bool)))
-    assert isinstance(predictor, LogisticPredictor)
-    assert_scores_within_bound(predictor, ds)
+    for spec in NEWTON_SPECS:
+        predictor = assert_same_fit(lambda: fit(spec, ds, np.ones(ds.n, dtype=bool)))
+        assert isinstance(predictor, LogisticPredictor)
+        assert_scores_within_bound(predictor, ds)
 
 
 def test_separable_fit_matches_reference():
@@ -123,8 +127,9 @@ def test_separable_fit_matches_reference():
     X = X[np.abs(X @ np.array([1.0, -2.0])) > 0.3]
     y = (X @ np.array([1.0, -2.0]) > 0).astype(np.int64)
     ds = numeric_dataset(X, y)
-    predictor = assert_same_fit(lambda: fit(SPEC, ds, np.ones(ds.n, dtype=bool)))
-    assert_scores_within_bound(predictor, ds)
+    for spec in NEWTON_SPECS:
+        predictor = assert_same_fit(lambda: fit(spec, ds, np.ones(ds.n, dtype=bool)))
+        assert_scores_within_bound(predictor, ds)
 
 
 def test_constant_column_and_two_row_group_fits_match_reference():
@@ -134,37 +139,39 @@ def test_constant_column_and_two_row_group_fits_match_reference():
     ds = numeric_dataset(X, y)
     pair = np.zeros(50, dtype=bool)
     pair[[np.argmax(y), np.argmin(y)]] = True
-    for mask in (np.ones(50, dtype=bool), pair):
-        predictor = assert_same_fit(lambda: fit(SPEC, ds, mask))
-        assert_scores_within_bound(predictor, ds)
+    for spec in NEWTON_SPECS:
+        for mask in (np.ones(50, dtype=bool), pair):
+            predictor = assert_same_fit(lambda: fit(spec, ds, mask))
+            assert_scores_within_bound(predictor, ds)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_census_logistic_group_fits_match_reference(monkeypatch, seed):
-    """The 46 group fits of the census_logistic benchmark workload hash the
-    same as the reference Newton's, with as many solves, and score every row
-    within the bound. Fits of small separable groups, with weights in the
-    hundreds, move a score by up to 1.1e-14 here: their margins are small
-    differences of large terms."""
+    """The 46 group fits of the census_logistic benchmark workload, under
+    each Newton rule, hash the same as the reference Newton's, with as many
+    solves, and score every row within the bound. Fits of small separable
+    groups, with weights in the hundreds, move a score by up to 1.1e-14
+    here: their margins are small differences of large terms."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import workloads
 
     w = workloads.WORKLOADS["census_logistic"]
     ds = make_synthetic(w.spec(), seed)
     tree = build_hierarchy(ds.schema, list(w.attributes))
-    spec = LearnerSpec.from_json(w.learner)
+    for solver in ("newton", "newton_margin"):
+        spec = replace(LearnerSpec.from_json(w.learner), solver=solver)
 
-    def group_fits():
-        return PredictorCache(ds).group_fits(spec, tree)
+        def group_fits():
+            return PredictorCache(ds).group_fits(spec, tree)
 
-    (got, got_solves), (want, want_solves) = fit_both(group_fits)
-    assert len(got) == len(tree.nodes) == 46
-    digest = [hashlib.sha256(json.dumps([f.to_json() for f in fits.values()]).encode()).hexdigest()
-              for fits in (got, want)]
-    assert digest[0] == digest[1]
-    assert got_solves == want_solves
-    for predictor in got.values():
-        assert_scores_within_bound(predictor, ds)
+        (got, got_solves), (want, want_solves) = fit_both(group_fits)
+        assert len(got) == len(tree.nodes) == 46
+        digest = [hashlib.sha256(json.dumps([f.to_json() for f in fits.values()]).encode())
+                  .hexdigest() for fits in (got, want)]
+        assert digest[0] == digest[1]
+        assert got_solves == want_solves
+        for predictor in got.values():
+            assert_scores_within_bound(predictor, ds)
 
 
 @pytest.mark.parametrize("scale", [1e-320, 5e-324])
