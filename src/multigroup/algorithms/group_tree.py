@@ -11,12 +11,12 @@ deepest containing node that took one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..bounds import EpsilonSpec, epsilon, uc_width
-from ..data import Dataset, float_from_json, float_to_json
+from ..data import Dataset, check_keys, float_from_json, float_to_json, json_float, json_int
 from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache, _Predictor
 from ..risk import Loss, group_risks
@@ -52,15 +52,19 @@ class TraceStep:
 
     @staticmethod
     def from_json(doc) -> "TraceStep":
-        return TraceStep(
-            group_id=doc["group_id"],
-            n_g=doc["n_g"],
-            parent_risk=doc["parent_risk"],
-            candidate_risk=doc["candidate_risk"],
-            epsilon=float_from_json(doc["epsilon"]) if doc["epsilon"] is not None else math.inf,
-            err=float_from_json(doc["err"]),
-            decision=doc["decision"],
-        )
+        """A step as ``to_json`` writes it: string ``group_id`` and
+        ``decision``, an integer ``n_g``, and a number or null in each other
+        field (a null ``epsilon`` reads as inf). Another type, or an unknown
+        key, raises ValueError naming it."""
+        check_keys(doc, {f.name for f in fields(TraceStep)}, "trace step")
+        for key in ("group_id", "decision"):
+            if not isinstance(doc[key], str):
+                raise ValueError(f"{key} must be a string, got {doc[key]!r}")
+        real = {key: None if doc[key] is None else json_float(float_from_json(doc[key]), key)
+                for key in ("parent_risk", "candidate_risk", "epsilon", "err")}
+        if real["epsilon"] is None:
+            real["epsilon"] = math.inf
+        return TraceStep(**{**doc, **real, "n_g": json_int(doc["n_g"], "n_g")})
 
 
 class GroupTreePredictor:
@@ -192,7 +196,7 @@ def mgl_tree(
 def excess_risk_report(
     predictor: GroupTreePredictor,
     cache: PredictorCache,
-    bench: dict[str, float] | None = None,
+    steps: list[TraceStep],
 ) -> tuple[list[dict], list[dict]]:
     """Per-group excess of the fitted tree over the group-restricted fits
     on the cache's training set.
@@ -200,17 +204,17 @@ def excess_risk_report(
     Returns (rows, violations): one row per group with n_g >= 1 comparing
     the tree's training risk against the group fit's risk plus the margin;
     rows whose excess exceeds TOL are also returned as violations.
-    ``bench`` gives each observed non-root node's group-fit risk when the
-    caller already has it: the candidate risks of a pass on this training
-    set. Without it every group fit is scored here; the root's always is.
+    Each observed non-root node's group-fit risk is its candidate risk in
+    ``steps``, the trace steps of a pass on this training set (the fit's
+    own trace, or an audit replay's); only the root's fit is scored here.
     """
     train = cache.ds
     tree, loss, spec = predictor.tree, predictor.loss, predictor.learner_spec
     eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
     tree_risks = group_risks(predictor, train, tree, loss)
-    fits = cache.group_fits(spec, tree) if bench is None else \
-        {tree.root.id: cache.group_erm(spec, tree, tree.root)}
-    bench_risks = {**group_risks(fits, train, tree, loss), **(bench or {})}
+    bench_risks = group_risks({tree.root.id: cache.group_erm(spec, tree, tree.root)},
+                              train, tree, loss)
+    bench_risks.update((t.group_id, t.candidate_risk) for t in steps if t.n_g)
     rows = []
     violations = []
     for g, r in zip(tree.nodes, tree.row_index(train)):
@@ -239,18 +243,14 @@ def excess_risk_report(
 class AuditVerdict:
     ok: bool
     violations: tuple[tuple[int, str, str, str], ...] = ()  # (step, group, kind, detail)
-    # the tree rebuilt from the data by following the recorded decisions
+    # the tree rebuilt from the data by following the recorded decisions,
+    # with the replayed steps, each with the rule's decision, as its trace
     replay: GroupTreePredictor | None = field(default=None, compare=False)
-    # the replay's candidate risk of each observed non-root node, by id
-    candidate_risks: dict[str, float] = field(default_factory=dict, compare=False)
 
     def describe(self) -> str:
-        if self.ok:
-            return "CLEAN"
-        lines = [f"{len(self.violations)} violation(s)"]
-        for step, group, kind, detail in self.violations:
-            lines.append(f"  step {step} group {group}: {kind}: {detail}")
-        return "\n".join(lines)
+        """One line per violation, or CLEAN."""
+        return "\n".join(f"  step {step} group {group}: {kind}: {detail}"
+                         for step, group, kind, detail in self.violations) or "CLEAN"
 
 
 def monotonicity_audit(
@@ -273,7 +273,8 @@ def monotonicity_audit(
     are checked again; the node's own risk is its fit's, which is within any
     margin >= 0, and so is the root's before the first update. Those risks
     come from the pass's running loss sums, so an update costs one step per
-    ancestor, not a gather of the ancestors' rows.
+    ancestor, not a gather of the ancestors' rows. The verdict's ``replay``
+    carries the replayed steps as its trace.
     """
     expected_ids = [g.id for g in tree.nodes if not g.is_root]
     if [t.group_id for t in trace] != expected_ids:
@@ -281,6 +282,7 @@ def monotonicity_audit(
     tree_pass = _Pass(cache, tree, spec, eps, loss)
 
     violations: list[tuple[int, str, str, str]] = []
+    steps: list[TraceStep] = []
     # per visited observed node index: its group-restricted fit's risk and
     # margin; before the first visit the tree is the root fit
     bench = {0: (tree_pass.risk(0), epsilon(tree_pass.eps, len(tree_pass.rows[0])))}
@@ -288,6 +290,7 @@ def monotonicity_audit(
     for step, recorded in enumerate(trace, start=1):
         followed_update = recorded.decision == "updated"
         replayed = tree_pass.visit(step, lambda _: followed_update)
+        steps.append(replayed)
         g = tree.nodes[step]
         if replayed.n_g != recorded.n_g:
             violations.append(
@@ -314,6 +317,4 @@ def monotonicity_audit(
                                    f"risk {risk} exceeds {bench_risk} + {margin}"))
 
     return AuditVerdict(ok=not violations, violations=tuple(violations),
-                        replay=tree_pass.predictor(list(trace)),
-                        candidate_risks={tree.nodes[j].id: risk for j, (risk, _) in bench.items()
-                                         if j})
+                        replay=tree_pass.predictor(steps))

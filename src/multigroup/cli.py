@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from .algorithms import excess_risk_report, monotonicity_audit, termination_scan
 from .config import ConfigError, load_run_config
 from .data import SchemaError, load_csv, make_synthetic, schema_to_json, \
     synthetic_spec_from_json, write_csv
@@ -22,8 +21,7 @@ from .evaluation import run_experiment
 from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
 from .methods import METHODS, MethodError, method_failure
-from .modelio import ModelError, dataset_fingerprint, reading_model, rebuild_decision_list, \
-    rebuild_plain_predictor, rebuild_tree_predictor, stored_header
+from .modelio import ModelError, dataset_fingerprint, reading_model, stored_header
 from .risk import group_risks, loss_from_name
 
 # Exit 2: an input file or document cannot be opened or parsed, or does not
@@ -121,79 +119,22 @@ def cmd_audit(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = doc.get("model") if isinstance(doc, dict) else None
-    rebuilds = {"mgl_tree": rebuild_tree_predictor, "prepend": rebuild_decision_list,
-                "erm": rebuild_plain_predictor}
-    rebuild = rebuilds.get(kind) if isinstance(kind, str) else None
-    if rebuild is None:
+    method = METHODS.get(kind) if isinstance(kind, str) else None
+    if method is None or method.audit is None:
         raise ModelError(f"model kind {kind!r} is not auditable")
     with reading_model():
         header = stored_header(doc)
-        predictor = rebuild(doc, header)
+        predictor = method.rebuild(doc, header)
         train = load_csv(args.data, header.schema)
         if train.n != doc["n_train"] or dataset_fingerprint(train) != doc["dataset_fingerprint"]:
             raise ModelError("dataset does not match the model's training data")
-        cache = PredictorCache(train, header.encoder)
-        # raises if the trace does not list the stored tree's nodes in order
-        verdict = monotonicity_audit(
-            predictor.trace, cache, predictor.tree, predictor.learner_spec,
-            predictor.eps_spec, predictor.loss) if kind == "mgl_tree" else None
 
+    cache = PredictorCache(train, header.encoder)
     problems = 0
-    if kind == "erm":
-        if predictor.to_json() != cache.erm(header.learner).to_json():
-            print("stored fit differs from its refit on the training data")
-            problems += 1
-    elif kind == "prepend":
-        for gid, source, value in termination_scan(predictor, cache):
-            print(f"stopping-test violation: group {gid} candidate {source} value {value}")
-            problems += 1
-        # termination_scan fitted every source with training rows, so these
-        # refits are cache hits
-        tree, spec = predictor.tree, predictor.learner_spec
-        rows = tree.row_index(train)
-        stored = [("default", "ALL", predictor.default)]
-        stored += [(f"entry {i} (group {e.group.id})", e.source_id, e.predictor)
-                   for i, e in enumerate(predictor.entries)]
-        for name, source, fit in stored:
-            if not len(rows[tree.index(source)]):
-                print(f"{name}: source {source} has no training rows")
-                problems += 1
-                continue
-            refit = cache.erm(spec) if source == "ALL" else \
-                cache.group_erm(spec, tree, tree.node(source))
-            if fit.to_json() != refit.to_json():
-                print(f"{name}: stored fit differs from the refit of source {source}")
-                problems += 1
-    else:
-        if not verdict.ok:
-            print(verdict.describe())
-            problems += len(verdict.violations)
-        replay = verdict.replay
-        for entry in doc["nodes"]:
-            gid = entry["id"]
-            for key, replayed in (("decision", replay.decision.get(gid)),
-                                  ("source", replay.source.get(gid))):
-                if entry[key] != replayed:
-                    print(f"node {gid}: stored {key} {entry[key]!r}, replay {replayed!r}")
-                    problems += 1
-            stored, refit = predictor.fits.get(gid), replay.fits.get(gid)
-            if stored is not None and refit is not None and stored.to_json() != refit.to_json():
-                print(f"node {gid}: stored fit differs from its refit")
-                problems += 1
-        mismatches = int((predictor.predict(train) != replay.predict(train)).sum())
-        if mismatches:
-            print(f"stored predictor disagrees with replay on {mismatches} training rows")
-            problems += 1
-        _, violations = excess_risk_report(predictor, cache, verdict.candidate_risks)
-        for row in violations:
-            print(f"margin violation on {row['group_id']}: excess {row['excess']}")
-            problems += 1
-
-    if problems:
-        print(f"AUDIT FAILED: {problems} problem(s)")
-        return 1
-    print("AUDIT CLEAN")
-    return 0
+    for problems, line in enumerate(method.audit(header, predictor, cache), start=1):
+        print(line)
+    print(f"AUDIT FAILED: {problems} problem(s)" if problems else "AUDIT CLEAN")
+    return 1 if problems else 0
 
 
 def cmd_synth(args) -> int:

@@ -190,10 +190,6 @@ def _mean_log_loss(z: np.ndarray, flips: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, flips * z)))
 
 
-def logistic_loss(weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean logistic loss, computed via logaddexp for stability."""
-    return _mean_log_loss(X @ weights + intercept, 1.0 - 2.0 * y)
-
 def logistic_gradient(
     weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, float]:

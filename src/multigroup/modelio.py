@@ -150,11 +150,16 @@ def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) 
 
 def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor:
     """Reconstruct the predictor stored in a tree model file whose header is
-    ``header``. The nodes that are their own source hold their fits; a
-    predictor stored on any other node must be a copy of its source's, as
-    files written before fits were stored once hold. Callers check the
-    file's ``n_train`` and ``dataset_fingerprint`` against the data before
-    trusting it."""
+    ``header``. Its ``nodes`` must list the stored hierarchy's nodes once
+    each, in breadth-first order, as the writer writes them. The nodes that
+    are their own source hold their fits; a predictor stored on any other
+    node must be a copy of its source's, as files written before fits were
+    stored once hold. Each trace step is read by ``TraceStep.from_json``.
+    Callers check the file's ``n_train`` and ``dataset_fingerprint``
+    against the data before trusting it."""
+    tree = header.tree
+    if [entry["id"] for entry in doc["nodes"]] != [g.id for g in tree.nodes]:
+        raise ValueError("nodes do not list the hierarchy's nodes in breadth-first order")
     fits, source, decision, stored = {}, {}, {}, {}
     for entry in doc["nodes"]:
         gid = entry["id"]
@@ -163,7 +168,6 @@ def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor
             stored[gid] = entry["predictor"]
             if source[gid] == gid:
                 fits[gid] = predictor_from_json(entry["predictor"], header.encoder)
-    tree = header.tree
     for owner in (tree.root.id, *(source[g.id] for g in tree.nodes)):
         if owner not in fits:
             raise ValueError(f"model file lacks the predictor for source {owner!r}")
@@ -242,8 +246,3 @@ def save_plain_model(path, predictor, cache: PredictorCache, spec: LearnerSpec) 
     doc = _common_header("erm", cache, spec)
     doc["predictor"] = predictor.to_json()
     _dump(doc, path)
-
-
-def rebuild_plain_predictor(doc: dict, header: ModelHeader):
-    """The fit stored in an erm model file whose header is ``header``."""
-    return predictor_from_json(doc["predictor"], header.encoder)

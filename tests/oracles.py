@@ -6,9 +6,9 @@ cell and written row by row, one leaf's group codes at a time, a logistic
 score of standardized rows, a Newton step that recomputes every product,
 a group's risk under a changing predictor gathered from all of the group's
 rows, a split search that scores every cut, a bag's node table built one
-tree at a time. The package
-computes the same results faster or from less code, and the tests hold it
-to these.
+tree at a time, an excess report that scores every group fit again. The
+package computes the same results faster or from less code, and the tests
+hold it to these.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multigroup.algorithms import AuditVerdict, DecisionList, DecisionListEntry, \
-    PrependCapExceeded, TraceStep
+    GroupTreePredictor, PrependCapExceeded, TraceStep
 from multigroup.algorithms.group_tree import TOL, _Pass
-from multigroup.bounds import EpsilonSpec, epsilon
+from multigroup.bounds import EpsilonSpec, epsilon, uc_width
 from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, \
     DataError, Dataset, SchemaError, SyntheticSpec, json_int
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
     _SEPARATED_MARGIN, FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _cut_gains, \
-    _entropy_in_range, _FlatTree, _left_of, _out_of_range, _pass_trees, _presort, fit, \
-    logistic_loss, sigmoid
-from multigroup.risk import Loss, mean
+    _entropy_in_range, _FlatTree, _left_of, _mean_log_loss, _out_of_range, _pass_trees, \
+    _presort, fit, sigmoid
+from multigroup.risk import Loss, group_risks, mean
 
 
 @dataclass(frozen=True)
@@ -718,6 +718,11 @@ def forest(trees: list[_FlatTree]) -> _FlatTree:
 # Logistic fits the standardized way: every score standardizes a copy of its
 # rows, and every Newton step computes its margins and its ridge again.
 
+def logistic_loss(weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss, computed via logaddexp for stability."""
+    return _mean_log_loss(X @ weights + intercept, 1.0 - 2.0 * y)
+
+
 def standardized_margins(predictor, ds: Dataset) -> np.ndarray:
     """A logistic fit's margins ((x - mean) / scale) @ weights + intercept."""
     X = (predictor.encoder.encode(ds) - predictor.mean) / predictor.scale
@@ -878,3 +883,37 @@ def monotonicity_audit(trace: list[TraceStep], cache: PredictorCache, tree: Grou
                                    f"risk {r} exceeds {bench_risk} + {margin}"))
     return AuditVerdict(ok=not violations, violations=tuple(violations),
                         replay=tree_pass.predictor(list(trace)))
+
+
+def excess_risk_report(predictor: GroupTreePredictor,
+                       cache: PredictorCache) -> tuple[list[dict], list[dict]]:
+    """multigroup's excess report, with every observed group's fit scored
+    again on its rows instead of read from a pass's trace steps."""
+    train = cache.ds
+    tree, loss, spec = predictor.tree, predictor.loss, predictor.learner_spec
+    eps = predictor.eps_spec.with_context(group_count=len(tree), n_total=train.n)
+    tree_risks = group_risks(predictor, train, tree, loss)
+    fits = cache.group_fits(spec, tree)
+    bench_risks = group_risks(fits, train, tree, loss)
+    rows = []
+    violations = []
+    for g, r in zip(tree.nodes, tree.row_index(train)):
+        n_g = len(r)
+        if n_g == 0:
+            continue
+        tree_risk, bench_risk = tree_risks[g.id], bench_risks[g.id]
+        margin = epsilon(eps, n_g)
+        excess = tree_risk - bench_risk - margin
+        row = {
+            "group_id": g.id,
+            "n_g": n_g,
+            "tree_risk": tree_risk,
+            "benchmark_risk": bench_risk,
+            "epsilon": margin,
+            "uc_width": uc_width(eps, n_g) if eps.kind in ("finite_h", "vc") else None,
+            "excess": excess,
+        }
+        rows.append(row)
+        if excess > TOL:
+            violations.append(row)
+    return rows, violations

@@ -15,7 +15,6 @@ import pytest
 
 from multigroup.algorithms import (
     decoupled,
-    excess_risk_report,
     mgl_tree,
     monotonicity_audit,
     prepend,
@@ -38,11 +37,10 @@ from multigroup.learners import (
     PredictorCache,
     fit,
     logistic_gradient,
-    logistic_loss,
 )
 from multigroup.risk import ZERO_ONE
 
-from oracles import IndexGroup, decompose_check
+from oracles import IndexGroup, decompose_check, excess_risk_report, logistic_loss
 from synthcases import (
     FixedPredictor,
     INVERTED_LEAF_ID,

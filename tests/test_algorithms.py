@@ -107,7 +107,7 @@ def test_mgl_tree_margin_guarantee_random_smoke():
         cache = PredictorCache(ds)
         for eps in (const_eps(0.0), const_eps(0.1), const_eps(math.inf)):
             predictor = mgl_tree(cache, tree, CONSTANT, eps, ZERO_ONE)
-            _, violations = excess_risk_report(predictor, cache)
+            _, violations = oracles.excess_risk_report(predictor, cache)
             assert violations == []
 
 
@@ -126,7 +126,7 @@ def test_mgl_tree_empty_nodes_inherit_silently():
     predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.0), ZERO_ONE)
     empties = [t for t in predictor.trace if t.decision == "inherited_empty"]
     assert len(empties) == 1 and empties[0].n_g == 0
-    _, violations = excess_risk_report(predictor, PredictorCache(ds))
+    _, violations = oracles.excess_risk_report(predictor, PredictorCache(ds))
     assert violations == []
 
 
@@ -571,13 +571,12 @@ def test_excess_report_carries_uc_width_for_closed_form_margins():
     ds, tree = two_leaf_setup()
     eps = EpsilonSpec("finite_h", delta=0.05, h_size=4)
     predictor = mgl_tree(PredictorCache(ds), tree, CONSTANT, eps, ZERO_ONE)
-    rows, _ = excess_risk_report(predictor, PredictorCache(ds))
+    rows, _ = excess_risk_report(predictor, PredictorCache(ds), predictor.trace)
     for row in rows:
         assert row["uc_width"] is not None
         assert row["epsilon"] == 2.0 * row["uc_width"]
-    rows_const, _ = excess_risk_report(
-        mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.1), ZERO_ONE),
-        PredictorCache(ds))
+    fitted = mgl_tree(PredictorCache(ds), tree, CONSTANT, const_eps(0.1), ZERO_ONE)
+    rows_const, _ = excess_risk_report(fitted, PredictorCache(ds), fitted.trace)
     assert all(r["uc_width"] is None for r in rows_const)
 
 
@@ -592,7 +591,7 @@ def test_mgl_tree_with_clipped_logistic_training_loss():
     predictor = mgl_tree(cache, tree, learner, EpsilonSpec("scaled", scale=1.0),
                          CLIPPED_LOGISTIC)
     assert predictor.loss is CLIPPED_LOGISTIC
-    _, violations = excess_risk_report(predictor, cache)
+    _, violations = oracles.excess_risk_report(predictor, cache)
     assert violations == []
     verdict = monotonicity_audit(predictor.trace, cache, tree, learner,
                                  EpsilonSpec("scaled", scale=1.0),
@@ -607,7 +606,7 @@ def test_mgl_tree_with_bagged_trees_learner():
     learner = LearnerSpec("bagged_trees", n_trees=5, max_depth=2)
     predictor = mgl_tree(PredictorCache(ds), tree, learner, EpsilonSpec("scaled", scale=2.0),
                          ZERO_ONE)
-    _, violations = excess_risk_report(predictor, PredictorCache(ds))
+    _, violations = oracles.excess_risk_report(predictor, PredictorCache(ds))
     assert violations == []
     again = mgl_tree(PredictorCache(ds), tree, learner, EpsilonSpec("scaled", scale=2.0),
                      ZERO_ONE)

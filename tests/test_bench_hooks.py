@@ -115,3 +115,25 @@ def test_each_op_builds_a_row_index_once_per_tree_and_dataset(monkeypatch, tmp_p
         assert main(argv) == 0, name
         keys = [(id(tree), id(ds)) for o, tree, ds in calls if o == name]
         assert keys and len(keys) == len(set(keys)), name
+
+
+def test_audit_spans_come_from_the_method_table(monkeypatch, tmp_path):
+    """The audit reaches each kind's reader and checks through the method
+    table; an entry that bound a function at import time, instead of
+    calling it through its module's global, would escape the tracer and
+    leave its span out here."""
+    ops = demo_ops(tmp_path)
+    assert main(ops["train"]) == 0
+    audit = ops["audit"]
+    prepend = [*audit[:2], audit[2].replace("mgl_tree.", "prepend."), *audit[3:]]
+    tracing = tracing_module(monkeypatch)
+    tracer = tracing.Tracer()
+    run_traced(tracing, tracer, {"mgl_tree": audit, "prepend": prepend})
+
+    spans = collections.Counter((s[4], s[0]) for s in tracer.spans)
+    for op, names in {
+        "mgl_tree": ("modelio.rebuild", "algorithms.monotonicity_audit",
+                     "algorithms.excess_risk_report"),
+        "prepend": ("modelio.rebuild", "algorithms.termination_scan"),
+    }.items():
+        assert all(spans[op, name] == 1 for name in names), (op, spans)

@@ -664,7 +664,8 @@ def _break_model(doc, case):
 
 @pytest.mark.parametrize("model, case, message", [
     ("mgl_tree", "trace_without_decision", "malformed model file: KeyError('decision')"),
-    ("mgl_tree", "nodes_missing_a_node", "malformed model file: KeyError('a1=q')"),
+    ("mgl_tree", "nodes_missing_a_node",
+     "nodes do not list the hierarchy's nodes in breadth-first order"),
     ("prepend", "orphan_node",
      "group 'a1=p&a2=zz&a3=s' has no parent extending it by one conjunct"),
     ("mgl_tree", "crossing_hierarchy", f"invalid hierarchy: {CROSSING}"),
@@ -936,9 +937,9 @@ def _tamper_fit(doc, case):
 
 @pytest.mark.parametrize("model, case, code, line", [
     ("demo/models/mgl_tree.logistic", "root_weights_negated", 1,
-     "node ALL: stored fit differs from its refit"),
+     "node ALL: stored fit differs from the refit of source ALL"),
     ("fixtures/golden_bagged/mgl_tree.bagged5_depth3", "root_leaf_score_moved", 1,
-     "node ALL: stored fit differs from its refit"),
+     "node ALL: stored fit differs from the refit of source ALL"),
     ("demo/models/prepend.logistic", "entry_predictors_swapped", 1,
      "entry 0 (group grp=b): stored fit differs from the refit of source grp=b"),
     ("demo/models/prepend.logistic", "default_an_entry_fit", 1,
@@ -946,7 +947,7 @@ def _tamper_fit(doc, case):
     ("demo/models/prepend.logistic", "unknown_source", 2,
      "error: entry source 'grp=zz' is not in the model's hierarchy"),
     ("demo/models/erm.logistic", "erm_weight_changed", 1,
-     "stored fit differs from its refit on the training data"),
+     "global fit: stored fit differs from the refit of source ALL"),
 ])
 def test_audit_compares_each_stored_fit_with_its_refit(tmp_path, monkeypatch, capsys, model,
                                                        case, code, line):
@@ -981,6 +982,28 @@ def test_audit_reports_a_prepend_source_without_training_rows(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"entry 0 (group {group}): source grp=c has no training rows",
         "AUDIT FAILED: 1 problem(s)",
+    ]
+
+
+def test_audit_reports_an_own_source_node_without_training_rows(tmp_path, capsys):
+    """A node stored as its own source has no refit when it has no
+    training rows: one problem line in the refit check's format."""
+    ds, csv_path = write_fixture(tmp_path, EMPTY_C)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(ds, csv_path, methods=["mgl_tree"]))
+    assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    model_path = out_dir / "mgl_tree.constant.model.json"
+    doc = json.loads(model_path.read_text())
+    node = doc["nodes"][-1]
+    assert (node["id"], node["decision"], node["source"]) == ("grp=c", "inherited_empty", "ALL")
+    node["source"], node["predictor"] = "grp=c", doc["nodes"][0]["predictor"]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(model_path), "--data", str(csv_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "node grp=c: stored source 'grp=c', replay 'ALL'",
+        "node grp=c: source grp=c has no training rows",
+        "AUDIT FAILED: 2 problem(s)",
     ]
 
 
@@ -1019,6 +1042,134 @@ def test_erm_model_audits_clean(monkeypatch, capsys, model):
     capsys.readouterr()
     assert main(["audit", "--model", f"{model}.model.json", "--data", "demo/data.csv"]) == 0
     assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+COMMITTED_MODELS = sorted(str(p.relative_to(ROOT)) for top in (
+    "demo/models", "fixtures/golden_bagged", "fixtures/legacy_gd", "fixtures/newton")
+    for p in (ROOT / top).glob("*.model.json"))
+
+
+@pytest.mark.parametrize("model", COMMITTED_MODELS)
+def test_every_committed_model_file_audits_as_written(monkeypatch, capsys, model):
+    """Every model file in the repository audits clean on the demo data,
+    except the decoupled ones, whose kind is not auditable."""
+    monkeypatch.chdir(ROOT)
+    kind = json.loads((ROOT / model).read_text())["model"]
+    capsys.readouterr()
+    code = main(["audit", "--model", model, "--data", "demo/data.csv"])
+    if kind == "decoupled":
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: model kind 'decoupled' is not auditable\n")
+    else:
+        assert (code, *capsys.readouterr()) == (0, "AUDIT CLEAN\n", "")
+
+
+def _stored_fit(doc, position):
+    """The stored fit at ``position`` of a model document, and its
+    (where, source) as the audit names them."""
+    if position == "global":
+        return doc["predictor"], ("global fit", "ALL")
+    if position == "default":
+        return doc["default"], ("default", "ALL")
+    if position == "entry 0":
+        entry = doc["entries"][0]
+        return entry["predictor"], (f"entry 0 (group {entry['group']['id']})", entry["source"])
+    node = doc["nodes"][0] if position == "root" else \
+        next(n for n in doc["nodes"] if n["decision"] == "updated")
+    return node["predictor"], (f"node {node['id']}", node["id"])
+
+
+@pytest.mark.parametrize("model, position", [
+    ("demo/models/mgl_tree.logistic", "root"),
+    ("demo/models/mgl_tree.logistic", "updated"),
+    ("fixtures/golden_bagged/mgl_tree.bagged5_depth3", "root"),
+    ("fixtures/golden_bagged/mgl_tree.bagged5_depth3", "updated"),
+    ("demo/models/prepend.logistic", "default"),
+    ("demo/models/prepend.logistic", "entry 0"),
+    ("demo/models/erm.logistic", "global"),
+])
+def test_one_changed_fit_parameter_fails_the_refit_check(tmp_path, monkeypatch, capsys, model,
+                                                         position):
+    """Every auditable kind compares each stored fit with the refit of its
+    source in one check, which names the fit in one line format."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / f"{model}.model.json").read_text())
+    fit, (where, source) = _stored_fit(doc, position)
+    if fit["type"] == "logistic":
+        fit["weights"][-1] += 0.25
+    else:  # a bag: move one leaf score, within [0, 1]
+        leaf = fit["trees"][0]
+        while "score" not in leaf:
+            leaf = leaf["left"]
+        leaf["score"] = (leaf["score"] + 0.5) / 2.0
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{where}: stored fit differs from the refit of source {source}" in lines
+    assert lines[-1] == f"AUDIT FAILED: {len(lines) - 1} problem(s)"
+
+
+def _edit_nodes(nodes, case):
+    """Break the one-entry-per-node, breadth-first list of an mgl_tree file."""
+    if case == "duplicate":  # a tampered copy of grp=a before the genuine entry
+        copy = json.loads(json.dumps(nodes[1]))
+        copy["predictor"]["weights"][0] += 5.0
+        nodes.insert(1, copy)
+    elif case == "extra":
+        nodes.append({"id": "grp=zz", "depth": 1, "decision": "updated", "source": "grp=zz",
+                      "predictor": nodes[1]["predictor"]})
+    elif case == "missing":
+        nodes.pop()
+    else:
+        assert case == "swapped"
+        nodes[1], nodes[2] = nodes[2], nodes[1]
+
+
+@pytest.mark.parametrize("case", ["duplicate", "extra", "missing", "swapped"])
+def test_audit_requires_each_hierarchy_node_once_in_breadth_first_order(tmp_path, monkeypatch,
+                                                                        capsys, case):
+    """A node list that is not the writer's cannot hide a tampered fit
+    behind a duplicate entry, nor add, drop or reorder nodes."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "demo" / "models" / "mgl_tree.logistic.model.json").read_text())
+    _edit_nodes(doc["nodes"], case)
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: nodes do not list the hierarchy's nodes in breadth-first order\n")
+
+
+@pytest.mark.parametrize("key, value, code, err", [
+    ("epsilon", "abc", 2, "epsilon must be a number, got 'abc'"),
+    ("parent_risk", "abc", 2, "parent_risk must be a number, got 'abc'"),
+    ("candidate_risk", [0.063], 2, "candidate_risk must be a number, got [0.063]"),
+    ("n_g", "2000", 2, "n_g must be an integer, got '2000'"),
+    ("err", True, 2, "err must be a number, got True"),
+    ("decision", ["updated"], 2, "decision must be a string, got ['updated']"),
+    ("group_id", 1, 2, "group_id must be a string, got 1"),
+    ("note", "x", 2, "unknown trace step keys: ['note']"),
+    ("n_g", 2000.0, 0, None),
+    ("epsilon", None, 0, None),  # reads as inf
+    ("err", None, 0, None),
+])
+def test_audit_reads_each_trace_field_as_its_type(tmp_path, monkeypatch, capsys, key, value,
+                                                  code, err):
+    """A trace step field of another type than the writer writes, or an
+    unknown key, exits 2 naming it; null is read where the writer can
+    write it."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "demo" / "models" / "mgl_tree.logistic.model.json").read_text())
+    doc["trace"][0][key] = value
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == code
+    assert capsys.readouterr() == (
+        ("AUDIT CLEAN\n", "") if code == 0 else ("", f"error: {err}\n"))
 
 
 def test_train_empty_dataset_exits_one(tmp_path):
@@ -1398,9 +1549,9 @@ def _separable_erm_model(tmp_path):
 
 @pytest.mark.parametrize("edit, code, out", [
     (None, 0, "AUDIT CLEAN\n"),
-    ("weight", 1, "stored fit differs from its refit on the training data\n"
+    ("weight", 1, "global fit: stored fit differs from the refit of source ALL\n"
                   "AUDIT FAILED: 1 problem(s)\n"),
-    ("newton", 1, "stored fit differs from its refit on the training data\n"
+    ("newton", 1, "global fit: stored fit differs from the refit of source ALL\n"
                   "AUDIT FAILED: 1 problem(s)\n"),
     ("lbfgs", 2, ""),
 ])

@@ -17,12 +17,11 @@ from multigroup.learners import (
     PredictorCache,
     fit,
     logistic_gradient,
-    logistic_loss,
     predictor_from_json,
     sigmoid,
 )
 
-from oracles import dataset_from_values, entropy, erm
+from oracles import dataset_from_values, entropy, erm, logistic_loss
 from synthcases import opposite_separators_spec, two_leaf_constants
 
 

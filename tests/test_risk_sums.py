@@ -180,12 +180,34 @@ def test_excess_report_from_the_pass_risks_is_bit_identical(learner, loss):
         eps = EpsilonSpec("scaled", scale=0.5)
         predictor = mgl_tree(PredictorCache(ds), tree, spec, eps, loss)
         bench = {t.group_id: t.candidate_risk for t in predictor.trace if t.n_g}
-        want = excess_risk_report(predictor, PredictorCache(ds))
-        assert excess_risk_report(predictor, PredictorCache(ds), bench) == want
+        want = oracles.excess_risk_report(predictor, PredictorCache(ds))
+        assert excess_risk_report(predictor, PredictorCache(ds), predictor.trace) == want
         cache = PredictorCache(ds)
         verdict = monotonicity_audit(predictor.trace, cache, tree, spec, eps, loss)
-        assert verdict.ok and verdict.candidate_risks == bench
-        assert excess_risk_report(predictor, cache, verdict.candidate_risks) == want
+        replayed = {t.group_id: t.candidate_risk for t in verdict.replay.trace if t.n_g}
+        assert verdict.ok and replayed == bench
+        assert excess_risk_report(predictor, cache, verdict.replay.trace) == want
+
+
+REPORT_LEARNERS = {**LEARNERS, "logistic": LearnerSpec("logistic", iterations=50),
+                   "bagged_trees": LearnerSpec("bagged_trees", n_trees=3, max_depth=2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(hierarchies(), st.sampled_from(list(REPORT_LEARNERS)), st.sampled_from(list(LOSSES)),
+       epsilons)
+def test_excess_report_equals_its_oracle(case, learner, loss, eps):
+    """The report read from the fit's own trace, and the one read from its
+    audit replay's steps, equal the oracle's, which scores every group fit
+    again, bit for bit."""
+    ds, tree = case
+    spec, loss = REPORT_LEARNERS[learner], LOSSES[loss]
+    predictor = mgl_tree(PredictorCache(ds), tree, spec, eps, loss)
+    want = oracles.excess_risk_report(predictor, PredictorCache(ds))
+    assert excess_risk_report(predictor, PredictorCache(ds), predictor.trace) == want
+    cache = PredictorCache(ds)
+    verdict = monotonicity_audit(predictor.trace, cache, tree, spec, eps, loss)
+    assert excess_risk_report(predictor, cache, verdict.replay.trace) == want
 
 
 # ---------------------------------------------------------------------------

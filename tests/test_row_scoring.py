@@ -189,7 +189,7 @@ def test_mgl_tree_trace_and_excess_rows_match_full_rows_reference(kind, loss, fu
     spec = LEARNERS[kind]
     cache = PredictorCache(train)
     predictor = mgl_tree(cache, tree, spec, EPS, loss)
-    rows, _ = excess_risk_report(predictor, cache)
+    rows, _ = excess_risk_report(predictor, cache, predictor.trace)
     _assert_same_steps(kind, predictor.trace,
                        full_rows_trace(train, tree, spec, EPS, loss, cache))
     full_rows()
