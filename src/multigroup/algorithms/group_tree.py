@@ -27,6 +27,9 @@ from .routing import route
 TOL = 1e-9
 
 
+_REAL_FIELDS = ("parent_risk", "candidate_risk", "epsilon", "err")
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One breadth-first visit: the risks compared and the decision taken."""
@@ -54,14 +57,18 @@ class TraceStep:
     def from_json(doc) -> "TraceStep":
         """A step as ``to_json`` writes it: string ``group_id`` and
         ``decision``, an integer ``n_g``, and a number or null in each other
-        field (a null ``epsilon`` reads as inf). Another type, or an unknown
-        key, raises ValueError naming it."""
+        field (a null ``epsilon`` reads as inf). Another type, a NaN, which
+        the writer never writes, or an unknown key raises ValueError naming
+        it."""
         check_keys(doc, {f.name for f in fields(TraceStep)}, "trace step")
         for key in ("group_id", "decision"):
             if not isinstance(doc[key], str):
                 raise ValueError(f"{key} must be a string, got {doc[key]!r}")
         real = {key: None if doc[key] is None else json_float(float_from_json(doc[key]), key)
-                for key in ("parent_risk", "candidate_risk", "epsilon", "err")}
+                for key in _REAL_FIELDS}
+        for key, value in real.items():
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{key} must not be NaN")
         if real["epsilon"] is None:
             real["epsilon"] = math.inf
         return TraceStep(**{**doc, **real, "n_g": json_int(doc["n_g"], "n_g")})
@@ -265,7 +272,8 @@ def monotonicity_audit(
     step, following the trace.
 
     Checks two things: (a) each recorded decision agrees with the update
-    rule recomputed from the data, and (b) every observed group's risk under
+    rule recomputed from the data, and each recorded risk, margin and err
+    with the replay's within TOL, and (b) every observed group's risk under
     the tree sits within that group's margin of its group-restricted fit
     whenever that risk changes. An inherited node is checked at its visit:
     its risk is its parent's working predictor's. An update changes only
@@ -302,11 +310,12 @@ def monotonicity_audit(
                                                    f"gives {replayed.decision!r} (err={err})"))
         if replayed.n_g == 0:
             continue
-        # equal infinities give nan here, which compares False as intended
-        if recorded.err is not None and abs(recorded.err - err) > TOL:
-            violations.append(
-                (step, g.id, "rule", f"recorded err={recorded.err}, replay err={err}")
-            )
+        for key in _REAL_FIELDS:
+            kept, again = getattr(recorded, key), getattr(replayed, key)
+            # equal infinities give nan here, which compares False as intended
+            if kept is not None and abs(kept - again) > TOL:
+                violations.append(
+                    (step, g.id, "rule", f"recorded {key}={kept}, replay {key}={again}"))
 
         bench[step] = (replayed.candidate_risk, replayed.epsilon)
         for h in tree.ancestors(g.id) if followed_update else [g]:

@@ -19,7 +19,7 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import DataError, Dataset, json_text, schema_from_json, schema_to_json
+from .data import DataError, Dataset, json_int, json_text, schema_from_json, schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
@@ -151,18 +151,21 @@ def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) 
 def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor:
     """Reconstruct the predictor stored in a tree model file whose header is
     ``header``. Its ``nodes`` must list the stored hierarchy's nodes once
-    each, in breadth-first order, as the writer writes them. The nodes that
-    are their own source hold their fits; a predictor stored on any other
-    node must be a copy of its source's, as files written before fits were
-    stored once hold. Each trace step is read by ``TraceStep.from_json``.
-    Callers check the file's ``n_train`` and ``dataset_fingerprint``
-    against the data before trusting it."""
+    each, in breadth-first order and with their depths, as the writer
+    writes them. The nodes that are their own source hold their fits; a
+    predictor stored on any other node must be a copy of its source's, as
+    files written before fits were stored once hold. Each trace step is
+    read by ``TraceStep.from_json``. Callers check the file's ``n_train``
+    and ``dataset_fingerprint`` against the data before trusting it."""
     tree = header.tree
     if [entry["id"] for entry in doc["nodes"]] != [g.id for g in tree.nodes]:
         raise ValueError("nodes do not list the hierarchy's nodes in breadth-first order")
     fits, source, decision, stored = {}, {}, {}, {}
     for entry in doc["nodes"]:
         gid = entry["id"]
+        if json_int(entry["depth"], "depth") != tree.depth(gid):
+            raise ValueError(f"node {gid!r} records depth {entry['depth']}, "
+                             f"the hierarchy gives {tree.depth(gid)}")
         source[gid], decision[gid] = entry["source"], entry["decision"]
         if "predictor" in entry:
             stored[gid] = entry["predictor"]

@@ -308,6 +308,21 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    """``python -m multigroup`` is the ``multigroup`` script: --help exits
+    0, and an audit of a missing model file exits 2, as for any file that
+    cannot be opened."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = [sys.executable, "-m", "multigroup"]
+    done = subprocess.run([*run, "--help"], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout.startswith("usage: multigroup")) == (0, True)
+    missing = tmp_path / "missing.model.json"
+    done = subprocess.run([*run, "audit", "--model", str(missing), "--data",
+                           str(ROOT / "demo/data.csv")], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and str(missing) in done.stderr
+
+
 def test_evaluate_with_more_jobs_than_trials_builds_no_pool(tmp_path, monkeypatch):
     """One trial runs inline whatever --jobs says, and writes the report
     that --jobs 1 writes."""
@@ -1031,6 +1046,35 @@ def test_audit_checks_a_predictor_stored_on_a_node_with_another_source(tmp_path,
     out, got_err = capsys.readouterr()
     assert got_err == err
     assert out == ("AUDIT CLEAN\n" if code == 0 else "")
+
+
+@pytest.mark.parametrize("path, value, code, line", [
+    *[(("trace", 0, key), math.nan, 2, f"error: {key} must not be NaN")
+      for key in ("parent_risk", "candidate_risk", "epsilon", "err")],
+    (("trace", 0, "parent_risk"), 0.999, 1,
+     "  step 1 group grp=a: rule: recorded parent_risk=0.999, replay parent_risk=0.463"),
+    (("trace", 0, "candidate_risk"), 0.0, 1,
+     "  step 1 group grp=a: rule: recorded candidate_risk=0.0, replay candidate_risk=0.063"),
+    (("trace", 0, "epsilon"), 123.0, 1,
+     "  step 1 group grp=a: rule: recorded epsilon=123.0, replay epsilon=0.022360679774997897"),
+    (("nodes", 1, "depth"), 7, 2, "error: node 'grp=a' records depth 7, the hierarchy gives 1"),
+], ids=["nan_parent_risk", "nan_candidate_risk", "nan_epsilon", "nan_err", "parent_risk",
+        "candidate_risk", "epsilon", "depth"])
+def test_audit_checks_every_recorded_trace_field_and_node_depth(tmp_path, monkeypatch, capsys,
+                                                                path, value, code, line):
+    """A trace step's risks and margin must match the replay's, and a NaN,
+    which the writer never writes, is refused; a node's depth must be its
+    depth in the hierarchy."""
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "demo/models/mgl_tree.logistic.model.json").read_text())
+    where, index, key = path
+    doc[where][index][key] = value
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == code
+    out, err = capsys.readouterr()
+    assert line in (out if code == 1 else err).splitlines()
 
 
 @pytest.mark.parametrize("model", ["demo/models/erm.logistic", "demo/models/erm.tree_depth2",

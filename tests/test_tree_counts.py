@@ -9,22 +9,30 @@ often as drawn and search every feature. Counts are exact integers either
 way, so the trees must be byte-identical.
 """
 
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import oracles
+from multigroup.config import parse_run_config
+from multigroup.data import make_synthetic, schema_to_json
 from multigroup.learners import (
     _SEED_MASK,
     _SPLIT_BLOCK,
+    FeatureEncoder,
     LearnerSpec,
+    PredictorCache,
     _best_splits,
     _fit_bagged,
     _fit_tree,
     _pass_trees,
     _presort,
 )
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def bag_bytes(trees, subsets) -> str:
@@ -187,3 +195,36 @@ def test_bag_of_a_design_without_features_is_one_leaf_per_tree(n_trees):
         want.append({"score": float(np.bincount(rng.integers(0, n, size=n), minlength=n) @ y / n)})
     assert trees == want
     assert [s.tolist() for s in subsets] == [[]] * n_trees
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_tree_group_fits_match_reference(monkeypatch, seed):
+    """The 46 group fits of a depth-3 single tree on the census_bagged
+    benchmark workload's data hash the same as ``oracles.grow_tree``'s."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    w = workloads.WORKLOADS["census_bagged"]
+    ds = make_synthetic(w.spec(), seed)
+    cfg = parse_run_config(w.run_config("data.csv", schema_to_json(ds.schema), seed))
+    tree = cfg.hierarchy(ds.schema)
+    spec = LearnerSpec.from_json({"kind": "tree", "max_depth": 3})
+    encoder = FeatureEncoder(ds.schema)
+    cache = PredictorCache(ds, encoder)
+    got, want = hashlib.sha256(), hashlib.sha256()
+    splits = 0
+    for g, rows in zip(tree.nodes, tree.row_index(ds)):
+        fitted = cache.group_erm(spec, tree, g)
+        got.update(json.dumps(fitted.to_json()).encode())
+        y = ds.labels()[rows].astype(np.float64)
+        if y.min() == y.max():
+            doc = {"type": "constant", "score": float(y.mean())}
+        else:
+            XT = np.ascontiguousarray(encoder.encode(ds.take(rows)).T)
+            [root] = oracles.grow_tree(XT, y, _presort(XT), [len(y)], spec.max_depth)
+            doc = {"type": "tree", "root": root}
+            splits += "feature" in root
+        doc["provenance"] = f"{spec.label()}@{g.id}"
+        want.update(json.dumps(doc).encode())
+    assert len(tree.nodes) == 46 and splits > 30
+    assert got.hexdigest() == want.hexdigest()
