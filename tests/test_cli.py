@@ -1197,14 +1197,16 @@ def test_audit_requires_each_hierarchy_node_once_in_breadth_first_order(tmp_path
     ("group_id", 1, 2, "group_id must be a string, got 1"),
     ("note", "x", 2, "unknown trace step keys: ['note']"),
     ("n_g", 2000.0, 0, None),
-    ("epsilon", None, 0, None),  # reads as inf
+    # reads as inf, which the replay's finite margin does not match
+    pytest.param("epsilon", None, 1, "  step 1 group grp=a: rule: recorded epsilon=inf, "
+                 "replay epsilon=0.022360679774997897", id="epsilon-None-1-inf"),
     ("err", None, 0, None),
 ])
 def test_audit_reads_each_trace_field_as_its_type(tmp_path, monkeypatch, capsys, key, value,
                                                   code, err):
     """A trace step field of another type than the writer writes, or an
     unknown key, exits 2 naming it; null is read where the writer can
-    write it."""
+    write it, and a value read is then compared with the replay's."""
     monkeypatch.chdir(ROOT)
     doc = json.loads((ROOT / "demo" / "models" / "mgl_tree.logistic.model.json").read_text())
     doc["trace"][0][key] = value
@@ -1212,8 +1214,9 @@ def test_audit_reads_each_trace_field_as_its_type(tmp_path, monkeypatch, capsys,
     tampered.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["audit", "--model", str(tampered), "--data", "demo/data.csv"]) == code
-    assert capsys.readouterr() == (
-        ("AUDIT CLEAN\n", "") if code == 0 else ("", f"error: {err}\n"))
+    assert capsys.readouterr() == {0: ("AUDIT CLEAN\n", ""),
+                                   1: (f"{err}\nAUDIT FAILED: 1 problem(s)\n", ""),
+                                   2: ("", f"error: {err}\n")}[code]
 
 
 def test_train_empty_dataset_exits_one(tmp_path):
