@@ -436,13 +436,19 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
     count = len(starts)
     sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
     step = _block_rows(k, m)
-    # Per position of a block's rows laid end to end: its node, the ids
-    # left of a cut after it, whether a cut after it is inside its node,
-    # and whether its node may skip cuts inside runs.
-    node_of = np.tile(np.repeat(np.arange(count), lengths), step)
-    ids_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, lengths), step)
-    inside = np.tile(ids_left_at[:m] < np.repeat(lengths, lengths), step)[:-1]
-    light = np.tile(np.repeat(sizes <= _CONCAVE_WEIGHT, lengths), step)
+
+    def per_block(a):  # a per position of one row, for a block's rows end to end
+        return a if step == 1 else np.tile(a, step)
+
+    # Per position of a block's rows laid end to end: its node, whether a
+    # cut after it is inside its node, and whether its node may skip cuts
+    # inside runs (None: all may).
+    node_of = per_block(np.repeat(np.arange(count), lengths))
+    inside = np.ones(m, dtype=bool)
+    inside[starts + lengths - 1] = False
+    inside = per_block(inside)[:-1]
+    light = sizes <= _CONCAVE_WEIGHT
+    light = None if light.all() else per_block(np.repeat(light, lengths))
     row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
     parent = _entropy_in_range(pos / sizes)
     gain = np.full(count, -np.inf)
@@ -450,25 +456,29 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
     lo, hi = np.zeros(count), np.zeros(count)
     size_left, pos_left = np.zeros(count), np.zeros(count)
     cum = np.zeros(step * m + 1, dtype=np.complex128)  # cum[f] = wy before flat position f
-    cum_w, cum_yw = cum.real, cum.imag
     for c0 in range(0, k, step):
         ids = order[c0:c0 + step]
         rows, width = len(ids), ids.size
-        values = X.take(ids + row_at[c0:c0 + step]).ravel()
+        values = X.take(ids if k == 1 else ids + row_at[c0:c0 + step]).ravel()
         drawn = wy.take(ids).ravel()
         np.cumsum(drawn, out=cum[1:width + 1])  # rows end to end
-        cut = (values[:-1] < values[1:]) & inside[:width - 1]
+        cut = values[:-1] < values[1:]
+        cut &= inside[:width - 1]
         if width > 3:  # cut f + 1 is inside a run when cuts f and f + 2 are candidates
             label = drawn.imag > 0
             inner = cut[:-2] & cut[2:]
             inner &= label[1:-2] == label[2:-1]
-            inner &= light[1:width - 2]
+            if light is not None:
+                inner &= light[1:width - 2]
             cut[1:-1] &= ~inner
         f = np.flatnonzero(cut)
         if f.size == 0:
             continue
-        s = node_of[f]
-        gains = _cut_gains(*_left_of(f, ids_left_at, cum_w, cum_yw), s, sizes, pos, parent)
+        s = node_of.take(f)
+        first = starts.take(s)  # the flat position where f's segment starts
+        if step > 1:
+            first += f - f % m
+        gains = _cut_gains(*_between(first, f + 1, cum), s, sizes, pos, parent)
         # The cuts run by row, then by node: the best gain of each (row,
         # node) segment of them, then of each node, and the first cut that
         # reaches it, in the first segment that does.
@@ -481,7 +491,7 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
         won = np.flatnonzero(top > gain)
         if won.size == 0:
             continue
-        hit = np.flatnonzero(gains == top[s])
+        hit = np.flatnonzero(gains == top.take(s))
         first_row = np.argmax(seg_top[:, won] == top[won], axis=0)
         k_won = hit[np.searchsorted(hit, seg_lo[first_row * count + won])]
         gain[won] = top[won]
@@ -490,16 +500,23 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
         at[won] = f % m
         lo[won] = values[f]
         hi[won] = values[f + 1]
-        size_left[won], pos_left[won] = _left_of(f, ids_left_at, cum_w, cum_yw)
-    threshold = lo + (hi - lo) / 2.0
-    rounded_up = threshold >= hi  # midpoint rounded up onto the right value
-    threshold[rounded_up] = lo[rounded_up]
-    return gain, feature, at, threshold, size_left, pos_left
+        size_left[won], pos_left[won] = _between(first[k_won], f + 1, cum)
+    return gain, feature, at, _midpoints(lo, hi), size_left, pos_left
+
+
+def _between(first, after, cum):
+    """The weight and the weighted positives from flat position first up
+    to after, read from cum, their cumulative sums as one complex array."""
+    sums = cum.take(after)
+    sums -= cum.take(first)
+    return sums.real.copy(), sums.imag.copy()
 
 
 def _left_of(f, ids_left_at, cum_w, cum_yw):
     """The weight and the weighted positives left of a cut after each flat
-    position f, from the start of f's segment."""
+    position f, from the start of f's segment, given how many ids lie from
+    there up to each position: the form the reference search in the tests
+    reads cuts with."""
     after = f + 1
     first = after - ids_left_at[f]  # flat position where f's segment starts
     n_left = cum_w[after]
@@ -513,9 +530,9 @@ def _cut_gains(n_left, p_left, s, sizes, pos, parent):
     """The entropy reduction of cuts in nodes s with the given size and
     positives left of them, computed in place in a few buffers: the
     level's largest arrays, so the fewer the better."""
-    n_right = sizes[s]
-    n_right -= n_left
-    p_right = pos[s]
+    size = sizes.take(s)
+    n_right = size - n_left
+    p_right = pos.take(s)
     p_right -= p_left
     p_left /= n_left  # the fractions of positives
     p_right /= n_right
@@ -524,74 +541,238 @@ def _cut_gains(n_left, p_left, s, sizes, pos, parent):
     h_right = _entropy_in_range(p_right)
     h_right *= n_right
     gains += h_right
-    gains /= sizes[s]
-    return np.subtract(parent[s], gains, out=gains)
+    gains /= size
+    return np.subtract(parent.take(s), gains, out=gains)
+
+
+class _Sorted(NamedTuple):
+    """The features a forest searches by sorting, one slot per (tree,
+    feature), in tree order and, within a tree, in feature order."""
+
+    tree: np.ndarray
+    feature: np.ndarray  # the slot's index among its tree's features, which a split records
+    row: np.ndarray  # the slot's row of the value source
+    ids: np.ndarray  # each slot's tree's ids in the order of the slot's values, slots end to end
+    values: np.ndarray  # those values, in that order
+
+
+class _Counted(NamedTuple):
+    """The features a forest searches by counting, those that take two
+    values, one pair per (tree, feature), and the ids of each pair's tree
+    that hold the rarer of its two values."""
+
+    tree: np.ndarray
+    feature: np.ndarray
+    row: np.ndarray
+    lo: np.ndarray  # the lower value
+    hi: np.ndarray  # the higher value
+    rare_lo: np.ndarray  # whether the rarer value is the lower one
+    ids: np.ndarray  # the ids holding the rarer value, pair after pair
+    id_feature: np.ndarray  # each of those ids' pair's feature
+
+
+_NO_PAIRS = _Counted(*[np.zeros(0, dtype=np.intp)] * 8)
+
+
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The thresholds of cuts between values lo < hi: their midpoints, or
+    lo where the midpoint rounds up onto hi."""
+    threshold = lo + (hi - lo) / 2.0
+    rounded_up = threshold >= hi
+    threshold[rounded_up] = lo[rounded_up]
+    return threshold
+
+
+def _search(values, wy, order, lengths, sizes, pos):
+    """_best_splits over segments laid end to end in one row of positions:
+    segment i holds lengths[i] positions of order (None: every position,
+    in order), which index values and wy, sorted by value, in a node of
+    the given size and positives. Each call takes as many whole segments
+    as fit in _SPLIT_BLOCK positions, and at least one. Returns per segment
+    the gain, the threshold, and the size and positives left of the cut."""
+    ends = np.cumsum(lengths)
+    gain, threshold, size_left, pos_left = (np.empty(len(lengths)) for _ in range(4))
+    i, a = 0, 0
+    while i < len(lengths):
+        j = max(i + 1, int(np.searchsorted(ends, a + _SPLIT_BLOCK, side="right")))
+        b = int(ends[j - 1])
+        chunk = np.arange(a, b) if order is None else order[a:b]
+        found = _best_splits(values[None, :], wy, chunk[None, :], ends[i:j] - lengths[i:j] - a,
+                             lengths[i:j], sizes[i:j], pos[i:j])
+        gain[i:j], threshold[i:j], size_left[i:j], pos_left[i:j] = found[0], *found[3:]
+        i, a = j, b
+    return gain, threshold, size_left, pos_left
+
+
+def _pair_cuts(counted: _Counted, pair_at, key, ids, w, yw, node_tree, sizes, pos, parent):
+    """The one cut of each pair in each node of its tree that holds both
+    the pair's values: its gain, threshold, size and positives left, node,
+    feature and row. ids hold the rarer values of the level's nodes, and
+    key is each one's node times the width of pair_at, the pair of each
+    (tree, feature) or -1, plus its pair's feature. The weight and weighted
+    positives of the rarer value in a node are exact integer sums, so the
+    lower value's are too."""
+    width = pair_at.shape[1]
+    n_rare = np.bincount(key, w.take(ids), len(sizes) * width)
+    p_rare = np.bincount(key, yw.take(ids), len(sizes) * width)
+    size = np.repeat(sizes, width)
+    both = np.flatnonzero((0 < n_rare) & (n_rare < size))
+    node, feature = np.divmod(both, width)
+    pair = pair_at.take(node_tree.take(node) * width + feature)
+    n_rare, p_rare, size = n_rare.take(both), p_rare.take(both), size.take(both)
+    rare_lo = counted.rare_lo.take(pair)
+    n_left = np.where(rare_lo, n_rare, size - n_rare)
+    p_left = np.where(rare_lo, p_rare, pos.take(node) - p_rare)
+    gain = _cut_gains(n_left, p_left.copy(), node, sizes, pos, parent)
+    threshold = _midpoints(counted.lo.take(pair), counted.hi.take(pair))
+    return gain, threshold, n_left, p_left, node, feature, counted.row.take(pair)
+
+
+def _parted(order, ids, side, lengths):
+    """The positions of order (None: every position of ids, in order) whose
+    id has side 1, then those whose id has side 2, each in the order they
+    had; lengths counts each."""
+    out = np.empty(sum(lengths), dtype=np.intp)
+    put = [0, lengths[0]]
+    for a in range(0, len(ids) if order is None else len(order), _SPLIT_BLOCK):
+        if order is None:
+            chunk = np.arange(a, min(a + _SPLIT_BLOCK, len(ids)))
+            to = side.take(ids[a:a + _SPLIT_BLOCK])
+        else:
+            chunk = order[a:a + _SPLIT_BLOCK]
+            to = side.take(ids.take(chunk))
+        for b in (0, 1):
+            goes = to == b + 1
+            done = put[b] + np.count_nonzero(goes)
+            np.compress(goes, chunk, out=out[put[b]:done])
+            put[b] = done
+    return out
+
+
+def _grow_forest(src, col, y, w, lengths, sort: _Sorted, counted: _Counted,
+                 max_depth: int) -> list[dict]:
+    """Grow a forest of depth-bounded trees by greedy entropy reduction, all
+    its trees a level at a time; returns their roots.
+
+    The forest's ids number its samples, tree t's the lengths[t] after
+    tree t - 1's: id i stands for w[i] > 0 copies, its bootstrap count, of
+    a row with label y[i] whose features are column col[i] of src. A tree
+    searches the features of its slots in sort and of its pairs in
+    counted, and feature f of tree t is the row of src its slot or pair
+    names. At a level, each node has one segment of positions per slot of
+    its tree, listing its ids in the order of the slot's values; the
+    segments lie end to end, a node's in slot order, and level 0's
+    positions are sort's. A split sends the ids whose value is at most its
+    threshold left, and each side keeps its positions in the order they
+    had, so no node sorts. A pair's one cut in a node that holds both its
+    values is scored from the counts of its lower value (_pair_cuts). A
+    node takes its first best cut, by feature, then threshold, as
+    _best_splits does in a row of features. A node is a leaf at max_depth,
+    when its labels agree, or when no split gains more than _MIN_GAIN.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    trees = len(lengths)
+    wy, yw = w + 1j * (y * w), y * w
+    total = np.add.reduceat(wy, np.cumsum(lengths) - lengths)
+    sizes, pos = total.real.copy(), total.imag.copy()
+    slots_of = np.bincount(sort.tree, minlength=trees)
+    first_slot = np.cumsum(slots_of) - slots_of
+    wy_sorted = wy.take(sort.ids)
+    order = None  # the level's positions; level 0 holds each once, in order
+    node_at = np.repeat(np.arange(trees), lengths)  # each id's node; -1 once it leaves the search
+    node_tree, node_len = np.arange(trees), lengths
+    width = int(counted.feature.max()) + 1 if len(counted.feature) else 0
+    pair_at = np.full((trees, width), -1)
+    pair_at[counted.tree, counted.feature] = np.arange(len(counted.tree))
+    ids, feature_of = counted.ids, counted.id_feature
+    roots = [{} for _ in range(trees)]
+    nodes = roots
+    for depth in range(max_depth):
+        count = len(nodes)
+        parent = _entropy_in_range(pos / sizes)
+        per_node = slots_of.take(node_tree)
+        seg_node = np.repeat(np.arange(count), per_node)
+        seg_slot = np.arange(len(seg_node)) + np.repeat(
+            first_slot.take(node_tree) - (np.cumsum(per_node) - per_node), per_node)
+        found = [(*_search(sort.values, wy_sorted, order, node_len.take(seg_node),
+                           sizes.take(seg_node), pos.take(seg_node)),
+                  seg_node, sort.feature.take(seg_slot), sort.row.take(seg_slot))]
+        if len(ids):
+            at_node = node_at.take(ids)
+            if at_node.min() < 0:
+                ids, feature_of, at_node = (np.compress(at_node >= 0, a)
+                                            for a in (ids, feature_of, at_node))
+            found.append(_pair_cuts(counted, pair_at, at_node * width + feature_of, ids, w, yw,
+                                    node_tree, sizes, pos, parent))
+        gain, threshold, size_left, pos_left, node, feature, row = (
+            np.concatenate(field) for field in zip(*found))
+        pick = np.lexsort((feature, -gain, node))  # by node, the best first, then lowest feature
+        first = np.ones(len(pick), dtype=bool)
+        first[1:] = node.take(pick[1:]) != node.take(pick[:-1])
+        won = pick[first]
+        best = np.full(count, -np.inf)
+        best[node.take(won)] = gain.take(won)
+        at = np.zeros(count, dtype=np.intp)  # each node's winning cut
+        at[node.take(won)] = won
+        child = np.full(2 * count, -1, dtype=np.intp)  # node s's left child at 2s, right at 2s + 1
+        grow = ([], [])
+        for s, tree_node in enumerate(nodes):
+            if not best[s] > _MIN_GAIN:
+                tree_node["score"] = float(pos[s] / sizes[s])
+                continue
+            c = at[s]
+            tree_node["feature"] = int(feature[c])
+            tree_node["threshold"] = float(threshold[c])
+            sides = ((float(size_left[c]), float(pos_left[c])),
+                     (float(sizes[s] - size_left[c]), float(pos[s] - pos_left[c])))
+            for b, (size, p) in enumerate(sides):
+                kid = tree_node["left" if b == 0 else "right"] = {}
+                if depth + 1 < max_depth and 0.0 < p < size:
+                    grow[b].append((2 * s + b, kid, size, p))
+                else:
+                    kid["score"] = p / size
+        children = grow[0] + grow[1]
+        if not children:
+            break
+        slot = np.array([i for i, _, _, _ in children])
+        child[slot] = np.arange(len(children))
+        live = np.flatnonzero(node_at >= 0)
+        live_node = node_at.take(live)
+        cut = at.take(live_node)
+        right = src.take(row.take(cut) * src.shape[1] + col.take(live)) > threshold.take(cut)
+        node_at[live] = kid_at = child.take(2 * live_node + right)
+        nodes = [kid for _, kid, _, _ in children]
+        node_tree = node_tree.take(slot // 2)
+        node_len = np.bincount(np.compress(kid_at >= 0, kid_at), minlength=len(nodes))
+        sizes = np.array([size for _, _, size, _ in children])
+        pos = np.array([p for _, _, _, p in children])
+        side = (node_at >= 0).astype(np.int8)  # 1, 2: in a left, right node of the next level
+        side += node_at >= len(grow[0])
+        span = node_len * slots_of.take(node_tree)
+        order = _parted(order, sort.ids, side, (int(span[:len(grow[0])].sum()),
+                                                int(span[len(grow[0]):].sum())))
+    return roots
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray, lengths,
                max_depth: int) -> list[dict]:
-    """Grow a forest of depth-bounded trees by greedy entropy reduction, all
-    its trees a level at a time; returns their roots.
+    """_grow_forest on a forest whose trees all sort every row of X.
 
     order holds the trees' samples side by side, one segment of the given
     length per tree, as (features, samples) ids of the columns of X, y and
     w: row c of a segment is sorted by feature c, which is X[c]. An id
     appears once in a segment and stands for w[id] > 0 copies of its row,
-    its bootstrap count. A node is a segment and its cuts lie inside it, so
-    trees never mix. A split keeps each side's ids in the order they had,
-    so no node sorts: the nodes of the next level are again sorted segments
-    of one array. A node is a leaf at max_depth, when its labels agree, or
-    when no split gains more than _MIN_GAIN. order has at least one row.
+    its bootstrap count. order has at least one row.
     """
-    k, m = order.shape
-    lengths = np.asarray(lengths)
-    wy = w + 1j * (y * w)
-    starts = np.cumsum(lengths) - lengths
-    total = np.add.reduceat(wy.take(order[0]), starts)
-    sizes, pos = total.real, total.imag
-    roots = [{} for _ in lengths]
-    nodes = roots
-    for depth in range(max_depth):
-        gain, feature, at, threshold, size_left, pos_left = _best_splits(
-            X, wy, order, starts, lengths, sizes, pos)
-        side = np.zeros(len(y), dtype=np.int8)  # 1, 2: goes to a left, right node to split
-        grow = ([], [])
-        for s, node in enumerate(nodes):
-            if not gain[s] > _MIN_GAIN:
-                node["score"] = float(pos[s] / sizes[s])
-                continue
-            start, cut, end = int(starts[s]), int(at[s]) + 1, int(starts[s] + lengths[s])
-            node["feature"] = int(feature[s])
-            node["threshold"] = float(threshold[s])
-            sides = ((cut - start, float(size_left[s]), float(pos_left[s]), start, cut),
-                     (end - cut, float(sizes[s] - size_left[s]), float(pos[s] - pos_left[s]),
-                      cut, end))
-            for b, (length, size, p, first, last) in enumerate(sides):
-                child = node["left" if b == 0 else "right"] = {}
-                if depth + 1 < max_depth and 0.0 < p < size:
-                    side[order[feature[s], first:last]] = b + 1
-                    grow[b].append((child, length, size, p))
-                else:
-                    child["score"] = p / size
-        children = grow[0] + grow[1]
-        if not children:
-            break
-        nodes = [child for child, _, _, _ in children]
-        lengths = np.array([length for _, length, _, _ in children])
-        sizes = np.array([size for _, _, size, _ in children])
-        pos = np.array([p for _, _, _, p in children])
-        starts = np.cumsum(lengths) - lengths
-        left = sum(length for _, length, _, _ in grow[0])
-        parted = np.empty((k, lengths.sum()), dtype=order.dtype)
-        step = _block_rows(k, m)
-        for c0 in range(0, k, step):
-            block = order[c0:c0 + step]
-            to = side.take(block).ravel()
-            parted[c0:c0 + step, :left] = np.compress(to == 1, block).reshape(len(block), -1)
-            parted[c0:c0 + step, left:] = np.compress(to == 2, block).reshape(len(block), -1)
-        del block  # a view that would keep this level's order alive through the next
-        order, m = parted, parted.shape[1]
-    return roots
+    k = len(order)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    ids = np.concatenate([order[:, end - length:end].ravel() for end, length in zip(ends, lengths)])
+    tree = np.repeat(np.arange(len(lengths)), k)
+    feature = np.tile(np.arange(k), len(lengths))
+    values = X.take(ids + np.repeat(feature * X.shape[1], lengths.take(tree)))
+    return _grow_forest(X, np.arange(X.shape[1]), y, w, lengths,
+                        _Sorted(tree, feature, feature, ids, values), _NO_PAIRS, max_depth)
 
 
 class _FlatTree(NamedTuple):
@@ -762,45 +943,82 @@ class BaggedTreesPredictor(_Predictor):
         }
 
 
-def _varying(XT: np.ndarray):
-    """The rows of XT that are not constant, the one kind of feature a tree
-    can cut, as (their indices in XT, their presort). The presort has one
-    row, np.arange, when no row varies."""
-    features = np.flatnonzero(XT.max(axis=1) > XT.min(axis=1))
-    if not len(features):
-        return features, np.arange(XT.shape[1])[None, :]
-    return features, _presort(XT, features)
+class _Features(NamedTuple):
+    """The rows of XT that a tree can cut, those that vary on the fit's
+    rows, in XT's order. One that takes three or more values is presorted;
+    one that takes two is counted, from the rows that hold its rarer
+    value (the lower one on a tie)."""
+
+    rows: np.ndarray  # their indices in XT
+    sorted: np.ndarray  # per feature, its row of order, or -1 if it takes two values
+    order: np.ndarray  # the presort of those with three or more values
+    lo: np.ndarray  # per feature, its least value
+    hi: np.ndarray  # and its greatest
+    rare_lo: np.ndarray  # per feature, whether its rarer value is its least
+    rare: np.ndarray  # the rows holding a two-valued feature's rarer value, feature after feature
+    rare_start: np.ndarray  # per feature, where its rows start in rare
+    rare_len: np.ndarray  # and how many they are; 0 for a presorted feature
 
 
-def _grow_pass(XT, features, order, y, copies, rows, max_depth: int) -> list[dict]:
-    """Trees grown side by side as one forest (_grow_tree): tree t draws
-    row i of y copies[t, i] times and searches XT's rows features[rows[:,
-    t]], which order presorts, so a split's feature is an index into
-    rows[:, t]. An entry len(features) of rows is a row of zeros, which has
-    no cut; it pads a tree with fewer features to search than the others.
+def _varying(XT: np.ndarray) -> _Features:
+    """The features of XT that a tree can cut (_Features)."""
+    lo, hi = XT.min(axis=1), XT.max(axis=1)
+    at_lo, at_hi = XT == lo[:, None], XT == hi[:, None]
+    rows = np.flatnonzero(hi > lo)
+    n_lo = np.count_nonzero(at_lo, axis=1).take(rows)
+    two = n_lo + np.count_nonzero(at_hi, axis=1).take(rows) == XT.shape[1]
+    rare_lo = 2 * n_lo <= XT.shape[1]
+    sorted_rows = rows[~two]
+    rank = np.full(len(rows), -1)
+    rank[~two] = np.arange(len(sorted_rows))
+    row_dtype = np.int32 if XT.shape[1] < 2**31 else np.intp
+    rare = [np.flatnonzero(at_lo[r] if low else at_hi[r]).astype(row_dtype)
+            for r, low in zip(rows[two], rare_lo[two])]
+    rare_len = np.zeros(len(rows), dtype=np.intp)
+    rare_len[two] = [len(r) for r in rare]
+    return _Features(rows, rank, _presort(XT, sorted_rows), lo.take(rows), hi.take(rows), rare_lo,
+                     np.concatenate([np.zeros(0, dtype=row_dtype), *rare]),
+                     np.cumsum(rare_len) - rare_len, rare_len)
+
+
+def _grow_pass(XT, features: _Features, y, copies, searched, max_depth: int) -> list[dict]:
+    """Trees grown side by side as one forest (_grow_forest): tree t draws
+    row i of y copies[t, i] times and searches the features
+    searched[t], indices into features, so a split's feature is an index
+    into searched[t].
 
     The forest's ids number the drawn (tree, row) pairs, tree by tree and
-    in row order within a tree, so its arrays hold drawn rows only. Row c
-    of the sample holds each tree's ids sorted by its c-th feature.
+    in row order within a tree, so its arrays hold drawn rows only. A slot
+    lists its tree's ids in its feature's presort order; a pair, its
+    tree's ids that hold its feature's rarer value.
     """
     count, n = copies.shape
     drawn = copies.ravel() > 0
     pairs = np.flatnonzero(drawn)  # id -> t * n + i
     lengths = np.count_nonzero(copies, axis=1)
-    ends = np.cumsum(lengths)
-    pad = rows == len(features)
-    X = np.zeros((len(rows), len(pairs)))
-    for c, t in zip(*np.nonzero(~pad)):
-        lo, hi = ends[t] - lengths[t], ends[t]
-        XT[features[rows[c, t]]].take(pairs[lo:hi] - t * n, out=X[c, lo:hi])
-    slot = np.cumsum(drawn) - 1  # (t * n + i) -> id
-    shift = (np.arange(count) * n)[:, None]
-    sample = np.empty(X.shape, dtype=order.dtype)
-    for c, row in enumerate(np.where(pad, 0, rows)):  # any order suits a row of zeros
-        ids = (order[row] + shift).ravel()
-        sample[c] = slot.take(ids[drawn.take(ids)])
-    return _grow_tree(X, y.take(pairs % n), copies.take(pairs).astype(np.float64), sample,
-                      lengths, max_depth)
+    id_of = np.cumsum(drawn) - 1  # (t * n + i) -> id
+    tree = np.repeat(np.arange(count), [len(s) for s in searched])
+    feature = np.concatenate([np.arange(len(s)) for s in searched])
+    which = np.concatenate(searched).astype(np.intp)
+    rank = features.sorted.take(which)
+    kind = rank >= 0
+    t, f, v = tree[kind], feature[kind], which[kind]
+    at = features.order.take(rank[kind], axis=0) + (t * n)[:, None]
+    at = np.compress(drawn.take(at).ravel(), at)  # each slot's tree's drawn pairs, in value order
+    row = features.rows.take(v)
+    values = XT.take(at + np.repeat(row * n - t * n, lengths.take(t)))
+    sort = _Sorted(t, f, row, id_of.take(at), values)
+    t, f, v = tree[~kind], feature[~kind], which[~kind]
+    size = features.rare_len.take(v)
+    at = features.rare.take(np.arange(size.sum()) + np.repeat(
+        features.rare_start.take(v) - (np.cumsum(size) - size), size)) + np.repeat(t * n, size)
+    kept = drawn.take(at)
+    counted = _Counted(t, f, features.rows.take(v), features.lo.take(v), features.hi.take(v),
+                       features.rare_lo.take(v), id_of.take(np.compress(kept, at)),
+                       np.compress(kept, np.repeat(f, size)))
+    col, w = pairs % n, copies.take(pairs).astype(np.float64)
+    del drawn, pairs, id_of, at, kept  # this pass's scratch, before the forest grows
+    return _grow_forest(XT, col, y.take(col), w, lengths, sort, counted, max_depth)
 
 
 def _relabel(node: dict, names) -> dict:
@@ -815,11 +1033,10 @@ def _relabel(node: dict, names) -> dict:
 def _fit_tree(XT: np.ndarray, y: np.ndarray, max_depth: int) -> dict:
     """One tree that splits on the row indices of XT: a forest of one
     (_grow_pass) that draws each column once and searches the rows that vary."""
-    features, order = _varying(XT)
-    rows = np.arange(max(1, len(features)))[:, None]
-    [root] = _grow_pass(XT, features, order, y, np.ones((1, len(y)), dtype=np.intp), rows,
-                        max_depth)
-    return _relabel(root, features)
+    features = _varying(XT)
+    [root] = _grow_pass(XT, features, y, np.ones((1, len(y)), dtype=np.intp),
+                        [np.arange(len(features.rows))], max_depth)
+    return _relabel(root, features.rows)
 
 
 def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
@@ -833,9 +1050,9 @@ def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     """
     d, n = XT.shape
     k = min(d, max(1, int(round(spec.feature_fraction * d))))  # 0 only without features
-    features, order = _varying(XT)
-    row_of = np.full(d, len(features))  # each feature's index in features; a constant one's pads
-    row_of[features] = np.arange(len(features))
+    features = _varying(XT)
+    index = np.full(d, -1)  # each feature's index in features; -1 for a constant one
+    index[features.rows] = np.arange(len(features.rows))
     trees, subsets = [], []
     per_pass = _pass_trees(n)
     for t0 in range(0, spec.n_trees, per_pass):
@@ -845,13 +1062,9 @@ def _fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
             rng = np.random.default_rng([spec.seed & _SEED_MASK, t0 + t])
             copies[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
             subsets.append(np.sort(rng.choice(d, size=k, replace=False)))
-        # row_of rises with the feature, so sorting keeps the varying in subset order;
-        # a tree without features searches one row of zeros, and grows a leaf
-        rows = np.full((max(k, 1), count), len(features))
-        rows[:k] = np.sort(row_of[np.array(subsets[t0:])], axis=1).T
-        rows = rows[:max(1, int((rows < len(features)).sum(axis=0).max()))]
-        roots = _grow_pass(XT, features, order, y, copies, rows, spec.max_depth)
-        trees += [_relabel(root, np.flatnonzero(row_of[subset] < len(features)))
+        searched = [index[subset][index[subset] >= 0] for subset in subsets[t0:]]
+        roots = _grow_pass(XT, features, y, copies, searched, spec.max_depth)
+        trees += [_relabel(root, np.flatnonzero(index[subset] >= 0))
                   for root, subset in zip(roots, subsets[t0:])]
     return trees, subsets
 
