@@ -272,7 +272,7 @@ def monotonicity_audit(
     step, following the trace.
 
     Checks two things: (a) each recorded decision agrees with the update
-    rule recomputed from the data, and each recorded risk, margin and err
+    rule recomputed from the data, and its recorded err, risks and margin
     with the replay's within TOL, and (b) every observed group's risk under
     the tree sits within that group's margin of its group-restricted fit
     whenever that risk changes. An inherited node is checked at its visit:
@@ -310,12 +310,15 @@ def monotonicity_audit(
                                                    f"gives {replayed.decision!r} (err={err})"))
         if replayed.n_g == 0:
             continue
-        for key in _REAL_FIELDS:
+        # the step's recorded numbers: one violation, for the first that the
+        # replay does not give, err (which the rule reads) first
+        for key in ("err", "parent_risk", "candidate_risk", "epsilon"):
             kept, again = getattr(recorded, key), getattr(replayed, key)
             # equal infinities give nan here, which compares False as intended
             if kept is not None and abs(kept - again) > TOL:
                 violations.append(
                     (step, g.id, "rule", f"recorded {key}={kept}, replay {key}={again}"))
+                break
 
         bench[step] = (replayed.candidate_risk, replayed.epsilon)
         for h in tree.ancestors(g.id) if followed_update else [g]:

@@ -462,16 +462,8 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
         values = X.take(ids if k == 1 else ids + row_at[c0:c0 + step]).ravel()
         drawn = wy.take(ids).ravel()
         np.cumsum(drawn, out=cum[1:width + 1])  # rows end to end
-        cut = values[:-1] < values[1:]
-        cut &= inside[:width - 1]
-        if width > 3:  # cut f + 1 is inside a run when cuts f and f + 2 are candidates
-            label = drawn.imag > 0
-            inner = cut[:-2] & cut[2:]
-            inner &= label[1:-2] == label[2:-1]
-            if light is not None:
-                inner &= light[1:width - 2]
-            cut[1:-1] &= ~inner
-        f = np.flatnonzero(cut)
+        f = _cuts(values, drawn.imag > 0, inside, light)
+        del drawn  # the block's largest buffer, which the gains below do not read
         if f.size == 0:
             continue
         s = node_of.take(f)
@@ -502,6 +494,22 @@ def _best_splits(X, wy, order, starts, lengths, sizes, pos):
         hi[won] = values[f + 1]
         size_left[won], pos_left[won] = _between(first[k_won], f + 1, cum)
     return gain, feature, at, _midpoints(lo, hi), size_left, pos_left
+
+
+def _cuts(values, label, inside, light):
+    """The flat positions f of a block's candidate cuts, between f and
+    f + 1: where the values rise inside a node, less those inside a run of
+    one label (cut f + 1 when cuts f and f + 2 are candidates and the two
+    samples between them share a label) in nodes that may skip them."""
+    cut = values[:-1] < values[1:]
+    cut &= inside[:len(values) - 1]
+    if len(values) > 3:
+        inner = cut[:-2] & cut[2:]
+        inner &= label[1:-2] == label[2:-1]
+        if light is not None:
+            inner &= light[1:len(values) - 2]
+        cut[1:-1] &= ~inner
+    return np.flatnonzero(cut)
 
 
 def _between(first, after, cum):
@@ -679,7 +687,8 @@ def _grow_forest(src, col, y, w, lengths, sort: _Sorted, counted: _Counted,
     first_slot = np.cumsum(slots_of) - slots_of
     wy_sorted = wy.take(sort.ids)
     order = None  # the level's positions; level 0 holds each once, in order
-    node_at = np.repeat(np.arange(trees), lengths)  # each id's node; -1 once it leaves the search
+    live = np.arange(len(y))  # the ids in a node of the level, and their nodes
+    live_node = node_at = np.repeat(np.arange(trees), lengths)  # node_at: -1 once an id leaves
     node_tree, node_len = np.arange(trees), lengths
     width = int(counted.feature.max()) + 1 if len(counted.feature) else 0
     pair_at = np.full((trees, width), -1)
@@ -736,18 +745,19 @@ def _grow_forest(src, col, y, w, lengths, sort: _Sorted, counted: _Counted,
             break
         slot = np.array([i for i, _, _, _ in children])
         child[slot] = np.arange(len(children))
-        live = np.flatnonzero(node_at >= 0)
-        live_node = node_at.take(live)
         cut = at.take(live_node)
         right = src.take(row.take(cut) * src.shape[1] + col.take(live)) > threshold.take(cut)
-        node_at[live] = kid_at = child.take(2 * live_node + right)
+        node_at = np.full(len(y), -1)
+        node_at[live] = live_node = child.take(2 * live_node + right)
+        stays = live_node >= 0
+        live, live_node = np.compress(stays, live), np.compress(stays, live_node)
+        side = np.zeros(len(y), dtype=np.int8)  # 1, 2: in a left, right node of the next level
+        side[live] = 1 + (live_node >= len(grow[0]))
         nodes = [kid for _, kid, _, _ in children]
         node_tree = node_tree.take(slot // 2)
-        node_len = np.bincount(np.compress(kid_at >= 0, kid_at), minlength=len(nodes))
+        node_len = np.bincount(live_node, minlength=len(nodes))
         sizes = np.array([size for _, _, size, _ in children])
         pos = np.array([p for _, _, _, p in children])
-        side = (node_at >= 0).astype(np.int8)  # 1, 2: in a left, right node of the next level
-        side += node_at >= len(grow[0])
         span = node_len * slots_of.take(node_tree)
         order = _parted(order, sort.ids, side, (int(span[:len(grow[0])].sum()),
                                                 int(span[len(grow[0]):].sum())))

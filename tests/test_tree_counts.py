@@ -228,3 +228,54 @@ def test_census_tree_group_fits_match_reference(monkeypatch, seed):
         want.update(json.dumps(doc).encode())
     assert len(tree.nodes) == 46 and splits > 30
     assert got.hexdigest() == want.hexdigest()
+
+
+def test_census_bagged_level_zero_searches_no_padding_and_no_two_valued_rows(monkeypatch):
+    """Over the 46 census_bagged group fits (seed 1), the split search at
+    level 0 reads exactly each tree's distinct drawn rows once per feature
+    of its subset that takes three or more values on the fit's rows: no
+    position pads a tree with fewer such features, and a feature with two
+    values is counted, not sorted."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+    from multigroup import learners
+
+    w = workloads.WORKLOADS["census_bagged"]
+    ds = make_synthetic(w.spec(), 1)
+    cfg = parse_run_config(w.run_config("data.csv", schema_to_json(ds.schema), 1))
+    tree = cfg.hierarchy(ds.schema)
+    spec = LearnerSpec.from_json(w.learner)
+    encoder = FeatureEncoder(ds.schema)
+    levels = []  # per forest, per level, the positions the kernel searched
+
+    def wrap(name, action):
+        real = getattr(learners, name)
+
+        def traced(*args):
+            action(args)
+            return real(*args)
+        monkeypatch.setattr(learners, name, traced)
+
+    wrap("_grow_forest", lambda args: levels.append([]))
+    wrap("_search", lambda args: levels[-1].append(0))
+    wrap("_best_splits", lambda args: levels[-1].__setitem__(-1, levels[-1][-1] + args[2].size))
+    PredictorCache(ds, encoder).group_fits(spec, tree)
+    searched = sum(forest[0] for forest in levels if forest)
+
+    want = fits = 0
+    for rows in tree.row_index(ds):
+        y = ds.labels()[rows]
+        if not len(rows) or y.min() == y.max():
+            continue
+        fits += 1
+        XT = encoder.encode(ds.take(rows)).T
+        d, n = XT.shape
+        wide = np.array([len(np.unique(row)) >= 3 for row in XT])
+        k = max(1, int(round(spec.feature_fraction * d)))
+        for t in range(spec.n_trees):
+            rng = np.random.default_rng([spec.seed & _SEED_MASK, t])
+            drawn = np.count_nonzero(np.bincount(rng.integers(0, n, size=n), minlength=n))
+            subset = rng.choice(d, size=k, replace=False)
+            want += drawn * int(wide[subset].sum())
+    assert len(tree.nodes) == 46 and fits > 40
+    assert searched == want
