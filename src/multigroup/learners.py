@@ -1011,14 +1011,14 @@ def _grow_pass(XT, features: _Features, y, copies, searched, max_depth: int) -> 
     feature = np.concatenate([np.arange(len(s)) for s in searched])
     which = np.concatenate(searched).astype(np.intp)
     rank = features.sorted.take(which)
-    kind = rank >= 0
-    t, f, v = tree[kind], feature[kind], which[kind]
-    at = features.order.take(rank[kind], axis=0) + (t * n)[:, None]
+    presorted = rank >= 0
+    t, f, v = tree[presorted], feature[presorted], which[presorted]
+    at = features.order.take(rank[presorted], axis=0) + (t * n)[:, None]
     at = np.compress(drawn.take(at).ravel(), at)  # each slot's tree's drawn pairs, in value order
     row = features.rows.take(v)
     values = XT.take(at + np.repeat(row * n - t * n, lengths.take(t)))
     sort = _Sorted(t, f, row, id_of.take(at), values)
-    t, f, v = tree[~kind], feature[~kind], which[~kind]
+    t, f, v = tree[~presorted], feature[~presorted], which[~presorted]
     size = features.rare_len.take(v)
     at = features.rare.take(np.arange(size.sum()) + np.repeat(
         features.rare_start.take(v) - (np.cumsum(size) - size), size)) + np.repeat(t * n, size)
