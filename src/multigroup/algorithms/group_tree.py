@@ -27,7 +27,8 @@ from .routing import route
 TOL = 1e-9
 
 
-_REAL_FIELDS = ("parent_risk", "candidate_risk", "epsilon", "err")
+# a step's numbers, err (which the update rule reads) first
+_REAL_FIELDS = ("err", "parent_risk", "candidate_risk", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -311,8 +312,8 @@ def monotonicity_audit(
         if replayed.n_g == 0:
             continue
         # the step's recorded numbers: one violation, for the first that the
-        # replay does not give, err (which the rule reads) first
-        for key in ("err", "parent_risk", "candidate_risk", "epsilon"):
+        # replay does not give
+        for key in _REAL_FIELDS:
             kept, again = getattr(recorded, key), getattr(replayed, key)
             # equal infinities give nan here, which compares False as intended
             if kept is not None and abs(kept - again) > TOL:
