@@ -25,6 +25,31 @@ _TOP_KEYS = {
 }
 
 
+def _strings(value) -> bool:
+    """Whether value is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _conjunctions(value) -> bool:
+    """Whether value is a JSON list of lists of [attribute, category] pairs."""
+    return isinstance(value, list) and all(
+        isinstance(node, list) and all(_strings(c) and len(c) == 2 for c in node) for node in value)
+
+
+# What each top-level field's JSON value must be, when present, and how to
+# say so.
+_TOP_TYPES = {
+    "dataset": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "output_dir": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "methods": (_strings, "a list of strings"),
+    "attribute_order": (_strings, "a list of strings"),
+    "learners": (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+                 "a list of objects"),
+    "hierarchy_nodes": (_conjunctions, "a list of lists of [attribute, category] pairs"),
+    "loss": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema: object
@@ -110,6 +135,9 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 def parse_run_config(doc: dict) -> ExperimentConfig:
     check_keys(doc, _TOP_KEYS, "config", ConfigError)
+    for key, (valid, what) in _TOP_TYPES.items():
+        if key in doc and not valid(doc[key]):
+            raise ConfigError(f"{key} must be {what}, got {doc[key]!r}")
     for required in ("schema", "learners", "epsilon"):
         if required not in doc:
             raise ConfigError(f"config missing required key {required!r}")

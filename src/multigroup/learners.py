@@ -335,14 +335,8 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
 # ---------------------------------------------------------------------------
 
 _MIN_GAIN = 1e-12  # floating-point guard: splits must strictly reduce entropy
-_SPLIT_BLOCK = 1 << 14  # sorted values per block of features in the split search
+_SPLIT_BLOCK = 1 << 14  # positions per _best_splits call in the split search
 _SCORE_BLOCK = 1 << 14  # (tree, row) pairs per block when a forest scores rows
-
-
-def _block_rows(k: int, m: int) -> int:
-    """Rows of a (k, m) level array per block, at most _SPLIT_BLOCK values
-    unless one row alone is longer."""
-    return min(k, max(1, _SPLIT_BLOCK // m))
 
 
 def _pass_trees(n: int) -> int:
@@ -404,134 +398,81 @@ def _presort(XT: np.ndarray, rows=None) -> np.ndarray:
     return order
 
 
-def _best_splits(X, wy, order, starts, lengths, sizes, pos):
-    """Best (feature, threshold) of each node of one forest level, by
-    entropy reduction.
+def _best_splits(values, wy, ids, starts, lengths, sizes, pos):
+    """Best cut of each node in one row of positions, by entropy reduction.
 
-    The level's nodes are contiguous segments of order's columns (start,
-    length), and row c of a segment lists its sample ids sorted by feature
-    c, which is X[c]; ids index the columns of X and wy. wy holds each id's
-    weight, how often a bootstrap drew it, as its real part and its
-    weighted label as its imaginary part, so one cumulative sum counts
-    both. A node's size and positives are its weights and weighted labels
-    in total. Both are integers, so every count below is exact and equals
-    the count of a sample that repeats each id as often as drawn.
+    The nodes are contiguous segments of ids (start, length), each listing
+    positions of values and wy in ascending order of value. wy holds each
+    position's weight, how often a bootstrap drew its sample, as its real
+    part and its weighted label as its imaginary part, so one cumulative
+    sum counts both. A node's size and positives are its weights and
+    weighted labels in total. Both are integers, so every count below is
+    exact and equals the count of a sample that repeats each position as
+    often as drawn.
     The candidate thresholds are the boundaries between distinct sorted
-    values inside a node. Features are scanned in index order and
-    thresholds in ascending order, so ties resolve to the lowest feature
-    index and lowest threshold. In a node of weight at most _CONCAVE_WEIGHT
-    a cut is not scored when the cuts either side of it are candidates too
-    and the two samples between them have the same label: it scores below
-    one of those (Fayyad and Irani 1992), so the first maximum is the same
-    as over every candidate. Rows of order are scored a block at a time,
-    as many per block as keep it within _SPLIT_BLOCK values, and read X
-    with 1-D take on flat indices.
+    values inside a node, scanned in ascending order, so ties resolve to
+    the lowest threshold. In a node of weight at most _CONCAVE_WEIGHT a cut
+    is not scored when the cuts either side of it are candidates too and
+    the two samples between them have the same label: it scores below one
+    of those (Fayyad and Irani 1992), so the first maximum is the same as
+    over every candidate.
 
-    Returns per node: the gain (-inf if no feature has two distinct
-    values), the feature, the last position left of the cut, the threshold
-    (the midpoint of the values either side of the cut), and the size and
-    positives left of it.
+    Returns per node: the gain (-inf if the node holds one value), the
+    threshold (the midpoint of the values either side of the cut), and the
+    size and positives left of it.
     """
-    k, m = order.shape
     count = len(starts)
-    sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
-    step = _block_rows(k, m)
-
-    def per_block(a):  # a per position of one row, for a block's rows end to end
-        return a if step == 1 else np.tile(a, step)
-
-    # Per position of a block's rows laid end to end: its node, whether a
-    # cut after it is inside its node, and whether its node may skip cuts
-    # inside runs (None: all may).
-    node_of = per_block(np.repeat(np.arange(count), lengths))
-    inside = np.ones(m, dtype=bool)
+    node_of = np.repeat(np.arange(count), lengths)
+    inside = np.ones(len(ids), dtype=bool)  # whether a cut after a position is inside its node
     inside[starts + lengths - 1] = False
-    inside = per_block(inside)[:-1]
-    light = sizes <= _CONCAVE_WEIGHT
-    light = None if light.all() else per_block(np.repeat(light, lengths))
-    row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
-    parent = _entropy_in_range(pos / sizes)
+    light = sizes <= _CONCAVE_WEIGHT  # whether a node may skip cuts inside runs (None: all may)
+    light = None if light.all() else np.repeat(light, lengths)
+    values = values.take(ids)
+    drawn = wy.take(ids)
+    cum = np.zeros(len(ids) + 1, dtype=np.complex128)  # cum[f] = wy before position f
+    np.cumsum(drawn, out=cum[1:])
+    f = _cuts(values, drawn.imag > 0, inside, light)
+    del drawn  # the largest buffer, which the gains below do not read
+    s = node_of.take(f)
+    first = starts.take(s)  # the position where f's node starts
+    gains = _cut_gains(*_between(first, f + 1, cum), s, sizes, pos, _entropy_in_range(pos / sizes))
+    # The cuts run by node: the best gain of each node that has one, and
+    # the first cut that reaches it.
+    seg_lo = np.searchsorted(f, starts)
+    won = np.flatnonzero(seg_lo < np.append(seg_lo[1:], f.size))
     gain = np.full(count, -np.inf)
-    feature, at = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
-    lo, hi = np.zeros(count), np.zeros(count)
-    size_left, pos_left = np.zeros(count), np.zeros(count)
-    cum = np.zeros(step * m + 1, dtype=np.complex128)  # cum[f] = wy before flat position f
-    for c0 in range(0, k, step):
-        ids = order[c0:c0 + step]
-        rows, width = len(ids), ids.size
-        values = X.take(ids if k == 1 else ids + row_at[c0:c0 + step]).ravel()
-        drawn = wy.take(ids).ravel()
-        np.cumsum(drawn, out=cum[1:width + 1])  # rows end to end
-        f = _cuts(values, drawn.imag > 0, inside, light)
-        del drawn  # the block's largest buffer, which the gains below do not read
-        if f.size == 0:
-            continue
-        s = node_of.take(f)
-        first = starts.take(s)  # the flat position where f's segment starts
-        if step > 1:
-            first += f - f % m
-        gains = _cut_gains(*_between(first, f + 1, cum), s, sizes, pos, parent)
-        # The cuts run by row, then by node: the best gain of each (row,
-        # node) segment of them, then of each node, and the first cut that
-        # reaches it, in the first segment that does.
-        seg_lo = np.searchsorted(f, (np.arange(rows)[:, None] * m + starts).ravel())
-        cut_in = seg_lo < np.append(seg_lo[1:], f.size)
-        seg_top = np.full(rows * count, -np.inf)
-        seg_top[cut_in] = np.maximum.reduceat(gains, seg_lo[cut_in])
-        seg_top = seg_top.reshape(rows, count)
-        top = seg_top.max(axis=0)
-        won = np.flatnonzero(top > gain)
-        if won.size == 0:
-            continue
-        hit = np.flatnonzero(gains == top.take(s))
-        first_row = np.argmax(seg_top[:, won] == top[won], axis=0)
-        k_won = hit[np.searchsorted(hit, seg_lo[first_row * count + won])]
-        gain[won] = top[won]
-        f = f[k_won]
-        feature[won] = c0 + f // m
-        at[won] = f % m
-        lo[won] = values[f]
-        hi[won] = values[f + 1]
-        size_left[won], pos_left[won] = _between(first[k_won], f + 1, cum)
-    return gain, feature, at, _midpoints(lo, hi), size_left, pos_left
+    gain[won] = np.maximum.reduceat(gains, seg_lo[won])
+    hit = np.flatnonzero(gains == gain.take(s))
+    k_won = hit[np.searchsorted(hit, seg_lo[won])]
+    f = f[k_won]
+    threshold, size_left, pos_left = np.zeros(count), np.zeros(count), np.zeros(count)
+    threshold[won] = _midpoints(values[f], values[f + 1])
+    size_left[won], pos_left[won] = _between(first[k_won], f + 1, cum)
+    return gain, threshold, size_left, pos_left
 
 
 def _cuts(values, label, inside, light):
-    """The flat positions f of a block's candidate cuts, between f and
-    f + 1: where the values rise inside a node, less those inside a run of
-    one label (cut f + 1 when cuts f and f + 2 are candidates and the two
-    samples between them share a label) in nodes that may skip them."""
+    """The positions f of candidate cuts, between f and f + 1: where the
+    values rise inside a node, less those inside a run of one label (cut
+    f + 1 when cuts f and f + 2 are candidates and the two samples between
+    them share a label) in nodes that may skip them."""
     cut = values[:-1] < values[1:]
-    cut &= inside[:len(values) - 1]
+    cut &= inside[:-1]
     if len(values) > 3:
         inner = cut[:-2] & cut[2:]
         inner &= label[1:-2] == label[2:-1]
         if light is not None:
-            inner &= light[1:len(values) - 2]
+            inner &= light[1:-2]
         cut[1:-1] &= ~inner
     return np.flatnonzero(cut)
 
 
 def _between(first, after, cum):
-    """The weight and the weighted positives from flat position first up
+    """The weight and the weighted positives from position first up
     to after, read from cum, their cumulative sums as one complex array."""
     sums = cum.take(after)
     sums -= cum.take(first)
     return sums.real.copy(), sums.imag.copy()
-
-
-def _left_of(f, ids_left_at, cum_w, cum_yw):
-    """The weight and the weighted positives left of a cut after each flat
-    position f, from the start of f's segment, given how many ids lie from
-    there up to each position: the form the reference search in the tests
-    reads cuts with."""
-    after = f + 1
-    first = after - ids_left_at[f]  # flat position where f's segment starts
-    n_left = cum_w[after]
-    n_left -= cum_w[first]
-    p_left = cum_yw[after]
-    p_left -= cum_yw[first]
-    return n_left, p_left
 
 
 def _cut_gains(n_left, p_left, s, sizes, pos, parent):
@@ -579,9 +520,6 @@ class _Counted(NamedTuple):
     id_feature: np.ndarray  # each of those ids' pair's feature
 
 
-_NO_PAIRS = _Counted(*[np.zeros(0, dtype=np.intp)] * 8)
-
-
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The thresholds of cuts between values lo < hi: their midpoints, or
     lo where the midpoint rounds up onto hi."""
@@ -605,9 +543,8 @@ def _search(values, wy, order, lengths, sizes, pos):
         j = max(i + 1, int(np.searchsorted(ends, a + _SPLIT_BLOCK, side="right")))
         b = int(ends[j - 1])
         chunk = np.arange(a, b) if order is None else order[a:b]
-        found = _best_splits(values[None, :], wy, chunk[None, :], ends[i:j] - lengths[i:j] - a,
-                             lengths[i:j], sizes[i:j], pos[i:j])
-        gain[i:j], threshold[i:j], size_left[i:j], pos_left[i:j] = found[0], *found[3:]
+        gain[i:j], threshold[i:j], size_left[i:j], pos_left[i:j] = _best_splits(
+            values, wy, chunk, ends[i:j] - lengths[i:j] - a, lengths[i:j], sizes[i:j], pos[i:j])
         i, a = j, b
     return gain, threshold, size_left, pos_left
 
@@ -674,9 +611,9 @@ def _grow_forest(src, col, y, w, lengths, sort: _Sorted, counted: _Counted,
     threshold left, and each side keeps its positions in the order they
     had, so no node sorts. A pair's one cut in a node that holds both its
     values is scored from the counts of its lower value (_pair_cuts). A
-    node takes its first best cut, by feature, then threshold, as
-    _best_splits does in a row of features. A node is a leaf at max_depth,
-    when its labels agree, or when no split gains more than _MIN_GAIN.
+    node takes its first best cut, by feature, then threshold. A node is a
+    leaf at max_depth, when its labels agree, or when no split gains more
+    than _MIN_GAIN.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     trees = len(lengths)
@@ -762,27 +699,6 @@ def _grow_forest(src, col, y, w, lengths, sort: _Sorted, counted: _Counted,
         order = _parted(order, sort.ids, side, (int(span[:len(grow[0])].sum()),
                                                 int(span[len(grow[0]):].sum())))
     return roots
-
-
-def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray, lengths,
-               max_depth: int) -> list[dict]:
-    """_grow_forest on a forest whose trees all sort every row of X.
-
-    order holds the trees' samples side by side, one segment of the given
-    length per tree, as (features, samples) ids of the columns of X, y and
-    w: row c of a segment is sorted by feature c, which is X[c]. An id
-    appears once in a segment and stands for w[id] > 0 copies of its row,
-    its bootstrap count. order has at least one row.
-    """
-    k = len(order)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    ends = np.cumsum(lengths)
-    ids = np.concatenate([order[:, end - length:end].ravel() for end, length in zip(ends, lengths)])
-    tree = np.repeat(np.arange(len(lengths)), k)
-    feature = np.tile(np.arange(k), len(lengths))
-    values = X.take(ids + np.repeat(feature * X.shape[1], lengths.take(tree)))
-    return _grow_forest(X, np.arange(X.shape[1]), y, w, lengths,
-                        _Sorted(tree, feature, feature, ids, values), _NO_PAIRS, max_depth)
 
 
 class _FlatTree(NamedTuple):

@@ -19,7 +19,8 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import DataError, Dataset, json_int, json_text, schema_from_json, schema_to_json
+from .data import DataError, Dataset, check_keys, json_int, json_text, schema_from_json, \
+    schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
@@ -100,13 +101,27 @@ def _common_header(model_kind: str, cache: PredictorCache, spec: LearnerSpec) ->
 
 # What an auditable model file stores besides its predictor: see stored_header.
 ModelHeader = namedtuple("ModelHeader", "schema tree encoder learner epsilon loss")
+# The top-level keys of each auditable kind's model file, and of an
+# mgl_tree file's nodes; files written before the trace was stored once
+# also copy its fields onto each node.
+_HEADER_KEYS = {"model", "learner", "schema", "include_group_attributes", "n_train",
+                "dataset_fingerprint"}
+_MODEL_KEYS = {
+    "mgl_tree": _HEADER_KEYS | {"hierarchy", "epsilon", "loss", "nodes", "trace"},
+    "prepend": _HEADER_KEYS | {"hierarchy", "epsilon", "loss", "default", "entries"},
+    "erm": _HEADER_KEYS | {"predictor"},
+}
+_NODE_KEYS = {"id", "depth", "decision", "source", "predictor",
+              "candidate_risk", "epsilon", "err", "n_g", "parent_risk"}
 
 
 def stored_header(doc: dict) -> ModelHeader:
     """The header of an mgl_tree, prepend or erm model file. An erm file
     stores no hierarchy, epsilon or loss; they read as None. A file without
     ``include_group_attributes`` was written when the encoder always kept
-    the group attributes; any value but a JSON boolean raises ValueError."""
+    the group attributes; any value but a JSON boolean raises ValueError,
+    as does a key that no file of its kind holds."""
+    check_keys(doc, _MODEL_KEYS[doc["model"]], "model")
     schema = schema_from_json(doc["schema"])
     tree = None if doc["model"] == "erm" else hierarchy_from_json(doc["hierarchy"])
     flag = doc.get("include_group_attributes", True)
@@ -162,6 +177,7 @@ def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor
         raise ValueError("nodes do not list the hierarchy's nodes in breadth-first order")
     fits, source, decision, stored = {}, {}, {}, {}
     for entry in doc["nodes"]:
+        check_keys(entry, _NODE_KEYS, "node")
         gid = entry["id"]
         if json_int(entry["depth"], "depth") != tree.depth(gid):
             raise ValueError(f"node {gid!r} records depth {entry['depth']}, "

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from multigroup import learners
 from multigroup.algorithms import AuditVerdict, DecisionList, DecisionListEntry, \
     GroupTreePredictor, PrependCapExceeded, TraceStep
 from multigroup.algorithms.group_tree import TOL, _Pass
@@ -30,9 +31,9 @@ from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSc
     DataError, Dataset, SchemaError, SyntheticSpec, json_int
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
-    _SEPARATED_MARGIN, FeatureEncoder, LearnerSpec, PredictorCache, _block_rows, _cut_gains, \
-    _entropy_in_range, _FlatTree, _left_of, _mean_log_loss, _out_of_range, _pass_trees, \
-    _presort, fit, sigmoid
+    _SEPARATED_MARGIN, FeatureEncoder, LearnerSpec, PredictorCache, _Counted, _cut_gains, \
+    _cuts, _between, _entropy_in_range, _FlatTree, _grow_forest, _mean_log_loss, _midpoints, \
+    _out_of_range, _pass_trees, _presort, _Sorted, fit, sigmoid
 from multigroup.risk import Loss, group_risks, mean
 
 
@@ -418,6 +419,12 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 # Tree growth on bootstrap samples that repeat each drawn id as often as
 # drawn, searching every feature of a tree's subset, constant or not.
 
+def _block_rows(k: int, m: int) -> int:
+    """Rows of a (k, m) level array per block, at most learners._SPLIT_BLOCK
+    values unless one row alone is longer."""
+    return min(k, max(1, learners._SPLIT_BLOCK // m))
+
+
 def entropy(p: np.ndarray) -> np.ndarray:
     """Binary entropy in nats, 0 at p = 0 and p = 1 (0 log 0 taken as 0)."""
     return _entropy_in_range(np.clip(p, 0.0, 1.0))
@@ -583,27 +590,23 @@ def fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     return trees, subsets
 
 
-# The split search over every cut between distinct values, and a bag's node
-# table built one tree at a time and then joined.
+# Split searches over a rectangular level, a row of positions per feature:
+# learners._best_splits's former form, the search that scores every cut,
+# the one-row search run row by row, and learners._grow_forest on trees that
+# sort every row of X.
 
-def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
+def rectangular_best_splits(X, wy, order, starts, lengths, sizes, pos):
     """Best (feature, threshold) of each node of one forest level, by
-    entropy reduction.
+    entropy reduction, skipping the cuts learners._best_splits skips.
 
     The level's nodes are contiguous segments of order's columns (start,
     length), and row c of a segment lists its sample ids sorted by feature
-    c, which is X[c]; ids index the columns of X and wy. wy holds each id's
-    weight, how often a bootstrap drew it, as its real part and its
-    weighted label as its imaginary part, so one cumulative sum counts
-    both. A node's size and positives are its weights and weighted labels
-    in total. Both are integers, so every count below is exact and equals
-    the count of a sample that repeats each id as often as drawn.
-    The candidate thresholds are the boundaries between distinct sorted
-    values inside a node. Features are scanned in index order and
-    thresholds in ascending order, so ties resolve to the lowest feature
-    index and lowest threshold. Rows of order are scored a block at a time,
-    as many per block as keep it within _SPLIT_BLOCK values, and read X
-    with 1-D take on flat indices.
+    c, which is X[c]; ids index the columns of X and wy, and wy, sizes and
+    pos are as learners._best_splits takes them. Features are scanned in
+    index order and thresholds in ascending order, so ties resolve to the
+    lowest feature index and lowest threshold. Rows of order are scored a
+    block at a time, as many per block as keep it within _SPLIT_BLOCK
+    values, and read X with 1-D take on flat indices.
 
     Returns per node: the gain (-inf if no feature has two distinct
     values), the feature, the last position left of the cut, the threshold
@@ -614,11 +617,14 @@ def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
     count = len(starts)
     sizes, pos = np.asarray(sizes, dtype=np.float64), np.asarray(pos, dtype=np.float64)
     step = _block_rows(k, m)
-    # Per position of a block's rows laid end to end: its node, the ids
-    # left of a cut after it, and whether a cut after it is inside its node.
+    # Per position of a block's rows laid end to end: its node, whether a
+    # cut after it is inside its node, and whether its node may skip cuts
+    # inside runs.
     node_of = np.tile(np.repeat(np.arange(count), lengths), step)
-    ids_left_at = np.tile(np.arange(1, m + 1) - np.repeat(starts, lengths), step)
-    inside = np.tile(ids_left_at[:m] < np.repeat(lengths, lengths), step)[:-1]
+    inside = np.ones(m, dtype=bool)
+    inside[starts + lengths - 1] = False
+    inside = np.tile(inside, step)
+    light = np.tile(np.repeat(sizes <= learners._CONCAVE_WEIGHT, lengths), step)
     row_at = np.arange(k)[:, None] * X.shape[1]  # flat index of X[c, 0]
     parent = _entropy_in_range(pos / sizes)
     gain = np.full(count, -np.inf)
@@ -626,17 +632,18 @@ def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
     lo, hi = np.zeros(count), np.zeros(count)
     size_left, pos_left = np.zeros(count), np.zeros(count)
     cum = np.zeros(step * m + 1, dtype=np.complex128)  # cum[f] = wy before flat position f
-    cum_w, cum_yw = cum.real, cum.imag
     for c0 in range(0, k, step):
         ids = order[c0:c0 + step]
         rows, width = len(ids), ids.size
         values = X.take(ids + row_at[c0:c0 + step]).ravel()
-        np.cumsum(wy.take(ids), out=cum[1:width + 1])  # rows end to end
-        f = np.flatnonzero((values[:-1] < values[1:]) & inside[:width - 1])
+        drawn = wy.take(ids).ravel()
+        np.cumsum(drawn, out=cum[1:width + 1])  # rows end to end
+        f = _cuts(values, drawn.imag > 0, inside[:width], light[:width])
         if f.size == 0:
             continue
-        s = node_of[f]
-        gains = _cut_gains(*_left_of(f, ids_left_at, cum_w, cum_yw), s, sizes, pos, parent)
+        s = node_of.take(f)
+        first = starts.take(s) + f - f % m  # the flat position where f's segment starts
+        gains = _cut_gains(*_between(first, f + 1, cum), s, sizes, pos, parent)
         # The cuts run by row, then by node: the best gain of each (row,
         # node) segment of them, then of each node, and the first cut that
         # reaches it, in the first segment that does.
@@ -649,7 +656,7 @@ def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
         won = np.flatnonzero(top > gain)
         if won.size == 0:
             continue
-        hit = np.flatnonzero(gains == top[s])
+        hit = np.flatnonzero(gains == top.take(s))
         first_row = np.argmax(seg_top[:, won] == top[won], axis=0)
         k_won = hit[np.searchsorted(hit, seg_lo[first_row * count + won])]
         gain[won] = top[won]
@@ -658,12 +665,97 @@ def every_cut_best_splits(X, wy, order, starts, lengths, sizes, pos):
         at[won] = f % m
         lo[won] = values[f]
         hi[won] = values[f + 1]
-        size_left[won], pos_left[won] = _left_of(f, ids_left_at, cum_w, cum_yw)
+        size_left[won], pos_left[won] = _between(first[k_won], f + 1, cum)
+    return gain, feature, at, _midpoints(lo, hi), size_left, pos_left
+
+
+def _left_of(f, ids_left_at, cum_w, cum_yw):
+    """The weight and the weighted positives left of a cut after each
+    position f, from the start of f's segment, given how many ids lie from
+    there up to each position."""
+    after = f + 1
+    first = after - ids_left_at[f]  # position where f's segment starts
+    n_left = cum_w[after]
+    n_left -= cum_w[first]
+    p_left = cum_yw[after]
+    p_left -= cum_yw[first]
+    return n_left, p_left
+
+
+def every_cut_best_splits(values, wy, ids, starts, lengths, sizes, pos):
+    """learners._best_splits, scoring every candidate cut: each boundary
+    between distinct sorted values inside a node. Returns per node the gain
+    (-inf if the node holds one value), the threshold of its first best
+    cut, and the size and positives left of it."""
+    count = len(starts)
+    node_of = np.repeat(np.arange(count), lengths)
+    ids_left_at = np.arange(1, len(ids) + 1) - np.repeat(starts, lengths)
+    values = values.take(ids)
+    cum = np.zeros(len(ids) + 1, dtype=np.complex128)  # cum[f] = wy before position f
+    np.cumsum(wy.take(ids), out=cum[1:])
+    f = np.flatnonzero((values[:-1] < values[1:])
+                       & (ids_left_at < np.repeat(lengths, lengths))[:-1])
+    s = node_of[f]
+    gains = _cut_gains(*_left_of(f, ids_left_at, cum.real, cum.imag), s, sizes, pos,
+                       _entropy_in_range(pos / sizes))
+    gain = np.full(count, -np.inf)
+    np.maximum.at(gain, s, gains)
+    hit = np.flatnonzero(gains == gain[s])
+    won, first = np.unique(s[hit], return_index=True)  # each node's first maximum
+    f = f[hit[first]]
+    lo, hi = np.zeros(count), np.zeros(count)
+    size_left, pos_left = np.zeros(count), np.zeros(count)
+    lo[won], hi[won] = values[f], values[f + 1]
+    size_left[won], pos_left[won] = _left_of(f, ids_left_at, cum.real, cum.imag)
     threshold = lo + (hi - lo) / 2.0
     rounded_up = threshold >= hi  # midpoint rounded up onto the right value
     threshold[rounded_up] = lo[rounded_up]
-    return gain, feature, at, threshold, size_left, pos_left
+    return gain, threshold, size_left, pos_left
 
+
+def row_by_row(best_splits, X, wy, order, starts, lengths, sizes, pos):
+    """A one-row split search (learners._best_splits's form) on each row of
+    a rectangular level, as rectangular_best_splits takes it. Returns per
+    node the gain, the feature, the threshold, and the size and positives
+    left of the cut of the first row whose gain is greatest."""
+    gain = np.full(len(starts), -np.inf)
+    feature = np.zeros(len(starts), dtype=np.intp)
+    threshold, size_left, pos_left = (np.zeros(len(starts)) for _ in range(3))
+    for c in range(len(order)):
+        found = best_splits(X[c], wy, order[c], starts, lengths, sizes, pos)
+        won = found[0] > gain
+        feature[won] = c
+        for best, new in zip((gain, threshold, size_left, pos_left), found):
+            best[won] = new[won]
+    return gain, feature, threshold, size_left, pos_left
+
+
+_NO_PAIRS = _Counted(*[np.zeros(0, dtype=np.intp)] * 8)
+
+
+def grow_every_row(X: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray, lengths,
+                   max_depth: int) -> list[dict]:
+    """learners._grow_forest on a forest whose trees all sort every row of
+    X, constant rows included, and count none.
+
+    order holds the trees' samples side by side, one segment of the given
+    length per tree, as (features, samples) ids of the columns of X, y and
+    w: row c of a segment is sorted by feature c, which is X[c]. An id
+    appears once in a segment and stands for w[id] > 0 copies of its row,
+    its bootstrap count. order has at least one row.
+    """
+    k = len(order)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    ids = np.concatenate([order[:, end - length:end].ravel() for end, length in zip(ends, lengths)])
+    tree = np.repeat(np.arange(len(lengths)), k)
+    feature = np.tile(np.arange(k), len(lengths))
+    values = X.take(ids + np.repeat(feature * X.shape[1], lengths.take(tree)))
+    return _grow_forest(X, np.arange(X.shape[1]), y, w, lengths,
+                        _Sorted(tree, feature, feature, ids, values), _NO_PAIRS, max_depth)
+
+
+# A bag's node table built one tree at a time and then joined.
 
 def flatten(root: dict, columns=None) -> _FlatTree:
     """One tree as a forest of one. columns maps the tree's feature indices

@@ -194,13 +194,18 @@ def test_validate_hierarchy_malformed_json(tmp_path):
                             {"name": "label", "kind": "binary-label"}],
                 "label": "label", "group_attributes": ["grp"],
                 "bins": {"grp": [{"name": 1, "upper": 0.5}, {"name": "b"}]}}},
+    {"dataset": 5}, {"output_dir": ["out"]}, {"methods": "mgl_tree"}, {"attribute_order": "grp"},
+    {"learners": {"kind": "constant"}}, {"hierarchy_nodes": "abc"},
+    {"hierarchy_nodes": [[], [["grp"]]]}, {"loss": 0},
 ], ids=["unknown_key", "cap_zero", "cap_string", "cap_bool", "cap_float", "nan_value",
         "nan_scale", "unknown_solver", "nan_tolerance", "nan_learning_rate",
         "infinite_depth", "infinite_trees", "nan_depth", "infinite_scale",
         "infinite_tolerance", "infinite_learning_rate", "infinite_trials", "infinite_seed",
         "infinite_vc_dim", "infinite_test_fraction", "infinite_bin_edge",
         "groups_flag_string", "groups_flag_number", "groups_flag_null",
-        "number_categories", "number_bin_name"])
+        "number_categories", "number_bin_name", "dataset_number", "output_dir_list",
+        "methods_string", "attribute_order_string", "learners_object", "nodes_string",
+        "nodes_one_element_conjunct", "loss_number"])
 def test_config_rejects_bad_input(tmp_path, extra):
     ds, csv_path = write_fixture(tmp_path)
     doc = base_config(ds, csv_path)
@@ -210,6 +215,29 @@ def test_config_rejects_bad_input(tmp_path, extra):
     out = str(tmp_path / "out")
     assert main(["train", "--config", str(cfg), "--out", out]) == 2
     assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("dataset", 5, "a string or null"),
+    ("output_dir", ["out"], "a string or null"),
+    ("methods", "mgl_tree", "a list of strings"),
+    ("attribute_order", "grp", "a list of strings"),
+    ("learners", {"kind": "constant"}, "a list of objects"),
+    ("hierarchy_nodes", "abc", "a list of lists of [attribute, category] pairs"),
+    ("hierarchy_nodes", [[["grp", "a", "b"]]], "a list of lists of [attribute, category] pairs"),
+    ("loss", ["zero_one"], "a string"),
+], ids=["dataset_number", "output_dir_list", "methods_string", "attribute_order_string",
+        "learners_object", "nodes_string", "nodes_triple", "loss_list"])
+def test_config_field_of_the_wrong_type_is_named(tmp_path, capsys, key, value, what):
+    """A top-level field set to a value of the wrong JSON type exits 2 with
+    a message naming the field, before any file is opened: a number is not
+    a file descriptor, a string not a list of its characters, an object not
+    a list of its keys."""
+    ds, csv_path = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, base_config(ds, csv_path))
+    setting = f"{key}={json.dumps(value)}"
+    assert main(["validate-hierarchy", "--config", str(cfg), "--set", setting]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be {what}, got {value!r}\n"
 
 
 def test_group_attributes_flag_is_a_json_boolean(tmp_path, capsys):
@@ -672,6 +700,10 @@ def _break_model(doc, case):
                                "source": "ALL", "predictor": doc["default"]})
     elif case == "nan_margin":
         doc["epsilon"]["value"] = float("nan")
+    elif case == "unknown_key":
+        doc["foo"] = 1
+    elif case == "unknown_node_key":
+        doc["nodes"][0]["foo"] = 1
     else:
         assert case == "as_written"
     return doc
@@ -700,6 +732,10 @@ def _break_model(doc, case):
     ("prepend", "no_hierarchy", "malformed model file: KeyError('hierarchy')"),
     ("prepend", "entry_outside_hierarchy", "entry group 'a1=zz' is not in the model's hierarchy"),
     ("prepend", "entry_other_conjuncts", "entry group 'a1=p' stores other conjuncts than its node"),
+    ("mgl_tree", "unknown_key", "unknown model keys: ['foo']"),
+    ("prepend", "unknown_key", "unknown model keys: ['foo']"),
+    ("erm", "unknown_key", "unknown model keys: ['foo']"),
+    ("mgl_tree", "unknown_node_key", "unknown node keys: ['foo']"),
 ])
 def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))

@@ -21,7 +21,7 @@ from multigroup.learners import (
     sigmoid,
 )
 
-from oracles import dataset_from_values, entropy, erm, logistic_loss
+from oracles import dataset_from_values, entropy, erm, logistic_loss, row_by_row
 from synthcases import opposite_separators_spec, two_leaf_constants
 
 
@@ -420,8 +420,9 @@ def test_entropy_bit_identical_to_masked_reference():
 
 
 def level_best_splits(nodes):
-    """_best_splits on the (X, y) nodes laid side by side as one tree level;
-    each node's (feature, threshold), or None where it is not split."""
+    """_best_splits on each feature of the (X, y) nodes laid side by side as
+    one tree level; each node's (feature, threshold) of the first feature
+    with the greatest gain, or None where it is not split."""
     XT = np.concatenate([X for X, _ in nodes]).T.copy()
     y = np.concatenate([y for _, y in nodes])
     sizes = np.array([len(y) for _, y in nodes])
@@ -429,8 +430,8 @@ def level_best_splits(nodes):
     order = np.concatenate([_presort(X.T.copy()) + start
                             for (X, _), start in zip(nodes, starts)], axis=1)
     pos = np.array([y.sum() for _, y in nodes])
-    gain, feature, _, threshold, _, _ = _best_splits(
-        XT, np.ones(len(y)) + 1j * y, order, starts, sizes, sizes, pos)
+    gain, feature, threshold, _, _ = row_by_row(
+        _best_splits, XT, np.ones(len(y)) + 1j * y, order, starts, sizes, sizes, pos)
     return [(int(f), float(t)) if g > _MIN_GAIN else None
             for g, f, t in zip(gain, feature, threshold)]
 
@@ -439,8 +440,8 @@ def test_best_split_matches_loop_reference():
     """The level search picks the same (feature, threshold) as the
     feature-by-feature scan, ties included: one-hot, duplicated, constant
     and coarse columns give many equal gains. The nodes are searched one to
-    four at a time as the segments of one level, and levels above a few
-    thousand rows split their features over several blocks."""
+    four at a time as the segments of one level, one feature per search,
+    and some levels hold a few thousand rows."""
     rng = np.random.default_rng(9)
     checked = 0
     level = []  # the nodes with four features, searched a few at a time below

@@ -149,9 +149,9 @@ def test_one_row_and_one_class_bootstraps(max_depth):
 
 
 def test_weighted_level_matches_repeated_level():
-    """One level searched on distinct ids with counts gives the gains, bit
-    for bit, features, thresholds and left counts of the same level with
-    each id repeated as often as counted."""
+    """One level searched on distinct ids with counts, a feature at a time,
+    gives the gains, bit for bit, features, thresholds and left counts of
+    the same level with each id repeated as often as counted."""
     rng = np.random.default_rng(70)
     for trial in range(200):
         d = int(rng.integers(1, 6))
@@ -164,20 +164,22 @@ def test_weighted_level_matches_repeated_level():
                                axis=1)
         sizes = np.add.reduceat(w, starts)
         pos = np.add.reduceat(y * w, starts)
-        got = _best_splits(X, w + 1j * y * w, order, starts, lengths, sizes, pos)
+        got = oracles.row_by_row(_best_splits, X, w + 1j * y * w, order, starts, lengths,
+                                 sizes, pos)
         copies = w.astype(np.intp)
         repeated = np.stack([np.repeat(row, copies.take(row)) for row in order])
         repeated_starts = (np.cumsum(sizes) - sizes).astype(np.intp)
         want = oracles.best_splits(X, y, repeated, repeated_starts, sizes.astype(np.intp), pos)
-        gain, feature, at, threshold, size_left, pos_left = got
+        gain, feature, threshold, size_left, pos_left = got
         assert np.array_equal(gain, want[0]), trial
         split = gain > -np.inf
         assert np.array_equal(feature[split], want[1][split]), trial
         assert np.array_equal(threshold[split], want[3][split]), trial
         assert np.array_equal(pos_left[split], want[4][split]), trial
         assert np.array_equal(size_left[split], (want[2] + 1 - repeated_starts)[split]), trial
-        for s in np.flatnonzero(split):  # the cut's position agrees with its count
-            assert w[order[feature[s], starts[s]:at[s] + 1]].sum() == size_left[s], trial
+        for s in np.flatnonzero(split):  # the cut's threshold agrees with its count
+            ids = order[feature[s], starts[s]:starts[s] + lengths[s]]
+            assert w[ids][X[feature[s], ids] <= threshold[s]].sum() == size_left[s], trial
 
 
 @pytest.mark.parametrize("n_trees", [1, 5])

@@ -36,7 +36,6 @@ from multigroup.learners import (
     _fit_bagged,
     _fit_tree,
     _flat_forest,
-    _grow_tree,
     _presort,
 )
 
@@ -95,10 +94,16 @@ def assert_same_arrays(got, want):
 @settings(max_examples=300, deadline=None)
 @given(levels(), st.sampled_from([4, 32, 1 << 14]))
 def test_split_search_matches_every_cut(level, block):
-    """Gains, features, positions, thresholds and left counts, bit for bit,
-    with the level's rows scored one or several to a block."""
+    """Gains, thresholds and left counts, bit for bit, in each row of the
+    level; and over its rows, with features too, those of the rectangular
+    reference scoring the rows one or several to a block."""
+    X, wy, order, *nodes = level
+    for c in range(len(X)):
+        assert_same_arrays(_best_splits(X[c], wy, order[c], *nodes),
+                           oracles.every_cut_best_splits(X[c], wy, order[c], *nodes))
     with mock.patch.object(learners, "_SPLIT_BLOCK", block):
-        assert_same_arrays(_best_splits(*level), oracles.every_cut_best_splits(*level))
+        gain, feature, _, *rest = oracles.rectangular_best_splits(*level)
+    assert_same_arrays(oracles.row_by_row(_best_splits, *level), (gain, feature, *rest))
 
 
 @st.composite
@@ -150,15 +155,15 @@ def test_a_node_above_the_weight_bound_scores_every_cut(monkeypatch):
     y = np.ones(n)
     y[int(rng.integers(n))] = 0.0
     w = np.ones(n)
-    level = (X, w + 1j * y, _presort(X), np.array([0]), np.array([n]), np.array([float(n)]),
-             np.array([y.sum()]))
+    level = (X[0], w + 1j * y, _presort(X)[0], np.array([0]), np.array([n]),
+             np.array([float(n)]), np.array([y.sum()]))
     calls = []
     monkeypatch.setattr(learners, "_cut_gains", counting(calls))
     assert_same_arrays(_best_splits(*level), oracles.every_cut_best_splits(*level))
     assert calls == [n - 1]
-    got = _grow_tree(X, y, w, _presort(X), [n], 3)
+    got = oracles.grow_every_row(X, y, w, _presort(X), [n], 3)
     with every_cut():
-        want = _grow_tree(X, y, w, _presort(X), [n], 3)
+        want = oracles.grow_every_row(X, y, w, _presort(X), [n], 3)
     assert json.dumps(got) == json.dumps(want)
     assert "feature" in got[0]
 

@@ -3,7 +3,7 @@ references.
 
 The package sorts each feature once per fit and grows the trees of a bag a
 pass at a time, several side by side as one forest, each level of all of
-them at once (``learners._grow_tree``); it scores a bag as one flattened
+them at once (``learners._grow_forest``); it scores a bag as one flattened
 forest, a level of every tree per step (``learners._flat_scores``). The
 references below are the earlier per-node, per-tree versions:
 ``reference_grow_tree`` sorts every feature of every node again, and
@@ -34,13 +34,12 @@ from multigroup.learners import (
     LearnerSpec,
     _fit_bagged,
     _flat_scores,
-    _grow_tree,
     _pass_trees,
     _presort,
     PredictorCache,
 )
 
-from oracles import entropy, flatten as _flatten, forest as _forest
+from oracles import entropy, flatten as _flatten, forest as _forest, grow_every_row
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -166,7 +165,7 @@ def test_trees_match_per_node_reference():
         XT = np.ascontiguousarray(X.T)
         if trial % 3 == 0:
             want = reference_grow_tree(X, y, 0, max_depth)
-            [got] = _grow_tree(XT, y, np.ones(n), _presort(XT), [n], max_depth)
+            [got] = grow_every_row(XT, y, np.ones(n), _presort(XT), [n], max_depth)
             assert json.dumps(got) == json.dumps(want), trial
             splits += "feature" in want
         else:
@@ -180,12 +179,20 @@ def test_trees_match_per_node_reference():
     assert splits > 200
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_census_bagged_group_fits_match_reference(monkeypatch, seed):
+@pytest.mark.parametrize("seed, block", [(1, None), (2, None), (1, 1024)],
+                         ids=["1", "2", "1-block1024"])
+def test_census_bagged_group_fits_match_reference(monkeypatch, seed, block):
     """The 46 group fits of the census_bagged benchmark workload hash the
-    same as the per-node reference's."""
+    same as the per-node reference's; also with the split search's blocks
+    at 1024 positions, where a large fit's level spans many _best_splits
+    calls and a bag of its 10 trees on more than 102 rows takes several
+    passes."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import workloads
+    from multigroup import learners
+
+    if block is not None:
+        monkeypatch.setattr(learners, "_SPLIT_BLOCK", block)
 
     w = workloads.WORKLOADS["census_bagged"]
     ds = make_synthetic(w.spec(), seed)
