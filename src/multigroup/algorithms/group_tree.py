@@ -10,13 +10,12 @@ deepest containing node that took one.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..bounds import EpsilonSpec, epsilon, uc_width
-from ..data import Dataset, check_keys, float_from_json, float_to_json, json_float, json_int
+from ..data import Dataset, InfFloat, spec_to_json
 from ..groups import GroupTree
 from ..learners import LearnerSpec, PredictorCache, _Predictor
 from ..risk import Loss, group_risks
@@ -35,44 +34,22 @@ _REAL_FIELDS = ("err", "parent_risk", "candidate_risk", "epsilon")
 class TraceStep:
     """One breadth-first visit: the risks compared and the decision taken."""
 
+    json_name = "trace step"
     group_id: str
     n_g: int
     parent_risk: float | None
     candidate_risk: float | None
-    epsilon: float
-    err: float | None
+    epsilon: InfFloat
+    err: InfFloat | None
     decision: str  # "updated" | "inherited" | "inherited_empty"
 
-    def to_json(self) -> dict:
-        return {
-            "group_id": self.group_id,
-            "n_g": self.n_g,
-            "parent_risk": self.parent_risk,
-            "candidate_risk": self.candidate_risk,
-            "epsilon": float_to_json(self.epsilon),
-            "err": float_to_json(self.err),
-            "decision": self.decision,
-        }
-
-    @staticmethod
-    def from_json(doc) -> "TraceStep":
-        """A step as ``to_json`` writes it: string ``group_id`` and
-        ``decision``, an integer ``n_g``, and a number or null in each other
-        field (a null ``epsilon`` reads as inf). Another type, a NaN, which
-        the writer never writes, or an unknown key raises ValueError naming
-        it."""
-        check_keys(doc, {f.name for f in fields(TraceStep)}, "trace step")
-        for key in ("group_id", "decision"):
-            if not isinstance(doc[key], str):
-                raise ValueError(f"{key} must be a string, got {doc[key]!r}")
-        real = {key: None if doc[key] is None else json_float(float_from_json(doc[key]), key)
-                for key in _REAL_FIELDS}
-        for key, value in real.items():
-            if value is not None and math.isnan(value):
+    def __post_init__(self):
+        for key in _REAL_FIELDS:
+            value = getattr(self, key)
+            if value != value:  # the writer never writes a NaN
                 raise ValueError(f"{key} must not be NaN")
-        if real["epsilon"] is None:
-            real["epsilon"] = math.inf
-        return TraceStep(**{**doc, **real, "n_g": json_int(doc["n_g"], "n_g")})
+
+    to_json = spec_to_json
 
 
 class GroupTreePredictor:

@@ -11,9 +11,9 @@ which is why experiment configs usually pick the scaled profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from .data import check_keys, float_from_json, float_to_json, json_float, json_int
+from .data import InfFloat, spec_to_json
 
 KINDS = ("finite_h", "vc", "constant", "scaled")
 
@@ -31,6 +31,7 @@ class EpsilonSpec:
     harness fills them from the hierarchy and the training split.
     """
 
+    json_name = "epsilon"
     kind: str
     delta: float = 0.05
     h_size: int | None = None
@@ -38,7 +39,7 @@ class EpsilonSpec:
     group_count: int | None = None
     n_total: int | None = None
     scale: float = 1.0
-    value: float | None = None
+    value: InfFloat | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,27 +65,7 @@ class EpsilonSpec:
             updates["n_total"] = n_total
         return replace(self, **updates) if updates else self
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        for name in ("delta", "h_size", "vc_dim", "group_count", "n_total", "value"):
-            v = getattr(self, name)
-            if v is not None and not (name == "delta" and v == 0.05):
-                doc[name] = float_to_json(v)  # value may be inf
-        if self.scale != 1.0:
-            doc["scale"] = self.scale
-        return doc
-
-    @staticmethod
-    def from_json(doc) -> "EpsilonSpec":
-        check_keys(doc, {f.name for f in fields(EpsilonSpec)}, "epsilon")
-        doc = dict(doc, value=float_from_json(doc.get("value")))
-        for key in ("h_size", "vc_dim", "group_count", "n_total"):
-            if doc.get(key) is not None:
-                doc[key] = json_int(doc[key], key)
-        for key in ("delta", "scale", "value"):
-            if doc.get(key) is not None:
-                doc[key] = json_float(doc[key], key)
-        return EpsilonSpec(**doc)
+    to_json = spec_to_json
 
 
 def _require(spec: EpsilonSpec, *names: str) -> None:

@@ -15,8 +15,8 @@ import os
 import sys
 
 from .config import ConfigError, load_run_config
-from .data import SchemaError, load_csv, make_synthetic, schema_to_json, \
-    synthetic_spec_from_json, write_csv
+from .data import SchemaError, SyntheticSpec, load_csv, make_synthetic, read_spec, \
+    schema_to_json, write_csv
 from .evaluation import run_experiment
 from .groups import HierarchyError, HierarchyVerdict
 from .learners import FeatureEncoder, PredictorCache
@@ -139,11 +139,7 @@ def cmd_audit(args) -> int:
 
 def cmd_synth(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        spec = synthetic_spec_from_json(doc)
-    except (KeyError, TypeError, AttributeError) as exc:  # a missing or wrong-typed field
-        raise ConfigError(f"malformed synthetic spec: {exc!r}") from exc
+        spec = read_spec(SyntheticSpec, json.load(fh))
     ds = make_synthetic(spec, args.seed)
     write_csv(ds, args.out)
     with open(args.schema_out or args.out + ".schema.json", "w", encoding="utf-8") as fh:

@@ -8,15 +8,17 @@ safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
+import functools
 import io
 import itertools
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Annotated, Iterator, Mapping, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,9 +40,9 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration or synthetic spec.
-    ``config`` re-exports it; it lives here so that the synthetic spec
-    reader can raise it too."""
+    """Malformed or inconsistent run configuration or synthetic spec, or a
+    JSON field of the wrong type in any spec. ``config`` re-exports it; it
+    lives here so that ``read_spec`` and the number readers can raise it."""
 
 
 def check_keys(doc: Mapping, allowed: set, what: str, error=ValueError) -> None:
@@ -54,33 +56,33 @@ def json_int(value, key: str, int64: bool = False) -> int:
     """An integer field read from JSON: an integral number such as ``3``,
     ``3.0`` or ``1e3``. Anything else (``2.7``, ``true``, ``"3"``, an
     infinity), or with ``int64`` a value outside [-2^63, 2^63), raises
-    ValueError naming ``key``."""
+    ConfigError naming ``key``."""
     if type(value) is not int:  # the common case skips this
         if isinstance(value, float) and math.isinf(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         elif isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     if int64 and not -_INT64 <= value < _INT64:
-        raise ValueError(f"{key} must be an integer that fits in 64 bits, got {_digits(value)}")
+        raise ConfigError(f"{key} must be an integer that fits in 64 bits, got {_digits(value)}")
     return value
 
 
 def json_float(value, key: str):
     """A real-valued field read from JSON: a number such as ``0.5``, ``1``
     or ``1e-9``, returned as given. Anything else (``true``, ``"0.5"``,
-    ``[1]``, an integer too large for a float) raises ValueError naming
+    ``[1]``, an integer too large for a float) raises ConfigError naming
     ``key``; range checks are the caller's."""
     if type(value) is float:  # the common case, first
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     if isinstance(value, int):
         try:
             float(value)
         except OverflowError:
-            raise ValueError(f"{key} must be a number a float can hold, "
+            raise ConfigError(f"{key} must be a number a float can hold, "
                              f"got {_digits(value)}") from None
     return value
 
@@ -135,6 +137,102 @@ def float_from_json(x):
     """Inverse of float_to_json; older files hold the Infinity literal, which
     json.load already reads as a float."""
     return float(x) if x in ("inf", "-inf") else x
+
+
+# A float field whose writer writes infinities as "inf" and "-inf"
+# (float_to_json): read_spec accepts those strings there and nowhere else,
+# and null where the field cannot be None, as older files hold for inf.
+InfFloat = Annotated[float, float_to_json]
+
+
+def read_spec(cls, doc, key: str | None = None):
+    """The frozen dataclass ``cls`` built from the JSON object ``doc``, each
+    field read as its annotation says: ``int`` and ``float`` through
+    ``json_int`` and ``json_float``, ``InfFloat`` also from "inf"/"-inf",
+    ``str``, ``bool``, ``object`` (any value, as is), ``X | None``, a
+    nested spec class, and ``tuple[X, ...]`` and ``Mapping[str, X]`` of
+    these. A field with a default may be left out. An unknown or missing
+    key, or a value of another JSON type, raises ConfigError naming the
+    field's key (``cls.json_name`` names the object itself);
+    ``cls.__post_init__`` makes the range and cross-field checks."""
+    readers, required, _ = _spec_plan(cls)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{key or cls.json_name} must be an object, got {doc!r}")
+    if not readers.keys() >= doc.keys() >= required:
+        check_keys(doc, readers.keys(), cls.json_name, ConfigError)
+        raise ConfigError(f"{cls.json_name} missing required key "
+                          f"{min(required - doc.keys())!r}")
+    return cls(**{name: readers[name](value, name) for name, value in doc.items()})
+
+
+def spec_to_json(spec) -> dict:
+    """The JSON object ``read_spec`` reads back as ``spec``: each field
+    without a default, and each other whose value is not its default; an
+    ``InfFloat`` field goes through ``float_to_json``."""
+    doc, infinite = {}, _spec_plan(type(spec))[2]
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.default is MISSING or value != f.default:
+            doc[f.name] = float_to_json(value) if f.name in infinite else value
+    return doc
+
+
+@functools.cache
+def _spec_plan(cls):
+    """The reader of each field of ``cls``, the fields without a default,
+    and the ``InfFloat`` fields: resolved once per class."""
+    hints = get_type_hints(cls, include_extras=True)
+    return ({f.name: _typed(hints[f.name]) for f in fields(cls)},
+            frozenset(f.name for f in fields(cls) if f.default is MISSING),
+            frozenset(name for name, tp in hints.items() if InfFloat in (tp, *get_args(tp))))
+
+
+# The readers of numbers, which check the JSON type themselves, and of a
+# field that holds any JSON value as is
+_DIRECT = {int: json_int, float: json_float, object: lambda value, key: value,
+           InfFloat: lambda value, key: math.inf if value is None
+           else json_float(float_from_json(value), key)}
+
+
+def _typed(tp, nullable: bool = False):
+    """read(value, key) for a field annotated ``tp``; see ``read_spec``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):
+        [inner] = [a for a in args if a is not type(None)]
+        return _typed(inner, nullable=True)
+    if tp in _DIRECT:
+        direct = _DIRECT[tp]
+        return direct if not nullable else \
+            lambda value, key: None if value is None else direct(value, key)
+    if tp is str or tp is bool:
+        json_type, want, convert = tp, "a string" if tp is str else "true or false", None
+    elif is_dataclass(tp):
+        json_type, want = dict, "an object"
+        convert = functools.partial(read_spec, tp)
+    elif origin is collections.abc.Mapping:
+        json_type, want, item = dict, "an object", _typed(args[1])
+        convert = lambda value, key: {k: item(v, key) for k, v in value.items()}
+    elif origin is tuple and args[1:] == (Ellipsis,):
+        json_type, want, item = list, f"a list of {_plural(args[0])}", _typed(args[0])
+        convert = lambda value, key: tuple(item(v, key) for v in value)
+    else:
+        raise TypeError(f"read_spec cannot read a field annotated {tp!r}")
+    want += " or null" if nullable else ""
+
+    def read(value, key):
+        if isinstance(value, json_type):
+            return value if convert is None else convert(value, key)
+        if value is None and nullable:
+            return None
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return read
+
+
+def _plural(tp) -> str:
+    """What a list of values annotated ``tp`` holds, as in "a list of ..."."""
+    if get_origin(tp) is tuple:
+        return "lists"
+    return {int: "integers", float: "numbers", str: "strings"}.get(tp, "objects")
 
 
 @dataclass(frozen=True)
@@ -715,6 +813,7 @@ class LeafRule:
     Linear rules label 1 where ``weights . x + bias > 0``.
     """
 
+    json_name = "rule"
     kind: str  # "constant" | "linear"
     label: int | None = None
     weights: tuple[float, ...] | None = None
@@ -722,8 +821,7 @@ class LeafRule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if isinstance(self.label, bool) or not isinstance(self.label, numbers.Integral) \
-                    or self.label not in (0, 1):
+            if self.label not in (0, 1):
                 raise ValueError(f"label must be the integer 0 or 1, got {self.label!r}")
         elif self.kind == "linear":
             if not self.weights:
@@ -732,7 +830,7 @@ class LeafRule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         for name, values in (("bias", (self.bias,)), ("weights", self.weights or ())):
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                if not math.isfinite(v):
                     raise ValueError(f"rule {name} must hold finite numbers, got {v!r}")
 
     def apply(self, features: np.ndarray) -> np.ndarray:
@@ -744,6 +842,7 @@ class LeafRule:
 
 @dataclass(frozen=True)
 class SyntheticLeaf:
+    json_name = "leaf"
     attributes: Mapping[str, str]  # one category per group attribute
     rule: LeafRule
     count: int
@@ -758,6 +857,7 @@ class SyntheticSpec:
     normal, labels follow the leaf rule and flip with probability ``noise``.
     """
 
+    json_name = "synthetic spec"
     attributes: Mapping[str, tuple[str, ...]]
     leaves: tuple[SyntheticLeaf, ...]
     feature_dim: int = 2
@@ -770,11 +870,6 @@ class SyntheticSpec:
             raise ValueError(f"noise rate must be in [0, 0.5), got {self.noise}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        named = [(a, c) for a, cats in self.attributes.items() for c in cats]
-        named += [(a, c) for leaf in self.leaves for a, c in leaf.attributes.items()]
-        for attr, cat in named:
-            if not isinstance(cat, str):
-                raise TypeError(f"categories of {attr!r} must be strings, got {cat!r}")
         attr_names = set(self.attributes)
         for leaf in self.leaves:
             if set(leaf.attributes) != attr_names:
@@ -825,29 +920,3 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         columns[f"x{j}"] = all_feats[:, j]
     columns["label"] = np.concatenate(labels)
     return Dataset(spec.schema(), columns)
-
-
-def synthetic_spec_from_json(doc: Mapping) -> SyntheticSpec:
-    check_keys(doc, {"attributes", "leaves", "feature_dim", "noise"}, "synthetic spec",
-               ConfigError)
-    leaves = []
-    for entry in doc["leaves"]:
-        rule = entry["rule"]
-        leaves.append(
-            SyntheticLeaf(
-                attributes=dict(entry["attributes"]),
-                rule=LeafRule(
-                    kind=rule["kind"],
-                    label=rule.get("label"),
-                    weights=tuple(rule["weights"]) if "weights" in rule else None,
-                    bias=rule.get("bias", 0.0),
-                ),
-                count=json_int(entry["count"], "count"),
-            )
-        )
-    return SyntheticSpec(
-        attributes={a: tuple(c) for a, c in doc["attributes"].items()},
-        leaves=tuple(leaves),
-        feature_dim=json_int(doc.get("feature_dim", 2), "feature_dim"),
-        noise=json_float(doc.get("noise", 0.0), "noise"),
-    )

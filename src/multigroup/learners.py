@@ -8,13 +8,13 @@ reproduces the labels. Fitting is deterministic given the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import _SEED_MASK, CATEGORICAL, NUMERIC, AttributeSchema, Dataset, check_keys, \
-    json_float, json_int
+    json_float, json_int, read_spec
 from .groups import Group, GroupTree
 
 
@@ -35,6 +35,7 @@ class LearnerSpec:
     ``modelio.stored_learner``).
     """
 
+    json_name = "learner"
     kind: str
     max_depth: int = 2
     learning_rate: float = 0.1
@@ -71,32 +72,21 @@ class LearnerSpec:
         return self.kind
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.kind in ("tree", "bagged_trees"):
-            doc["max_depth"] = self.max_depth
-        if self.kind == "logistic":
-            doc["learning_rate"] = self.learning_rate
-            doc["iterations"] = self.iterations
-            doc["tolerance"] = self.tolerance
-            doc["solver"] = self.solver
-        if self.kind == "bagged_trees":
-            doc["n_trees"] = self.n_trees
-            doc["feature_fraction"] = self.feature_fraction
+        doc = {"kind": self.kind, **{name: getattr(self, name) for name in _WRITTEN[self.kind]}}
         if self.seed:
             doc["seed"] = self.seed
         return doc
 
     @staticmethod
     def from_json(doc) -> "LearnerSpec":
-        check_keys(doc, {f.name for f in fields(LearnerSpec)}, "learner")
-        doc = dict(doc)
-        for key in ("max_depth", "iterations", "n_trees", "seed"):
-            if key in doc:
-                doc[key] = json_int(doc[key], key)
-        for key in ("learning_rate", "tolerance", "feature_fraction"):
-            if key in doc:
-                doc[key] = json_float(doc[key], key)
-        return LearnerSpec(**doc)
+        return read_spec(LearnerSpec, doc)
+
+
+# The fields a learner of each kind is written with, besides its kind and a
+# nonzero seed
+_WRITTEN = {"constant": (), "tree": ("max_depth",),
+            "logistic": ("learning_rate", "iterations", "tolerance", "solver"),
+            "bagged_trees": ("max_depth", "n_trees", "feature_fraction")}
 
 
 class FeatureEncoder:
@@ -384,14 +374,13 @@ def _entropy_in_range(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _presort(XT: np.ndarray, rows=None) -> np.ndarray:
-    """Order of each row of XT (one feature per row), or of the given rows
-    of it, ascending.
+def _presort(XT: np.ndarray, rows) -> np.ndarray:
+    """Order of each of the given rows of XT (one feature per row),
+    ascending.
 
     Ties may come in any order: a split reads class counts only at the
     boundaries between distinct values, and those do not depend on it.
     """
-    rows = range(len(XT)) if rows is None else rows
     order = np.empty((len(rows), XT.shape[1]), dtype=np.int32 if XT.shape[1] < 2**31 else np.intp)
     for j, row in enumerate(rows):
         order[j] = np.argsort(XT[row])

@@ -19,8 +19,8 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import DataError, Dataset, check_keys, json_int, json_text, schema_from_json, \
-    schema_to_json
+from .data import DataError, Dataset, check_keys, json_int, json_text, read_spec, \
+    schema_from_json, schema_to_json
 from .groups import hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
@@ -81,9 +81,9 @@ def stored_learner(doc: dict) -> LearnerSpec:
     logistic learner without a solver reads as ``"gd"``. A stored solver is
     read as written: a ``"newton"`` file refits without the margin stop of
     ``"newton_margin"``, the default for new fits."""
-    learner = dict(doc["learner"])
-    if learner.get("kind") == "logistic":
-        learner.setdefault("solver", "gd")
+    learner = doc["learner"]
+    if isinstance(learner, dict) and learner.get("kind") == "logistic":
+        learner = {"solver": "gd", **learner}
     return LearnerSpec.from_json(learner)
 
 
@@ -103,7 +103,7 @@ def _common_header(model_kind: str, cache: PredictorCache, spec: LearnerSpec) ->
 ModelHeader = namedtuple("ModelHeader", "schema tree encoder learner epsilon loss")
 # The top-level keys of each auditable kind's model file, and of an
 # mgl_tree file's nodes; files written before the trace was stored once
-# also copy its fields onto each node.
+# also copy its fields onto each node (_TRACE_COPIES).
 _HEADER_KEYS = {"model", "learner", "schema", "include_group_attributes", "n_train",
                 "dataset_fingerprint"}
 _MODEL_KEYS = {
@@ -111,8 +111,8 @@ _MODEL_KEYS = {
     "prepend": _HEADER_KEYS | {"hierarchy", "epsilon", "loss", "default", "entries"},
     "erm": _HEADER_KEYS | {"predictor"},
 }
-_NODE_KEYS = {"id", "depth", "decision", "source", "predictor",
-              "candidate_risk", "epsilon", "err", "n_g", "parent_risk"}
+_TRACE_COPIES = ("candidate_risk", "epsilon", "err", "n_g", "parent_risk")
+_NODE_KEYS = {"id", "depth", "decision", "source", "predictor", *_TRACE_COPIES}
 
 
 def stored_header(doc: dict) -> ModelHeader:
@@ -131,7 +131,7 @@ def stored_header(doc: dict) -> ModelHeader:
     if tree is None:
         return ModelHeader(schema, None, encoder, stored_learner(doc), None, None)
     return ModelHeader(schema, tree, encoder, stored_learner(doc),
-                       EpsilonSpec.from_json(doc["epsilon"]), loss_from_name(doc["loss"]))
+                       read_spec(EpsilonSpec, doc["epsilon"]), loss_from_name(doc["loss"]))
 
 
 def save_tree_model(path, predictor: GroupTreePredictor, cache: PredictorCache) -> None:
@@ -169,16 +169,23 @@ def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor
     each, in breadth-first order and with their depths, as the writer
     writes them. The nodes that are their own source hold their fits; a
     predictor stored on any other node must be a copy of its source's, as
-    files written before fits were stored once hold. Each trace step is
-    read by ``TraceStep.from_json``. Callers check the file's ``n_train``
-    and ``dataset_fingerprint`` against the data before trusting it."""
+    files written before fits were stored once hold, and a trace field
+    copied onto a node must be its trace step's. Callers check the file's
+    ``n_train`` and ``dataset_fingerprint`` against the data before
+    trusting it."""
     tree = header.tree
     if [entry["id"] for entry in doc["nodes"]] != [g.id for g in tree.nodes]:
         raise ValueError("nodes do not list the hierarchy's nodes in breadth-first order")
+    trace = [read_spec(TraceStep, t) for t in doc["trace"]]
+    steps = {t["group_id"]: t for t in doc["trace"]}
     fits, source, decision, stored = {}, {}, {}, {}
     for entry in doc["nodes"]:
         check_keys(entry, _NODE_KEYS, "node")
         gid = entry["id"]
+        for key in _TRACE_COPIES:
+            if key in entry and entry[key] != steps.get(gid, {}).get(key):
+                raise ValueError(f"node {gid!r} records {key}={entry[key]!r}, its trace "
+                                 f"step {key}={steps.get(gid, {}).get(key)!r}")
         if json_int(entry["depth"], "depth") != tree.depth(gid):
             raise ValueError(f"node {gid!r} records depth {entry['depth']}, "
                              f"the hierarchy gives {tree.depth(gid)}")
@@ -194,7 +201,6 @@ def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor
         if fit_doc != stored.get(source[gid]):
             raise ValueError(f"node {gid!r} stores a predictor that differs from its source "
                              f"{source[gid]!r}'s")
-    trace = [TraceStep.from_json(t) for t in doc["trace"]]
     return GroupTreePredictor(tree, fits, source, decision, trace, header.learner,
                               header.epsilon, header.loss)
 

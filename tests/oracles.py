@@ -569,7 +569,7 @@ def fit_bagged(XT: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     """
     d, n = XT.shape
     k = max(1, int(round(spec.feature_fraction * d)))
-    order = _presort(XT)
+    order = _presort(XT, range(len(XT)))
     trees, subsets = [], []
     per_pass = _pass_trees(n)
     for t0 in range(0, spec.n_trees, per_pass):

@@ -217,18 +217,20 @@ def test_config_rejects_bad_input(tmp_path, extra):
     assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
 
 
-@pytest.mark.parametrize("key, value, what", [
-    ("dataset", 5, "a string or null"),
-    ("output_dir", ["out"], "a string or null"),
-    ("methods", "mgl_tree", "a list of strings"),
-    ("attribute_order", "grp", "a list of strings"),
-    ("learners", {"kind": "constant"}, "a list of objects"),
-    ("hierarchy_nodes", "abc", "a list of lists of [attribute, category] pairs"),
-    ("hierarchy_nodes", [[["grp", "a", "b"]]], "a list of lists of [attribute, category] pairs"),
-    ("loss", ["zero_one"], "a string"),
+@pytest.mark.parametrize("key, value, message", [
+    ("dataset", 5, "dataset must be a string or null, got 5"),
+    ("output_dir", ["out"], "output_dir must be a string or null, got ['out']"),
+    ("methods", "mgl_tree", "methods must be a list of strings, got 'mgl_tree'"),
+    ("attribute_order", "grp", "attribute_order must be a list of strings or null, got 'grp'"),
+    ("learners", {"kind": "constant"},
+     "learners must be a list of objects, got {'kind': 'constant'}"),
+    ("hierarchy_nodes", "abc", "hierarchy_nodes must be a list of lists or null, got 'abc'"),
+    ("hierarchy_nodes", [[["grp", "a", "b"]]],
+     "hierarchy_nodes must hold [attribute, category] pairs, got ['grp', 'a', 'b']"),
+    ("loss", ["zero_one"], "loss must be a string, got ['zero_one']"),
 ], ids=["dataset_number", "output_dir_list", "methods_string", "attribute_order_string",
         "learners_object", "nodes_string", "nodes_triple", "loss_list"])
-def test_config_field_of_the_wrong_type_is_named(tmp_path, capsys, key, value, what):
+def test_config_field_of_the_wrong_type_is_named(tmp_path, capsys, key, value, message):
     """A top-level field set to a value of the wrong JSON type exits 2 with
     a message naming the field, before any file is opened: a number is not
     a file descriptor, a string not a list of its characters, an object not
@@ -237,7 +239,7 @@ def test_config_field_of_the_wrong_type_is_named(tmp_path, capsys, key, value, w
     cfg = write_config(tmp_path, base_config(ds, csv_path))
     setting = f"{key}={json.dumps(value)}"
     assert main(["validate-hierarchy", "--config", str(cfg), "--set", setting]) == 2
-    assert capsys.readouterr().err == f"error: {key} must be {what}, got {value!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_group_attributes_flag_is_a_json_boolean(tmp_path, capsys):
@@ -414,20 +416,20 @@ def test_synth_rejects_infinite_integer(tmp_path, capsys, key):
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(dumps_1e400(spec_doc))
     out_csv = tmp_path / "synth.csv"
-    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
     assert capsys.readouterr().err == f"error: {key} must be finite, got inf\n"
     assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("value", [2.7, True, "3"], ids=["fraction", "bool", "string"])
 @pytest.mark.parametrize("field, code", [
-    ("count", 1), ("feature_dim", 1), ("trials", 2), ("seed", 2), ("max_depth", 2),
+    ("count", 2), ("feature_dim", 2), ("trials", 2), ("seed", 2), ("max_depth", 2),
     ("vc_dim", 2), ("feature", 2),
 ])
 def test_integer_field_refuses_non_integers(tmp_path, monkeypatch, capsys, field, code, value):
     """An integer field holding a fraction, a boolean or a string is refused
-    with a message naming it, not truncated or coerced: synth fields exit 1,
-    config fields 2, and a stored tree's split feature makes audit exit 2."""
+    with a message naming it, not truncated or coerced: synth and config
+    fields exit 2, as does audit on a stored tree's split feature."""
     monkeypatch.chdir(ROOT)
     if field in ("count", "feature_dim"):
         leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": 1}}
@@ -469,8 +471,7 @@ def test_synth_rejects_non_string_categories(tmp_path, capsys, attributes, leaf_
     out_csv = tmp_path / "synth.csv"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
     bad = next(v for v in attributes + [leaf_value] if not isinstance(v, str))
-    assert capsys.readouterr().err == ("error: malformed synthetic spec: TypeError(\"categories "
-                                       f"of 'grp' must be strings, got {bad!r}\")\n")
+    assert capsys.readouterr().err == f"error: attributes must be a string, got {bad!r}\n"
     assert not out_csv.exists()
 
 
@@ -481,19 +482,26 @@ def test_synth_noise_must_be_a_json_number(tmp_path, capsys, value):
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(json.dumps(doc))
     out_csv = tmp_path / "synth.csv"
-    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
     assert capsys.readouterr().err == f"error: noise must be a number, got {value!r}\n"
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("label", [True, 1.0, "1", 2], ids=["bool", "float", "string", "two"])
-def test_synth_constant_label_must_be_the_integer_0_or_1(tmp_path, capsys, label):
+@pytest.mark.parametrize("label, code, message", [
+    (True, 2, "label must be an integer, got True"),
+    (1.5, 2, "label must be an integer, got 1.5"),
+    ("1", 2, "label must be an integer, got '1'"),
+    (2, 1, "label must be the integer 0 or 1, got 2"),
+], ids=["bool", "float", "string", "two"])
+def test_synth_constant_label_must_be_the_integer_0_or_1(tmp_path, capsys, label, code, message):
+    """A label of another JSON type exits 2, as any wrongly typed field
+    does; an integer other than 0 or 1 fails the rule (exit 1)."""
     leaf = {"attributes": {"grp": "a"}, "count": 3, "rule": {"kind": "constant", "label": label}}
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(json.dumps({"attributes": {"grp": ["a"]}, "leaves": [leaf]}))
     out_csv = tmp_path / "synth.csv"
-    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
-    assert capsys.readouterr().err == f"error: label must be the integer 0 or 1, got {label!r}\n"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_csv.exists()
 
 
@@ -503,42 +511,50 @@ def linear_synth_spec(**rule):
     return {"attributes": {"grp": ["a"]}, "feature_dim": 2, "leaves": [leaf]}
 
 
-@pytest.mark.parametrize("rule, message", [
-    ({"bias": float("nan")}, "rule bias must hold finite numbers, got nan"),
-    ({"bias": "1e400"}, "rule bias must hold finite numbers, got inf"),
-    ({"bias": "0.5"}, "rule bias must hold finite numbers, got '0.5'"),
-    ({"bias": True}, "rule bias must hold finite numbers, got True"),
-    ({"weights": "ab"}, "rule weights must hold finite numbers, got 'a'"),
-    ({"weights": [1.0, float("nan")]}, "rule weights must hold finite numbers, got nan"),
-    ({"weights": [1.0, None]}, "rule weights must hold finite numbers, got None"),
+@pytest.mark.parametrize("rule, code, message", [
+    ({"bias": float("nan")}, 1, "rule bias must hold finite numbers, got nan"),
+    ({"bias": "1e400"}, 1, "rule bias must hold finite numbers, got inf"),
+    ({"bias": "0.5"}, 2, "bias must be a number, got '0.5'"),
+    ({"bias": True}, 2, "bias must be a number, got True"),
+    ({"weights": "ab"}, 2, "weights must be a list of numbers or null, got 'ab'"),
+    ({"weights": [1.0, float("nan")]}, 1, "rule weights must hold finite numbers, got nan"),
+    ({"weights": [1.0, None]}, 2, "weights must be a number, got None"),
 ], ids=["nan_bias", "infinite_bias", "string_bias", "bool_bias", "string_weights",
         "nan_weight", "null_weight"])
-def test_synth_rejects_bad_rule_numbers(tmp_path, capsys, rule, message):
-    """A rule whose bias or weights are not finite numbers fails the spec,
-    before any row is drawn or written."""
+def test_synth_rejects_bad_rule_numbers(tmp_path, capsys, rule, code, message):
+    """A rule whose bias or weights are not finite numbers fails the spec
+    (exit 1), and one of another JSON type is malformed (exit 2), before
+    any row is drawn or written."""
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(dumps_1e400(linear_synth_spec(**rule)))
     out_csv = tmp_path / "synth.csv"
-    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 1
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("change", [
-    {"leaves": 5}, {"leaves": ["leaf"]}, {"attributes": 5}, {"attributes": {"grp": 5}},
-    {"leaves": [{"attributes": {"grp": "a"}, "count": 6,
-                 "rule": {"kind": "linear", "weights": 5}}]},
-    {"leaves": [{"attributes": {"grp": "a"}, "count": 6}]},
+@pytest.mark.parametrize("change, message", [
+    ({"leaves": 5}, "leaves must be a list of objects, got 5"),
+    ({"leaves": ["leaf"]}, "leaves must be an object, got 'leaf'"),
+    ({"attributes": 5}, "attributes must be an object, got 5"),
+    ({"attributes": {"grp": 5}}, "attributes must be a list of strings, got 5"),
+    ({"attributes": {"grp": "ab"}}, "attributes must be a list of strings, got 'ab'"),
+    ({"leaves": [{"attributes": {"grp": "a"}, "count": 6,
+                  "rule": {"kind": "linear", "weights": 5}}]},
+     "weights must be a list of numbers or null, got 5"),
+    ({"leaves": [{"attributes": {"grp": "a"}, "count": 6}]},
+     "leaf missing required key 'rule'"),
 ], ids=["leaves_number", "leaf_string", "attributes_number", "categories_number",
-        "weights_number", "rule_missing"])
-def test_synth_rejects_wrong_typed_spec(tmp_path, capsys, change):
-    """A field of the wrong JSON type, or a missing one, exits 2 without a
-    traceback, as the other malformed input files do."""
+        "categories_string", "weights_number", "rule_missing"])
+def test_synth_rejects_wrong_typed_spec(tmp_path, capsys, change, message):
+    """A field of the wrong JSON type, or a missing one, exits 2 naming it
+    without a traceback, as the other malformed input files do; a string
+    is not a list of its characters."""
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(json.dumps({**linear_synth_spec(), **change}))
     out_csv = tmp_path / "synth.csv"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed synthetic spec: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_csv.exists()
 
 
@@ -710,7 +726,7 @@ def _break_model(doc, case):
 
 
 @pytest.mark.parametrize("model, case, message", [
-    ("mgl_tree", "trace_without_decision", "malformed model file: KeyError('decision')"),
+    ("mgl_tree", "trace_without_decision", "trace step missing required key 'decision'"),
     ("mgl_tree", "nodes_missing_a_node",
      "nodes do not list the hierarchy's nodes in breadth-first order"),
     ("prepend", "orphan_node",
@@ -1581,6 +1597,26 @@ def test_legacy_gradient_descent_model_audits_clean(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", "--model", str(legacy), "--data", str(ROOT / "demo" / "data.csv")]) == 0
     assert capsys.readouterr().out == "AUDIT CLEAN\n"
+
+
+@pytest.mark.parametrize("node", [1, 2])
+@pytest.mark.parametrize("key", ["candidate_risk", "epsilon", "err", "n_g", "parent_risk"])
+def test_legacy_node_copy_of_a_trace_field_must_equal_its_step(tmp_path, capsys, node, key):
+    """An older file also copies each non-root node's trace step onto the
+    node. A copy that differs from its step is refused (exit 2), as a
+    predictor copy that differs from its source's is; the unedited file
+    audits clean (above)."""
+    legacy = ROOT / "fixtures" / "legacy_gd" / "mgl_tree.logistic.model.json"
+    doc = json.loads(legacy.read_text())
+    entry, step = doc["nodes"][node], doc["trace"][node - 1]
+    assert entry[key] == step[key]
+    entry[key] += 1
+    tampered = tmp_path / "tampered.model.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", "--model", str(tampered), "--data", str(ROOT / "demo/data.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: node {entry['id']!r} records {key}={entry[key]!r},"
+                                       f" its trace step {key}={step[key]!r}\n")
 
 
 def test_new_logistic_model_records_newton(tmp_path, capsys):

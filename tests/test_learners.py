@@ -427,7 +427,7 @@ def level_best_splits(nodes):
     y = np.concatenate([y for _, y in nodes])
     sizes = np.array([len(y) for _, y in nodes])
     starts = np.cumsum(sizes) - sizes
-    order = np.concatenate([_presort(X.T.copy()) + start
+    order = np.concatenate([_presort(X.T.copy(), range(X.shape[1])) + start
                             for (X, _), start in zip(nodes, starts)], axis=1)
     pos = np.array([y.sum() for _, y in nodes])
     gain, feature, threshold, _, _ = row_by_row(

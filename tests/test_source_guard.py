@@ -35,3 +35,39 @@ def unreferenced_functions(src: pathlib.Path) -> list[str]:
 
 def test_every_module_level_function_is_used_in_src():
     assert unreferenced_functions(SRC) == []
+
+
+# The JSON number readers, and where the package may use them besides
+# data.py: the codecs of arrays of numbers, and a node's depth. Every other
+# JSON field is read through data.read_spec, so a hand-written reader of a
+# spec's fields cannot come back. A key of None allows any key.
+NUMBER_READERS = {"json_int", "json_float", "float_from_json"}
+NUMBER_READS_ALLOWED = {
+    ("learners.py", "predictor_from_json", None),
+    ("learners.py", "_flat_forest", None),
+    ("modelio.py", "rebuild_tree_predictor", "depth"),
+}
+
+
+def number_reads(src: pathlib.Path):
+    """Each use of a JSON number reader under src outside data.py, as
+    (module, module-level def, key): key is the literal key a call passes,
+    else None."""
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        if module == "data.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            keys = {id(call.func): call.args[1].value for call in ast.walk(top)
+                    if isinstance(call, ast.Call) and len(call.args) > 1
+                    and isinstance(call.args[1], ast.Constant)}
+            for sub in ast.walk(top):
+                name = sub.id if isinstance(sub, ast.Name) else \
+                    sub.attr if isinstance(sub, ast.Attribute) else None
+                if name in NUMBER_READERS:
+                    yield module, getattr(top, "name", None), keys.get(id(sub))
+
+
+def test_json_numbers_are_read_only_by_the_spec_reader_and_the_array_codecs():
+    assert [use for use in number_reads(SRC) if use not in NUMBER_READS_ALLOWED
+            and use[:2] + (None,) not in NUMBER_READS_ALLOWED] == []

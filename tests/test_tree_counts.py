@@ -43,7 +43,7 @@ def assert_fits_match(X, y, max_depth, seed, n_trees=6, feature_fraction=0.5):
     """The single tree and the bag of X's rows match the oracles byte for
     byte; returns how many of the bag's trees split."""
     XT = np.ascontiguousarray(X.T)
-    [want] = oracles.grow_tree(XT, y, _presort(XT), [len(y)], max_depth)
+    [want] = oracles.grow_tree(XT, y, _presort(XT, range(len(XT))), [len(y)], max_depth)
     assert json.dumps(_fit_tree(XT, y, max_depth)) == json.dumps(want)
     spec = LearnerSpec("bagged_trees", max_depth=max_depth, n_trees=n_trees,
                        feature_fraction=feature_fraction, seed=seed)
@@ -160,8 +160,8 @@ def test_weighted_level_matches_repeated_level():
         y = (rng.random(lengths.sum()) < 0.5).astype(np.float64)
         w = rng.integers(1, 4, size=lengths.sum()).astype(np.float64)
         starts = np.cumsum(lengths) - lengths
-        order = np.concatenate([_presort(X[:, a:a + b]) + a for a, b in zip(starts, lengths)],
-                               axis=1)
+        order = np.concatenate([_presort(X[:, a:a + b], range(len(X))) + a
+                                for a, b in zip(starts, lengths)], axis=1)
         sizes = np.add.reduceat(w, starts)
         pos = np.add.reduceat(y * w, starts)
         got = oracles.row_by_row(_best_splits, X, w + 1j * y * w, order, starts, lengths,
@@ -223,7 +223,8 @@ def test_census_tree_group_fits_match_reference(monkeypatch, seed):
             doc = {"type": "constant", "score": float(y.mean())}
         else:
             XT = np.ascontiguousarray(encoder.encode(ds.take(rows)).T)
-            [root] = oracles.grow_tree(XT, y, _presort(XT), [len(y)], spec.max_depth)
+            [root] = oracles.grow_tree(XT, y, _presort(XT, range(len(XT))), [len(y)],
+                                       spec.max_depth)
             doc = {"type": "tree", "root": root}
             splits += "feature" in root
         doc["provenance"] = f"{spec.label()}@{g.id}"

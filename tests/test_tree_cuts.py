@@ -79,8 +79,8 @@ def levels(draw):
     y = np.concatenate([draw(labels(int(length))) for length in lengths]).astype(np.float64)
     w = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.float64)
     starts = np.cumsum(lengths) - lengths
-    order = np.concatenate([_presort(X[:, a:a + b]) + a for a, b in zip(starts, lengths)],
-                           axis=1)
+    order = np.concatenate([_presort(X[:, a:a + b], range(len(X))) + a
+                            for a, b in zip(starts, lengths)], axis=1)
     return (X, w + 1j * (y * w), order, starts, lengths, np.add.reduceat(w, starts),
             np.add.reduceat(y * w, starts))
 
@@ -155,15 +155,15 @@ def test_a_node_above_the_weight_bound_scores_every_cut(monkeypatch):
     y = np.ones(n)
     y[int(rng.integers(n))] = 0.0
     w = np.ones(n)
-    level = (X[0], w + 1j * y, _presort(X)[0], np.array([0]), np.array([n]),
+    level = (X[0], w + 1j * y, _presort(X, range(len(X)))[0], np.array([0]), np.array([n]),
              np.array([float(n)]), np.array([y.sum()]))
     calls = []
     monkeypatch.setattr(learners, "_cut_gains", counting(calls))
     assert_same_arrays(_best_splits(*level), oracles.every_cut_best_splits(*level))
     assert calls == [n - 1]
-    got = oracles.grow_every_row(X, y, w, _presort(X), [n], 3)
+    got = oracles.grow_every_row(X, y, w, _presort(X, range(len(X))), [n], 3)
     with every_cut():
-        want = oracles.grow_every_row(X, y, w, _presort(X), [n], 3)
+        want = oracles.grow_every_row(X, y, w, _presort(X, range(len(X))), [n], 3)
     assert json.dumps(got) == json.dumps(want)
     assert "feature" in got[0]
 

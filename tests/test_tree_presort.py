@@ -165,7 +165,8 @@ def test_trees_match_per_node_reference():
         XT = np.ascontiguousarray(X.T)
         if trial % 3 == 0:
             want = reference_grow_tree(X, y, 0, max_depth)
-            [got] = grow_every_row(XT, y, np.ones(n), _presort(XT), [n], max_depth)
+            [got] = grow_every_row(XT, y, np.ones(n), _presort(XT, range(len(XT))), [n],
+                                   max_depth)
             assert json.dumps(got) == json.dumps(want), trial
             splits += "feature" in want
         else:
