@@ -81,9 +81,7 @@ class _CandidatePool:
                  eps: EpsilonSpec, loss: Loss):
         train = cache.ds
         rows = tree.row_index(train)
-        self.atom = np.zeros(train.n, dtype=np.intp)  # each row's deepest containing node
-        for i, r in enumerate(rows[1:], start=1):
-            self.atom[r] = i
+        self.atom = tree.route(train)  # each row's deepest containing node
         parent = np.array([tree.index(tree.parent(g.id).id) for g in tree.nodes[1:]], dtype=np.intp)
         depth = np.array([tree.depth(g.id) for g in tree.nodes[1:]])
         # breadth-first order keeps each depth's nodes, and each run of

@@ -35,7 +35,7 @@ _INPUT_ERRORS = (ConfigError, SchemaError, ModelError, OSError, json.JSONDecodeE
 
 def cmd_validate_hierarchy(args) -> int:
     cfg = load_run_config(args.config, args.set)
-    ds = load_csv(cfg.dataset_path, cfg.schema) if cfg.dataset_path else None
+    ds = load_csv(cfg.dataset, cfg.schema) if cfg.dataset else None
     try:
         tree = cfg.hierarchy(ds.schema if ds is not None else cfg.schema)
     except HierarchyError as exc:
@@ -63,12 +63,12 @@ def _run_inputs(args, command: str):
     """The run-config, its dataset and the output directory, which is
     created once both have been read."""
     cfg = load_run_config(args.config, args.set)
-    if not cfg.dataset_path:
+    if not cfg.dataset:
         raise ConfigError(f"{command} needs a dataset path in the config")
     out_dir = args.out or cfg.output_dir
     if not out_dir:
         raise ConfigError(f"{command} needs an output directory (--out or output_dir)")
-    ds = load_csv(cfg.dataset_path, cfg.schema)
+    ds = load_csv(cfg.dataset, cfg.schema)
     os.makedirs(out_dir, exist_ok=True)
     return cfg, ds, out_dir
 

@@ -1,47 +1,65 @@
 """Run configuration: one frozen ExperimentConfig pins a whole reproducible run.
 
 It is built either directly in code or from a JSON run-config file with
-optional ``--set dotted.key=value`` overrides; both paths share one
-validation, and every config error is a ConfigError.
+optional ``--set dotted.key=value`` overrides, which ``read_spec`` reads
+into the same class; both paths share one validation, and every config
+error is a ConfigError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import asdict, dataclass, fields
+from typing import Annotated
 
 from .bounds import EpsilonSpec
-from .data import ConfigError, read_spec, schema_from_json
-from .groups import GroupTree, build_hierarchy, hierarchy_from_json
+from .data import AttributeSchema, ConfigError, read_spec, schema_from_json
+from .groups import Conjuncts, Group, GroupTree, build_hierarchy
 from .learners import LearnerSpec
 from .methods import METHODS
 from .risk import loss_from_name
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    schema: object
-    attribute_order: tuple[str, ...]
-    learners: tuple[LearnerSpec, ...]
-    epsilon: EpsilonSpec
-    loss: str = "zero_one"
-    trials: int = 10
+class Split:
+    """A run-config's ``split`` block: ``trials`` train/test splits, each
+    holding out ``test_fraction`` of the rows, drawn from ``seed``."""
+
+    json_name = "split"
     test_fraction: float = 0.2
     seed: int = 0
-    methods: tuple[str, ...] = tuple(METHODS)
-    include_group_attributes: bool = True
-    prepend_cap: int | None = None
-    dataset_path: str | None = None
-    hierarchy_nodes: tuple | None = None  # explicit conjunct lists; overrides attribute_order
-    output_dir: str | None = None
+    trials: int = 10
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:  # also rejects NaN and inf
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A run-config; each field is its JSON key."""
+
+    json_name = "config"
+    schema: Annotated[AttributeSchema, schema_from_json]
+    learners: tuple[LearnerSpec, ...]
+    epsilon: EpsilonSpec
+    attribute_order: tuple[str, ...] | None = None
+    hierarchy_nodes: tuple[Conjuncts, ...] | None = None  # overrides attribute_order
+    dataset: str | None = None
+    loss: str = "zero_one"
+    split: Split = Split()
+    methods: tuple[str, ...] = tuple(METHODS)
+    include_group_attributes: bool = True
+    prepend_cap: int | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self):
+        if self.attribute_order is None and self.hierarchy_nodes is None:
+            raise ConfigError("config needs attribute_order or hierarchy_nodes")
+        if not self.learners:
+            raise ConfigError("config needs at least one learner")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
@@ -55,13 +73,17 @@ class ExperimentConfig:
 
     def hierarchy(self, schema) -> GroupTree:
         if self.hierarchy_nodes is not None:
-            return hierarchy_from_json({"nodes": self.hierarchy_nodes})
+            return GroupTree(map(Group.from_conjuncts, self.hierarchy_nodes))
         return build_hierarchy(schema, self.attribute_order)
 
     def echo(self) -> dict:
+        """report.json's ``config`` block, laid out as it always was: the
+        dataset as ``dataset_path`` and the split's fields at the top."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("schema", "output_dir")}
-        return {**doc, "learners": [ls.to_json() for ls in self.learners],
+               if f.name not in ("schema", "output_dir", "dataset", "split")}
+        return {**doc, **asdict(self.split), "dataset_path": self.dataset,
+                "attribute_order": self.attribute_order or (),
+                "learners": [ls.to_json() for ls in self.learners],
                 "epsilon": self.epsilon.to_json(),
                 "prepend_candidates": "group_restricted_fits_plus_global"}
 
@@ -89,54 +111,9 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class _Split:
-    """A run-config's ``split`` block."""
-
-    json_name = "split"
-    test_fraction: float = ExperimentConfig.test_fraction
-    seed: int = ExperimentConfig.seed
-    trials: int = ExperimentConfig.trials
-
-
-@dataclass(frozen=True)
-class _RunConfig:
-    """A run-config file as ``read_spec`` reads it; the defaults are
-    ExperimentConfig's."""
-
-    json_name = "config"
-    schema: Mapping[str, object]
-    learners: tuple[LearnerSpec, ...]
-    epsilon: EpsilonSpec
-    attribute_order: tuple[str, ...] | None = None
-    hierarchy_nodes: tuple[tuple[tuple[str, ...], ...], ...] | None = None
-    dataset: str | None = None
-    loss: str = ExperimentConfig.loss
-    split: _Split = _Split()
-    methods: tuple[str, ...] = ExperimentConfig.methods
-    include_group_attributes: bool = ExperimentConfig.include_group_attributes
-    prepend_cap: int | None = None
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        if self.attribute_order is None and self.hierarchy_nodes is None:
-            raise ConfigError("config needs attribute_order or hierarchy_nodes")
-        if not self.learners:
-            raise ConfigError("config needs at least one learner")
-        for pair in itertools.chain.from_iterable(self.hierarchy_nodes or ()):
-            if len(pair) != 2:
-                raise ConfigError(f"hierarchy_nodes must hold [attribute, category] pairs, "
-                                  f"got {list(pair)!r}")
-
-
 def parse_run_config(doc: dict) -> ExperimentConfig:
     try:
-        run = dict(vars(read_spec(_RunConfig, doc)))
-        split, run["dataset_path"] = run.pop("split"), run.pop("dataset")
-        run["schema"] = schema_from_json(run["schema"])
-        run["attribute_order"] = run["attribute_order"] or ()
-        return ExperimentConfig(**run, trials=split.trials, test_fraction=split.test_fraction,
-                                seed=split.seed)
+        return read_spec(ExperimentConfig, doc)
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:

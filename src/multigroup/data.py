@@ -142,19 +142,22 @@ def float_from_json(x):
 # A float field whose writer writes infinities as "inf" and "-inf"
 # (float_to_json): read_spec accepts those strings there and nowhere else,
 # and null where the field cannot be None, as older files hold for inf.
-InfFloat = Annotated[float, float_to_json]
+InfFloat = Annotated[float, lambda value, key: math.inf if value is None
+                     else json_float(float_from_json(value), key)]
 
 
 def read_spec(cls, doc, key: str | None = None):
     """The frozen dataclass ``cls`` built from the JSON object ``doc``, each
     field read as its annotation says: ``int`` and ``float`` through
-    ``json_int`` and ``json_float``, ``InfFloat`` also from "inf"/"-inf",
-    ``str``, ``bool``, ``object`` (any value, as is), ``X | None``, a
-    nested spec class, and ``tuple[X, ...]`` and ``Mapping[str, X]`` of
-    these. A field with a default may be left out. An unknown or missing
-    key, or a value of another JSON type, raises ConfigError naming the
-    field's key (``cls.json_name`` names the object itself);
-    ``cls.__post_init__`` makes the range and cross-field checks."""
+    ``json_int`` and ``json_float``, ``str``, ``bool``, ``object`` (any
+    value, as is), ``Annotated[X, read]`` by ``read(value, key)`` (such as
+    ``InfFloat``, also from "inf"/"-inf"), ``X | None``, a nested spec
+    class, ``tuple[X, ...]`` and ``Mapping[str, X]`` of these, and
+    ``tuple[str, str]`` (a list of exactly two strings). A field
+    with a default may be left out. An unknown or missing key, or a value
+    of another JSON type, raises ConfigError naming the field's key
+    (``cls.json_name`` names the object itself); ``cls.__post_init__``
+    makes the range and cross-field checks."""
     readers, required, _ = _spec_plan(cls)
     if not isinstance(doc, dict):
         raise ConfigError(f"{key or cls.json_name} must be an object, got {doc!r}")
@@ -187,21 +190,35 @@ def _spec_plan(cls):
             frozenset(name for name, tp in hints.items() if InfFloat in (tp, *get_args(tp))))
 
 
-# The readers of numbers, which check the JSON type themselves, and of a
-# field that holds any JSON value as is
-_DIRECT = {int: json_int, float: json_float, object: lambda value, key: value,
-           InfFloat: lambda value, key: math.inf if value is None
-           else json_float(float_from_json(value), key)}
+def read_json(tp, value, key: str):
+    """``value`` read as a spec field annotated ``tp`` and keyed ``key``
+    (see ``read_spec``): for a list or a field outside a spec class."""
+    return _typed(tp)(value, key)
 
 
+def _pair(value, key: str) -> tuple[str, str]:
+    """A ``tuple[str, str]`` field, read in one step: a hierarchy holds
+    thousands of [attribute, category] pairs."""
+    if isinstance(value, list) and len(value) == 2 and type(value[0]) is type(value[1]) is str:
+        return value[0], value[1]
+    raise ConfigError(f"{key} must be a list of 2 strings, got {value!r}")
+
+
+# The readers of numbers, which check the JSON type themselves, of a pair
+# of strings, and of a field that holds any JSON value as is
+_DIRECT = {int: json_int, float: json_float, tuple[str, str]: _pair,
+           object: lambda value, key: value}
+
+
+@functools.cache
 def _typed(tp, nullable: bool = False):
     """read(value, key) for a field annotated ``tp``; see ``read_spec``."""
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, types.UnionType):
         [inner] = [a for a in args if a is not type(None)]
         return _typed(inner, nullable=True)
-    if tp in _DIRECT:
-        direct = _DIRECT[tp]
+    if tp in _DIRECT or origin is Annotated:
+        direct = _DIRECT[tp] if tp in _DIRECT else tp.__metadata__[0]
         return direct if not nullable else \
             lambda value, key: None if value is None else direct(value, key)
     if tp is str or tp is bool:
@@ -214,7 +231,7 @@ def _typed(tp, nullable: bool = False):
         convert = lambda value, key: {k: item(v, key) for k, v in value.items()}
     elif origin is tuple and args[1:] == (Ellipsis,):
         json_type, want, item = list, f"a list of {_plural(args[0])}", _typed(args[0])
-        convert = lambda value, key: tuple(item(v, key) for v in value)
+        convert = lambda value, key: tuple(map(item, value, itertools.repeat(key)))
     else:
         raise TypeError(f"read_spec cannot read a field annotated {tp!r}")
     want += " or null" if nullable else ""
@@ -244,6 +261,7 @@ class Bin:
     ``<35``, ``[35, 60)`` and ``>=60``.
     """
 
+    json_name = "bin"
     name: str
     upper: float | None = None
 
@@ -330,33 +348,38 @@ class AttributeSchema:
         return replace(self, categories=merged)
 
 
-def schema_from_json(doc: Mapping) -> AttributeSchema:
-    """Parse the schema JSON document (fields: columns, label, group_attributes, bins)."""
-    check_keys(doc, {"columns", "label", "group_attributes", "bins"}, "schema", SchemaError)
-    columns = []
-    categories = {}
-    for entry in doc.get("columns", []):
-        check_keys(entry, {"name", "kind", "categories"}, "column", SchemaError)
-        columns.append(Column(entry["name"], entry["kind"]))
-        if "categories" in entry:
-            categories[entry["name"]] = tuple(entry["categories"])
-    bins = {}
-    for name, blist in (doc.get("bins") or {}).items():
-        bins[name] = tuple(Bin(b["name"], b.get("upper")) for b in blist)
-        categories.setdefault(name, tuple(b.name for b in bins[name]))
-    # cells are strings, so no cell could match a category of another type
-    named = [(col, "bin names", b.name) for col, blist in bins.items() for b in blist]
-    named += [(col, "categories", cat) for col, cats in categories.items() for cat in cats]
-    for col, what, value in named:
-        if not isinstance(value, str):
-            raise SchemaError(f"{what} of column {col!r} must be strings, got {value!r}")
-    return AttributeSchema(
-        columns=tuple(columns),
-        label_column=doc["label"],
-        group_attributes=tuple(doc.get("group_attributes", ())),
-        categories=categories,
-        bins=bins,
-    )
+@dataclass(frozen=True)
+class _ColumnDoc:
+    """A column of a schema document; categories may be left out."""
+
+    json_name = "column"
+    name: str
+    kind: str
+    categories: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class _SchemaDoc:
+    """A schema document, as schema_to_json writes it."""
+
+    json_name = "schema"
+    label: str
+    columns: tuple[_ColumnDoc, ...] = ()
+    group_attributes: tuple[str, ...] = ()
+    bins: Mapping[str, tuple[Bin, ...]] | None = None
+
+
+def schema_from_json(doc, key: str = "schema") -> AttributeSchema:
+    """The schema a schema document holds (columns, label, group_attributes,
+    bins), read by ``read_spec``; a binned column without categories of its
+    own takes its bins' names."""
+    spec = read_spec(_SchemaDoc, doc, key)
+    bins = spec.bins or {}
+    categories = {c.name: c.categories for c in spec.columns if c.categories is not None}
+    for name, blist in bins.items():
+        categories.setdefault(name, tuple(b.name for b in blist))
+    return AttributeSchema(tuple(Column(c.name, c.kind) for c in spec.columns), spec.label,
+                           spec.group_attributes, categories, bins)
 
 
 def schema_to_json(schema: AttributeSchema) -> dict:

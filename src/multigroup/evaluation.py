@@ -41,7 +41,7 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
 
 def _trial_errors(cfg: ExperimentConfig, ds: Dataset, tree: GroupTree, trial: int):
     """Fit every (learner, method) on one split; returns per-group test errors."""
-    train, test = split(ds, SplitSpec(cfg.test_fraction, cfg.seed, trial))
+    train, test = split(ds, SplitSpec(cfg.split.test_fraction, cfg.split.seed, trial))
     encoder = FeatureEncoder(ds.schema, cfg.include_group_attributes)
     cache = PredictorCache(train, encoder)
     n_test = {g.id: len(r) for g, r in zip(tree.nodes, tree.row_index(test))}
@@ -138,30 +138,6 @@ class EvalReport:
     def mean_error(self, method: str, learner: str, group_id: str) -> float | None:
         return self._stats[(method, learner, group_id)][0]
 
-    def compare(self, method_a: str, method_b: str, learner: str | None = None) -> list[dict]:
-        """Per-group deltas (a minus b), sorted by delta ascending."""
-        for m in (method_a, method_b):
-            if m not in self.methods:
-                raise ValueError(f"method {m!r} not in report")
-        learner = learner if learner is not None else self.learners[0]
-        rows = []
-        for gid in self.group_ids:
-            series_a = self.raw[(method_a, learner)][gid]
-            series_b = self.raw[(method_b, learner)][gid]
-            paired = [(a, b) for a, b in zip(series_a, series_b)
-                      if a is not None and b is not None]
-            delta, stderr = _mean_stderr([a - b for a, b in paired])
-            rows.append({
-                "group_id": gid,
-                "depth": self.group_depths[gid],
-                "error_a": _mean_stderr([a for a, _ in paired])[0],
-                "error_b": _mean_stderr([b for _, b in paired])[0],
-                "delta": delta,
-                "delta_stderr": stderr,
-            })
-        rows.sort(key=lambda r: (r["delta"] is None, r["delta"], r["group_id"]))
-        return rows
-
     def worst_group_errors(self) -> dict[tuple[str, str], float | None]:
         out = {}
         for method in self.methods:
@@ -174,8 +150,9 @@ class EvalReport:
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset, jobs: int = 1) -> EvalReport:
     tree = cfg.hierarchy(dataset.schema)
+    trials = cfg.split.trials
 
-    workers = min(jobs, cfg.trials)
+    workers = min(jobs, trials)
     if workers > 1:
         # imported here: multiprocessing costs every other run memory and time
         from concurrent.futures import ProcessPoolExecutor
@@ -183,11 +160,10 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset, jobs: int = 1) -> Ev
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(
                 _trial_errors,
-                [cfg] * cfg.trials, [dataset] * cfg.trials, [tree] * cfg.trials,
-                range(cfg.trials),
+                [cfg] * trials, [dataset] * trials, [tree] * trials, range(trials),
             ))
     else:
-        outcomes = [_trial_errors(cfg, dataset, tree, t) for t in range(cfg.trials)]
+        outcomes = [_trial_errors(cfg, dataset, tree, t) for t in range(trials)]
     outcomes.sort(key=lambda item: item[0])
 
     learner_labels = [ls.label() for ls in cfg.learners]
@@ -208,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset, jobs: int = 1) -> Ev
         group_depths={g.id: tree.depth(g.id) for g in tree.nodes},
         methods=list(cfg.methods),
         learners=learner_labels,
-        trials=cfg.trials,
+        trials=trials,
         raw=raw,
         n_test=n_test,
         trace_summaries=trace_summaries,

@@ -9,13 +9,17 @@ an example to its deepest containing node a root-to-leaf descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import CATEGORICAL, AttributeSchema, Dataset, SchemaError
+from .data import CATEGORICAL, AttributeSchema, Dataset, SchemaError, read_spec
 
 ROOT_ID = "ALL"
+
+# A conjunction as its (attribute, category) pairs, which JSON holds as
+# [attribute, category] lists
+Conjuncts = tuple[tuple[str, str], ...]
 
 
 def conjuncts_to_id(conjuncts: Sequence[tuple[str, str]]) -> str:
@@ -28,8 +32,9 @@ def conjuncts_to_id(conjuncts: Sequence[tuple[str, str]]) -> str:
 class Group:
     """Conjunction of attribute=category tests; empty conjunction = everything."""
 
+    json_name = "group"
     id: str
-    conjuncts: tuple[tuple[str, str], ...] = ()
+    conjuncts: Conjuncts = ()
 
     @staticmethod
     def from_conjuncts(conjuncts: Sequence[tuple[str, str]]) -> "Group":
@@ -196,9 +201,10 @@ class GroupTree:
         return out
 
     def route(self, ds: Dataset) -> np.ndarray:
-        """Index (into bfs order) of the deepest containing node per row."""
+        """Index (into bfs order) of the deepest containing node per row,
+        from ``row_index(ds)``."""
         assign = np.zeros(ds.n, dtype=np.int64)
-        for i, rows in enumerate(self.rows(ds)):
+        for i, rows in enumerate(self.row_index(ds)[1:], start=1):
             assign[rows] = i
         return assign
 
@@ -273,6 +279,13 @@ def hierarchy_to_json(tree: GroupTree) -> dict:
     return {"nodes": [[list(c) for c in g.conjuncts] for g in tree.nodes]}
 
 
-def hierarchy_from_json(doc: Mapping) -> GroupTree:
-    """Inverse of hierarchy_to_json: {"nodes": [[[attr, cat], ...], ...]}."""
-    return GroupTree(Group.from_conjuncts([(a, c) for a, c in conj]) for conj in doc["nodes"])
+@dataclass(frozen=True)
+class _HierarchyDoc:
+    json_name = "hierarchy"
+    nodes: tuple[Conjuncts, ...]
+
+
+def hierarchy_from_json(doc) -> GroupTree:
+    """Inverse of hierarchy_to_json: {"nodes": [[[attr, cat], ...], ...]},
+    read by ``read_spec``."""
+    return GroupTree(map(Group.from_conjuncts, read_spec(_HierarchyDoc, doc).nodes))

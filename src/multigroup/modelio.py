@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .algorithms import (
     DecisionList,
@@ -19,9 +20,9 @@ from .algorithms import (
     TraceStep,
 )
 from .bounds import EpsilonSpec
-from .data import DataError, Dataset, check_keys, json_int, json_text, read_spec, \
+from .data import DataError, Dataset, check_keys, json_int, json_text, read_json, read_spec, \
     schema_from_json, schema_to_json
-from .groups import hierarchy_from_json, hierarchy_to_json
+from .groups import Group, hierarchy_from_json, hierarchy_to_json
 from .learners import FeatureEncoder, LearnerSpec, PredictorCache, predictor_from_json
 from .risk import loss_from_name
 
@@ -124,9 +125,7 @@ def stored_header(doc: dict) -> ModelHeader:
     check_keys(doc, _MODEL_KEYS[doc["model"]], "model")
     schema = schema_from_json(doc["schema"])
     tree = None if doc["model"] == "erm" else hierarchy_from_json(doc["hierarchy"])
-    flag = doc.get("include_group_attributes", True)
-    if not isinstance(flag, bool):
-        raise ValueError(f"include_group_attributes must be true or false, got {flag!r}")
+    flag = read_json(bool, doc.get("include_group_attributes", True), "include_group_attributes")
     encoder = FeatureEncoder(schema, flag)
     if tree is None:
         return ModelHeader(schema, None, encoder, stored_learner(doc), None, None)
@@ -189,7 +188,8 @@ def rebuild_tree_predictor(doc: dict, header: ModelHeader) -> GroupTreePredictor
         if json_int(entry["depth"], "depth") != tree.depth(gid):
             raise ValueError(f"node {gid!r} records depth {entry['depth']}, "
                              f"the hierarchy gives {tree.depth(gid)}")
-        source[gid], decision[gid] = entry["source"], entry["decision"]
+        source[gid] = read_json(str, entry["source"], "source")
+        decision[gid] = entry["decision"]
         if "predictor" in entry:
             stored[gid] = entry["predictor"]
             if source[gid] == gid:
@@ -224,6 +224,16 @@ def save_list_model(path, dlist: DecisionList, cache: PredictorCache) -> None:
     _dump(doc, path)
 
 
+@dataclass(frozen=True)
+class _StoredEntry:
+    """An entry of a prepend model file's list, as save_list_model writes it."""
+
+    json_name = "entry"
+    group: Group
+    source: str
+    predictor: object
+
+
 def rebuild_decision_list(doc: dict, header: ModelHeader) -> DecisionList:
     """Reconstruct the list stored in a prepend model file whose header is
     ``header``. Each entry's group and source must name nodes of the stored
@@ -238,14 +248,13 @@ def rebuild_decision_list(doc: dict, header: ModelHeader) -> DecisionList:
             raise ValueError(f"entry {role} {gid!r} is not in the model's hierarchy") from None
 
     entries = []
-    for e in doc["entries"]:
-        gid = e["group"]["id"]
-        group = node("group", gid)
-        node("source", e["source"])
-        if tuple(map(tuple, e["group"]["conjuncts"])) != group.conjuncts:
-            raise ValueError(f"entry group {gid!r} stores other conjuncts than its node")
-        entries.append(DecisionListEntry(group, predictor_from_json(e["predictor"], encoder),
-                                         e["source"]))
+    for e in read_json(tuple[_StoredEntry, ...], doc["entries"], "entries"):
+        group = node("group", e.group.id)
+        node("source", e.source)
+        if e.group != group:
+            raise ValueError(f"entry group {group.id!r} stores other conjuncts than its node")
+        entries.append(DecisionListEntry(group, predictor_from_json(e.predictor, encoder),
+                                         e.source))
     default = predictor_from_json(doc["default"], encoder)
     return DecisionList(tree, entries, default, header.learner, header.epsilon, header.loss)
 

@@ -29,6 +29,7 @@ from multigroup.algorithms.group_tree import TOL, _Pass
 from multigroup.bounds import EpsilonSpec, epsilon, uc_width
 from multigroup.data import _SEED_MASK, CATEGORICAL, LABEL, NUMERIC, AttributeSchema, Bin, \
     DataError, Dataset, SchemaError, SyntheticSpec, json_int
+from multigroup.evaluation import _mean_stderr
 from multigroup.groups import Group, GroupTree, membership_vector
 from multigroup.learners import _BLOCK, _MAX_HALVINGS, _MIN_GAIN, _RIDGE, _SEED_MASK, \
     _SEPARATED_MARGIN, FeatureEncoder, LearnerSpec, PredictorCache, _Counted, _cut_gains, \
@@ -115,6 +116,32 @@ def mean_stderr(values) -> tuple[float | None, float | None]:
     if not k:
         return None, None
     return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k)) if k >= 2 else 0.0
+
+
+def compare(report, method_a: str, method_b: str, learner: str | None = None) -> list[dict]:
+    """Per-group deltas of ``report``'s mean errors (a minus b), sorted by
+    delta ascending: the former ``EvalReport.compare``."""
+    for m in (method_a, method_b):
+        if m not in report.methods:
+            raise ValueError(f"method {m!r} not in report")
+    learner = learner if learner is not None else report.learners[0]
+    rows = []
+    for gid in report.group_ids:
+        series_a = report.raw[(method_a, learner)][gid]
+        series_b = report.raw[(method_b, learner)][gid]
+        paired = [(a, b) for a, b in zip(series_a, series_b)
+                  if a is not None and b is not None]
+        delta, stderr = _mean_stderr([a - b for a, b in paired])
+        rows.append({
+            "group_id": gid,
+            "depth": report.group_depths[gid],
+            "error_a": _mean_stderr([a for a, _ in paired])[0],
+            "error_b": _mean_stderr([b for _, b in paired])[0],
+            "delta": delta,
+            "delta_stderr": stderr,
+        })
+    rows.sort(key=lambda r: (r["delta"] is None, r["delta"], r["group_id"]))
+    return rows
 
 
 def erm(spec: LearnerSpec, ds: Dataset, encoder: FeatureEncoder | None = None):

@@ -354,6 +354,7 @@ def test_criterion_10_real_data_smoke():
     tree = build_hierarchy(ds.schema, ["race", "sex", "age"])
     assert len(tree) - 1 == 54
 
+    from multigroup.config import Split
     from multigroup.evaluation import ExperimentConfig, run_experiment
 
     cfg = ExperimentConfig(
@@ -361,8 +362,7 @@ def test_criterion_10_real_data_smoke():
         attribute_order=("race", "sex", "age"),
         learners=(LearnerSpec("tree", max_depth=2),),
         epsilon=EpsilonSpec("scaled", scale=1.0),
-        trials=10,
-        seed=0,
+        split=Split(trials=10, seed=0),
     )
     report = run_experiment(cfg, dataset=ds)
     rows = report.aggregate_rows()

@@ -226,7 +226,7 @@ def test_config_rejects_bad_input(tmp_path, extra):
      "learners must be a list of objects, got {'kind': 'constant'}"),
     ("hierarchy_nodes", "abc", "hierarchy_nodes must be a list of lists or null, got 'abc'"),
     ("hierarchy_nodes", [[["grp", "a", "b"]]],
-     "hierarchy_nodes must hold [attribute, category] pairs, got ['grp', 'a', 'b']"),
+     "hierarchy_nodes must be a list of 2 strings, got ['grp', 'a', 'b']"),
     ("loss", ["zero_one"], "loss must be a string, got ['zero_one']"),
 ], ids=["dataset_number", "output_dir_list", "methods_string", "attribute_order_string",
         "learners_object", "nodes_string", "nodes_triple", "loss_list"])
@@ -709,6 +709,24 @@ def _break_model(doc, case):
         doc["epsilon"]["group_count"] = "1e400"
     elif case == "no_hierarchy":
         del doc["hierarchy"]
+    elif case == "hierarchy_nodes_a_string":
+        doc["hierarchy"]["nodes"] = "ab"
+    elif case == "unknown_hierarchy_key":
+        doc["hierarchy"]["foo"] = 1
+    elif case == "conjunct_triple":
+        doc["hierarchy"]["nodes"][1] = [["a1", "p", "q"]]
+    elif case == "node_source_a_list":
+        doc["nodes"][0]["source"] = ["ALL"]
+    elif case == "entries_an_object":
+        doc["entries"] = {}
+    elif case in ("unknown_entry_key", "unknown_entry_group_key", "entry_source_a_list"):
+        entry = {"group": {"id": "a1=p", "conjuncts": [["a1", "p"]]}, "source": "ALL",
+                 "predictor": doc["default"]}
+        doc["entries"].insert(0, entry)
+        if case == "entry_source_a_list":
+            entry["source"] = ["ALL"]
+        else:
+            (entry if case == "unknown_entry_key" else entry["group"])["foo"] = 1
     elif case in ("entry_outside_hierarchy", "entry_other_conjuncts"):
         gid, conjuncts = ("a1=zz", [["a1", "zz"]]) if case == "entry_outside_hierarchy" \
             else ("a1=p", [["a1", "q"]])
@@ -752,6 +770,16 @@ def _break_model(doc, case):
     ("prepend", "unknown_key", "unknown model keys: ['foo']"),
     ("erm", "unknown_key", "unknown model keys: ['foo']"),
     ("mgl_tree", "unknown_node_key", "unknown node keys: ['foo']"),
+    ("mgl_tree", "hierarchy_nodes_a_string", "nodes must be a list of lists, got 'ab'"),
+    ("prepend", "hierarchy_nodes_a_string", "nodes must be a list of lists, got 'ab'"),
+    ("mgl_tree", "unknown_hierarchy_key", "unknown hierarchy keys: ['foo']"),
+    ("prepend", "unknown_hierarchy_key", "unknown hierarchy keys: ['foo']"),
+    ("prepend", "conjunct_triple", "nodes must be a list of 2 strings, got ['a1', 'p', 'q']"),
+    ("mgl_tree", "node_source_a_list", "source must be a string, got ['ALL']"),
+    ("prepend", "entries_an_object", "entries must be a list of objects, got {}"),
+    ("prepend", "unknown_entry_key", "unknown entry keys: ['foo']"),
+    ("prepend", "unknown_entry_group_key", "unknown group keys: ['foo']"),
+    ("prepend", "entry_source_a_list", "source must be a string, got ['ALL']"),
 ])
 def test_audit_rejects_malformed_model(tmp_path, capsys, model, case, message):
     ds, csv_path = write_fixture(tmp_path, inverted_leaf_spec(n_per_leaf=5, noise=0.0))

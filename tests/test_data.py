@@ -14,6 +14,7 @@ from multigroup.data import (
     AttributeSchema,
     Bin,
     Column,
+    ConfigError,
     DataError,
     Dataset,
     LeafRule,
@@ -117,7 +118,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_schema_from_json_rejects_unknown_keys():
-    with pytest.raises(SchemaError, match="unknown"):
+    with pytest.raises(ConfigError, match=r"unknown schema keys: \['extra'\]"):
         schema_from_json({"columns": [], "label": "y", "extra": 1})
 
 

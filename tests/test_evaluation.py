@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigroup.bounds import EpsilonSpec
+from multigroup.config import Split
 from multigroup.data import SplitSpec, make_synthetic, split
 from multigroup.evaluation import EvalReport, ExperimentConfig, _mean_stderr, run_experiment
 from multigroup.groups import Group, build_hierarchy, membership_vector
 from multigroup.learners import LearnerSpec
 
-from oracles import mean_stderr
+from oracles import compare, mean_stderr
 from synthcases import (
     INVERTED_LEAF_ID,
     inverted_leaf_spec,
@@ -28,8 +29,7 @@ def fixture_config(spec, methods, trials=1, epsilon=None, learners=(CONSTANT,), 
         attribute_order=tuple(spec.attributes),
         learners=tuple(learners),
         epsilon=epsilon or EpsilonSpec("constant", value=0.05),
-        trials=trials,
-        seed=seed,
+        split=Split(trials=trials, seed=seed),
         methods=tuple(methods),
     )
     return cfg, ds
@@ -44,7 +44,7 @@ def test_single_method_single_trial_shape_and_values():
     assert {r["group_id"] for r in rows} == {"ALL", "grp=a", "grp=b"}
 
     # oracle recompute from the same deterministic split
-    train, test = split(ds, SplitSpec(cfg.test_fraction, cfg.seed, 0))
+    train, test = split(ds, SplitSpec(cfg.split.test_fraction, cfg.split.seed, 0))
     majority = int(train.labels().mean() >= 0.5)
     errors = (np.full(test.n, majority) != test.labels()).astype(float)
     for row in rows:
@@ -135,7 +135,7 @@ def test_compare_self_is_zero():
     spec = opposite_separators_spec(30, noise=0.1)
     cfg, ds = fixture_config(spec, ["erm", "decoupled"], trials=3)
     report = run_experiment(cfg, dataset=ds)
-    rows = report.compare("erm", "erm")
+    rows = compare(report, "erm", "erm")
     assert len(rows) == 3
     assert set(rows[0]) == {"group_id", "depth", "error_a", "error_b", "delta", "delta_stderr"}
     for row in rows:
@@ -147,7 +147,7 @@ def test_compare_minority_leaf_improvement():
     cfg, ds = fixture_config(
         spec, ["erm", "mgl_tree"], trials=4, epsilon=EpsilonSpec("scaled", scale=3.0))
     report = run_experiment(cfg, dataset=ds)
-    rows = report.compare("mgl_tree", "erm")
+    rows = compare(report, "mgl_tree", "erm")
     by_id = {r["group_id"]: r for r in rows}
     assert by_id[INVERTED_LEAF_ID]["delta"] < 0
     assert rows == sorted(rows, key=lambda r: (r["delta"] is None, r["delta"], r["group_id"]))
@@ -164,7 +164,7 @@ def test_compare_unknown_method_rejected():
     cfg, ds = fixture_config(spec, ["erm"], trials=1)
     report = run_experiment(cfg, dataset=ds)
     with pytest.raises(ValueError, match="not in report"):
-        report.compare("erm", "mgl_tree")
+        compare(report, "erm", "mgl_tree")
 
 
 def test_worst_group_summary():
@@ -190,7 +190,7 @@ def test_compare_two_leaf_minority():
     cfg, ds = fixture_config(spec, ["erm", "mgl_tree"], trials=5,
                              epsilon=EpsilonSpec("constant", value=0.05))
     report = run_experiment(cfg, dataset=ds)
-    rows = {r["group_id"]: r for r in report.compare("mgl_tree", "erm")}
+    rows = {r["group_id"]: r for r in compare(report, "mgl_tree", "erm")}
     assert rows["grp=b"]["delta"] < 0
 
 

@@ -1,9 +1,9 @@
 """Every field of every JSON spec the package reads refuses a value of
 another JSON type with exit 2 and a message naming the field, and writes
-nothing: the run-config (its top level, a learner, the epsilon and the
-split block), a model file's trace step, learner and epsilon, and the synth
-spec (its top level, a leaf and a rule). Each field lists the JSON types
-its writer writes."""
+nothing: the run-config (its top level, a learner, the epsilon, the split
+block, and the schema with its columns and bins), a model file's trace
+step, learner, epsilon and hierarchy, and the synth spec (its top level, a
+leaf and a rule). Each field lists the JSON types its writer writes."""
 
 import json
 import pathlib
@@ -30,6 +30,10 @@ EPSILON = {
     "group_count": "int null", "n_total": "int null", "scale": "number", "value": "number null",
 }
 SPLIT = {"test_fraction": "number", "seed": "int", "trials": "int"}
+SCHEMA = {"columns": "list", "label": "string", "group_attributes": "list", "bins": "object null"}
+COLUMN = {"name": "string", "kind": "string", "categories": "list null"}
+BIN = {"name": "string", "upper": "number null"}
+HIERARCHY = {"nodes": "list"}
 # a null epsilon reads as inf, as older files hold
 TRACE_STEP = {
     "group_id": "string", "n_g": "int", "parent_risk": "number null",
@@ -58,18 +62,28 @@ def cases(document: str, table: dict) -> list:
             for key, types in table.items()]
 
 
+# fixtures/run.json's schema columns, and bins for its categorical column
+COLUMNS = json.loads((ROOT / "fixtures/run.json").read_text())["schema"]["columns"]
+BINS = [{"name": "lo", "upper": 0.5}, {"name": "hi"}]
+
+
 def run_config_setting(document: str, key: str, value) -> str:
     literal = json.dumps(value)
     if document == "config":
         return f"{key}={literal}"
     if document == "learner":
         return f"learners=[{json.dumps({'kind': 'logistic', key: value})}]"
+    if document == "column":
+        return f"schema.columns={json.dumps([{**COLUMNS[0], key: value}, *COLUMNS[1:]])}"
+    if document == "bin":
+        return f"schema.bins={json.dumps({'grp': [{**BINS[0], key: value}, BINS[1]]})}"
     return f"{document}.{key}={literal}"
 
 
 @pytest.mark.parametrize("document, key, types", [
     *cases("config", RUN_CONFIG), *cases("learner", LEARNER), *cases("epsilon", EPSILON),
-    *cases("split", SPLIT),
+    *cases("split", SPLIT), *cases("schema", SCHEMA), *cases("column", COLUMN),
+    *cases("bin", BIN),
 ])
 def test_run_config_field_of_another_type_exits_2(tmp_path, monkeypatch, capsys, document,
                                                   key, types):
@@ -92,6 +106,20 @@ def test_trace_step_field_of_another_type_exits_2(tmp_path, capsys, document, ke
         doc["trace"][0][key] = value
         model.write_text(json.dumps(doc))
         assert main(["audit", "--model", str(model), "--data",
+                     str(ROOT / "demo/data.csv")]) == 2, value
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and key in err, (value, err)
+
+
+@pytest.mark.parametrize("model", ["mgl_tree", "prepend"])
+@pytest.mark.parametrize("document, key, types", cases("hierarchy", HIERARCHY))
+def test_hierarchy_field_of_another_type_exits_2(tmp_path, capsys, model, document, key, types):
+    doc = json.loads((ROOT / f"demo/models/{model}.logistic.model.json").read_text())
+    path = tmp_path / "model.json"
+    for value in wrong_values(types):
+        doc["hierarchy"][key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["audit", "--model", str(path), "--data",
                      str(ROOT / "demo/data.csv")]) == 2, value
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and key in err, (value, err)

@@ -1,4 +1,4 @@
-"""Every module-level function of the package is used by the package: one
+"""Every function and method of the package is used by the package: one
 that nothing in src/ references but its own def serves only the tests,
 and belongs in tests/oracles.py with the other references."""
 
@@ -6,6 +6,9 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "multigroup"
+
+# Methods that only bench/tracing.py calls, by patching them
+TRACED_ONLY = {"groups.py:GroupTree.masks"}
 
 
 def names(node):
@@ -20,21 +23,35 @@ def names(node):
             yield sub.name.rsplit(".", 1)[-1]
 
 
-def unreferenced_functions(src: pathlib.Path) -> list[str]:
-    """The module-level functions under src that no code under src refers
-    to outside their own def, as "module.py:name"."""
-    functions, used = [], set()
+def unreferenced_definitions(src: pathlib.Path) -> list[str]:
+    """The module-level functions, as "module.py:name", and the methods of
+    module-level classes other than the special ``__x__`` ones, as
+    "module.py:Class.name", that no code under src refers to outside
+    their own def."""
+    defs, used = [], set()
     for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own is not None:
-                functions.append((path.relative_to(src).as_posix(), own))
-            used.update(name for name in names(node) if name != own)
-    return [f"{path}:{name}" for path, name in functions if name not in used]
+            parts, prefix = [node], f"{module}:"
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.bases, *node.keywords, *node.decorator_list, *node.body]
+                prefix += f"{node.name}."
+            for part in parts:
+                own = part.name if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    else None
+                if own is not None and not (own.startswith("__") and own.endswith("__")):
+                    defs.append((prefix + own, own))
+                used.update(name for name in names(part) if name != own)
+    return [label for label, name in defs if name not in used]
 
 
 def test_every_module_level_function_is_used_in_src():
-    assert unreferenced_functions(SRC) == []
+    assert [d for d in unreferenced_definitions(SRC) if "." not in d.split(":")[1]] == []
+
+
+def test_every_method_is_used_in_src():
+    assert [d for d in unreferenced_definitions(SRC) if "." in d.split(":")[1]
+            and d not in TRACED_ONLY] == []
 
 
 # The JSON number readers, and where the package may use them besides
